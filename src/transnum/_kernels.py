@@ -1,28 +1,32 @@
-"""Hot numeric kernels: orbit accumulation and grid sups.
+"""Hot numeric kernels: the per-family step, the orbit loop and grid sups.
 
-Every kernel is written as a plain scalar loop so the same source runs two
-ways: compiled with numba.njit (default when numba is importable) or as
-ordinary Python. Set TRANSNUM_NO_NUMBA=1 to force the interpreted path; the
-higher-level modules then prefer vectorized numpy where the computation
-allows it (grids) and fall back to these loops where it does not (orbits,
-which are inherently sequential).
+There is one source for each kernel: a plain scalar function on floats.
+When numba is importable (the optional `jit` extra) it is compiled with
+numba.njit; otherwise, or with TRANSNUM_NO_NUMBA=1, the same functions run
+as ordinary Python, with `params` passed as a tuple of Python floats so no
+step touches a numpy scalar. Both ways perform the same floating-point
+operations in the same order.
 
-Built-in map families are encoded as (code, params) pairs so the kernels
-stay monomorphic:
+Built-in map families of dimension 1 and 2 are encoded as (code, params)
+pairs so the kernels stay monomorphic:
 
-  code 0  rigid translation        params = v[0..n)
+  code 0  rigid translation        params = v (n)
   code 1  integer affine           params = M row-major (n*n), then v (n)
   code 2  circle + sine nudge      params = (omega, k)
   code 3  sine shear of T^2        params = (eps,)
   code 4  skew translation of T^2  params = (omega, d, c0, a1, b1, ..., ad, bd)
 
 For code 4 the second coordinate advances by the trigonometric polynomial
-c(x) = c0 + sum_k (a_k cos 2*pi*k*x + b_k sin 2*pi*k*x).
+c(x) = c0 + sum_k (a_k cos 2*pi*k*x + b_k sin 2*pi*k*x). Points and class
+vectors travel as pairs (x0, x1); on the circle the second entry is 0.0,
+which adds exact zeros only.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from math import cos, sin
 
 import numpy as np
 
@@ -53,91 +57,83 @@ CIRCLE_SINE = 2
 SINE_SHEAR = 3
 SKEW = 4
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
-def _eval_step_impl(code, params, x, y):
-    """Write the lifted image of x (cover coordinates) into y."""
-    n = x.shape[0]
-    if code == 0:
-        for j in range(n):
-            y[j] = x[j] + params[j]
-    elif code == 1:
-        for i in range(n):
-            s = 0.0
-            for j in range(n):
-                s += params[i * n + j] * x[j]
-            y[i] = s + params[n * n + i]
-    elif code == 2:
-        y[0] = x[0] + params[0] + params[1] * np.sin(TWO_PI * x[0]) / TWO_PI
-    elif code == 3:
-        y[0] = x[0] + params[0] * np.sin(TWO_PI * x[1])
-        y[1] = x[1]
-    else:
-        y[0] = x[0] + params[0]
-        d = int(params[1])
+def _step_impl(code, params, x0, x1):
+    """Lifted image (y0, y1) of the cover point (x0, x1)."""
+    if code == SKEW:
         c = params[2]
-        for k in range(1, d + 1):
-            ang = TWO_PI * k * x[0]
-            c += params[1 + 2 * k] * np.cos(ang) + params[2 + 2 * k] * np.sin(ang)
-        y[1] = x[1] + c
+        k = 1
+        while k <= params[1]:  # a while loop is the cheaper one interpreted
+            ang = TWO_PI * k * x0
+            c += params[2 * k + 1] * cos(ang) + params[2 * k + 2] * sin(ang)
+            k += 1
+        return x0 + params[0], x1 + c
+    if code == CIRCLE_SINE:
+        return x0 + params[0] + params[1] * sin(TWO_PI * x0) / TWO_PI, x1
+    if code == SINE_SHEAR:
+        return x0 + params[0] * sin(TWO_PI * x1), x1
+    if code == RIGID:
+        if len(params) == 1:
+            return x0 + params[0], x1
+        return x0 + params[0], x1 + params[1]
+    if len(params) == 2:
+        return 0.0 + params[0] * x0 + params[1], x1
+    return (
+        0.0 + params[0] * x0 + params[1] * x1 + params[4],
+        0.0 + params[2] * x0 + params[3] * x1 + params[5],
+    )
 
 
-def _orbit_chunk_impl(code, params, avec, shift, x, x0, start_index, count, s0, return_tol, found_return):
-    """Advance the base orbit `count` steps, accumulating fiber displacement.
+def _orbit_chunk_impl(code, params, avec, shift, point, home, start, count, s, first_return, s_return, return_tol):
+    """Advance the reduced base point `count` steps, accumulating displacement.
 
-    x is the current reduced base point (mutated in place), s0 the running
-    displacement sum. Per-step increment is <a, g(x)-x> + shift. Tracks the
-    first index q (1-based, global) with sup-metric torus distance from x0
-    at most return_tol; -1 while none found. Returns (sums, s, first_return)
-    where sums[i] is the running total after global step start_index+i+1.
+    The increment per step is <a, g(x)-x> + shift, added to the running sum
+    s. The first global step index (1-based) whose point lies within
+    return_tol of `home` in the torus sup metric is kept as first_return
+    (-1 while there is none), and s at that step as s_return. Returns
+    (point, s, first_return, s_return); no per-step values are kept.
     """
-    n = x.shape[0]
-    sums = np.empty(count)
-    y = np.empty(n)
-    s = s0
-    first_return = found_return
+    a0, a1 = avec
+    x0, x1 = point
+    h0, h1 = home
     for i in range(count):
-        _eval_step(code, params, x, y)
-        acc = shift
-        for j in range(n):
-            acc += avec[j] * (y[j] - x[j])
-        s += acc
-        sums[i] = s
-        for j in range(n):
-            x[j] = y[j] % 1.0
-            if x[j] >= 1.0:  # -tiny % 1.0 rounds to 1.0
-                x[j] = 0.0
+        y0, y1 = _step(code, params, x0, x1)
+        s += shift + a0 * (y0 - x0) + a1 * (y1 - x1)
+        x0 = y0 % 1.0
+        if x0 >= 1.0:  # -tiny % 1.0 rounds to 1.0
+            x0 = 0.0
+        x1 = y1 % 1.0
+        if x1 >= 1.0:
+            x1 = 0.0
         if first_return < 0:
             d = 0.0
-            for j in range(n):
-                dj = abs(x[j] - x0[j])
-                if dj > 0.5:
-                    dj = 1.0 - dj
-                if dj > d:
-                    d = dj
+            d0 = abs(x0 - h0)
+            if d0 > 0.5:
+                d0 = 1.0 - d0
+            if d0 > d:
+                d = d0
+            d1 = abs(x1 - h1)
+            if d1 > 0.5:
+                d1 = 1.0 - d1
+            if d1 > d:
+                d = d1
             if d <= return_tol:
-                first_return = start_index + i + 1
-    return sums, s, first_return
+                first_return = start + i + 1
+                s_return = s
+    return (x0, x1), s, first_return, s_return
 
 
 def _grid_sup_abs_rho_impl(code, params, avec, shift, m, n):
     """max |<a, g(x)-x> + shift| over the corner grid (i_1/m, ..., i_n/m)."""
-    x = np.empty(n)
-    y = np.empty(n)
+    a0, a1 = avec
     best = 0.0
-    total = 1
-    for _ in range(n):
-        total *= m
-    for flat in range(total):
-        r = flat
-        for j in range(n):
-            x[j] = (r % m) / m
-            r //= m
-        _eval_step(code, params, x, y)
-        acc = shift
-        for j in range(n):
-            acc += avec[j] * (y[j] - x[j])
+    for flat in range(m**n):
+        x0 = (flat % m) / m
+        x1 = ((flat // m) % m) / m if n == 2 else 0.0
+        y0, y1 = _step(code, params, x0, x1)
+        acc = shift + a0 * (y0 - x0) + a1 * (y1 - x1)
         if acc < 0.0:
             acc = -acc
         if acc > best:
@@ -145,31 +141,34 @@ def _grid_sup_abs_rho_impl(code, params, avec, shift, m, n):
     return best
 
 
-_eval_step = _maybe_jit(_eval_step_impl)
+_step = _maybe_jit(_step_impl)
 _orbit_chunk = _maybe_jit(_orbit_chunk_impl)
 _grid_sup_abs_rho = _maybe_jit(_grid_sup_abs_rho_impl)
 
-# Interpreted twins, kept importable regardless of the env flag so the
-# benchmark (and the equivalence tests) can compare both paths in-process.
-_eval_step_py = _eval_step_impl
-_orbit_chunk_py = _orbit_chunk_impl
-_grid_sup_abs_rho_py = _grid_sup_abs_rho_impl
+
+def pair(values) -> tuple:
+    """The first two entries of a length-1 or length-2 vector as floats,
+    padded with 0.0."""
+    return float(values[0]), float(values[1]) if len(values) > 1 else 0.0
 
 
-def orbit_chunk(code, params, avec, shift, x, x0, start_index, count, s0, return_tol, found_return):
+def _params(params):
+    if JIT_ENABLED:
+        return np.asarray(params, dtype=float)
+    return tuple(float(p) for p in params)
+
+
+def orbit_chunk(code, params, avec, shift, point, home, start, count, s, first_return, s_return, return_tol):
     return _orbit_chunk(
-        code, params, avec, shift, x, x0, start_index, count, s0, return_tol, found_return
+        code, _params(params), avec, shift, point, home, start, count, s, first_return, s_return, return_tol
     )
 
 
 def grid_sup_abs_rho(code, params, avec, shift, m, n):
-    return _grid_sup_abs_rho(code, params, avec, shift, m, n)
+    return _grid_sup_abs_rho(code, _params(params), pair(avec), shift, m, n)
 
 
 def warmup():
     """Compile the kernels on a tiny input (no-op on the interpreted path)."""
-    params = np.array([0.5])
-    avec = np.array([1.0])
-    x = np.array([0.0])
-    orbit_chunk(RIGID, params, avec, 0.0, x, np.array([0.0]), 0, 2, 0.0, 1e-10, -1)
-    grid_sup_abs_rho(RIGID, params, avec, 0.0, 4, 1)
+    orbit_chunk(RIGID, (0.5,), (1.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0), 0, 2, 0.0, -1, math.nan, 1e-10)
+    grid_sup_abs_rho(RIGID, (0.5,), (1.0,), 0.0, 4, 1)

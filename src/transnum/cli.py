@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -83,7 +84,8 @@ COMMANDS = (
 
 @dataclass
 class Resolved:
-    """Numeric options after the config/flag precedence is applied."""
+    """Numeric options after the config/flag precedence is applied; counts
+    are positive and the tolerance positive and finite."""
 
     seed: Optional[int]
     tolerance: Optional[float]
@@ -109,13 +111,25 @@ def _resolve(args, cfg: Optional[RunConfig]) -> Resolved:
                 return parse(text, f"[options] {section_key}")
         return None
 
-    return Resolved(
+    res = Resolved(
         seed=pick(args.seed, "seed", parse_int),
         tolerance=pick(args.tolerance, "tolerance", cfgmod.parse_float),
         max_iterations=pick(args.max_iterations, "max-iterations", parse_int),
         grid=pick(args.grid, "grid", parse_int),
         flags=args,
     )
+    for name, count in (("max-iterations", res.max_iterations), ("grid", res.grid)):
+        if count is not None and count < 1:
+            raise ValidationError(f"{name} must be a positive count, got {count}")
+    if res.tolerance is not None and not 0.0 < res.tolerance < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {res.tolerance}")
+    return res
+
+
+def _or_default(value, default):
+    """An option's value when it was given (0 included), else the command's
+    default."""
+    return default if value is None else value
 
 
 def _headline(value, *, error_bound=None, exact=False, verdict="ok") -> dict:
@@ -148,7 +162,7 @@ def _cmd_rot_local(cfg: RunConfig, res: Resolved) -> Report:
         g,
         x,
         tolerance=res.tolerance,
-        max_iterations=res.max_iterations or 10**5,
+        max_iterations=_or_default(res.max_iterations, 10**5),
     )
     results = {
         "rot": _convergence_entry(rep),
@@ -166,7 +180,7 @@ def _cmd_rot_mean(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
     mu = build_measure(cfg)
-    rep = mean_translation_number(a, g, mu, quadrature_points=res.grid or 128)
+    rep = mean_translation_number(a, g, mu, quadrature_points=_or_default(res.grid, 128))
     results = {
         "mean": value_entry(rep.value, error_bound=rep.error_bound),
         "measure": {
@@ -184,8 +198,8 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
     iso = build_isotopy(cfg)
     x = build_point(cfg, a.dimension)
     kwargs = dict(
-        tolerance=res.tolerance or 1e-6,
-        max_iterations=res.max_iterations or 10**5,
+        tolerance=_or_default(res.tolerance, 1e-6),
+        max_iterations=_or_default(res.max_iterations, 10**5),
     )
     hom = homological_translation(a, iso, x, **kwargs)
     endpoint = induced_bundle_map(iso)
@@ -208,7 +222,7 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
     }
     if cfg.has("measure"):
         mu = build_measure(cfg)
-        mean = mean_homological_translation(a, iso, mu, quadrature_points=res.grid or 128)
+        mean = mean_homological_translation(a, iso, mu, quadrature_points=_or_default(res.grid, 128))
         results["mean_homological"] = value_entry(mean.value, error_bound=mean.error_bound)
     return make_report("rot-homovec", cfg.echo(), results, res.seed)
 
@@ -218,7 +232,7 @@ def _cmd_gk_eval(cfg: RunConfig, res: Resolved) -> Report:
     g = build_lifted_map(cfg, "map")
     h = build_lifted_map(cfg, "map.h")
     x = build_point(cfg, a.dimension)
-    segments = res.grid or 10_000
+    segments = _or_default(res.grid, 10_000)
     closed = gal_kedra(a, g, h, x)
     quad = gal_kedra_quadrature(a, g, h, x, segments=segments)
     results = {
@@ -273,7 +287,7 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
         mu,
         pairs=pairs,
         seed=seed,
-        quadrature_points=res.grid or 64,
+        quadrature_points=_or_default(res.grid, 64),
     )
     results = {
         "additivity_residual": value_entry(rep.additivity_residual, error_bound=0.0),
@@ -292,7 +306,7 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
 def _cmd_seminorm(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
-    m = res.grid or 256
+    m = _or_default(res.grid, 256)
     mode = (cfg.get("seminorm", "mode", "auto") or "auto").lower()
     if mode == "auto":
         has_lip = (
@@ -323,7 +337,7 @@ def _cmd_distortion_cert(cfg: RunConfig, res: Resolved) -> Report:
     g = build_bundle_map(cfg, "map")
     named = build_bundle_generators(cfg)
     x = build_point(cfg, a.dimension)
-    rot_kwargs = {"max_iterations": res.max_iterations or 10**5}
+    rot_kwargs = {"max_iterations": _or_default(res.max_iterations, 10**5)}
     if res.tolerance is not None:
         rot_kwargs["tolerance"] = res.tolerance
     cert = undistortion_certificate(
@@ -331,7 +345,7 @@ def _cmd_distortion_cert(cfg: RunConfig, res: Resolved) -> Report:
         g,
         named,
         x,
-        grid_resolution=res.grid or 256,
+        grid_resolution=_or_default(res.grid, 256),
         generating_set_label=" ".join(name for name, _ in named),
         rot_kwargs=rot_kwargs,
     )
@@ -363,7 +377,7 @@ def _cmd_word_norm(cfg: RunConfig, res: Resolved) -> Report:
     if not target_name:
         raise ValidationError("[generators] target must name an [affine.NAME] section")
     target = build_affine(cfg, target_name.strip())
-    radius = res.max_iterations or 12
+    radius = _or_default(res.max_iterations, 12)
     norm = word_norm_bfs(a, [g for _, g in named], target, radius=radius)
     found = norm is not None
     results = {

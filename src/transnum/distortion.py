@@ -106,11 +106,9 @@ def seminorm(
     if m < 1:
         raise ValidationError("grid_resolution must be >= 1")
     spec = g.lift.kernel_spec
-    if spec is not None and _kernels.JIT_ENABLED:
+    if spec is not None and _kernels.JIT_ENABLED and n <= 2:
         est = float(
-            _kernels.grid_sup_abs_rho(
-                spec[0], np.asarray(spec[1], dtype=float), a.vector, float(g.fiber_shift), m, n
-            )
+            _kernels.grid_sup_abs_rho(spec[0], spec[1], a.vector, float(g.fiber_shift), m, n)
         )
     else:
         pts = _corner_grid(n, m)

@@ -181,96 +181,68 @@ def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> n
 # orbit accumulation
 
 
-class _OrbitAccumulator:
-    """Running rho-sums along a base orbit, chunk by chunk.
+class _PythonOrbit:
+    """Running rho-sum along one base orbit, in constant memory.
 
-    Keeps the reduced base point, the running sum, every chunk's per-step
-    cumulative sums (so a mid-chunk return index can be paid out exactly),
-    and the first step index at which the orbit re-enters the
-    return-tolerance ball around the start."""
+    Keeps the reduced base point, the running sum, the first step index at
+    which the orbit re-enters the return-tolerance ball around the start,
+    and the running sum at that step: the only partial sum the limit reads.
+    A `kernel` (code, params, avec pair, shift) runs the built-in family
+    step of `_kernels`; otherwise `step` is any callable giving (next cover
+    image, rho value)."""
 
-    def __init__(self, x0: np.ndarray, return_tol: float):
-        self.x = reduce_point(x0).astype(float).copy()
-        self.x0 = self.x.copy()
+    def __init__(
+        self, x0: np.ndarray, return_tol: float, step: Optional[Callable] = None, kernel: Optional[tuple] = None
+    ):
+        self.x0 = reduce_point(x0)
+        self.x = self.x0.copy()
+        self.return_tol = float(return_tol)
         self.s = 0.0
         self.count = 0
         self.first_return = -1
-        self.return_tol = float(return_tol)
-        self._chunks: list = []
+        self.s_return = math.nan
+        self._step = step
+        self._kernel = kernel
 
     def run_to(self, n: int) -> None:
         if n > self.count:
             self._advance(n - self.count)
 
-    def sum_at(self, q: int) -> float:
-        for start, sums in self._chunks:
-            if start < q <= start + len(sums):
-                return float(sums[q - start - 1])
-        raise IndexError(f"step {q} not accumulated yet")
-
-    # subclasses fill in _advance
-
-
-class _KernelOrbit(_OrbitAccumulator):
-    def __init__(self, spec, avec, shift, x0, return_tol):
-        super().__init__(x0, return_tol)
-        self.code, self.params = spec
-        self.avec = np.asarray(avec, dtype=float)
-        self.shift = float(shift)
-
     def _advance(self, steps: int) -> None:
-        sums, s, fr = _kernels.orbit_chunk(
-            self.code,
-            np.asarray(self.params, dtype=float),
-            self.avec,
-            self.shift,
-            self.x,
-            self.x0,
-            self.count,
-            steps,
-            self.s,
-            self.return_tol,
-            self.first_return,
-        )
-        self._chunks.append((self.count, sums))
-        self.s = float(s)
-        self.count += steps
-        self.first_return = int(fr)
-
-
-class _PythonOrbit(_OrbitAccumulator):
-    """Generic path: any callable step giving (next cover image, rho value)."""
-
-    def __init__(self, step: Callable[[np.ndarray], tuple], x0, return_tol):
-        super().__init__(x0, return_tol)
-        self._step = step
-
-    def _advance(self, steps: int) -> None:
-        sums = np.empty(steps)
-        for i in range(steps):
-            image, value = self._step(self.x)
-            self.s += value
-            sums[i] = self.s
-            self.x = reduce_point(image)
-            if self.first_return < 0 and torus_distance(self.x, self.x0) <= self.return_tol:
-                self.first_return = self.count + i + 1
-        self._chunks.append((self.count, sums))
+        if self._kernel is not None:
+            code, params, avec, shift = self._kernel
+            point, self.s, self.first_return, self.s_return = _kernels.orbit_chunk(
+                code, params, avec, shift, _kernels.pair(self.x), _kernels.pair(self.x0),
+                self.count, steps, self.s, self.first_return, self.s_return, self.return_tol,
+            )
+            self.x = np.array(point[: self.x0.size])
+        else:
+            for i in range(steps):
+                image, value = self._step(self.x)
+                self.s += value
+                self.x = reduce_point(image)
+                if self.first_return < 0 and torus_distance(self.x, self.x0) <= self.return_tol:
+                    self.first_return = self.count + i + 1
+                    self.s_return = self.s
         self.count += steps
 
 
-def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0, return_tol) -> _OrbitAccumulator:
+def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0, return_tol) -> _PythonOrbit:
     require_preserves_class(a, g.lift)
     c = _shift_float(a, g)
     cover = _cover_of(x0, a.dimension)
-    if g.lift.kernel_spec is not None:
-        return _KernelOrbit(g.lift.kernel_spec, a.vector, c, cover, return_tol)
+    # the kernel step covers dimensions 1 and 2; rigid and affine maps of
+    # higher dimension have constant displacement and stop within 32 steps
+    if g.lift.kernel_spec is not None and a.dimension <= 2:
+        code, params = g.lift.kernel_spec
+        return _PythonOrbit(cover, return_tol, kernel=(code, params, _kernels.pair(a.vector), c))
     avec = a.vector
 
     def step(x, _lift=g.lift, _a=avec, _c=c):
         y = _lift(x)
         return y, float(np.dot(_a, y - x)) + _c
 
-    return _PythonOrbit(step, cover, return_tol)
+    return _PythonOrbit(cover, return_tol, step=step)
 
 
 @dataclass(frozen=True)
@@ -300,7 +272,7 @@ class ConvergenceReport:
 
 
 def _translation_limit(
-    orbit: _OrbitAccumulator,
+    orbit: _PythonOrbit,
     tolerance: float,
     max_iterations: int,
     scan_horizon: int,
@@ -325,7 +297,7 @@ def _translation_limit(
         orbit.run_to(n)
         if orbit.first_return > 0 and periodic_seen is None:
             q = orbit.first_return
-            s_q = orbit.sum_at(q)
+            s_q = orbit.s_return
             if integer_eligible:
                 nearest = round(s_q)
                 if abs(s_q - nearest) <= INTEGER_FIBER_TOLERANCE:
@@ -432,7 +404,7 @@ def periodic_rot(a: CohomologyClass, g: BundleAutomorphism, x, period: int, *, r
         raise NotPeriodicError(
             f"point is not {period}-periodic: distance {dist:.3e} after {period} steps"
         )
-    s_q = orbit.sum_at(period)
+    s_q = orbit.s
     nearest = round(s_q)
     if abs(s_q - nearest) > INTEGER_FIBER_TOLERANCE:
         raise NonIntegerFiberError(

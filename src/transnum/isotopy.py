@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .families import TrigPolynomial, rigid_rotation, sinusoidal_shear, skew_translation
-from .torus import CohomologyClass, LiftedMap, reduce_point, require_preserves_class
+from .torus import CohomologyClass, LiftedMap, require_preserves_class
 
 __all__ = [
     "Isotopy",
@@ -145,7 +145,7 @@ def homological_translation(
         image = _iso.lift(1.0, cur)
         return image, float(np.dot(_a, image - cur))
 
-    orbit = _PythonOrbit(step, reduce_point(np.atleast_1d(np.asarray(x, dtype=float))), return_tolerance)
+    orbit = _PythonOrbit(np.atleast_1d(np.asarray(x, dtype=float)), return_tolerance, step=step)
     return _translation_limit(
         orbit,
         tolerance,

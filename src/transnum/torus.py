@@ -183,8 +183,9 @@ class LiftedMap:
     lipschitz_bound bounds Lip(g) and displacement_lipschitz bounds
     Lip(g - id), both Euclidean-in / sup-out; either may be None when
     unknown. jacobian(x) returns (..., n, n) derivatives when available.
-    kernel_spec = (code, params) routes orbit work through the compiled
-    kernels for the built-in families.
+    kernel_spec = (code, params) routes orbit work through the scalar step
+    of `_kernels` (compiled with numba when it is installed, interpreted
+    otherwise) for the built-in families in dimensions 1 and 2.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]

@@ -106,6 +106,63 @@ target = w
 powers = 3
 """
 
+HOMOVEC_TEXT = """
+[class]
+entries = 1 0
+
+[isotopy]
+kind = straight
+vector = 0.3 0.4
+
+[point]
+x = 0.2 0.7
+
+[measure]
+kind = lebesgue
+"""
+
+SPLIT_TEXT = f"""
+[class]
+entries = 0 1
+
+[map.u]
+family = skew
+omega = {GOLDEN}
+coeffs = 0.3 0.0 0.1
+
+[map.v]
+family = skew
+omega = {GOLDEN}
+coeffs = -0.1 0.2 0.0
+
+[generators]
+maps = u v
+
+[check]
+count = 20
+"""
+
+CERT_TEXT = """
+[class]
+entries = 1
+
+[map]
+family = rigid
+vector = 0
+shift = 1
+
+[map.t]
+family = rigid
+vector = 0
+shift = 1
+
+[generators]
+maps = t
+
+[point]
+x = 0
+"""
+
 
 # -- parsing and builders ------------------------------------------------------
 
@@ -332,6 +389,38 @@ def test_bad_config_exits_with_validation_code(tmp_path, capsys):
     assert "vectro" in capsys.readouterr().err
 
 
+# one case per option read by a command; none may turn 0 into a default
+ZERO_OPTION_CASES = [
+    ("rot-local", ROT_TEXT, "--max-iterations"),
+    ("rot-local", ROT_TEXT, "--tolerance"),
+    ("rot-mean", SKEW_TEXT, "--grid"),
+    ("rot-homovec", HOMOVEC_TEXT, "--tolerance"),
+    ("rot-homovec", HOMOVEC_TEXT, "--max-iterations"),
+    ("rot-homovec", HOMOVEC_TEXT, "--grid"),
+    ("gk-eval", GK_TEXT, "--grid"),
+    ("split-check", SPLIT_TEXT, "--grid"),
+    ("seminorm", SKEW_TEXT, "--grid"),
+    ("distortion-cert", CERT_TEXT, "--max-iterations"),
+    ("distortion-cert", CERT_TEXT, "--grid"),
+    ("word-norm", WORD_TEXT, "--max-iterations"),
+]
+
+
+@pytest.mark.parametrize("command, text, flag", ZERO_OPTION_CASES, ids=[f"{c} {f}" for c, _, f in ZERO_OPTION_CASES])
+def test_zero_options_are_rejected_not_replaced(tmp_path, capsys, command, text, flag):
+    path = write(tmp_path, "z.ini", text)
+    assert cli.main([command, "--config", path, flag, "0"]) == 2
+    assert "transnum: invalid input:" in capsys.readouterr().err
+    # the same value from the [options] section
+    key = flag[2:]
+    assert cli.main([command, "--config", write(tmp_path, "o.ini", text + f"\n[options]\n{key} = 0\n")]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "-3"), ("--max-iterations", "-1"), ("--tolerance", "-1e-9"), ("--tolerance", "nan"), ("--tolerance", "inf")])
+def test_nonpositive_and_nonfinite_options_exit_2(tmp_path, flag, value):
+    assert cli.main(["rot-local", "--config", write(tmp_path, "r.ini", ROT_TEXT), f"{flag}={value}"]) == 2
+
+
 def test_not_converged_headline_exits_3(tmp_path):
     slow = write(
         tmp_path,
@@ -391,21 +480,7 @@ def test_gk_eval_closed_form_and_quadrature(tmp_path):
 
 
 def test_rot_homovec_routes_agree(tmp_path):
-    text = """
-[class]
-entries = 1 0
-
-[isotopy]
-kind = straight
-vector = 0.3 0.4
-
-[point]
-x = 0.2 0.7
-
-[measure]
-kind = lebesgue
-"""
-    rec = run_record(tmp_path, ["rot-homovec", "--config", write(tmp_path, "h.ini", text)])
+    rec = run_record(tmp_path, ["rot-homovec", "--config", write(tmp_path, "h.ini", HOMOVEC_TEXT)])
     res = rec["results"]
     assert res["difference"]["value"] <= 1e-9
     assert res["headline"]["exact"] is True
@@ -413,27 +488,7 @@ kind = lebesgue
 
 
 def test_split_check_on_commuting_skews(tmp_path):
-    text = f"""
-[class]
-entries = 0 1
-
-[map.u]
-family = skew
-omega = {GOLDEN}
-coeffs = 0.3 0.0 0.1
-
-[map.v]
-family = skew
-omega = {GOLDEN}
-coeffs = -0.1 0.2 0.0
-
-[generators]
-maps = u v
-
-[check]
-count = 20
-"""
-    rec = run_record(tmp_path, ["split-check", "--config", write(tmp_path, "s.ini", text)])
+    rec = run_record(tmp_path, ["split-check", "--config", write(tmp_path, "s.ini", SPLIT_TEXT)])
     res = rec["results"]
     assert res["headline"]["value"] <= 1e-6
     assert res["pairs"] == 20
@@ -441,27 +496,7 @@ count = 20
 
 
 def test_distortion_certificate_for_the_unit_translation(tmp_path):
-    text = """
-[class]
-entries = 1
-
-[map]
-family = rigid
-vector = 0
-shift = 1
-
-[map.t]
-family = rigid
-vector = 0
-shift = 1
-
-[generators]
-maps = t
-
-[point]
-x = 0
-"""
-    rec = run_record(tmp_path, ["distortion-cert", "--config", write(tmp_path, "c.ini", text)])
+    rec = run_record(tmp_path, ["distortion-cert", "--config", write(tmp_path, "c.ini", CERT_TEXT)])
     res = rec["results"]
     assert res["headline"]["value"] == 1.0
     assert res["headline"]["verdict"] == "undistorted-certified"

@@ -1,5 +1,6 @@
 """Pointwise displacement, orbit limits, exact periodic detection, means."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,89 @@ def test_raw_power_average_tracks_the_orbit_sum():
     )
     with pytest.raises(ValidationError):
         rho_power_average(A1, g, [0.0], 0)
+
+
+# Bit-level pins of the orbit engine: float.hex of value, error bound and
+# window, with iterations, verdict and (q, s_q) of a detected return. They
+# fix the floating-point operation order of every family step, of the
+# generic step of composed maps and of the stopping rule.
+POLY1 = TrigPolynomial(0.3, (0.05,), (0.1,))
+POLY3 = TrigPolynomial(0.1, (0.05, -0.02, 0.01), (0.1, 0.03, -0.04))
+A12 = CohomologyClass([1, 2])
+PINNED_LOCAL = [
+    ("rigid-circle", A1, auto(rigid_rotation([0.3]), 1), [0.1], {},
+     ("0x1.4cccccccccccdp+0", "0x0.0p+0", 10, "exact-periodic",
+      ("0x1.4cccccccccccdp+0", "0x1.4cccccccccccdp+0"), (10, "0x1.a000000000000p+3"))),
+    ("rigid-torus", A12, auto(rigid_rotation([0.3, GOLDEN])), [0.1, 0.9], {},
+     ("0x1.893bc03fcb61ep+0", "0x1.0000000000000p-52", 16, "converged",
+      ("0x1.893bc03fcb61dp+0", "0x1.893bc03fcb61ep+0"), None)),
+    ("affine-circle", A1, auto(torus_affine([[1]], [0.37])), [0.6], {},
+     ("0x1.7ae147ae147afp-2", "0x0.0p+0", 16, "converged",
+      ("0x1.7ae147ae147afp-2", "0x1.7ae147ae147afp-2"), None)),
+    ("affine-torus", A10, auto(torus_affine([[1, 0], [2, 1]], [GOLDEN, 0.1])), [0.4, 0.7], {},
+     ("0x1.3c6ef372fe950p-1", "0x0.0p+0", 16, "converged",
+      ("0x1.3c6ef372fe950p-1", "0x1.3c6ef372fe950p-1"), None)),
+    ("arnold", A1, auto(arnold_circle(0.3, 0.9)), [0.2], {"max_iterations": 2**14},
+     ("0x1.1a857f20ac1c6p-2", "0x1.c7741a0d70000p-18", 16384, "not-converged",
+      ("0x1.1a83b7ac920efp-2", "0x1.1a857f20ac1c6p-2"), None)),
+    ("arnold-locked", A1, auto(arnold_circle(0.05, 0.9)), [0.3], {"max_iterations": 2**12, "tolerance": 1e-15},
+     ("0x1.06e99c106a3b1p-14", "0x1.06e99c106a3b1p-14", 4096, "not-converged",
+      ("0x1.06e99c106a3b1p-13", "0x1.06e99c106a3b1p-14"), None)),
+    ("sinshear", A10, auto(sinusoidal_shear(0.1)), [0.3, 0.2], {},
+     ("0x1.858d80f69dd9ap-4", "0x1.0000000000000p-55", 16, "converged",
+      ("0x1.858d80f69dd98p-4", "0x1.858d80f69dd9ap-4"), None)),
+    ("skew", A01, auto(skew_translation(GOLDEN, POLY1)), [0.2, 0.7], {"tolerance": 1e-12, "max_iterations": 2**12},
+     ("0x1.333a703ddfee0p-2", "0x1.5955758dc0000p-17", 4096, "not-converged",
+      ("0x1.333d22e8cb098p-2", "0x1.333a703ddfee0p-2"), None)),
+    ("skew-degree3", A01, auto(skew_translation(GOLDEN, POLY3)), [0.15, 0.4], {"tolerance": 1e-12, "max_iterations": 2**12},
+     ("0x1.999c53f3181b4p-4", "0x1.a1a0c6ab18000p-15", 4096, "not-converged",
+      ("0x1.99d0880bed7e4p-4", "0x1.999c53f3181b4p-4"), None)),
+    ("composed", A1, auto(arnold_circle(0.3, 0.9).compose(arnold_circle(0.1, 0.5))), [0.2], {},
+     ("0x1.617a8d694e823p-2", "0x1.d5c2bd3980000p-21", 16384, "converged",
+      ("0x1.617ac821a6296p-2", "0x1.617a8d694e823p-2"), None)),
+    ("exact-periodic", A1, auto(rigid_rotation([0.25]), 2), [0.0], {},
+     ("0x1.2000000000000p+1", "0x0.0p+0", 4, "exact-periodic",
+      ("0x1.2000000000000p+1", "0x1.2000000000000p+1"), (4, "0x1.2000000000000p+3"))),
+]
+
+
+@pytest.mark.parametrize("name, a, g, x, kwargs, pinned", PINNED_LOCAL, ids=[c[0] for c in PINNED_LOCAL])
+def test_local_translation_number_is_pinned_bit_for_bit(name, a, g, x, kwargs, pinned):
+    rep = local_translation_number(a, g, x, **kwargs)
+    base = rep.periodic_base
+    got = (
+        rep.value.hex(),
+        rep.error_bound.hex(),
+        rep.iterations,
+        rep.verdict,
+        tuple(w.hex() for w in rep.window),
+        None if base is None else (base[0], base[1].hex()),
+    )
+    assert got == pinned
+
+
+def test_power_averages_and_periodic_rot_are_pinned_bit_for_bit():
+    skew = auto(skew_translation(GOLDEN, POLY1))
+    affine = auto(torus_affine([[1, 0], [2, 1]], [GOLDEN, 0.1]))
+    assert rho_power_average(A01, skew, [0.2, 0.7], 1000).hex() == "0x1.3332d1236d58dp-2"
+    assert rho_power_average(A1, auto(arnold_circle(0.3, 0.9)), [0.2], 777).hex() == "0x1.1ab8121b0dcc8p-2"
+    assert rho_power_average(A10, affine, [0.4, 0.7], 500).hex() == "0x1.3c6ef372fe955p-1"
+    assert periodic_rot(A12, auto(rigid_rotation([0.25, 0.5]), 1), [0.1, 0.3], 4) == Fraction(9, 4)
+    assert periodic_rot(A1, auto(arnold_circle(0.0, 0.5), 3), [0.0], 1) == Fraction(3)
+
+
+def test_orbit_memory_does_not_grow_with_the_step_cap():
+    # mode-locked: the orbit never returns and the window never settles at
+    # 1e-15, so the run goes all the way to the cap
+    g = auto(arnold_circle(0.05, 0.9))
+    tracemalloc.start()
+    try:
+        rep = local_translation_number(A1, g, [0.3], tolerance=1e-15, max_iterations=2**18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 2**18 and rep.verdict == VERDICT_NOT_CONVERGED
+    assert peak < 64 * 1024
 
 
 # -- exact rationals at periodic points --------------------------------------

@@ -1,5 +1,10 @@
-"""The jitted kernels and their interpreted twins must tell the same story."""
+"""The scalar kernels: family steps, the orbit loop and the grid sup.
 
+The interpreted source is reachable as `fn.py_func` when numba compiled it,
+and is `fn` itself otherwise; the compiled path must tell the same story.
+"""
+
+import math
 import os
 import subprocess
 import sys
@@ -17,21 +22,97 @@ from transnum.families import (
     torus_affine,
 )
 
-# (lift, distinctive probe points) for every family with a kernel code
+# (lift, class vector, distinctive probe points) for every family with a kernel code
 CASES = [
-    (rigid_rotation([0.3, -0.7]), np.array([[0.1, 0.9], [0.25, 0.5]])),
-    (torus_affine([[1, 0], [2, 1]], [0.25, 0.0]), np.array([[0.4, 0.7]])),
-    (arnold_circle(0.22, 0.8), np.array([[0.15], [0.6]])),
-    (sinusoidal_shear(0.1), np.array([[0.3, 0.25], [0.8, 0.75]])),
+    (rigid_rotation([0.3, -0.7]), [1.0, 2.0], np.array([[0.1, 0.9], [0.25, 0.5]])),
+    (rigid_rotation([0.37]), [1.0], np.array([[0.1], [0.95]])),
+    (torus_affine([[1, 0], [2, 1]], [0.25, 0.0]), [1.0, 0.0], np.array([[0.4, 0.7]])),
+    (torus_affine([[1]], [-0.61]), [1.0], np.array([[0.4], [0.0]])),
+    (arnold_circle(0.22, 0.8), [1.0], np.array([[0.15], [0.6]])),
+    (sinusoidal_shear(0.1), [1.0, 0.0], np.array([[0.3, 0.25], [0.8, 0.75]])),
     (
         skew_translation(0.37, TrigPolynomial(0.3, (0.05,), (0.1,))),
+        [0.0, 1.0],
         np.array([[0.2, 0.6], [0.9, 0.1]]),
+    ),
+    (
+        skew_translation(0.61, TrigPolynomial(0.1, (0.05, -0.02, 0.01), (0.1, 0.03, -0.04))),
+        [1.0, 1.0],
+        np.array([[0.15, 0.4], [0.7, 0.95]]),
     ),
 ]
 
 
+def _interpreted(fn):
+    return getattr(fn, "py_func", fn)
+
+
+def _params(lift):
+    code, params = lift.kernel_spec
+    return code, _kernels._params(params)
+
+
+def _reference_step(code, params, x, y):
+    """The family step written array-indexed, as the reference for its operation order."""
+    n = x.shape[0]
+    if code == 0:
+        for j in range(n):
+            y[j] = x[j] + params[j]
+    elif code == 1:
+        for i in range(n):
+            s = 0.0
+            for j in range(n):
+                s += params[i * n + j] * x[j]
+            y[i] = s + params[n * n + i]
+    elif code == 2:
+        y[0] = x[0] + params[0] + params[1] * np.sin(2.0 * np.pi * x[0]) / (2.0 * np.pi)
+    elif code == 3:
+        y[0] = x[0] + params[0] * np.sin(2.0 * np.pi * x[1])
+        y[1] = x[1]
+    else:
+        y[0] = x[0] + params[0]
+        c = params[2]
+        for k in range(1, int(params[1]) + 1):
+            ang = 2.0 * np.pi * k * x[0]
+            c += params[1 + 2 * k] * np.cos(ang) + params[2 + 2 * k] * np.sin(ang)
+        y[1] = x[1] + c
+
+
+def _reference_orbit(lift, avec, shift, x, steps, return_tol=1e-10):
+    """The orbit loop written array-indexed, as the reference; keeps every sum."""
+    code, params = lift.kernel_spec
+    params = np.asarray(params, dtype=float)
+    x = np.array(x, dtype=float)
+    home = x.copy()
+    y = np.empty_like(x)
+    sums = []
+    s = 0.0
+    first_return = -1
+    for i in range(steps):
+        _reference_step(code, params, x, y)
+        acc = shift
+        for j in range(x.size):
+            acc += avec[j] * (y[j] - x[j])
+        s += acc
+        sums.append(s)
+        x = y % 1.0
+        x[x >= 1.0] = 0.0
+        d = np.abs(x - home)
+        if first_return < 0 and np.max(np.minimum(d, 1.0 - d)) <= return_tol:
+            first_return = i + 1
+    return x, s, first_return, sums
+
+
+def _run_orbit(chunk_fn, lift, avec, shift, steps):
+    code, params = _params(lift)
+    point = _kernels.pair(np.full(lift.dimension, 0.1))
+    return chunk_fn(
+        code, params, _kernels.pair(avec), float(shift), point, point, 0, steps, 0.0, -1, math.nan, 1e-10
+    )
+
+
 def test_every_builtin_family_registers_a_kernel():
-    for lift, _ in CASES:
+    for lift, _, _ in CASES:
         assert lift.kernel_spec is not None
         code, params = lift.kernel_spec
         assert isinstance(code, int)
@@ -39,73 +120,113 @@ def test_every_builtin_family_registers_a_kernel():
 
 
 def test_interpreted_step_matches_the_family_evaluator():
-    for lift, pts in CASES:
-        code, params = lift.kernel_spec
-        params = np.asarray(params, dtype=float)
+    step = _interpreted(_kernels._step)
+    for lift, _, pts in CASES:
+        code, params = _params(lift)
         for p in pts:
-            out = np.empty_like(p)
-            _kernels._eval_step_py(code, params, p.copy(), out)
-            assert np.allclose(out, lift(p), atol=1e-12), lift.label
+            out = step(code, params, *_kernels.pair(p))
+            assert np.allclose(out[: lift.dimension], lift(p), atol=1e-12), lift.label
+            if lift.dimension == 1:
+                assert out[1] == 0.0
+
+
+def test_step_keeps_the_reference_operation_order():
+    step = _interpreted(_kernels._step)
+    for lift, _, pts in CASES:
+        code, params = _params(lift)
+        for p in pts:
+            want = np.empty_like(p)
+            _reference_step(code, np.asarray(lift.kernel_spec[1], dtype=float), p, want)
+            got = step(code, params, *_kernels.pair(p))
+            assert list(got[: lift.dimension]) == list(want), lift.label
 
 
 @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="numba disabled or missing")
 def test_jitted_step_matches_the_interpreted_step(warm_kernels):
-    for lift, pts in CASES:
-        code, params = lift.kernel_spec
-        params = np.asarray(params, dtype=float)
+    for lift, _, pts in CASES:
+        code, params = _params(lift)
         for p in pts:
-            a = np.empty_like(p)
-            b = np.empty_like(p)
-            _kernels._eval_step_py(code, params, p.copy(), a)
-            _kernels._eval_step(code, params, p.copy(), b)
+            a = _kernels._step.py_func(code, params, *_kernels.pair(p))
+            b = _kernels._step(code, params, *_kernels.pair(p))
             assert np.allclose(a, b, atol=5e-14), lift.label
 
 
-def _run_orbit(chunk_fn, lift, avec, shift, steps):
-    code, params = lift.kernel_spec
-    params = np.asarray(params, dtype=float)
-    n = len(avec)
-    x = np.full(n, 0.1)
-    x0 = x.copy()
-    sums, s, first_return = chunk_fn(
-        code, params, np.asarray(avec, float), float(shift), x, x0, 0, steps, 0.0, 1e-10, -1
-    )
-    return np.asarray(sums), s, first_return, x
+def test_orbit_matches_the_reference_loop_bit_for_bit():
+    for lift, avec, _ in CASES:
+        point, s, first_return, s_return = _run_orbit(_kernels.orbit_chunk, lift, avec, 0.25, 300)
+        x, ref_s, ref_first, sums = _reference_orbit(lift, avec, 0.25, np.full(lift.dimension, 0.1), 300)
+        assert s == ref_s, lift.label
+        assert list(point[: lift.dimension]) == list(x), lift.label
+        assert first_return == ref_first, lift.label
+        if first_return > 0:
+            assert s_return == sums[first_return - 1], lift.label
+
+
+def test_orbit_resumes_across_chunks_exactly():
+    lift, avec, _ = CASES[-1]
+    whole = _run_orbit(_kernels.orbit_chunk, lift, avec, 0.0, 100)
+    code, params = _params(lift)
+    point = home = _kernels.pair([0.1, 0.1])
+    state = (point, 0.0, -1, math.nan)
+    start = 0
+    for count in (1, 1, 2, 4, 8, 16, 32, 36):
+        state = _kernels.orbit_chunk(
+            code, params, _kernels.pair(avec), 0.0, state[0], home, start, count, state[1], state[2], state[3], 1e-10
+        )
+        start += count
+    assert state[:3] == whole[:3]
 
 
 @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="numba disabled or missing")
 def test_orbit_chunks_agree_between_paths(warm_kernels):
-    for lift, _ in CASES:
-        dim = lift.dimension
-        avec = [1.0] * dim
-        py = _run_orbit(_kernels._orbit_chunk_py, lift, avec, 0.0, 300)
+    for lift, avec, _ in CASES:
+        py = _run_orbit(_kernels._orbit_chunk.py_func, lift, avec, 0.0, 300)
         jit = _run_orbit(_kernels._orbit_chunk, lift, avec, 0.0, 300)
-        # libm vs numpy can differ in the last ulp per step; 300 steps stay tiny
+        # libm vs numba's math can differ in the last ulp per step; 300 steps stay tiny
         assert np.allclose(py[0], jit[0], atol=1e-10), lift.label
         assert abs(py[1] - jit[1]) <= 1e-10
         assert py[2] == jit[2]
-        assert np.allclose(py[3], jit[3], atol=1e-10)
 
 
 @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="numba disabled or missing")
 def test_grid_sup_agrees_between_paths(warm_kernels):
-    for lift, _ in CASES:
+    for lift, avec, _ in CASES:
+        code, params = _params(lift)
         dim = lift.dimension
-        avec = np.ones(dim)
-        code, params = lift.kernel_spec
-        params = np.asarray(params, dtype=float)
-        py = _kernels._grid_sup_abs_rho_py(code, params, avec, 0.5, 32, dim)
-        jit = _kernels._grid_sup_abs_rho(code, params, avec, 0.5, 32, dim)
+        py = _kernels._grid_sup_abs_rho.py_func(code, params, _kernels.pair(avec), 0.5, 32, dim)
+        jit = _kernels._grid_sup_abs_rho(code, params, _kernels.pair(avec), 0.5, 32, dim)
         assert abs(py - jit) <= 1e-12, lift.label
+
+
+def test_grid_sup_matches_a_dense_numpy_scan():
+    grid = _interpreted(_kernels._grid_sup_abs_rho)
+    for lift, avec, _ in CASES:
+        code, params = _params(lift)
+        dim = lift.dimension
+        axes = np.meshgrid(*[np.arange(16) / 16] * dim, indexing="ij")
+        pts = np.stack([ax.ravel() for ax in axes], axis=-1)
+        want = np.max(np.abs((lift.evaluate_many(pts) - pts) @ np.asarray(avec) + 0.5))
+        got = grid(code, params, _kernels.pair(avec), 0.5, 16, dim)
+        assert got == pytest.approx(want, abs=1e-12), lift.label
 
 
 def test_orbit_first_return_detects_rational_rotation():
     lift = rigid_rotation([0.5])
-    _, s, first_return, _ = _run_orbit(
-        _kernels.orbit_chunk, lift, [1.0], 0.0, 8
-    )
+    _, s, first_return, s_return = _run_orbit(_kernels.orbit_chunk, lift, [1.0], 0.0, 8)
     assert first_return == 2
+    assert s_return == 1.0
     assert s == pytest.approx(4.0)  # eight half-steps
+
+
+def test_negative_tiny_image_folds_onto_zero():
+    # -1e-20 % 1.0 rounds to 1.0; the reduced point must stay in [0, 1)
+    assert (-1e-20) % 1.0 == 1.0
+    code, params = _params(rigid_rotation([-1e-20, -1e-20]))
+    point, s, first_return, s_return = _kernels.orbit_chunk(
+        code, params, (1.0, 1.0), 0.0, (0.0, 0.0), (0.0, 0.0), 0, 1, 0.0, -1, math.nan, 1e-10
+    )
+    assert point == (0.0, 0.0)
+    assert first_return == 1 and s_return == s == -2e-20
 
 
 def test_env_flag_disables_the_jit_path():
@@ -121,9 +242,10 @@ def test_env_flag_disables_the_jit_path():
 
 
 def test_results_identical_under_both_paths_for_rigid():
-    # rigid arithmetic has no libm in it, so the two paths must agree exactly
+    # rigid arithmetic has no libm in it, so the scalar kernel and the
+    # array reference must agree exactly, running sum by running sum
     lift = rigid_rotation([0.3, 0.4])
-    py = _run_orbit(_kernels._orbit_chunk_py, lift, [1.0, 2.0], 1.0, 50)
-    via_wrapper = _run_orbit(_kernels.orbit_chunk, lift, [1.0, 2.0], 1.0, 50)
-    assert np.array_equal(py[0], via_wrapper[0])
-    assert py[1] == via_wrapper[1]
+    ref = _reference_orbit(lift, [1.0, 2.0], 1.0, [0.1, 0.1], 50)
+    for steps in (1, 7, 50):
+        got = _run_orbit(_kernels.orbit_chunk, lift, [1.0, 2.0], 1.0, steps)
+        assert got[1] == ref[3][steps - 1]
