@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Time the orbit kernel per map family, in microseconds per step.
+"""Time both forms of each map family's one formula, and the quadrature.
 
-Every kernel has one source: a scalar function on floats that numba compiles
-when it is installed and that otherwise runs as ordinary Python. This script
-times `_kernels.orbit_chunk` on the backend in use; when that is the compiled
-one, it runs itself again with TRANSNUM_NO_NUMBA=1 to time the interpreted
-path as well. It imports the package from the checkout's src/ directory:
+Every family's step has one source: a scalar function on floats that numba
+compiles when it is installed and that otherwise runs as ordinary Python.
+This script times
+  - `_kernels.orbit_chunk` per family, in microseconds per orbit step, on the
+    backend in use (when that is the compiled one, it runs itself again with
+    TRANSNUM_NO_NUMBA=1 to time the interpreted path as well);
+  - each family's numpy evaluator, the same step run by numpy, on a 1024^2
+    grid of points (1024^2 points of the circle for the Arnold family), in
+    nanoseconds per point;
+  - the gk-eval quadrature, whose derivative is the complex step through
+    that evaluator, in microseconds per segment.
+It imports the package from the checkout's src/ directory:
 
     python3 benchmarks/bench_kernels.py --steps 100000
 """
@@ -19,7 +26,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from transnum import _kernels  # noqa: E402
+import numpy as np  # noqa: E402
+
+from transnum import CohomologyClass, _kernels, gal_kedra_quadrature  # noqa: E402
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
     arnold_circle,
@@ -30,6 +39,8 @@ from transnum.families import (  # noqa: E402
 )
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
+SIDE = 1024  # evaluator grids have SIDE^2 points, as a 1024 seminorm grid on T^2
+SEGMENTS = 10_000  # the gk-eval default
 
 CASES = [
     ("rigid T^2", rigid_rotation([0.3, 0.61]), (1.0, 0.0)),
@@ -52,6 +63,42 @@ def us_per_step(lift, avec, steps, repeat):
     return best / steps * 1e6
 
 
+def ns_per_point(lift, repeat):
+    """Best-of-`repeat` cost of the numpy evaluator on a corner grid of
+    SIDE^2 points (SIDE x SIDE on the 2-torus, SIDE^2 on the circle)."""
+    dim = lift.dimension
+    m = SIDE if dim == 2 else SIDE * SIDE
+    pts = np.stack(np.meshgrid(*[np.arange(m) / m] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        lift.evaluator(pts)
+        best = min(best, time.perf_counter() - start)
+    return best / len(pts) * 1e9
+
+
+def us_per_segment(lift, avec, repeat):
+    """Best-of-`repeat` cost of gal_kedra_quadrature(a, lift, h) per segment,
+    with h a rigid rotation of the same dimension."""
+    a = CohomologyClass([int(e) for e in avec[: lift.dimension]])
+    h = rigid_rotation([0.23, 0.41][: lift.dimension])
+    x = [0.1, 0.7][: lift.dimension]
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        gal_kedra_quadrature(a, lift, h, x, segments=SEGMENTS)
+        best = min(best, time.perf_counter() - start)
+    return best / SEGMENTS * 1e6
+
+
+def print_table(rows):
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for i, row in enumerate(rows):
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        if i == 0:
+            print("  ".join("-" * w for w in widths))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=100_000, help="orbit length")
@@ -65,16 +112,26 @@ def main():
     print(f"transnum orbit kernel, {backend}: {args.steps} steps, best of {args.repeat}")
     rows = [("case", "us/step")]
     rows += [(label, f"{us_per_step(lift, avec, args.steps, args.repeat):.4f}") for label, lift, avec in CASES]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for i, row in enumerate(rows):
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            print("  ".join("-" * w for w in widths))
+    print_table(rows)
 
     if _kernels.JIT_ENABLED:
         print()
         env = dict(os.environ, TRANSNUM_NO_NUMBA="1")
         subprocess.run([sys.executable, __file__, *sys.argv[1:]], env=env, check=True)
+        return
+
+    print()
+    print(f"numpy evaluators on {SIDE}^2 points and the gk-eval quadrature ({SEGMENTS} segments), best of {args.repeat}")
+    rows = [("case", "evaluator ns/point", "quadrature us/segment")]
+    rows += [
+        (
+            label,
+            f"{ns_per_point(lift, args.repeat):.2f}",
+            f"{us_per_segment(lift, avec, args.repeat):.4f}",
+        )
+        for label, lift, avec in CASES
+    ]
+    print_table(rows)
 
 
 if __name__ == "__main__":

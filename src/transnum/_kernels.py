@@ -7,6 +7,11 @@ as ordinary Python, with `params` passed as a tuple of Python floats so no
 step touches a numpy scalar. Both ways perform the same floating-point
 operations in the same order.
 
+`_step_impl` is the only place a family's formula is written. `np_step` runs
+the same code object with numpy's sin and cos, so it maps whole coordinate
+arrays (real or complex) at once; `families` builds the numpy evaluators
+from it, and complex input gives the complex-step derivative.
+
 Built-in map families of dimension 1 and 2 are encoded as (code, params)
 pairs so the kernels stay monomorphic:
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import types
 from math import cos, sin
 
 import numpy as np
@@ -142,6 +148,8 @@ def _grid_sup_abs_rho_impl(code, params, avec, shift, m, n):
 
 
 _step = _maybe_jit(_step_impl)
+# the step on coordinate arrays: same code, numpy's elementwise sin and cos
+np_step = types.FunctionType(_step_impl.__code__, {**globals(), "sin": np.sin, "cos": np.cos}, "np_step")
 _orbit_chunk = _maybe_jit(_orbit_chunk_impl)
 _grid_sup_abs_rho = _maybe_jit(_grid_sup_abs_rho_impl)
 

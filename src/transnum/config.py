@@ -24,6 +24,7 @@ a typo that silently falls back to a default is worse than an error.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from fractions import Fraction
 from typing import Optional
@@ -35,7 +36,7 @@ from .dynamics import BundleAutomorphism, InvariantMeasure
 from .errors import ValidationError
 from .families import TrigPolynomial, make_family
 from .isotopy import Isotopy, shear_isotopy, skew_isotopy, straight_isotopy
-from .seifert import RelationConvention, SeifertData
+from .seifert import RelationConvention, SeifertData, parse_pairs
 from .torus import BundlePoint, CohomologyClass, Coefficients, LiftedMap
 
 _SECTION_KEYS = {
@@ -181,9 +182,12 @@ def _tokens(text: str) -> list:
 
 def parse_float(text: str, what: str) -> float:
     try:
-        return float(Fraction(text)) if _RATIONAL_RE.match(text) else float(text)
-    except ValueError as exc:
+        value = float(Fraction(text)) if _RATIONAL_RE.match(text) else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"{what}: not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{what}: not a finite number: {text!r}")
+    return value
 
 
 def parse_int(text: str, what: str) -> int:
@@ -376,21 +380,12 @@ def build_affine_generators(cfg: RunConfig) -> list:
     return [(name, build_affine(cfg, name)) for name in names]
 
 
-_PAIR_TEXT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-
-
 def build_seifert(cfg: RunConfig):
     if not cfg.has("seifert"):
         raise ValidationError("config needs a [seifert] section")
     genus = parse_int(cfg.require("seifert", "genus"), "[seifert] genus")
-    pairs_text = cfg.require("seifert", "pairs")
-    pairs = [(int(a), int(b)) for a, b in _PAIR_TEXT_RE.findall(pairs_text)]
-    leftover = _PAIR_TEXT_RE.sub("", pairs_text).strip(" \t,")
-    if leftover or not pairs:
-        raise ValidationError(
-            f"[seifert] pairs must be a list like (2,1) (2,-1); got {pairs_text!r}"
-        )
-    data = SeifertData(genus, tuple(pairs))
+    pairs = parse_pairs(cfg.require("seifert", "pairs"), "[seifert] pairs")
+    data = SeifertData(genus, pairs)
     conv_text = cfg.get("seifert", "convention")
     convention = None
     if conv_text:

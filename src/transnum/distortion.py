@@ -40,6 +40,8 @@ from . import _kernels
 from .dynamics import (
     BundleAutomorphism,
     ConvergenceReport,
+    _power,
+    _tensor_grid,
     local_translation_number,
     rho_many,
 )
@@ -81,16 +83,6 @@ class SeminormReport:
     rigorous: bool
 
 
-def _corner_grid(dimension: int, m: int) -> np.ndarray:
-    if m < 1:
-        raise ValidationError("grid_resolution must be >= 1")
-    if m**dimension > 2**24:
-        raise ValidationError(f"grid {m}^{dimension} too large")
-    axes = [np.arange(m) / m] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([ax.ravel() for ax in mesh], axis=-1)
-
-
 def seminorm(
     a: CohomologyClass,
     g: BundleAutomorphism,
@@ -111,7 +103,7 @@ def seminorm(
             _kernels.grid_sup_abs_rho(spec[0], spec[1], a.vector, float(g.fiber_shift), m, n)
         )
     else:
-        pts = _corner_grid(n, m)
+        pts = _tensor_grid(n, m, 0.0)
         est = float(np.max(np.abs(rho_many(a, g, pts))))
     if mode == MODE_ESTIMATE:
         return SeminormReport(est, None, None, mode, m, rigorous=False)
@@ -334,13 +326,7 @@ class ExactAffineAutomorphism:
         return ExactAffineAutomorphism(minv, v, -self.fiber_shift)
 
     def power(self, k: int) -> "ExactAffineAutomorphism":
-        if k == 0:
-            return ExactAffineAutomorphism.identity(self.dimension)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out.compose(base)
-        return out
+        return _power(self, k, ExactAffineAutomorphism.identity(self.dimension))
 
     def canonical_key(self, a: CohomologyClass):
         if not a.is_integral():
@@ -369,6 +355,35 @@ def _symmetrized(a: CohomologyClass, generators):
     return list(seen.values())
 
 
+def _bfs(a: CohomologyClass, generators, radius: int, cap: int, goal=None) -> dict:
+    """Canonical key -> word norm over the BFS ball of the symmetrized set,
+    stopping early once the `goal` key is reached."""
+    if not generators:
+        raise ValidationError("need at least one generator")
+    gens = _symmetrized(a, generators)
+    ident = ExactAffineAutomorphism.identity(generators[0].dimension)
+    norms = {ident.canonical_key(a): 0}
+    frontier = deque([ident])
+    depth = 0
+    while frontier and depth < radius and goal not in norms:
+        depth += 1
+        for _ in range(len(frontier)):
+            cur = frontier.popleft()
+            for s in gens:
+                nxt = s.compose(cur)
+                key = nxt.canonical_key(a)
+                if key not in norms:
+                    norms[key] = depth
+                    if key == goal:
+                        return norms
+                    frontier.append(nxt)
+                    if len(norms) > cap:
+                        raise SearchBudgetExceeded(
+                            f"BFS ball exceeded {cap} elements at radius {depth}"
+                        )
+    return norms
+
+
 def ball_norms(
     a: CohomologyClass,
     generators: Sequence[ExactAffineAutomorphism],
@@ -378,28 +393,7 @@ def ball_norms(
     """BFS ball of the symmetrized set: canonical key -> word-norm.
 
     Raises SearchBudgetExceeded when the visited set outgrows `cap`."""
-    if not generators:
-        raise ValidationError("need at least one generator")
-    gens = _symmetrized(a, generators)
-    ident = ExactAffineAutomorphism.identity(generators[0].dimension)
-    norms = {ident.canonical_key(a): 0}
-    frontier = deque([ident])
-    depth = 0
-    while frontier and depth < radius:
-        depth += 1
-        for _ in range(len(frontier)):
-            cur = frontier.popleft()
-            for s in gens:
-                nxt = s.compose(cur)
-                key = nxt.canonical_key(a)
-                if key not in norms:
-                    norms[key] = depth
-                    frontier.append(nxt)
-                    if len(norms) > cap:
-                        raise SearchBudgetExceeded(
-                            f"BFS ball exceeded {cap} elements at radius {depth}"
-                        )
-    return norms
+    return _bfs(a, generators, radius, cap)
 
 
 def word_norm_bfs(
@@ -412,30 +406,7 @@ def word_norm_bfs(
     """Length of the shortest word in the symmetrized set equal to target
     (as a bundle automorphism); None when not found within the radius."""
     goal = target.canonical_key(a)
-    gens = _symmetrized(a, generators)
-    ident = ExactAffineAutomorphism.identity(target.dimension)
-    if ident.canonical_key(a) == goal:
-        return 0
-    visited = {ident.canonical_key(a)}
-    frontier = deque([ident])
-    depth = 0
-    while frontier and depth < radius:
-        depth += 1
-        for _ in range(len(frontier)):
-            cur = frontier.popleft()
-            for s in gens:
-                nxt = s.compose(cur)
-                key = nxt.canonical_key(a)
-                if key == goal:
-                    return depth
-                if key not in visited:
-                    visited.add(key)
-                    frontier.append(nxt)
-                    if len(visited) > cap:
-                        raise SearchBudgetExceeded(
-                            f"BFS ball exceeded {cap} elements at radius {depth}"
-                        )
-    return None
+    return _bfs(a, generators, radius, cap, goal).get(goal)
 
 
 @dataclass(frozen=True)

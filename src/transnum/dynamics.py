@@ -107,13 +107,19 @@ class BundleAutomorphism:
         return BundleAutomorphism(self.lift.invert(), _neg_shift(self.fiber_shift))
 
     def power(self, k: int) -> "BundleAutomorphism":
-        if k == 0:
-            return BundleAutomorphism(identity_lift(self.dimension), 0)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out.compose(base)
-        return out
+        return _power(self, k, BundleAutomorphism(identity_lift(self.dimension), 0))
+
+
+def _power(g, k: int, identity):
+    """g^k by repeated composition, for anything with compose and inverse;
+    k = 0 gives `identity`."""
+    if k == 0:
+        return identity
+    base = g if k > 0 else g.inverse()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out.compose(base)
+    return out
 
 
 def _add_shifts(a, b):
@@ -227,6 +233,17 @@ class _PythonOrbit:
         self.count += steps
 
 
+def _evaluator_orbit(lift: LiftedMap, avec: np.ndarray, c: float, cover: np.ndarray, return_tol) -> _PythonOrbit:
+    """The orbit stepped by the lift's numpy evaluator (the generic step)."""
+    evaluator = lift.evaluator
+
+    def step(x):
+        y = np.asarray(evaluator(x))
+        return y, float(np.dot(avec, y - x)) + c
+
+    return _PythonOrbit(cover, return_tol, step=step)
+
+
 def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0, return_tol) -> _PythonOrbit:
     require_preserves_class(a, g.lift)
     c = _shift_float(a, g)
@@ -236,13 +253,7 @@ def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0, return_tol) -> _P
     if g.lift.kernel_spec is not None and a.dimension <= 2:
         code, params = g.lift.kernel_spec
         return _PythonOrbit(cover, return_tol, kernel=(code, params, _kernels.pair(a.vector), c))
-    avec = a.vector
-
-    def step(x, _lift=g.lift, _a=avec, _c=c):
-        y = _lift(x)
-        return y, float(np.dot(_a, y - x)) + _c
-
-    return _PythonOrbit(cover, return_tol, step=step)
+    return _evaluator_orbit(g.lift, a.vector, c, cover, return_tol)
 
 
 @dataclass(frozen=True)
@@ -457,14 +468,14 @@ class InvariantMeasure:
         return cls(kind="empirical", samples=reduce_point(pts), weights=w)
 
 
-def _midpoint_grid(dimension: int, m: int) -> np.ndarray:
+def _tensor_grid(dimension: int, m: int, offset: float) -> np.ndarray:
+    """The (m^n, n) grid of points ((i_1 + offset)/m, ..., (i_n + offset)/m):
+    offset 0 gives the corner grid, 0.5 the midpoint grid."""
     if m < 1:
-        raise ValidationError("quadrature needs at least one point per axis")
+        raise ValidationError("a grid needs at least one point per axis")
     if m**dimension > 2**24:
-        raise ValidationError(
-            f"quadrature grid {m}^{dimension} too large; lower quadrature_points"
-        )
-    axes = [(np.arange(m) + 0.5) / m] * dimension
+        raise ValidationError(f"grid {m}^{dimension} too large; lower the resolution")
+    axes = [(np.arange(m) + offset) / m] * dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
@@ -476,8 +487,8 @@ def _lebesgue_mean(integrand_many: Callable[[np.ndarray], np.ndarray], dimension
     degree < m exactly, so the Richardson-style difference is a conservative
     error bound for the smooth integrands that arise here."""
     coarse_m = max(1, m // 2)
-    fine = float(np.mean(integrand_many(_midpoint_grid(dimension, m))))
-    coarse = float(np.mean(integrand_many(_midpoint_grid(dimension, coarse_m))))
+    fine = float(np.mean(integrand_many(_tensor_grid(dimension, m, 0.5))))
+    coarse = float(np.mean(integrand_many(_tensor_grid(dimension, coarse_m, 0.5))))
     err = abs(fine - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(fine))
     return fine, err
 

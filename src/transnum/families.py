@@ -1,17 +1,21 @@
-"""Built-in lifted map families, wired for both the compiled and numpy paths.
+"""Built-in lifted map families: one formula each, in `_kernels`.
 
-Each constructor returns a LiftedMap whose evaluator broadcasts over point
-stacks, carries an analytic Jacobian, Lipschitz constants for both the map
-and its displacement field, a kernel spec for the compiled orbit loops, and
-an inverse factory. Everything here is a lift to R^n of a torus
-homeomorphism; equivariance is by construction but `check_equivariance`
-will happily re-verify.
+Each constructor returns a LiftedMap whose kernel spec (code, params) runs
+the family's step in the orbit kernel, and whose numpy evaluator runs the
+same step (`_kernels.np_step`) over point stacks; rigid and affine maps keep
+the data form x @ M.T + v, which is the same map in every dimension. The
+evaluators accept complex points, so derivatives come from the complex step
+rather than from hand-written Jacobians. Each map also carries Lipschitz
+constants for itself and its displacement field, and an inverse factory.
+Everything here is a lift to R^n of a torus homeomorphism; equivariance is
+by construction but `check_equivariance` will happily re-verify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,14 +70,6 @@ class TrigPolynomial:
             out = out + a * np.cos(ang) + b * np.sin(ang)
         return out
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            ang = TWO_PI * k * x
-            out = out + TWO_PI * k * (-a * np.sin(ang) + b * np.cos(ang))
-        return out
-
     @property
     def sup_bound(self) -> float:
         return abs(self.constant) + sum(
@@ -96,12 +92,16 @@ class TrigPolynomial:
             sa.append(b * math.cos(beta) - a * math.sin(beta))
         return TrigPolynomial(self.constant, tuple(ca), tuple(sa))
 
-    def __neg__(self) -> "TrigPolynomial":
+    def scaled(self, t: float) -> "TrigPolynomial":
+        """The polynomial x -> t c(x)."""
         return TrigPolynomial(
-            -self.constant,
-            tuple(-a for a in self.cos_coeffs),
-            tuple(-b for b in self.sin_coeffs),
+            t * self.constant,
+            tuple(t * a for a in self.cos_coeffs),
+            tuple(t * b for b in self.sin_coeffs),
         )
+
+    def __neg__(self) -> "TrigPolynomial":
+        return self.scaled(-1.0)
 
     def kernel_params(self) -> np.ndarray:
         out = [self.constant]
@@ -110,20 +110,33 @@ class TrigPolynomial:
         return np.asarray(out, dtype=float)
 
 
+def _step_evaluator(code: int, params) -> Callable[[np.ndarray], np.ndarray]:
+    """Numpy evaluator of a kernel family: `_kernels.np_step` applied to the
+    coordinate columns of a (..., n) stack, real or complex."""
+    p = tuple(float(t) for t in params)
+
+    def ev(x):
+        x = np.asarray(x)
+        out = x.astype(complex if x.dtype.kind == "c" else float)
+        torus = x.shape[-1] > 1  # on the circle the step's second entry is 0.0
+        y0, y1 = _kernels.np_step(code, p, x[..., 0], x[..., 1] if torus else 0.0)
+        out[..., 0] = y0
+        if torus:
+            out[..., 1] = y1
+        return out
+
+    return ev
+
+
 def rigid_rotation(vector) -> LiftedMap:
     """x -> x + v. Displacement is constant, so its Lipschitz constant is 0."""
     v = np.atleast_1d(np.asarray(vector, dtype=float))
-    n = v.shape[0]
-    eye = np.eye(n, dtype=np.int64)
     return LiftedMap(
-        evaluator=lambda x, _v=v: np.asarray(x, dtype=float) + _v,
-        matrix=eye,
+        evaluator=lambda x, _v=v: np.asarray(x) + _v,
+        matrix=np.eye(v.shape[0], dtype=np.int64),
         label=f"rigid{tuple(round(t, 6) for t in v)}",
         lipschitz_bound=1.0,
         displacement_lipschitz=0.0,
-        jacobian=lambda x, _n=n: np.broadcast_to(
-            np.eye(_n), np.shape(np.asarray(x))[:-1] + (_n, _n)
-        ).copy(),
         kernel_spec=(_kernels.RIGID, v.copy()),
         inverse_factory=lambda _v=v: rigid_rotation(-_v),
     )
@@ -145,14 +158,11 @@ def torus_affine(matrix, vector) -> LiftedMap:
     params = np.concatenate([m.astype(float).ravel(), v])
     mf = m.astype(float)
     return LiftedMap(
-        evaluator=lambda x, _m=mf, _v=v: np.asarray(x, dtype=float) @ _m.T + _v,
+        evaluator=lambda x, _m=mf, _v=v: np.asarray(x) @ _m.T + _v,
         matrix=m,
         label="affine",
         lipschitz_bound=float(np.linalg.norm(mf, 2)),
         displacement_lipschitz=float(np.linalg.norm(mf - np.eye(n), 2)),
-        jacobian=lambda x, _m=mf: np.broadcast_to(
-            _m, np.shape(np.asarray(x))[:-1] + _m.shape
-        ).copy(),
         kernel_spec=(_kernels.AFFINE, params),
         inverse_factory=lambda _mi=minv, _m=mf, _v=v: torus_affine(
             _mi, -(_mi.astype(float) @ _v)
@@ -163,35 +173,22 @@ def torus_affine(matrix, vector) -> LiftedMap:
 def arnold_circle(omega: float, k: float) -> LiftedMap:
     """Circle lift x -> x + omega + (k / 2 pi) sin(2 pi x); needs |k| < 1."""
     omega, k = float(omega), float(k)
-    if abs(k) >= 1.0:
+    if not abs(k) < 1.0:
         raise ValidationError(f"|k| must be < 1 for an invertible circle map, got {k}")
-
-    def ev(x, _o=omega, _k=k):
-        x = np.asarray(x, dtype=float)
-        return x + _o + (_k / TWO_PI) * np.sin(TWO_PI * x)
-
-    def jac(x, _k=k):
-        x = np.asarray(x, dtype=float)
-        d = 1.0 + _k * np.cos(TWO_PI * x[..., 0])
-        return d[..., None, None]
+    params = np.array([omega, k])
+    forward = _step_evaluator(_kernels.CIRCLE_SINE, params)
 
     def inverse(_o=omega, _k=k):
         def ev_inv(y):
-            y = np.asarray(y, dtype=float)
+            # Newton's method on the forward map; its derivative is 1 + k cos(2 pi x)
+            y = np.asarray(y)
             x = y - _o
             for _ in range(60):
-                g = x + _o + (_k / TWO_PI) * np.sin(TWO_PI * x)
-                dg = 1.0 + _k * np.cos(TWO_PI * x)
-                step = (g - y) / dg
+                step = (forward(x) - y) / (1.0 + _k * np.cos(TWO_PI * x))
                 x = x - step
                 if np.max(np.abs(step)) < 1e-15:
                     break
             return x
-
-        def jac_inv(y):
-            x = ev_inv(np.asarray(y, dtype=float))
-            d = 1.0 + _k * np.cos(TWO_PI * x[..., 0])
-            return (1.0 / d)[..., None, None]
 
         return LiftedMap(
             evaluator=ev_inv,
@@ -199,19 +196,17 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
             label=f"circle+sine({_o},{_k})^-1",
             lipschitz_bound=1.0 / (1.0 - abs(_k)),
             displacement_lipschitz=abs(_k) / (1.0 - abs(_k)),
-            jacobian=jac_inv,
             kernel_spec=None,
             inverse_factory=lambda: arnold_circle(_o, _k),
         )
 
     return LiftedMap(
-        evaluator=ev,
+        evaluator=forward,
         matrix=np.array([[1]], dtype=np.int64),
         label=f"circle+sine({omega},{k})",
         lipschitz_bound=1.0 + abs(k),
         displacement_lipschitz=abs(k),
-        jacobian=jac,
-        kernel_spec=(_kernels.CIRCLE_SINE, np.array([omega, k], dtype=float)),
+        kernel_spec=(_kernels.CIRCLE_SINE, params),
         inverse_factory=inverse,
     )
 
@@ -219,30 +214,14 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
 def sinusoidal_shear(epsilon: float) -> LiftedMap:
     """(x, y) -> (x + eps sin(2 pi y), y); inverse is the shear with -eps."""
     eps = float(epsilon)
-
-    def ev(p, _e=eps):
-        p = np.asarray(p, dtype=float)
-        out = p.copy()
-        out[..., 0] = p[..., 0] + _e * np.sin(TWO_PI * p[..., 1])
-        return out
-
-    def jac(p, _e=eps):
-        p = np.asarray(p, dtype=float)
-        shape = p.shape[:-1]
-        j = np.zeros(shape + (2, 2))
-        j[..., 0, 0] = 1.0
-        j[..., 1, 1] = 1.0
-        j[..., 0, 1] = _e * TWO_PI * np.cos(TWO_PI * p[..., 1])
-        return j
-
+    params = np.array([eps])
     return LiftedMap(
-        evaluator=ev,
+        evaluator=_step_evaluator(_kernels.SINE_SHEAR, params),
         matrix=np.eye(2, dtype=np.int64),
         label=f"sineshear({eps})",
         lipschitz_bound=1.0 + TWO_PI * abs(eps),
         displacement_lipschitz=TWO_PI * abs(eps),
-        jacobian=jac,
-        kernel_spec=(_kernels.SINE_SHEAR, np.array([eps], dtype=float)),
+        kernel_spec=(_kernels.SINE_SHEAR, params),
         inverse_factory=lambda _e=eps: sinusoidal_shear(-_e),
     )
 
@@ -252,33 +231,15 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
     omega = float(omega)
     if not isinstance(poly, TrigPolynomial):
         raise ValidationError("skew translation needs a TrigPolynomial second-axis speed")
-
-    def ev(p, _o=omega, _c=poly):
-        p = np.asarray(p, dtype=float)
-        out = p.copy()
-        out[..., 0] = p[..., 0] + _o
-        out[..., 1] = p[..., 1] + _c(p[..., 0])
-        return out
-
-    def jac(p, _c=poly):
-        p = np.asarray(p, dtype=float)
-        shape = p.shape[:-1]
-        j = np.zeros(shape + (2, 2))
-        j[..., 0, 0] = 1.0
-        j[..., 1, 1] = 1.0
-        j[..., 1, 0] = _c.derivative(p[..., 0])
-        return j
-
     params = np.concatenate(
         [np.array([omega, float(poly.degree)]), poly.kernel_params()]
     )
     return LiftedMap(
-        evaluator=ev,
+        evaluator=_step_evaluator(_kernels.SKEW, params),
         matrix=np.eye(2, dtype=np.int64),
         label=f"skew({omega})",
         lipschitz_bound=1.0 + poly.derivative_bound,
         displacement_lipschitz=poly.derivative_bound,
-        jacobian=jac,
         kernel_spec=(_kernels.SKEW, params),
         inverse_factory=lambda _o=omega, _c=poly: skew_translation(
             -_o, -(_c.shifted(-_o))

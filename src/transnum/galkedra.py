@@ -15,8 +15,9 @@ F_g(h(x~)) - F_g(x~), which makes two exact identities transparent:
    vanishes identically.
 
 `gal_kedra_quadrature` re-derives the same number as an honest line
-integral along the straight segment (midpoint rule, finite-difference or
-analytic Jacobian), which is the module's independent cross-check.
+integral along the straight segment (midpoint rule, with the derivative of
+g along the segment taken by the complex step through g's own evaluator),
+which is the module's independent cross-check.
 """
 
 from __future__ import annotations
@@ -80,20 +81,36 @@ def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.nd
     return (g.evaluate_many(hx) - g.evaluate_many(pts)) @ av - (hx - pts) @ av
 
 
+# complex-step size: a power of two, so h v and Im(.)/h round nowhere
+_COMPLEX_STEP = 2.0**-200
+
+
+def _complex_step(g: LiftedMap, pts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dg(p) v for every row p of the (N, n) stack: Im g(p + i h v) / h."""
+    image = np.asarray(g.evaluator(pts + (1j * _COMPLEX_STEP) * v))
+    if not np.iscomplexobj(image):
+        raise ValidationError(
+            f"lift {g.label!r} returned real values for complex points; "
+            "the quadrature needs a complex-safe evaluator"
+        )
+    return image.imag / _COMPLEX_STEP
+
+
 def gal_kedra_quadrature(
     a: CohomologyClass,
     g: LiftedMap,
     h: LiftedMap,
     x,
     segments: int = 10_000,
-    fd_step: float = 1e-6,
 ) -> float:
     """Midpoint line integral of g*alpha - alpha from x~ to h(x~).
 
     The integrand at gamma(t) = x~ + t v (v = h(x~) - x~) is
-    <a, Dg(gamma(t)) v> - <a, v>; the Jacobian action is taken analytically
-    when the lift registers one, otherwise by a central difference of
-    spatial width fd_step along v."""
+    <a, Dg(gamma(t)) v> - <a, v>. The derivative is the complex step
+    Dg(p) v = Im g(p + i h v) / h with h = 2^-200: no subtraction, so it is
+    accurate to rounding, and exact for linear maps because h is a power of
+    two. g's evaluator must therefore accept complex points; one that
+    returns real values would give a silent zero derivative and is refused."""
     if segments < 1:
         raise ValidationError("need at least one segment")
     require_preserves_class(a, g)
@@ -103,15 +120,7 @@ def gal_kedra_quadrature(
     ts = (np.arange(segments) + 0.5) / segments
     pts = xt[None, :] + ts[:, None] * v[None, :]
     av = a.vector
-    if g.jacobian is not None:
-        jv = np.einsum("...ij,j->...i", g.jacobian(pts), v)
-    else:
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            return 0.0
-        dt = fd_step / vnorm
-        jv = (g.evaluate_many(pts + dt * v) - g.evaluate_many(pts - dt * v)) / (2.0 * dt)
-    integrand = jv @ av - float(np.dot(av, v))
+    integrand = _complex_step(g, pts, v) @ av - float(np.dot(av, v))
     return float(np.mean(integrand))
 
 
@@ -137,6 +146,15 @@ def cocycle_residual(a: CohomologyClass, g: LiftedMap, h: LiftedMap, k: LiftedMa
     )
 
 
+def _random_word(rng, elements: Sequence[BundleAutomorphism], word_length: int) -> BundleAutomorphism:
+    """A product of 1..word_length elements drawn uniformly from the set."""
+    length = int(rng.integers(1, word_length + 1))
+    out = elements[int(rng.integers(len(elements)))]
+    for _ in range(length - 1):
+        out = out.compose(elements[int(rng.integers(len(elements)))])
+    return out
+
+
 def quasimorphism_defect(
     a: CohomologyClass,
     elements: Sequence[BundleAutomorphism],
@@ -152,17 +170,9 @@ def quasimorphism_defect(
     if not elements:
         raise ValidationError("need at least one element")
     rng = np.random.default_rng(seed)
-
-    def word():
-        length = int(rng.integers(1, word_length + 1))
-        out = elements[int(rng.integers(len(elements)))]
-        for _ in range(length - 1):
-            out = out.compose(elements[int(rng.integers(len(elements)))])
-        return out
-
     worst = 0.0
     for _ in range(samples):
-        gw, hw = word(), word()
+        gw, hw = _random_word(rng, elements, word_length), _random_word(rng, elements, word_length)
         defect = abs(rho(a, gw, x) + rho(a, hw, x) - rho(a, gw.compose(hw), x))
         worst = max(worst, defect)
     return worst
@@ -218,13 +228,6 @@ def splitting_check(
             )
     rng = np.random.default_rng(seed)
 
-    def word():
-        length = int(rng.integers(1, word_length + 1))
-        out = generators[int(rng.integers(len(generators)))]
-        for _ in range(length - 1):
-            out = out.compose(generators[int(rng.integers(len(generators)))])
-        return out
-
     def mean_of(g: BundleAutomorphism) -> float:
         return mean_translation_number(
             a, g, mu, quadrature_points=quadrature_points, check_invariance=False
@@ -233,7 +236,7 @@ def splitting_check(
     worst_add = 0.0
     worst_mean_cocycle = 0.0
     for _ in range(pairs):
-        gw, hw = word(), word()
+        gw, hw = _random_word(rng, generators, word_length), _random_word(rng, generators, word_length)
         fg, fh = mean_of(gw), mean_of(hw)
         fgh = mean_of(gw.compose(hw))
         worst_add = max(worst_add, abs(fgh - fg - fh))

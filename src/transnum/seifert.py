@@ -14,8 +14,9 @@ sums to +- A e. All arithmetic is exact (Fractions in, ints out: alpha_j
 divides A so each phi(q_j) is an integer).
 
 The two relation conventions appear in the literature with opposite signs;
-the constructor figures out which sign verifies under the one you ask for
-(or picks h-positive by default) and says so in the result.
+the constructor takes the sign that verifies under the one you ask for
+(h-positive by default), checks every relation exactly and records the
+convention in the result.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "euler_number",
     "construct_h1_class",
     "verify_homomorphism",
+    "parse_pairs",
     "parse_seifert_text",
     "format_seifert_text",
     "random_zero_euler_data",
@@ -107,36 +109,26 @@ def construct_h1_class(
     total = 1
     for a, _ in data.pairs:
         total *= a
-    conventions = [convention] if convention is not None else [RelationConvention.H_POSITIVE]
-    last_error = None
-    for conv in conventions:
-        # under q^a h^b = 1 the verifying sign is -, under q^a = h^b it is +
-        sign = -1 if conv is RelationConvention.H_POSITIVE else 1
-        values_q = []
-        ok = True
-        for a, b in data.pairs:
-            q = Fraction(sign * total * b, a)
-            if q.denominator != 1:
-                ok = False
-                break
-            values_q.append(int(q))
-        if not ok:
-            last_error = "phi(q_j) not integral"
-            continue
-        phi = FiberClassHomomorphism(
-            values_q=tuple(values_q),
-            value_h=total,
-            values_ab=(0,) * (2 * data.genus),
-            convention=conv,
-            data=data,
-        )
-        per_pair, long_rel = _relation_residuals(data, phi)
-        if all(r == 0 for r in per_pair) and long_rel == 0:
-            return phi
-        last_error = f"residuals {per_pair}, {long_rel}"
-    raise TransnumError(
-        f"no verified sign assignment for {data} (should not happen when e=0): {last_error}"
+    conv = RelationConvention.H_POSITIVE if convention is None else convention
+    # under q^a h^b = 1 the verifying sign is -, under q^a = h^b it is +
+    sign = -1 if conv is RelationConvention.H_POSITIVE else 1
+    values_q = tuple(Fraction(sign * total * b, a) for a, b in data.pairs)
+    if any(q.denominator != 1 for q in values_q):
+        raise TransnumError(f"phi(q_j) not integral for {data} (should not happen when e=0)")
+    phi = FiberClassHomomorphism(
+        values_q=tuple(int(q) for q in values_q),
+        value_h=total,
+        values_ab=(0,) * (2 * data.genus),
+        convention=conv,
+        data=data,
     )
+    per_pair, long_rel = _relation_residuals(data, phi)
+    if any(r != 0 for r in per_pair) or long_rel != 0:
+        raise TransnumError(
+            f"no verified sign assignment for {data} (should not happen when e=0): "
+            f"residuals {per_pair}, {long_rel}"
+        )
+    return phi
 
 
 def verify_homomorphism(data: SeifertData, phi: FiberClassHomomorphism) -> dict:
@@ -155,6 +147,16 @@ def verify_homomorphism(data: SeifertData, phi: FiberClassHomomorphism) -> dict:
 # --- text format -----------------------------------------------------------
 
 _PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+
+
+def parse_pairs(text: str, what: str = "pairs") -> tuple:
+    """(alpha, beta) pairs written like (2,1) (2,-1); commas between the
+    pairs are allowed, anything else is a ValidationError."""
+    pairs = tuple((int(a), int(b)) for a, b in _PAIR_RE.findall(text))
+    leftover = _PAIR_RE.sub("", text).strip(" \t,")
+    if leftover or not pairs:
+        raise ValidationError(f"{what} must be a list like (2,1) (2,-1); got {text!r}")
+    return pairs
 
 
 def parse_seifert_text(text: str) -> SeifertData:
@@ -178,11 +180,7 @@ def parse_seifert_text(text: str) -> SeifertData:
             except ValueError as exc:
                 raise ValidationError(f"genus must be an integer, got {value!r}") from exc
         elif key == "pairs":
-            found = _PAIR_RE.findall(value)
-            leftover = _PAIR_RE.sub("", value).strip()
-            if not found or leftover:
-                raise ValidationError(f"could not parse pairs from {value!r}")
-            pairs = tuple((int(a), int(b)) for a, b in found)
+            pairs = parse_pairs(value)
         else:
             raise ValidationError(f"unknown key {key!r} in Seifert data")
     if genus is None or pairs is None:

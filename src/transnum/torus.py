@@ -180,12 +180,14 @@ class LiftedMap:
 
     evaluator must broadcast over leading axes (points stacked as (..., n));
     scalar-only callables still work through `evaluate_many`, just slower.
+    Calling the map casts its input to float; the evaluator itself should
+    also accept complex points, because derivatives are taken by the complex
+    step Im g(x + i h v) / h (see `galkedra.gal_kedra_quadrature`).
     lipschitz_bound bounds Lip(g) and displacement_lipschitz bounds
     Lip(g - id), both Euclidean-in / sup-out; either may be None when
-    unknown. jacobian(x) returns (..., n, n) derivatives when available.
-    kernel_spec = (code, params) routes orbit work through the scalar step
-    of `_kernels` (compiled with numba when it is installed, interpreted
-    otherwise) for the built-in families in dimensions 1 and 2.
+    unknown. kernel_spec = (code, params) routes orbit work through the
+    scalar step of `_kernels` (compiled with numba when it is installed,
+    interpreted otherwise) for the built-in families in dimensions 1 and 2.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -193,7 +195,6 @@ class LiftedMap:
     label: str = "map"
     lipschitz_bound: Optional[float] = None
     displacement_lipschitz: Optional[float] = None
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     kernel_spec: Optional[tuple] = None
     inverse_factory: Optional[Callable[[], "LiftedMap"]] = None
 
@@ -213,13 +214,16 @@ class LiftedMap:
         return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Apply the lift to an (N, n) stack, tolerating scalar-only evaluators."""
+        """Apply the lift to an (N, n) stack, tolerating scalar-only evaluators.
+
+        Only the errors a scalar-only evaluator raises on a stack send it
+        point by point; any other error propagates."""
         pts = np.asarray(points, dtype=float)
         try:
             out = np.asarray(self.evaluator(pts), dtype=float)
             if out.shape == pts.shape:
                 return out
-        except Exception:
+        except (TypeError, ValueError, IndexError):
             pass
         return np.stack([np.asarray(self.evaluator(p), dtype=float) for p in pts])
 
@@ -243,23 +247,15 @@ class LiftedMap:
             and g.displacement_lipschitz is not None
         ):
             disp = f.displacement_lipschitz * g.lipschitz_bound + g.displacement_lipschitz
-        jac = None
-        if f.jacobian is not None and g.jacobian is not None:
-            fj, gj, ge = f.jacobian, g.jacobian, g.evaluator
-
-            def jac(x, _fj=fj, _gj=gj, _ge=ge):
-                return np.matmul(_fj(np.asarray(_ge(x), dtype=float)), _gj(x))
-
         inv = None
         if f.inverse_factory is not None and g.inverse_factory is not None:
             inv = lambda _f=f, _g=g: _g.invert().compose(_f.invert())
         return LiftedMap(
-            evaluator=lambda x, _f=f, _g=g: _f(np.asarray(_g(x), dtype=float)),
+            evaluator=lambda x, _f=f.evaluator, _g=g.evaluator: _f(_g(x)),
             matrix=f.matrix @ g.matrix,
             label=f"{f.label}*{g.label}",
             lipschitz_bound=lip,
             displacement_lipschitz=disp,
-            jacobian=jac,
             kernel_spec=None,
             inverse_factory=inv,
         )
@@ -273,14 +269,11 @@ class LiftedMap:
 def identity_lift(dimension: int) -> LiftedMap:
     eye = np.eye(dimension, dtype=np.int64)
     return LiftedMap(
-        evaluator=lambda x: np.asarray(x, dtype=float),
+        evaluator=np.asarray,
         matrix=eye,
         label="id",
         lipschitz_bound=1.0,
         displacement_lipschitz=0.0,
-        jacobian=lambda x: np.broadcast_to(
-            np.eye(dimension), np.shape(x)[:-1] + (dimension, dimension)
-        ).copy(),
         kernel_spec=None,
         inverse_factory=lambda: identity_lift(dimension),
     )

@@ -421,6 +421,31 @@ def test_nonpositive_and_nonfinite_options_exit_2(tmp_path, flag, value):
     assert cli.main(["rot-local", "--config", write(tmp_path, "r.ini", ROT_TEXT), f"{flag}={value}"]) == 2
 
 
+# one map per key, with the key's value left open
+NONFINITE_MAPS = {
+    "omega": "[class]\nentries = 1\n[map]\nfamily = arnold\nomega = {v}\nk = 0.5\n",
+    "k": "[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0.3\nk = {v}\n",
+    "epsilon": "[class]\nentries = 1 0\n[map]\nfamily = sinshear\nepsilon = {v}\n",
+    "vector": "[class]\nentries = 1 0\n[map]\nfamily = rigid\nvector = 0.3 {v}\n",
+    "coeffs": "[class]\nentries = 0 1\n[map]\nfamily = skew\nomega = 0.3\ncoeffs = 0.3 {v} 0.1\n",
+    "shift": "[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.3\nshift = {v}\n",
+}
+NONFINITE_CASES = [(key, v) for key in NONFINITE_MAPS for v in ("nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("key, value", NONFINITE_CASES, ids=[f"{k}={v}" for k, v in NONFINITE_CASES])
+def test_nonfinite_map_parameters_exit_2(tmp_path, capsys, key, value):
+    path = write(tmp_path, "n.ini", NONFINITE_MAPS[key].format(v=value))
+    assert cli.main(["rot-mean", "--config", path]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1/0", "1" + "0" * 400 + "/1"], ids=["zero-denominator", "overflow"])
+def test_unrepresentable_rationals_exit_2(tmp_path, value):
+    path = write(tmp_path, "q.ini", NONFINITE_MAPS["omega"].format(v=value))
+    assert cli.main(["rot-local", "--config", path]) == 2
+
+
 def test_not_converged_headline_exits_3(tmp_path):
     slow = write(
         tmp_path,

@@ -5,6 +5,7 @@ import pytest
 
 from transnum import (
     BundleAutomorphism,
+    LiftedMap,
     CohomologyClass,
     Coefficients,
     InvariantMeasure,
@@ -28,6 +29,7 @@ from transnum import (
     splitting_check,
     torus_affine,
 )
+from transnum.galkedra import _complex_step
 
 A1 = CohomologyClass([1])
 A10 = CohomologyClass([1, 0])
@@ -70,6 +72,33 @@ def test_quadrature_is_exact_for_affine_maps():
     closed = gal_kedra(A10, AFFINE, QUARTER_TURN, [0.6, 0.35])
     quad = gal_kedra_quadrature(A10, AFFINE, QUARTER_TURN, [0.6, 0.35], segments=7)
     assert quad == pytest.approx(closed, abs=1e-12)
+
+
+DERIVATIVE_CASES = [
+    ("rigid", rigid_rotation([GOLDEN, 0.2]), [0.3, 0.8]),
+    ("affine", AFFINE, [0.6, 0.35]),
+    ("arnold", arnold_circle(0.3, 0.9), [0.2]),
+    ("arnold-inverse", arnold_circle(0.3, 0.9).invert(), [0.7]),
+    ("sinshear", SHEAR, [0.3, 0.1]),
+    ("skew", skew_translation(GOLDEN, TrigPolynomial(0.1, (0.05, -0.02, 0.01), (0.1, 0.03, -0.04))), [0.15, 0.4]),
+    ("composed", SHEAR.compose(skew_translation(0.3, TrigPolynomial(0.2, (0.1,), (0.05,)))), [0.45, 0.6]),
+]
+
+
+@pytest.mark.parametrize("name, g, x", DERIVATIVE_CASES, ids=[c[0] for c in DERIVATIVE_CASES])
+def test_complex_step_matches_a_central_difference(name, g, x):
+    rng = np.random.default_rng(7)
+    pts = np.asarray(x) + rng.uniform(-1.0, 1.0, size=(16, len(x)))
+    v = rng.uniform(-1.0, 1.0, size=len(x))
+    dt = 1e-6
+    central = (g.evaluate_many(pts + dt * v) - g.evaluate_many(pts - dt * v)) / (2.0 * dt)
+    assert np.max(np.abs(_complex_step(g, pts, v) - central)) <= 1e-7
+
+
+def test_quadrature_refuses_a_real_only_evaluator():
+    real_only = LiftedMap(evaluator=lambda x: np.asarray(x).real + 0.25, matrix=[[1]], label="real-only")
+    with pytest.raises(ValidationError):
+        gal_kedra_quadrature(A1, real_only, rigid_rotation([0.5]), [0.1])
 
 
 def test_quadrature_validates_segments():

@@ -11,8 +11,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from transnum import _kernels
+from transnum import ValidationError, _kernels
 from transnum.families import (
     TrigPolynomial,
     arnold_circle,
@@ -128,6 +129,49 @@ def test_interpreted_step_matches_the_family_evaluator():
             assert np.allclose(out[: lift.dimension], lift(p), atol=1e-12), lift.label
             if lift.dimension == 1:
                 assert out[1] == 0.0
+
+
+UNIMODULAR = {1: ([[1]], [[-1]]), 2: ([[1, 0], [2, 1]], [[2, 1], [1, 1]], [[0, 1], [-1, 0]])}
+coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def family_maps(draw):
+    """A built-in map with random parameters, and a random point of its cover."""
+    name = draw(st.sampled_from(["arnold", "sinshear", "skew", "rigid", "affine"]))
+    dim = 1 if name == "arnold" else 2 if name in ("sinshear", "skew") else draw(st.integers(1, 2))
+    if name == "arnold":
+        lift = arnold_circle(draw(coord), draw(st.floats(-0.99, 0.99)))
+    elif name == "sinshear":
+        lift = sinusoidal_shear(draw(coord))
+    elif name == "skew":
+        degree = draw(st.integers(1, 3))
+        small = st.lists(st.floats(-0.5, 0.5), min_size=degree, max_size=degree)
+        poly = TrigPolynomial(draw(st.floats(-1.0, 1.0)), tuple(draw(small)), tuple(draw(small)))
+        lift = skew_translation(draw(coord), poly)
+    elif name == "rigid":
+        lift = rigid_rotation(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    else:
+        matrix = draw(st.sampled_from(UNIMODULAR[dim]))
+        lift = torus_affine(matrix, draw(st.lists(coord, min_size=dim, max_size=dim)))
+    return lift, np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+
+
+@given(family_maps())
+def test_numpy_evaluator_runs_the_kernel_step(case):
+    # one formula per family: the numpy evaluator and the orbit kernel's step
+    # agree to rounding (bit for bit where np.sin/np.cos match math.sin/cos)
+    lift, x = case
+    code, params = _params(lift)
+    want = np.array(_kernels._step(code, params, *_kernels.pair(x))[: lift.dimension])
+    got = lift.evaluator(x[None, :])[0]
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))), lift.label
+
+
+@pytest.mark.parametrize("k", [1.0, -1.5, math.inf, math.nan])
+def test_arnold_rejects_noninvertible_and_nonfinite_k(k):
+    with pytest.raises(ValidationError):
+        arnold_circle(0.3, k)
 
 
 def test_step_keeps_the_reference_operation_order():

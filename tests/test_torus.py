@@ -10,6 +10,7 @@ from transnum import (
     CohomologyClass,
     ClassNotPreserved,
     DimensionMismatch,
+    LiftedMap,
     ValidationError,
     canonicalize,
     check_equivariance,
@@ -182,3 +183,21 @@ def test_evaluate_many_agrees_with_scalar_calls():
     batch = g.evaluate_many(pts)
     for p, q in zip(pts, batch):
         assert np.allclose(g(p), q)
+
+
+def test_evaluate_many_retries_scalar_only_evaluators_point_by_point():
+    scalar_only = LiftedMap(evaluator=lambda x: np.array([x.item() + 0.25]), matrix=[[1]])
+    pts = np.array([[0.1], [0.2], [0.3]])
+    assert np.array_equal(scalar_only.evaluate_many(pts), pts + 0.25)
+
+
+def test_evaluate_many_propagates_other_errors():
+    calls = []
+
+    def broken(x):
+        calls.append(np.shape(x))
+        raise ZeroDivisionError("broken evaluator")
+
+    with pytest.raises(ZeroDivisionError):
+        LiftedMap(evaluator=broken, matrix=[[1]]).evaluate_many(np.zeros((3, 1)))
+    assert calls == [(3, 1)]  # not retried point by point
