@@ -11,7 +11,10 @@ This script times
     grid of points (1024^2 points of the circle for the Arnold family), in
     nanoseconds per point;
   - the gk-eval quadrature, whose derivative is the complex step through
-    that evaluator, in microseconds per segment.
+    that evaluator, in microseconds per segment;
+  - the word-norm BFS of `translation_length_estimate` (one ball, then the
+    powers looked up in it) on rational affine generating sets in dimensions
+    1, 2 and 3, in microseconds per ball element.
 It imports the package from the checkout's src/ directory:
 
     python3 benchmarks/bench_kernels.py --steps 100000
@@ -23,12 +26,20 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 import numpy as np  # noqa: E402
 
-from transnum import CohomologyClass, _kernels, gal_kedra_quadrature  # noqa: E402
+from transnum import (  # noqa: E402
+    CohomologyClass,
+    ExactAffineAutomorphism,
+    _kernels,
+    ball_norms,
+    gal_kedra_quadrature,
+    translation_length_estimate,
+)
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
     arnold_circle,
@@ -49,6 +60,41 @@ CASES = [
     ("sine shear", sinusoidal_shear(0.1), (1.0, 0.0)),
     ("skew golden", skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,))), (0.0, 1.0)),
 ]
+
+
+def _word_set(dim):
+    """(class, generators, radius): p/7 data plus the fiber translation, the
+    groups and radii of the word-norm slots of perfbench's exact-words."""
+    q = Fraction(1, 7)
+    if dim == 1:
+        gens = [ExactAffineAutomorphism(((1,),), (3 * q,), -1)]
+        a, radius = (1,), 10
+    elif dim == 2:
+        gens = [
+            ExactAffineAutomorphism(((1, 0), (1, 1)), (2 * q, 5 * q)),
+            ExactAffineAutomorphism(((1, 0), (-2, 1)), (4 * q, q)),
+        ]
+        a, radius = (1, 0), 5
+    else:
+        gens = [ExactAffineAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (q, 3 * q, 6 * q), -1)]
+        a, radius = (0, 0, 1), 6
+    gens.append(ExactAffineAutomorphism.fiber_translation(dim, 1))
+    return CohomologyClass(a), gens, radius
+
+
+WORD_SETS = [(f"dimension {dim}", *_word_set(dim)) for dim in (1, 2, 3)]
+
+
+def us_per_element(a, gens, radius, repeat):
+    """Best-of-`repeat` cost of translation_length_estimate(a, gens, t) with
+    t the fiber translation and powers up to 4, per element of the ball."""
+    size = len(ball_norms(a, gens, radius))
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        translation_length_estimate(a, gens, gens[-1], max_power=4, radius=radius)
+        best = min(best, time.perf_counter() - start)
+    return size, best / size * 1e6
 
 
 def us_per_step(lift, avec, steps, repeat):
@@ -131,6 +177,14 @@ def main():
         )
         for label, lift, avec in CASES
     ]
+    print_table(rows)
+
+    print()
+    print(f"word-norm BFS (translation_length_estimate, powers 1..4), best of {args.repeat}")
+    rows = [("case", "radius", "ball elements", "us/element")]
+    for label, a, gens, radius in WORD_SETS:
+        size, cost = us_per_element(a, gens, radius, args.repeat)
+        rows.append((label, str(radius), str(size), f"{cost:.2f}"))
     print_table(rows)
 
 

@@ -373,12 +373,25 @@ def _cmd_distortion_cert(cfg: RunConfig, res: Resolved) -> Report:
 def _cmd_word_norm(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     named = build_affine_generators(cfg)
+    generators = [g for _, g in named]
     target_name = cfg.get("generators", "target")
     if not target_name:
         raise ValidationError("[generators] target must name an [affine.NAME] section")
     target = build_affine(cfg, target_name.strip())
     radius = _or_default(res.max_iterations, 12)
-    norm = word_norm_bfs(a, [g for _, g in named], target, radius=radius)
+    powers_text = cfg.get("generators", "powers")
+    tl = None
+    if powers_text:
+        max_power = parse_int(powers_text, "[generators] powers")
+        if max_power < 1:
+            raise ValidationError(f"[generators] powers must be a positive count, got {max_power}")
+        # one ball serves both: |target| is the norm of its first power
+        tl = translation_length_estimate(
+            a, generators, target, max_power=max_power, radius=radius
+        )
+        norm = tl.norms[0][1]
+    else:
+        norm = word_norm_bfs(a, generators, target, radius=radius)
     found = norm is not None
     results = {
         "word_norm": value_entry(norm, exact=found, verdict="ok" if found else "not-found"),
@@ -389,12 +402,7 @@ def _cmd_word_norm(cfg: RunConfig, res: Resolved) -> Report:
             norm, exact=found, verdict="ok" if found else "not-found"
         ),
     }
-    powers_text = cfg.get("generators", "powers")
-    if powers_text:
-        max_power = parse_int(powers_text, "[generators] powers")
-        tl = translation_length_estimate(
-            a, [g for _, g in named], target, max_power=max_power, radius=radius
-        )
+    if tl is not None:
         results["translation_length"] = {
             "norms": [{"power": n, "norm": v} for n, v in tl.norms],
             "estimate": value_entry(tl.estimate, error_bound=None),

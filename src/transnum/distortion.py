@@ -23,13 +23,19 @@ Word norms themselves are computed exactly for affine automorphisms with
 rational data (integer matrix, Fraction translation and fiber shift), by
 breadth-first search over canonical forms: a translation may be reduced
 mod 1 if the fiber shift absorbs <a, floor>, which is exactly the deck
-relation of the bundle.
+relation of the bundle. The search runs on plain integers: with D and E the
+lcm of the generators' translation and shift denominators, every word lies
+on the lattice (integer matrix, (1/D) Z^n, (1/E) Z), so a state is
+(M, D v, E c) and its key (M, D v mod D, E c + E <a, floor>) stands for
+`canonical_key` one to one. `ball_norms` decodes the keys once, at the end;
+`translation_length_estimate` looks the powers g^n up in the integer table,
+so one ball gives |g|_S and every |g^n|_S.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -271,8 +277,8 @@ class ExactAffineAutomorphism:
 
     Two data sets present the same bundle automorphism when translations
     differ by an integer vector m and the shifts by <a, m>; `canonical_key`
-    quotients by that relation (for an integer class a), which is what BFS
-    hashes on."""
+    quotients by that relation (for an integer class a), and the BFS keys
+    are its integer form."""
 
     matrix: tuple
     translation: tuple
@@ -355,33 +361,98 @@ def _symmetrized(a: CohomologyClass, generators):
     return list(seen.values())
 
 
-def _bfs(a: CohomologyClass, generators, radius: int, cap: int, goal=None) -> dict:
-    """Canonical key -> word norm over the BFS ball of the symmetrized set,
-    stopping early once the `goal` key is reached."""
+class _Lattice:
+    """Integer coordinates for the group a symmetric generating set spans.
+
+    Matrices are integral, so every word's translation lies in (1/D) Z^n
+    and its fiber shift in (1/E) Z, with D and E the lcm of the generators'
+    translation and shift denominators. A state (flat M, D v, E c) holds
+    only ints; `key` reduces it mod the deck relation exactly as
+    `canonical_key` does, by floors, residues mod D and E c + E <a, floor>."""
+
+    def __init__(self, a: CohomologyClass, gens):
+        self.entries = a.entries
+        self.dimension = a.dimension
+        self.tden = math.lcm(*(t.denominator for s in gens for t in s.translation))
+        self.sden = math.lcm(*(s.fiber_shift.denominator for s in gens))
+
+    def state(self, g: ExactAffineAutomorphism) -> Optional[tuple]:
+        """(flat M, D v, E c), or None when g lies off the lattice."""
+        if g.dimension != self.dimension:
+            raise DimensionMismatch("class/automorphism dimension mismatch")
+        t = [v * self.tden for v in g.translation]
+        c = g.fiber_shift * self.sden
+        if c.denominator != 1 or any(v.denominator != 1 for v in t):
+            return None
+        flat = tuple(e for row in g.matrix for e in row)
+        return flat, tuple(int(v) for v in t), int(c)
+
+    def key(self, m: tuple, t, c: int) -> tuple:
+        d = self.tden
+        floors = [v // d for v in t]
+        residues = tuple([v - d * f for v, f in zip(t, floors)])
+        return m, residues, c + self.sden * sum(map(operator.mul, self.entries, floors))
+
+    def key_of(self, g: ExactAffineAutomorphism) -> Optional[tuple]:
+        """The key of g, or None (which no ball element has) off the lattice."""
+        st = self.state(g)
+        return None if st is None else self.key(*st)
+
+    def decode(self, key: tuple) -> tuple:
+        """The `canonical_key` that an integer key stands for."""
+        m, residues, c = key
+        n = self.dimension
+        matrix = tuple(m[i * n:(i + 1) * n] for i in range(n))
+        return (
+            matrix,
+            tuple(Fraction(r, self.tden) for r in residues),
+            Fraction(c, self.sden),
+        )
+
+
+def _bfs(a: CohomologyClass, generators, radius: int, cap: int, target=None):
+    """(lattice, integer key -> word norm) over the BFS ball of the
+    symmetrized set, stopping early once `target` is reached (a target off
+    the lattice is never reached).
+
+    Frontier states stay unreduced, so each is the product of its word's
+    letters even when a matrix does not fix a."""
     if not generators:
         raise ValidationError("need at least one generator")
     gens = _symmetrized(a, generators)
-    ident = ExactAffineAutomorphism.identity(generators[0].dimension)
-    norms = {ident.canonical_key(a): 0}
-    frontier = deque([ident])
+    lattice = _Lattice(a, gens)
+    letters = [(s.matrix,) + lattice.state(s)[1:] for s in gens]
+    n = lattice.dimension
+    cols = range(n)
+    mul = operator.mul
+    key = lattice.key
+    ident = lattice.state(ExactAffineAutomorphism.identity(n))
+    norms = {key(*ident): 0}
+    goal = None if target is None else lattice.key_of(target)
+    frontier = [ident]
     depth = 0
     while frontier and depth < radius and goal not in norms:
         depth += 1
-        for _ in range(len(frontier)):
-            cur = frontier.popleft()
-            for s in gens:
-                nxt = s.compose(cur)
-                key = nxt.canonical_key(a)
-                if key not in norms:
-                    norms[key] = depth
-                    if key == goal:
-                        return norms
-                    frontier.append(nxt)
+        grown = []
+        for m, t, c in frontier:
+            columns = [m[j::n] for j in cols]
+            for rows, st, sc in letters:
+                # s after cur: M_s M, M_s t + t_s, c + c_s
+                nm = tuple([sum(map(mul, row, col)) for row in rows for col in columns])
+                nt = [sum(map(mul, row, t)) + u for row, u in zip(rows, st)]
+                nc = c + sc
+                k = key(nm, nt, nc)
+                if k not in norms:
+                    norms[k] = depth
+                    if k == goal:
+                        return lattice, norms
+                    grown.append((nm, nt, nc))
                     if len(norms) > cap:
                         raise SearchBudgetExceeded(
                             f"BFS ball exceeded {cap} elements at radius {depth}"
                         )
-    return norms
+        frontier = grown
+    return lattice, norms
 
 
 def ball_norms(
@@ -393,7 +464,8 @@ def ball_norms(
     """BFS ball of the symmetrized set: canonical key -> word-norm.
 
     Raises SearchBudgetExceeded when the visited set outgrows `cap`."""
-    return _bfs(a, generators, radius, cap)
+    lattice, norms = _bfs(a, generators, radius, cap)
+    return {lattice.decode(k): v for k, v in norms.items()}
 
 
 def word_norm_bfs(
@@ -405,8 +477,8 @@ def word_norm_bfs(
 ) -> Optional[int]:
     """Length of the shortest word in the symmetrized set equal to target
     (as a bundle automorphism); None when not found within the radius."""
-    goal = target.canonical_key(a)
-    return _bfs(a, generators, radius, cap, goal).get(goal)
+    lattice, norms = _bfs(a, generators, radius, cap, target)
+    return norms.get(lattice.key_of(target))
 
 
 @dataclass(frozen=True)
@@ -427,14 +499,14 @@ def translation_length_estimate(
     radius: int = 12,
     cap: int = 200_000,
 ) -> TranslationLengthReport:
-    norms_table = ball_norms(a, generators, radius, cap)
+    lattice, table = _bfs(a, generators, radius, cap)
     rows = []
     best: Optional[float] = None
     complete = True
     power = ExactAffineAutomorphism.identity(g.dimension)
     for n in range(1, max_power + 1):
         power = power.compose(g)
-        norm = norms_table.get(power.canonical_key(a))
+        norm = table.get(lattice.key_of(power))
         rows.append((n, norm))
         if norm is None:
             complete = False

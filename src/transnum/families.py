@@ -37,6 +37,18 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# A float above 2^52 in size has no fractional part left, so a translation
+# that large has already lost its action on the torus.
+TRANSLATION_LIMIT = 2.0**52
+
+
+def _translation(value, what: str):
+    """`value` (a float or an array of them) when every entry is finite and
+    at most TRANSLATION_LIMIT in size."""
+    if not np.all(np.abs(value) <= TRANSLATION_LIMIT):
+        got = np.asarray(value).tolist()
+        raise ValidationError(f"{what} must be finite and at most 2^52 in size, got {got}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ def _step_evaluator(code: int, params) -> Callable[[np.ndarray], np.ndarray]:
 
 def rigid_rotation(vector) -> LiftedMap:
     """x -> x + v. Displacement is constant, so its Lipschitz constant is 0."""
-    v = np.atleast_1d(np.asarray(vector, dtype=float))
+    v = _translation(np.atleast_1d(np.asarray(vector, dtype=float)), "rigid vector")
     return LiftedMap(
         evaluator=lambda x, _v=v: np.asarray(x) + _v,
         matrix=np.eye(v.shape[0], dtype=np.int64),
@@ -145,7 +157,7 @@ def rigid_rotation(vector) -> LiftedMap:
 def torus_affine(matrix, vector) -> LiftedMap:
     """x -> M x + v with M an integer matrix, |det M| = 1."""
     m = np.asarray(matrix, dtype=np.int64)
-    v = np.atleast_1d(np.asarray(vector, dtype=float))
+    v = _translation(np.atleast_1d(np.asarray(vector, dtype=float)), "affine vector")
     n = v.shape[0]
     if m.shape != (n, n):
         raise ValidationError("matrix/vector dimensions disagree")
@@ -172,7 +184,7 @@ def torus_affine(matrix, vector) -> LiftedMap:
 
 def arnold_circle(omega: float, k: float) -> LiftedMap:
     """Circle lift x -> x + omega + (k / 2 pi) sin(2 pi x); needs |k| < 1."""
-    omega, k = float(omega), float(k)
+    omega, k = _translation(float(omega), "arnold omega"), float(k)
     if not abs(k) < 1.0:
         raise ValidationError(f"|k| must be < 1 for an invertible circle map, got {k}")
     params = np.array([omega, k])
@@ -180,13 +192,16 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
 
     def inverse(_o=omega, _k=k):
         def ev_inv(y):
-            # Newton's method on the forward map; its derivative is 1 + k cos(2 pi x)
+            # Newton's method on the forward map; its derivative is 1 + k cos(2 pi x).
+            # The step is measured against max(1, |y|): float spacing near a
+            # large y is far above any absolute tolerance.
             y = np.asarray(y)
+            scale = np.maximum(1.0, np.abs(y))
             x = y - _o
             for _ in range(60):
                 step = (forward(x) - y) / (1.0 + _k * np.cos(TWO_PI * x))
                 x = x - step
-                if np.max(np.abs(step)) < 1e-15:
+                if np.all(np.abs(step) < 1e-15 * scale):
                     break
             return x
 
@@ -228,7 +243,7 @@ def sinusoidal_shear(epsilon: float) -> LiftedMap:
 
 def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
     """(x, y) -> (x + omega, y + c(x)) with c a trigonometric polynomial."""
-    omega = float(omega)
+    omega = _translation(float(omega), "skew omega")
     if not isinstance(poly, TrigPolynomial):
         raise ValidationError("skew translation needs a TrigPolynomial second-axis speed")
     params = np.concatenate(

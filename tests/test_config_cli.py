@@ -446,6 +446,37 @@ def test_unrepresentable_rationals_exit_2(tmp_path, value):
     assert cli.main(["rot-local", "--config", path]) == 2
 
 
+# every translation parameter, with its value left open
+TRANSLATION_MAPS = {
+    "arnold omega": NONFINITE_MAPS["omega"],
+    "skew omega": "[class]\nentries = 0 1\n[map]\nfamily = skew\nomega = {v}\ncoeffs = 0.3 0.05 0.1\n",
+    "rigid vector": NONFINITE_MAPS["vector"],
+    "affine vector": "[class]\nentries = 1 0\n[map]\nfamily = affine\nmatrix = 1 0 ; 1 1\nvector = {v} 0.2\n",
+}
+# past 2^52 a float has no fractional part left to act on the torus
+HUGE_CASES = [(key, v) for key in TRANSLATION_MAPS for v in ("1e308", "-4503599627370497")]
+
+
+@pytest.mark.parametrize("key, value", HUGE_CASES, ids=[f"{k}={v}" for k, v in HUGE_CASES])
+def test_translation_parameters_past_2_52_exit_2(tmp_path, capsys, key, value):
+    path = write(tmp_path, "h.ini", TRANSLATION_MAPS[key].format(v=value))
+    assert cli.main(["rot-local", "--config", path]) == 2
+    assert "at most 2^52" in capsys.readouterr().err
+
+
+def test_translation_parameters_up_to_2_52_are_kept(tmp_path):
+    path = write(tmp_path, "b.ini", TRANSLATION_MAPS["rigid vector"].format(v="4503599627370496"))
+    rec = run_record(tmp_path, ["rot-local", "--config", path])
+    assert rec["results"]["headline"]["value"] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("values", ["0.3 1e308", "linspace:0:1e308:3"])
+def test_sweep_values_past_2_52_exit_2(tmp_path, values):
+    text = TRANSLATION_MAPS["arnold omega"].format(v="0.3")
+    path = write(tmp_path, "s.ini", text + f"[sweep]\ncommand = rot-local\nparameter = map.omega\nvalues = {values}\n")
+    assert cli.main(["sweep", "--config", path]) == 2
+
+
 def test_not_converged_headline_exits_3(tmp_path):
     slow = write(
         tmp_path,
@@ -537,6 +568,20 @@ def test_word_norm_and_translation_length(tmp_path):
     assert [(row["power"], row["norm"]) for row in tl["norms"]] == [(1, 4), (2, 6), (3, 8)]
     assert tl["estimate"]["value"] == pytest.approx(8.0 / 3.0)
     assert tl["complete"] is True
+
+
+@pytest.mark.parametrize("powers", ["0", "-3"])
+def test_word_norm_powers_below_one_exit_2(tmp_path, capsys, powers):
+    text = WORD_TEXT.replace("powers = 3", f"powers = {powers}")
+    assert cli.main(["word-norm", "--config", write(tmp_path, "p.ini", text)]) == 2
+    assert "powers must be a positive count" in capsys.readouterr().err
+
+
+def test_word_norm_without_powers_reports_the_norm_alone(tmp_path):
+    text = WORD_TEXT.replace("powers = 3\n", "")
+    rec = run_record(tmp_path, ["word-norm", "--config", write(tmp_path, "n.ini", text)])
+    assert rec["results"]["headline"] == {"value": 4, "exact": True, "verdict": "ok"}
+    assert "translation_length" not in rec["results"]
 
 
 def test_seifert_class_record_is_exact(tmp_path):

@@ -1,6 +1,7 @@
 """Displacement seminorm, undistortion certificates, exact word geometry."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -283,3 +284,165 @@ def test_translation_length_reports_holes_in_a_small_ball():
     assert rep.norms[1] == (2, None)
     assert not rep.complete
     assert rep.estimate == 4.0
+
+
+# -- the integer-lattice BFS against the Fraction BFS it replaced ---------------
+
+
+def _reference_bfs(a, generators, radius, cap, goal=None):
+    """The Fraction BFS over canonical keys, kept as the reference."""
+    gens = {}
+    for s in generators:
+        for t in (s, s.inverse()):
+            gens.setdefault(t.canonical_key(a), t)
+    ident = ExactAffineAutomorphism.identity(generators[0].dimension)
+    norms = {ident.canonical_key(a): 0}
+    frontier = [ident]
+    depth = 0
+    while frontier and depth < radius and goal not in norms:
+        depth += 1
+        grown = []
+        for cur in frontier:
+            for s in gens.values():
+                nxt = s.compose(cur)
+                key = nxt.canonical_key(a)
+                if key not in norms:
+                    norms[key] = depth
+                    if key == goal:
+                        return norms
+                    grown.append(nxt)
+                    if len(norms) > cap:
+                        raise SearchBudgetExceeded(
+                            f"BFS ball exceeded {cap} elements at radius {depth}"
+                        )
+        frontier = grown
+    return norms
+
+
+def _reference(fn, *args):
+    """(result, None) or (None, message) when the search budget trips."""
+    try:
+        return fn(*args), None
+    except SearchBudgetExceeded as exc:
+        return None, str(exc)
+
+
+MATRICES = {
+    1: [((1,),), ((-1,),)],
+    2: [
+        ((1, 0), (0, 1)),
+        ((1, 0), (1, 1)),
+        ((1, 0), (-2, 1)),
+        ((1, 1), (0, 1)),
+        ((0, -1), (1, 0)),
+        ((2, 1), (1, 1)),
+    ],
+    3: [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((2, 1, 0), (1, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+        ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+    ],
+}
+
+
+def _fixes(a, m):
+    """M^T a = a: the deck relation is then a congruence."""
+    n = len(m)
+    return all(sum(m[i][j] * a.entries[i] for i in range(n)) == a.entries[j] for j in range(n))
+
+
+@st.composite
+def word_problems(draw):
+    """An integer class, a generating set with p/q data (sometimes with
+    matrices that do not fix the class), a radius and a cap."""
+    dim = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
+    a = CohomologyClass(entries)
+    ratio = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    count = draw(st.integers(1, 3 if dim == 1 else 2))
+    gens = [
+        ExactAffineAutomorphism(
+            draw(st.sampled_from(MATRICES[dim])),
+            tuple(draw(ratio) for _ in range(dim)),
+            draw(ratio),
+        )
+        for _ in range(count)
+    ]
+    radius = draw(st.integers(0, 4 if dim == 1 else 3))
+    cap = draw(st.integers(1, 400))
+    return a, gens, radius, cap
+
+
+def _words(gens, length):
+    symmetric = [g for s in gens for g in (s, s.inverse())]
+    for word in itertools.product(symmetric, repeat=length):
+        out = ExactAffineAutomorphism.identity(gens[0].dimension)
+        for s in word:
+            out = s.compose(out)
+        yield out
+
+
+@given(problem=word_problems(), data=st.data())
+def test_integer_bfs_matches_the_fraction_bfs(problem, data):
+    a, gens, radius, cap = problem
+    want, want_err = _reference(_reference_bfs, a, gens, radius, cap)
+    got, got_err = _reference(ball_norms, a, gens, radius, cap)
+    assert got_err == want_err  # the budget trips at the same cap and radius
+    if want_err is not None:
+        return
+    assert list(got.items()) == list(want.items())
+    # word norms of elements inside and just outside the ball
+    length = data.draw(st.integers(0, radius + 1))
+    target = data.draw(st.sampled_from(list(_words(gens, length))))
+    goal = target.canonical_key(a)
+    assert word_norm_bfs(a, gens, target, radius, cap) == _reference_bfs(
+        a, gens, radius, cap, goal
+    ).get(goal)
+    # powers, whose keys are encoded one by one
+    g = data.draw(st.sampled_from(gens))
+    rep = translation_length_estimate(a, gens, g, max_power=3, radius=radius, cap=cap)
+    powers = [g.power(n).canonical_key(a) for n in (1, 2, 3)]
+    assert rep.norms == tuple((n, want.get(k)) for n, k in zip((1, 2, 3), powers))
+
+
+@given(problem=word_problems())
+def test_ball_keys_are_the_brute_force_canonical_keys(problem):
+    a, gens, radius, _ = problem
+    if not all(_fixes(a, s.matrix) for s in gens):
+        return  # unreduced words then depend on the representative
+    radius = min(radius, 2)
+    table = {}
+    for length in range(radius + 1):
+        for w in _words(gens, length):
+            table.setdefault(w.canonical_key(a), length)
+    assert ball_norms(a, gens, radius, cap=10**6) == table
+
+
+@given(problem=word_problems(), shift_off=st.booleans())
+def test_a_target_off_the_lattice_is_never_found(problem, shift_off):
+    a, gens, radius, _ = problem
+    base = gens[0]
+    dt = math.lcm(*(t.denominator for s in gens for t in s.translation))
+    ds = math.lcm(*(s.fiber_shift.denominator for s in gens))
+    # an inverse's data has the same denominators, so 1/(2D) and 1/(2E) are off
+    if shift_off:
+        target = ExactAffineAutomorphism(
+            base.matrix, base.translation, base.fiber_shift + Fraction(1, 2 * ds)
+        )
+    else:
+        moved = (base.translation[0] + Fraction(1, 2 * dt),) + base.translation[1:]
+        target = ExactAffineAutomorphism(base.matrix, moved, base.fiber_shift)
+    assert word_norm_bfs(a, gens, target, radius, cap=10**6) is None
+    rep = translation_length_estimate(a, gens, target, max_power=1, radius=radius, cap=10**6)
+    assert rep.norms == ((1, None),)
+
+
+def test_off_lattice_element_with_a_power_on_the_lattice():
+    half = ExactAffineAutomorphism(((1,),), (Fraction(1, 2),))
+    rep = translation_length_estimate(A1, [UNIT], half, max_power=4, radius=4)
+    # half^2 is the unit translation of the base, which the deck turns into UNIT
+    assert rep.norms == ((1, None), (2, 1), (3, None), (4, 2))
+    assert rep.estimate == 0.5
+    assert not rep.complete

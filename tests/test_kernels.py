@@ -174,6 +174,28 @@ def test_arnold_rejects_noninvertible_and_nonfinite_k(k):
         arnold_circle(0.3, k)
 
 
+@pytest.mark.parametrize("y", [0.4, 10.0, 1000.0, 1e6])
+def test_arnold_inverse_round_trip_is_within_a_few_ulps(y):
+    f = arnold_circle(0.3, 0.9)
+    x = f.invert().evaluator(np.array([[y]]))
+    assert abs(f.evaluator(x)[0, 0] - y) <= 4 * np.spacing(max(1.0, abs(y)))
+
+
+def test_arnold_inverse_stops_well_before_its_cap(monkeypatch):
+    # Newton's loop runs one forward step per iteration and is capped at 60
+    calls = []
+    step = _kernels.np_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    inverse = arnold_circle(0.3, 0.9).invert()
+    monkeypatch.setattr(_kernels, "np_step", counting)
+    inverse.evaluator(np.array([[1000.0]]))
+    assert 0 < len(calls) <= 10
+
+
 def test_step_keeps_the_reference_operation_order():
     step = _interpreted(_kernels._step)
     for lift, _, pts in CASES:
