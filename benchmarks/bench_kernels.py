@@ -14,7 +14,10 @@ This script times
     that evaluator, in microseconds per segment;
   - the word-norm BFS of `translation_length_estimate` (one ball, then the
     powers looked up in it) on rational affine generating sets in dimensions
-    1, 2 and 3, in microseconds per ball element.
+    1, 2 and 3, in microseconds per ball element;
+  - the command-line front end: in-process `cli.main` on a `seifert-class`
+    run, in milliseconds per call, and on a 200-row rigid `rot-local` sweep,
+    in milliseconds per row.
 It imports the package from the checkout's src/ directory:
 
     python3 benchmarks/bench_kernels.py --steps 100000
@@ -25,6 +28,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -37,6 +41,7 @@ from transnum import (  # noqa: E402
     ExactAffineAutomorphism,
     _kernels,
     ball_norms,
+    cli,
     gal_kedra_quadrature,
     translation_length_estimate,
 )
@@ -83,6 +88,38 @@ def _word_set(dim):
 
 
 WORD_SETS = [(f"dimension {dim}", *_word_set(dim)) for dim in (1, 2, 3)]
+
+
+SWEEP_ROWS = 200
+FRONT_END_RUNS = [
+    # (case, command, config, rows per call)
+    ("seifert-class", "seifert-class", "[seifert]\ngenus = 1\npairs = (2,1) (3,1) (2,-1) (3,-1)\n", 1),
+    (
+        f"sweep, {SWEEP_ROWS} rigid rot-local rows",
+        "sweep",
+        "[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.5\n[point]\nx = 0.3\n"
+        f"[sweep]\ncommand = rot-local\nparameter = map.vector\nvalues = linspace:0.05:0.95:{SWEEP_ROWS}\n",
+        SWEEP_ROWS,
+    ),
+]
+
+
+def ms_per_row(command, text, rows, repeat, calls=20):
+    """Best-of-`repeat` mean cost of in-process `cli.main` on the config
+    `text` (record written to a file), per call divided by `rows`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, "--config", path, "--format", "record", "--out", os.path.join(tmp, "out.json")]
+        best = math.inf
+        for _ in range(repeat):
+            start = time.perf_counter()
+            for _ in range(calls):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"transnum {command} failed on the benchmark config")
+            best = min(best, (time.perf_counter() - start) / calls)
+    return best / rows * 1e3
 
 
 def us_per_element(a, gens, radius, repeat):
@@ -185,6 +222,15 @@ def main():
     for label, a, gens, radius in WORD_SETS:
         size, cost = us_per_element(a, gens, radius, args.repeat)
         rows.append((label, str(radius), str(size), f"{cost:.2f}"))
+    print_table(rows)
+
+    print()
+    print(f"command-line front end (in-process cli.main), best of {args.repeat}")
+    rows = [("case", "rows/call", "ms/row")]
+    rows += [
+        (label, str(n), f"{ms_per_row(command, text, n, args.repeat):.3f}")
+        for label, command, text, n in FRONT_END_RUNS
+    ]
     print_table(rows)
 
 

@@ -8,7 +8,8 @@ isotopies, seminorm-based undistortion certificates with exact word-norm
 experiments, and the fiber class of zero-Euler-number Seifert data.
 
 Heavy orbit/grid loops run through numba when it is importable; set
-TRANSNUM_NO_NUMBA=1 to force the pure-numpy path (same results, slower).
+TRANSNUM_NO_NUMBA=1 to run the same kernel source interpreted, on plain
+Python floats (same results, slower).
 """
 
 __version__ = "0.1.0"

@@ -67,25 +67,10 @@ EXIT_NOT_CONVERGED = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
-COMMANDS = (
-    "rot-local",
-    "rot-mean",
-    "rot-homovec",
-    "gk-eval",
-    "gk-check",
-    "split-check",
-    "seminorm",
-    "distortion-cert",
-    "word-norm",
-    "seifert-class",
-    "sweep",
-)
-
-
 @dataclass
 class Resolved:
     """Numeric options after the config/flag precedence is applied; counts
-    are positive and the tolerance positive and finite."""
+    are positive, the seed non-negative and the tolerance positive and finite."""
 
     seed: Optional[int]
     tolerance: Optional[float]
@@ -121,6 +106,8 @@ def _resolve(args, cfg: Optional[RunConfig]) -> Resolved:
     for name, count in (("max-iterations", res.max_iterations), ("grid", res.grid)):
         if count is not None and count < 1:
             raise ValidationError(f"{name} must be a positive count, got {count}")
+    if res.seed is not None and res.seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {res.seed}")
     if res.tolerance is not None and not 0.0 < res.tolerance < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {res.tolerance}")
     return res
@@ -245,19 +232,26 @@ def _cmd_gk_eval(cfg: RunConfig, res: Resolved) -> Report:
     return make_report("gk-eval", cfg.echo(), results, res.seed)
 
 
-def _cmd_gk_check(cfg: Optional[RunConfig], res: Resolved) -> Report:
-    seed = res.seed if res.seed is not None else 0
-    count = 100
-    dims = (1, 2)
-    if cfg is not None and cfg.has("check"):
+def _check_sizes(cfg: Optional[RunConfig]) -> tuple:
+    """[check] count and dimensions (defaults 100 and 1 2), each at least 1."""
+    count, dims = 100, (1, 2)
+    if cfg is not None:
         count_text = cfg.get("check", "count")
         if count_text:
             count = parse_int(count_text, "[check] count")
         dims_text = cfg.get("check", "dimensions")
         if dims_text:
-            dims = tuple(
-                parse_int(t, "[check] dimensions") for t in dims_text.split()
-            )
+            dims = tuple(parse_int(t, "[check] dimensions") for t in dims_text.split())
+    if count < 1:
+        raise ValidationError(f"[check] count must be positive, got {count}")
+    if min(dims) < 1:
+        raise ValidationError(f"[check] dimensions must be positive, got {' '.join(map(str, dims))}")
+    return count, dims
+
+
+def _cmd_gk_check(cfg: Optional[RunConfig], res: Resolved) -> Report:
+    seed = res.seed if res.seed is not None else 0
+    count, dims = _check_sizes(cfg)
     cob = coboundary_residual_suite(seed, count, dims)
     coc = cocycle_residual_suite(seed + 1, count, dims)
     worst = max(cob.max_residual, coc.max_residual)
@@ -276,11 +270,7 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
     named = build_bundle_generators(cfg)
     mu = build_measure(cfg)
     seed = res.seed if res.seed is not None else 0
-    pairs = 100
-    if cfg.has("check"):
-        count_text = cfg.get("check", "count")
-        if count_text:
-            pairs = parse_int(count_text, "[check] count")
+    pairs, _ = _check_sizes(cfg)
     rep = splitting_check(
         a,
         [g for _, g in named],
@@ -435,20 +425,6 @@ def _cmd_seifert_class(cfg: RunConfig, res: Resolved) -> Report:
     return make_report("seifert-class", cfg.echo(), results, res.seed)
 
 
-_HANDLERS = {
-    "rot-local": _cmd_rot_local,
-    "rot-mean": _cmd_rot_mean,
-    "rot-homovec": _cmd_rot_homovec,
-    "gk-eval": _cmd_gk_eval,
-    "gk-check": _cmd_gk_check,
-    "split-check": _cmd_split_check,
-    "seminorm": _cmd_seminorm,
-    "distortion-cert": _cmd_distortion_cert,
-    "word-norm": _cmd_word_norm,
-    "seifert-class": _cmd_seifert_class,
-}
-
-
 def _cmd_sweep(cfg: RunConfig, res: Resolved) -> Report:
     command, axes = parse_sweep(cfg)
     if command == "sweep" or command not in _HANDLERS:
@@ -481,41 +457,45 @@ def _cmd_sweep(cfg: RunConfig, res: Resolved) -> Report:
     return make_report("sweep", cfg.echo(), results, res.seed)
 
 
-_HANDLERS["sweep"] = _cmd_sweep
+_HANDLERS = {
+    "rot-local": _cmd_rot_local,
+    "rot-mean": _cmd_rot_mean,
+    "rot-homovec": _cmd_rot_homovec,
+    "gk-eval": _cmd_gk_eval,
+    "gk-check": _cmd_gk_check,
+    "split-check": _cmd_split_check,
+    "seminorm": _cmd_seminorm,
+    "distortion-cert": _cmd_distortion_cert,
+    "word-norm": _cmd_word_norm,
+    "seifert-class": _cmd_seifert_class,
+    "sweep": _cmd_sweep,
+}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="transnum",
-        description="translation numbers, cocycle checks and distortion "
-        "certificates for bundle automorphisms over tori",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run {name}")
-        p.add_argument("--config", help="INI run configuration (see README)")
-        p.add_argument("--seed", type=int, help="RNG seed for sampled checks")
-        p.add_argument("--tolerance", type=float, help="convergence tolerance")
-        p.add_argument(
-            "--max-iterations",
-            type=int,
-            dest="max_iterations",
-            help="iteration cap (BFS radius for word-norm)",
-        )
-        p.add_argument(
-            "--grid",
-            type=int,
-            help="grid resolution / quadrature points / segments",
-        )
-        p.add_argument(
-            "--format",
-            choices=("table", "record", "csv"),
-            default="table",
-            dest="fmt",
-            help="output format (default: table)",
-        )
-        p.add_argument("--out", help="write the rendering to a file instead of stdout")
-    return parser
+# Built once: parse_args leaves the parser as it found it, so every call can share it.
+_PARSER = argparse.ArgumentParser(
+    prog="transnum",
+    description="translation numbers, cocycle checks and distortion "
+    "certificates for bundle automorphisms over tori",
+)
+_PARSER.add_argument("command", choices=_HANDLERS, help="the computation to run (see README)")
+_PARSER.add_argument("--config", help="INI run configuration (see README)")
+_PARSER.add_argument("--seed", type=int, help="RNG seed for sampled checks")
+_PARSER.add_argument("--tolerance", type=float, help="convergence tolerance")
+_PARSER.add_argument(
+    "--max-iterations",
+    type=int,
+    dest="max_iterations",
+    help="iteration cap (BFS radius for word-norm)",
+)
+_PARSER.add_argument("--grid", type=int, help="grid resolution / quadrature points / segments")
+_PARSER.add_argument(
+    "--format",
+    choices=("table", "record", "csv"),
+    default="table",
+    dest="fmt",
+    help="output format (default: table)",
+)
+_PARSER.add_argument("--out", help="write the rendering to a file instead of stdout")
 
 
 def _exit_code_for(report: Report) -> int:
@@ -526,7 +506,7 @@ def _exit_code_for(report: Report) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
         if cfg is None and args.command != "gk-check":

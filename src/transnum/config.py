@@ -78,43 +78,19 @@ def _base_section(name: str) -> str:
 
 
 class RunConfig:
-    """A validated INI file plus override helpers."""
+    """A validated INI file as plain `{section: {key: value}}` dicts, plus
+    override helpers."""
 
-    def __init__(self, parser: configparser.ConfigParser, source: str = "<config>"):
-        self.parser = parser
+    def __init__(self, sections: dict, source: str = "<config>"):
+        self.sections = sections
         self.source = source
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.parser.defaults():
-            raise ValidationError(
-                "[DEFAULT] is not supported; put keys in their own sections"
-            )
-        for section in self.parser.sections():
-            base = _base_section(section)
-            if base not in _SECTION_KEYS:
-                raise ValidationError(f"unknown config section [{section}]")
-            if base != section and base not in ("map", "affine"):
-                raise ValidationError(
-                    f"section [{section}] cannot be qualified; only map.* and affine.*"
-                )
-            allowed = _SECTION_KEYS[base]
-            for key in self.parser[section]:
-                if key not in allowed:
-                    raise ValidationError(
-                        f"unknown key {key!r} in [{section}] "
-                        f"(allowed: {', '.join(sorted(allowed))})"
-                    )
-
-    # -- plumbing ----------------------------------------------------------
 
     def has(self, section: str) -> bool:
-        return self.parser.has_section(section)
+        return section in self.sections
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
-        if self.parser.has_section(section) and key in self.parser[section]:
-            return self.parser[section][key].strip()
-        return default
+        value = self.sections.get(section, {}).get(key)
+        return default if value is None else value.strip()
 
     def require(self, section: str, key: str) -> str:
         value = self.get(section, key)
@@ -123,51 +99,64 @@ class RunConfig:
         return value
 
     def set_override(self, section: str, key: str, value: str) -> None:
-        if not self.parser.has_section(section):
+        if section not in self.sections:
             raise ValidationError(f"sweep targets missing section [{section}]")
         if key not in _SECTION_KEYS[_base_section(section)]:
             raise ValidationError(f"sweep targets unknown key {key!r} in [{section}]")
-        self.parser[section][key] = value
+        self.sections[section][key] = value
 
     def clone(self) -> "RunConfig":
-        fresh = _new_parser()
-        fresh.read_dict({s: dict(self.parser[s]) for s in self.parser.sections()})
-        return RunConfig(fresh, self.source)
+        return RunConfig({s: dict(keys) for s, keys in self.sections.items()}, self.source)
 
     def echo(self) -> dict:
         """The raw key/value content, for report payloads and digests."""
-        return {s: dict(self.parser[s]) for s in sorted(self.parser.sections())}
+        return {s: dict(self.sections[s]) for s in sorted(self.sections)}
 
 
-def _new_parser() -> configparser.ConfigParser:
+def _read(read, source: str, where: str) -> RunConfig:
+    """Parse with `read(parser)`, validate every section and key once, and
+    keep the content as plain dicts."""
     # '#' only: ';' separates matrix rows and sample points inside values
-    return configparser.ConfigParser(
+    parser = configparser.ConfigParser(
         interpolation=None,
         delimiters=("=",),
         inline_comment_prefixes=("#",),
         empty_lines_in_values=False,
     )
+    try:
+        read(parser)
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config{where}: {exc}") from exc
+    if parser.defaults():
+        raise ValidationError("[DEFAULT] is not supported; put keys in their own sections")
+    for section in parser.sections():
+        base = _base_section(section)
+        if base not in _SECTION_KEYS:
+            raise ValidationError(f"unknown config section [{section}]")
+        if base != section and base not in ("map", "affine"):
+            raise ValidationError(
+                f"section [{section}] cannot be qualified; only map.* and affine.*"
+            )
+        allowed = _SECTION_KEYS[base]
+        for key in parser[section]:
+            if key not in allowed:
+                raise ValidationError(
+                    f"unknown key {key!r} in [{section}] "
+                    f"(allowed: {', '.join(sorted(allowed))})"
+                )
+    return RunConfig({s: dict(parser[s]) for s in parser.sections()}, source)
 
 
 def load_config(path: str) -> RunConfig:
-    parser = _new_parser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
+            return _read(lambda parser: parser.read_file(fh), path, f" {path}")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ValidationError(f"malformed config {path}: {exc}") from exc
-    return RunConfig(parser, source=path)
 
 
 def config_from_text(text: str, source: str = "<inline>") -> RunConfig:
-    parser = _new_parser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValidationError(f"malformed config: {exc}") from exc
-    return RunConfig(parser, source=source)
+    return _read(lambda parser: parser.read_string(text), source, "")
 
 
 # -- scalar parsers ----------------------------------------------------------
@@ -202,7 +191,10 @@ def parse_shift(text: str, what: str = "shift"):
     if _INT_RE.match(text):
         return int(text)
     if _RATIONAL_RE.match(text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValidationError(f"{what}: zero denominator: {text!r}") from exc
     return parse_float(text, what)
 
 
@@ -257,7 +249,7 @@ def build_lifted_map(cfg: RunConfig, section: str) -> LiftedMap:
         raise ValidationError(
             f"[{section}] family must be one of {', '.join(sorted(_FAMILY_KEYS))}"
         )
-    present = {k for k in cfg.parser[section] if k not in ("family", "shift")}
+    present = {k for k in cfg.sections[section] if k not in ("family", "shift")}
     stray = present - _FAMILY_KEYS[family]
     if stray:
         raise ValidationError(

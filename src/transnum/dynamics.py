@@ -501,6 +501,11 @@ def _measure_mean(
     base_map: Optional[LiftedMap] = None,
 ):
     """(value, error) of an integrand against mu; orbit measures are walked."""
+    support = mu.point if mu.kind == "dirac_orbit" else mu.samples
+    if support is not None and support.shape[-1] != dimension:
+        raise DimensionMismatch(
+            f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
+        )
     if mu.kind == "lebesgue":
         return _lebesgue_mean(integrand_many, dimension, quadrature_points)
     if mu.kind == "dirac_orbit":
@@ -629,12 +634,12 @@ class CochainPerturbation:
 
     def __post_init__(self):
         rng = np.random.default_rng(0)
-        # crude sample check in up to 4 dims; real enforcement is the caller's
+        # crude sample check in dimensions 1 and 2; real enforcement is the caller's
         for dim in (1, 2):
             try:
                 pts = rng.uniform(0.0, 1.0, size=(64, dim))
                 vals = np.asarray(self.func(pts), dtype=float)
-            except Exception:
+            except (TypeError, ValueError, IndexError):
                 continue
             if vals.shape == (64,) and float(np.max(np.abs(vals))) > self.sup_bound + 1e-12:
                 raise ValidationError("sup_bound smaller than sampled |beta|")

@@ -66,9 +66,11 @@ class TrigPolynomial:
             d = max(len(ca), len(sa))
             ca = ca + (0.0,) * (d - len(ca))
             sa = sa + (0.0,) * (d - len(sa))
+        constant = float(self.constant)
+        _translation(np.array((constant,) + ca + sa), "trig polynomial coefficients")
         object.__setattr__(self, "cos_coeffs", ca)
         object.__setattr__(self, "sin_coeffs", sa)
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "constant", constant)
 
     @property
     def degree(self) -> int:
@@ -228,7 +230,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
 
 def sinusoidal_shear(epsilon: float) -> LiftedMap:
     """(x, y) -> (x + eps sin(2 pi y), y); inverse is the shear with -eps."""
-    eps = float(epsilon)
+    eps = _translation(float(epsilon), "sinshear epsilon")
     params = np.array([eps])
     return LiftedMap(
         evaluator=_step_evaluator(_kernels.SINE_SHEAR, params),

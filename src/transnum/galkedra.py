@@ -30,6 +30,7 @@ import numpy as np
 from .dynamics import (
     BundleAutomorphism,
     InvariantMeasure,
+    _cover_of,
     _measure_mean,
     mean_translation_number,
     measure_invariance_residual,
@@ -54,18 +55,11 @@ __all__ = [
 ]
 
 
-def _cover(x, n: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (n,):
-        raise ValidationError(f"point of shape {arr.shape} on a {n}-torus")
-    return arr
-
-
 def gal_kedra(a: CohomologyClass, g: LiftedMap, h: LiftedMap, x) -> float:
     """Closed-form G_x(g, h); lift-independent because both matrices fix a."""
     require_preserves_class(a, g)
     require_preserves_class(a, h)
-    xt = _cover(x, a.dimension)
+    xt = _cover_of(x, a.dimension)
     hx = h(xt)
     av = a.vector
     return float(np.dot(av, g(hx) - g(xt)) - np.dot(av, hx - xt))
@@ -115,7 +109,7 @@ def gal_kedra_quadrature(
         raise ValidationError("need at least one segment")
     require_preserves_class(a, g)
     require_preserves_class(a, h)
-    xt = _cover(x, a.dimension)
+    xt = _cover_of(x, a.dimension)
     v = h(xt) - xt
     ts = (np.arange(segments) + 0.5) / segments
     pts = xt[None, :] + ts[:, None] * v[None, :]

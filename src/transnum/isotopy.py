@@ -30,6 +30,7 @@ from .dynamics import (
     DEFAULT_SCAN_HORIZON,
     InvariantMeasure,
     MeanReport,
+    _cover_of,
     _evaluator_orbit,
     _measure_mean,
     _translation_limit,
@@ -131,7 +132,7 @@ def homological_translation(
     while the endpoint route runs the orbit kernel: the agreement between
     the two is a check of one engine against the other."""
     require_preserves_class(a, iso.terminal)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _cover_of(x, a.dimension)
     orbit = _evaluator_orbit(iso.terminal, a.vector, 0.0, x, return_tolerance)
     return _translation_limit(
         orbit,

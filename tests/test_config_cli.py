@@ -750,3 +750,139 @@ values = linspace:0:1:11
         assert lo <= hi + 2.0 / n
     assert values[0] == 0.0 and rows[0][4] is True
     assert values[-1] == 1.0 and rows[-1][4] is True
+
+
+# -- [check] sizes, exact shifts and the other boundary refusals ----------------
+
+CHECK_CASES = [
+    ("gk-check", "[check]\ndimensions = 0\n", "dimensions"),
+    ("gk-check", "[check]\ndimensions = 1 -1\n", "dimensions"),
+    ("gk-check", "[check]\ncount = 0\n", "count"),
+    ("gk-check", "[check]\ncount = -1\n", "count"),
+    ("split-check", SPLIT_TEXT.replace("count = 20", "count = 0"), "count"),
+    ("split-check", SPLIT_TEXT.replace("count = 20", "count = -1"), "count"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, key", CHECK_CASES, ids=[f"{c} {t.split()[-1]} {k}" for c, t, k in CHECK_CASES]
+)
+def test_check_sizes_below_one_exit_2(tmp_path, capsys, command, text, key):
+    # a check over no samples would report a vacuous max residual of 0
+    assert cli.main([command, "--config", write(tmp_path, "c.ini", text)]) == 2
+    assert f"[check] {key} must be positive" in capsys.readouterr().err
+
+
+ZERO_DENOMINATOR_CASES = {
+    "map shift": ("rot-local", ROT_TEXT.replace("vector = 0.3", "vector = 0.3\nshift = 2/0")),
+    "map.NAME shift": ("split-check", SPLIT_TEXT.replace("coeffs = 0.3 0.0 0.1", "coeffs = 0.3 0.0 0.1\nshift = 1/0")),
+    "point fiber": ("rot-local", ROT_TEXT + "fiber = 1/0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DENOMINATOR_CASES))
+def test_zero_denominator_shifts_exit_2(tmp_path, capsys, case):
+    command, text = ZERO_DENOMINATOR_CASES[case]
+    assert cli.main([command, "--config", write(tmp_path, "z.ini", text)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["epsilon", "coeffs"])
+def test_huge_shear_and_skew_coefficients_exit_2(tmp_path, capsys, key):
+    path = write(tmp_path, "c.ini", NONFINITE_MAPS[key].format(v="1e308"))
+    assert cli.main(["rot-mean", "--config", path]) == 2
+    assert "at most 2^52" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "options"])
+def test_negative_seed_exits_2(tmp_path, capsys, where):
+    if where == "flag":
+        assert cli.main(["gk-check", "--seed=-1"]) == 2
+    else:
+        assert cli.main(["gk-check", "--config", write(tmp_path, "s.ini", "[options]\nseed = -1\n")]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [("rot-homovec", HOMOVEC_TEXT), ("gk-eval", GK_TEXT)], ids=["rot-homovec", "gk-eval"])
+def test_a_fiber_coordinate_leaves_base_point_routes_alone(tmp_path, command, text):
+    plain = run_record(tmp_path, [command, "--config", write(tmp_path, "p.ini", text)])
+    lifted = run_record(tmp_path, [command, "--config", write(tmp_path, "f.ini", text.replace("[point]", "[point]\nfiber = 1/2"))])
+    assert lifted["results"]["headline"] == plain["results"]["headline"]
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(ROT_TEXT.replace("[point]", "# caf\xe9\n[point]").encode("latin-1"))
+    assert cli.main(["rot-local", "--config", str(path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_a_measure_on_another_torus_exits_2(tmp_path, capsys):
+    text = SKEW_TEXT.replace("kind = lebesgue", "kind = empirical\nsamples = 0.1 ; 0.6")
+    assert cli.main(["rot-mean", "--config", write(tmp_path, "m.ini", text)]) == 2
+    assert "measure lives on T^1, the map on T^2" in capsys.readouterr().err
+
+
+# -- the front end's contract ---------------------------------------------------
+
+
+def test_grid_flag_beats_a_swept_options_grid_in_every_row(tmp_path):
+    text = f"""
+[class]
+entries = 0 1
+
+[map]
+family = skew
+omega = {GOLDEN}
+coeffs = 0.3 0.05 0.1
+
+[seminorm]
+mode = estimate
+
+[options]
+grid = 64
+
+[sweep]
+command = seminorm
+parameter = options.grid
+values = 64 128
+"""
+    path = write(tmp_path, "g.ini", text)
+    swept = run_record(tmp_path, ["sweep", "--config", path, "--grid", "256"])
+    at_flag = run_record(tmp_path, ["seminorm", "--config", path, "--grid", "256"])["results"]["headline"]
+    at_64 = run_record(tmp_path, ["seminorm", "--config", path])["results"]["headline"]
+    assert at_64["value"] != at_flag["value"]
+    assert [row[1] for row in swept["results"]["rows"]] == [at_flag["value"]] * 2
+
+
+def test_calls_in_one_process_keep_their_own_format_and_out(tmp_path, capsys):
+    path = write(tmp_path, "r.ini", ROT_TEXT)
+    out = tmp_path / "first.json"
+    assert cli.main(["rot-local", "--config", path, "--format", "record", "--out", str(out)]) == 0
+    first = out.read_text()
+    assert json.loads(first)["command"] == "rot-local"
+    assert capsys.readouterr().out == ""
+    assert cli.main(["rot-local", "--config", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("key,value\n")
+    assert cli.main(["rot-local", "--config", path]) == 0
+    assert capsys.readouterr().out.startswith("transnum rot-local\n")
+    assert out.read_text() == first
+
+
+def test_options_may_come_before_or_after_the_command(tmp_path):
+    path = write(tmp_path, "r.ini", ROT_TEXT)
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert cli.main(["--format", "record", "--out", str(before), "--config", path, "rot-local"]) == 0
+    assert cli.main(["rot-local", "--config", path, "--format", "record", "--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
+def test_help_exits_0_and_names_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    for name in cli._HANDLERS:
+        assert name in text
+    for option in ("--config", "--seed", "--tolerance", "--max-iterations", "--grid", "--format", "--out"):
+        assert option in text

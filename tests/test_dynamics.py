@@ -469,3 +469,21 @@ def test_perturbed_average_stays_within_the_sup_bound_window():
 def test_understated_sup_bound_is_rejected():
     with pytest.raises(ValidationError):
         CochainPerturbation(func=lambda pts: np.full(pts.shape[0], 2.0), sup_bound=1.0)
+
+
+def test_sup_bound_check_samples_the_second_dimension_when_the_first_does_not_fit():
+    def beta(pts):
+        if pts.shape[1] != 2:
+            raise IndexError("a function on T^2")
+        return np.full(pts.shape[0], 2.0)
+
+    with pytest.raises(ValidationError):
+        CochainPerturbation(func=beta, sup_bound=1.0)
+
+
+def test_sup_bound_check_propagates_other_errors():
+    def beta(pts):
+        raise ZeroDivisionError("broken beta")
+
+    with pytest.raises(ZeroDivisionError):
+        CochainPerturbation(func=beta, sup_bound=1.0)

@@ -174,6 +174,26 @@ def test_arnold_rejects_noninvertible_and_nonfinite_k(k):
         arnold_circle(0.3, k)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 1e308, -(2.0**53)])
+def test_sinshear_rejects_nonfinite_and_huge_epsilon(epsilon):
+    with pytest.raises(ValidationError, match="at most 2\\^52"):
+        sinusoidal_shear(epsilon)
+
+
+@pytest.mark.parametrize("slot", ["constant", "cos", "sin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+def test_trig_polynomial_rejects_nonfinite_and_huge_coefficients(slot, value):
+    coeffs = {"constant": 0.3, "cos": (0.05,), "sin": (0.1,)}
+    coeffs[slot] = value if slot == "constant" else (0.05, value)
+    with pytest.raises(ValidationError, match="at most 2\\^52"):
+        TrigPolynomial(coeffs["constant"], coeffs["cos"], coeffs["sin"])
+
+
+def test_range_checks_keep_the_largest_allowed_values():
+    assert sinusoidal_shear(-(2.0**52)).kernel_spec[1][0] == -(2.0**52)
+    assert TrigPolynomial(2.0**52, (-(2.0**52),), ()).cos_coeffs == (-(2.0**52),)
+
+
 @pytest.mark.parametrize("y", [0.4, 10.0, 1000.0, 1e6])
 def test_arnold_inverse_round_trip_is_within_a_few_ulps(y):
     f = arnold_circle(0.3, 0.9)
