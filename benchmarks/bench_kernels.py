@@ -12,6 +12,9 @@ This script times
     nanoseconds per point;
   - the gk-eval quadrature, whose derivative is the complex step through
     that evaluator, in microseconds per segment;
+  - the push-forward check of `rot-mean`, `measure_invariance_residual`
+    against Lebesgue measure at m = 128 per axis on T^2 (skew map), in
+    milliseconds per call;
   - the word-norm BFS of `translation_length_estimate` (one ball, then the
     powers looked up in it) on rational affine generating sets in dimensions
     1, 2 and 3, in microseconds per ball element;
@@ -39,10 +42,12 @@ import numpy as np  # noqa: E402
 from transnum import (  # noqa: E402
     CohomologyClass,
     ExactAffineAutomorphism,
+    InvariantMeasure,
     _kernels,
     ball_norms,
     cli,
     gal_kedra_quadrature,
+    measure_invariance_residual,
     translation_length_estimate,
 )
 from transnum.families import (  # noqa: E402
@@ -57,6 +62,7 @@ from transnum.families import (  # noqa: E402
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 SIDE = 1024  # evaluator grids have SIDE^2 points, as a 1024 seminorm grid on T^2
 SEGMENTS = 10_000  # the gk-eval default
+RESIDUAL_M = 128  # the rot-mean default grid
 
 CASES = [
     ("rigid T^2", rigid_rotation([0.3, 0.61]), (1.0, 0.0)),
@@ -174,6 +180,19 @@ def us_per_segment(lift, avec, repeat):
     return best / SEGMENTS * 1e6
 
 
+def ms_per_residual(lift, repeat, calls=10):
+    """Best-of-`repeat` mean cost of one Lebesgue measure_invariance_residual
+    call at RESIDUAL_M points per axis."""
+    mu = InvariantMeasure.lebesgue()
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(calls):
+            measure_invariance_residual(lift, mu, quadrature_points=RESIDUAL_M)
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e3
+
+
 def print_table(rows):
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for i, row in enumerate(rows):
@@ -215,6 +234,11 @@ def main():
         for label, lift, avec in CASES
     ]
     print_table(rows)
+
+    print()
+    print(f"invariance residual (Lebesgue, m = {RESIDUAL_M} per axis on T^2), best of {args.repeat}")
+    label, lift, _ = CASES[-1]
+    print_table([("case", "ms/call"), (label, f"{ms_per_residual(lift, args.repeat):.3f}")])
 
     print()
     print(f"word-norm BFS (translation_length_estimate, powers 1..4), best of {args.repeat}")

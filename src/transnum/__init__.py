@@ -44,7 +44,6 @@ from .torus import (
 from .families import (
     TrigPolynomial,
     arnold_circle,
-    make_family,
     rigid_rotation,
     sinusoidal_shear,
     skew_translation,

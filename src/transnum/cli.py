@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -237,10 +238,10 @@ def _check_sizes(cfg: Optional[RunConfig]) -> tuple:
     count, dims = 100, (1, 2)
     if cfg is not None:
         count_text = cfg.get("check", "count")
-        if count_text:
+        if count_text is not None:
             count = parse_int(count_text, "[check] count")
         dims_text = cfg.get("check", "dimensions")
-        if dims_text:
+        if dims_text is not None:
             dims = tuple(parse_int(t, "[check] dimensions") for t in dims_text.split())
     if count < 1:
         raise ValidationError(f"[check] count must be positive, got {count}")
@@ -297,7 +298,7 @@ def _cmd_seminorm(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
     m = _or_default(res.grid, 256)
-    mode = (cfg.get("seminorm", "mode", "auto") or "auto").lower()
+    mode = cfg.get("seminorm", "mode", "auto").lower()
     if mode == "auto":
         has_lip = (
             g.lift.displacement_lipschitz is not None
@@ -365,13 +366,13 @@ def _cmd_word_norm(cfg: RunConfig, res: Resolved) -> Report:
     named = build_affine_generators(cfg)
     generators = [g for _, g in named]
     target_name = cfg.get("generators", "target")
-    if not target_name:
+    if target_name is None:
         raise ValidationError("[generators] target must name an [affine.NAME] section")
     target = build_affine(cfg, target_name.strip())
     radius = _or_default(res.max_iterations, 12)
     powers_text = cfg.get("generators", "powers")
     tl = None
-    if powers_text:
+    if powers_text is not None:
         max_power = parse_int(powers_text, "[generators] powers")
         if max_power < 1:
             raise ValidationError(f"[generators] powers must be a positive count, got {max_power}")
@@ -498,6 +499,14 @@ _PARSER.add_argument(
 _PARSER.add_argument("--out", help="write the rendering to a file instead of stdout")
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out whose directory is missing or not writable, before
+    any work is done."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ValidationError(f"--out {path}: directory {parent} is missing or not writable")
+
+
 def _exit_code_for(report: Report) -> int:
     verdict = report.results.get("headline", {}).get("verdict")
     if verdict == VERDICT_NOT_CONVERGED:
@@ -508,6 +517,8 @@ def _exit_code_for(report: Report) -> int:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         cfg = load_config(args.config) if args.config else None
         if cfg is None and args.command != "gk-check":
             raise ValidationError(f"{args.command} requires --config")
@@ -517,8 +528,11 @@ def main(argv=None) -> int:
         report.timing_seconds = time.perf_counter() - start
         text = render(report, args.fmt)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write --out {args.out}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return _exit_code_for(report)

@@ -3,12 +3,12 @@
 The schema is deliberately small (see README for the full reference):
 
     [class]     kind = integer|real ; entries = 1 0
-    [map]       family = rigid|affine|arnold|sinshear|skew + family params,
+    [map]       family = a name in _FAMILIES + that family's keys,
                 optional shift = <int | p/q | real>
     [map.NAME]  additional maps (second operand, generating sets)
     [point]     x = 0.0 0.25 ; fiber = 0
     [measure]   kind = lebesgue|dirac-orbit|empirical (+ point/period/samples)
-    [isotopy]   kind = straight|shear|skew + params
+    [isotopy]   kind = an isotopy kind in _FAMILIES + its family's keys
     [affine.NAME] matrix / translation / shift with exact rational entries
     [generators] maps = NAME... ; affine = NAME... ; target = NAME ; powers = N
     [seminorm]  mode = auto|estimate|certified
@@ -17,8 +17,9 @@ The schema is deliberately small (see README for the full reference):
     [options]   seed / tolerance / max-iterations / grid (CLI flags win)
     [sweep]     command = ... ; parameter = map.omega ; values = linspace:0:1:101
 
-Unknown sections and unknown keys are rejected outright rather than ignored:
-a typo that silently falls back to a default is worse than an error.
+Unknown sections, unknown keys and empty values are rejected outright rather
+than ignored: a typo that silently falls back to a default is worse than an
+error.
 """
 
 from __future__ import annotations
@@ -34,41 +35,17 @@ import numpy as np
 from .distortion import ExactAffineAutomorphism
 from .dynamics import BundleAutomorphism, InvariantMeasure
 from .errors import ValidationError
-from .families import TrigPolynomial, make_family
+from .families import (
+    TrigPolynomial,
+    arnold_circle,
+    rigid_rotation,
+    sinusoidal_shear,
+    skew_translation,
+    torus_affine,
+)
 from .isotopy import Isotopy, shear_isotopy, skew_isotopy, straight_isotopy
 from .seifert import RelationConvention, SeifertData, parse_pairs
 from .torus import BundlePoint, CohomologyClass, Coefficients, LiftedMap
-
-_SECTION_KEYS = {
-    "class": {"kind", "entries"},
-    "map": {"family", "vector", "matrix", "omega", "k", "epsilon", "coeffs", "shift"},
-    "point": {"x", "fiber"},
-    "measure": {"kind", "point", "period", "samples", "weights"},
-    "isotopy": {"kind", "vector", "epsilon", "omega", "coeffs"},
-    "affine": {"matrix", "translation", "shift"},
-    "generators": {"maps", "affine", "target", "powers"},
-    "seminorm": {"mode"},
-    "seifert": {"genus", "pairs", "convention"},
-    "check": {"count", "dimensions"},
-    "options": {"seed", "tolerance", "max-iterations", "grid"},
-    "sweep": {
-        "command",
-        "parameter",
-        "values",
-        "parameter2",
-        "values2",
-        "parameter3",
-        "values3",
-    },
-}
-
-_FAMILY_KEYS = {
-    "rigid": {"vector"},
-    "affine": {"matrix", "vector"},
-    "arnold": {"omega", "k"},
-    "sinshear": {"epsilon"},
-    "skew": {"omega", "coeffs"},
-}
 
 SWEEP_ROW_CAP = 100_000
 
@@ -114,8 +91,8 @@ class RunConfig:
 
 
 def _read(read, source: str, where: str) -> RunConfig:
-    """Parse with `read(parser)`, validate every section and key once, and
-    keep the content as plain dicts."""
+    """Parse with `read(parser)`, validate every section, key and nonempty
+    value once, and keep the content as plain dicts."""
     # '#' only: ';' separates matrix rows and sample points inside values
     parser = configparser.ConfigParser(
         interpolation=None,
@@ -138,12 +115,14 @@ def _read(read, source: str, where: str) -> RunConfig:
                 f"section [{section}] cannot be qualified; only map.* and affine.*"
             )
         allowed = _SECTION_KEYS[base]
-        for key in parser[section]:
+        for key, value in parser[section].items():
             if key not in allowed:
                 raise ValidationError(
                     f"unknown key {key!r} in [{section}] "
                     f"(allowed: {', '.join(sorted(allowed))})"
                 )
+            if not value.strip():
+                raise ValidationError(f"empty value for {key!r} in [{section}]")
     return RunConfig({s: dict(parser[s]) for s in parser.sections()}, source)
 
 
@@ -224,6 +203,71 @@ def _matrix_rows(text: str, what: str, parse) -> list:
     return parsed
 
 
+def _int_matrix(text: str, what: str) -> list:
+    return _matrix_rows(text, what, parse_int)
+
+
+def _trig_polynomial(text: str, what: str) -> TrigPolynomial:
+    """`constant cos_1 sin_1 cos_2 sin_2 ...` as a TrigPolynomial."""
+    c = _float_list(text, what)
+    if not c:
+        raise ValidationError(f"{what} coeffs must be nonempty (constant first)")
+    return TrigPolynomial(c[0], tuple(c[1::2]), tuple(c[2::2]))
+
+
+# -- the schema --------------------------------------------------------------
+
+# Every map family once: its keys with their parsers, in constructor-argument
+# order, its constructor, and the [isotopy] kind that runs through the
+# family at time t, with that isotopy's constructor (same arguments).
+_FAMILIES = {
+    "rigid": ((("vector", _float_list),), rigid_rotation, "straight", straight_isotopy),
+    "affine": ((("matrix", _int_matrix), ("vector", _float_list)), torus_affine, None, None),
+    "arnold": ((("omega", parse_float), ("k", parse_float)), arnold_circle, None, None),
+    "sinshear": ((("epsilon", parse_float),), sinusoidal_shear, "shear", shear_isotopy),
+    "skew": (
+        (("omega", parse_float), ("coeffs", _trig_polynomial)),
+        skew_translation,
+        "skew",
+        skew_isotopy,
+    ),
+}
+_ISOTOPY_KINDS = {kind: (keys, make) for keys, _, kind, make in _FAMILIES.values() if kind}
+
+_SECTION_KEYS = {
+    "class": {"kind", "entries"},
+    "map": {"family", "shift"} | {k for keys, *_ in _FAMILIES.values() for k, _ in keys},
+    "point": {"x", "fiber"},
+    "measure": {"kind", "point", "period", "samples", "weights"},
+    "isotopy": {"kind"} | {k for keys, _ in _ISOTOPY_KINDS.values() for k, _ in keys},
+    "affine": {"matrix", "translation", "shift"},
+    "generators": {"maps", "affine", "target", "powers"},
+    "seminorm": {"mode"},
+    "seifert": {"genus", "pairs", "convention"},
+    "check": {"count", "dimensions"},
+    "options": {"seed", "tolerance", "max-iterations", "grid"},
+    "sweep": {
+        "command",
+        "parameter",
+        "values",
+        "parameter2",
+        "values2",
+        "parameter3",
+        "values3",
+    },
+}
+
+
+def _build_row(cfg: RunConfig, section: str, keys, make, own: set, owner: str):
+    """`make(*values)` with every key of a table row parsed in order, after
+    refusing the keys of the section that are neither the row's nor `own`."""
+    stray = set(cfg.sections[section]) - own - {key for key, _ in keys}
+    if stray:
+        raise ValidationError(f"[{section}] keys {sorted(stray)} do not belong to {owner}")
+    where = f"[{section}]"
+    return make(*(parse(cfg.require(section, key), where) for key, parse in keys))
+
+
 # -- object builders ---------------------------------------------------------
 
 
@@ -245,45 +289,18 @@ def build_lifted_map(cfg: RunConfig, section: str) -> LiftedMap:
     if not cfg.has(section):
         raise ValidationError(f"config needs a [{section}] section")
     family = cfg.require(section, "family").lower()
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ValidationError(
-            f"[{section}] family must be one of {', '.join(sorted(_FAMILY_KEYS))}"
+            f"[{section}] family must be one of {', '.join(sorted(_FAMILIES))}"
         )
-    present = {k for k in cfg.sections[section] if k not in ("family", "shift")}
-    stray = present - _FAMILY_KEYS[family]
-    if stray:
-        raise ValidationError(
-            f"[{section}] keys {sorted(stray)} do not belong to family {family!r}"
-        )
-    where = f"[{section}]"
-    if family == "rigid":
-        return make_family("rigid", vector=_float_list(cfg.require(section, "vector"), where))
-    if family == "affine":
-        return make_family(
-            "affine",
-            matrix=_matrix_rows(cfg.require(section, "matrix"), where, parse_int),
-            vector=_float_list(cfg.require(section, "vector"), where),
-        )
-    if family == "arnold":
-        return make_family(
-            "arnold",
-            omega=parse_float(cfg.require(section, "omega"), where),
-            k=parse_float(cfg.require(section, "k"), where),
-        )
-    if family == "sinshear":
-        return make_family("sinshear", epsilon=parse_float(cfg.require(section, "epsilon"), where))
-    coeffs = _float_list(cfg.require(section, "coeffs"), where)
-    if not coeffs:
-        raise ValidationError(f"{where} coeffs must be nonempty (constant first)")
-    return make_family(
-        "skew", omega=parse_float(cfg.require(section, "omega"), where), coeffs=coeffs
-    )
+    keys, make, _, _ = _FAMILIES[family]
+    return _build_row(cfg, section, keys, make, {"family", "shift"}, f"family {family!r}")
 
 
 def build_bundle_map(cfg: RunConfig, section: str = "map") -> BundleAutomorphism:
     lift = build_lifted_map(cfg, section)
     shift_text = cfg.get(section, "shift")
-    shift = parse_shift(shift_text, f"[{section}] shift") if shift_text else 0
+    shift = 0 if shift_text is None else parse_shift(shift_text, f"[{section}] shift")
     return BundleAutomorphism(lift, shift)
 
 
@@ -314,7 +331,7 @@ def build_measure(cfg: RunConfig) -> InvariantMeasure:
     if kind == "empirical":
         samples = _matrix_rows(cfg.require("measure", "samples"), "[measure] samples", parse_float)
         weights_text = cfg.get("measure", "weights")
-        weights = _float_list(weights_text, "[measure] weights") if weights_text else None
+        weights = None if weights_text is None else _float_list(weights_text, "[measure] weights")
         return InvariantMeasure.empirical(samples, weights)
     raise ValidationError(
         f"[measure] kind must be lebesgue, dirac-orbit or empirical, got {kind!r}"
@@ -325,16 +342,13 @@ def build_isotopy(cfg: RunConfig) -> Isotopy:
     if not cfg.has("isotopy"):
         raise ValidationError("config needs an [isotopy] section")
     kind = cfg.get("isotopy", "kind", "straight").lower()
-    where = "[isotopy]"
-    if kind == "straight":
-        return straight_isotopy(_float_list(cfg.require("isotopy", "vector"), where))
-    if kind == "shear":
-        return shear_isotopy(parse_float(cfg.require("isotopy", "epsilon"), where))
-    if kind == "skew":
-        coeffs = _float_list(cfg.require("isotopy", "coeffs"), where)
-        poly = TrigPolynomial(coeffs[0], tuple(coeffs[1::2]), tuple(coeffs[2::2]))
-        return skew_isotopy(parse_float(cfg.require("isotopy", "omega"), where), poly)
-    raise ValidationError(f"{where} kind must be straight, shear or skew, got {kind!r}")
+    if kind not in _ISOTOPY_KINDS:
+        *rest, last = _ISOTOPY_KINDS
+        raise ValidationError(
+            f"[isotopy] kind must be {', '.join(rest)} or {last}, got {kind!r}"
+        )
+    keys, make = _ISOTOPY_KINDS[kind]
+    return _build_row(cfg, "isotopy", keys, make, {"kind"}, f"kind {kind!r}")
 
 
 def build_affine(cfg: RunConfig, name: str) -> ExactAffineAutomorphism:
@@ -347,7 +361,7 @@ def build_affine(cfg: RunConfig, name: str) -> ExactAffineAutomorphism:
         _exact_rational(t, where) for t in _tokens(cfg.require(section, "translation"))
     ]
     shift_text = cfg.get(section, "shift")
-    shift = _exact_rational(shift_text, where) if shift_text else Fraction(0)
+    shift = Fraction(0) if shift_text is None else _exact_rational(shift_text, where)
     return ExactAffineAutomorphism(
         tuple(tuple(r) for r in matrix), tuple(translation), shift
     )
@@ -355,7 +369,7 @@ def build_affine(cfg: RunConfig, name: str) -> ExactAffineAutomorphism:
 
 def generator_names(cfg: RunConfig, key: str) -> list:
     text = cfg.get("generators", key)
-    return _tokens(text) if text else []
+    return [] if text is None else _tokens(text)
 
 
 def build_bundle_generators(cfg: RunConfig) -> list:
@@ -380,7 +394,7 @@ def build_seifert(cfg: RunConfig):
     data = SeifertData(genus, pairs)
     conv_text = cfg.get("seifert", "convention")
     convention = None
-    if conv_text:
+    if conv_text is not None:
         try:
             convention = RelationConvention(conv_text.strip().lower())
         except ValueError as exc:

@@ -26,7 +26,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,6 +77,8 @@ VERDICT_NOT_CONVERGED = "not-converged"
 INTEGER_FIBER_TOLERANCE = 1e-9
 DEFAULT_RETURN_TOLERANCE = 1e-10
 DEFAULT_SCAN_HORIZON = 16
+# A measure counts as preserved when its push-forward residual is at most this.
+INVARIANCE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -480,17 +482,35 @@ def _tensor_grid(dimension: int, m: int, offset: float) -> np.ndarray:
     return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
 
-def _lebesgue_mean(integrand_many: Callable[[np.ndarray], np.ndarray], dimension: int, m: int):
-    """Midpoint tensor quadrature at m and m//2 points per axis.
+def _measure_points(
+    mu: InvariantMeasure, dimension: int, quadrature_points: int, base_map: Optional[LiftedMap]
+):
+    """(points, weights) that a mean against mu is read from: the midpoint
+    grid at m = quadrature_points per axis, the orbit walked under
+    `base_map`, or the samples. weights None means equal weights."""
+    support = mu.point if mu.kind == "dirac_orbit" else mu.samples
+    if support is not None and support.shape[-1] != dimension:
+        raise DimensionMismatch(
+            f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
+        )
+    if mu.kind == "lebesgue":
+        return _tensor_grid(dimension, quadrature_points, 0.5), None
+    if mu.kind == "dirac_orbit":
+        if base_map is None:
+            raise ValidationError("orbit measure needs the map that generates the orbit")
+        pts = np.empty((mu.period, dimension))
+        cur = mu.point.copy()
+        for i in range(mu.period):
+            pts[i] = cur
+            cur = reduce_point(base_map(cur))
+        return pts, None
+    if mu.kind == "empirical":
+        return mu.samples, mu.weights
+    raise ValidationError(f"unknown measure kind {mu.kind!r}")
 
-    On the torus the midpoint rule integrates trigonometric polynomials of
-    degree < m exactly, so the Richardson-style difference is a conservative
-    error bound for the smooth integrands that arise here."""
-    coarse_m = max(1, m // 2)
-    fine = float(np.mean(integrand_many(_tensor_grid(dimension, m, 0.5))))
-    coarse = float(np.mean(integrand_many(_tensor_grid(dimension, coarse_m, 0.5))))
-    err = abs(fine - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(fine))
-    return fine, err
+
+def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
+    return float(np.mean(values)) if weights is None else float(np.dot(weights, values))
 
 
 def _measure_mean(
@@ -500,30 +520,20 @@ def _measure_mean(
     quadrature_points: int,
     base_map: Optional[LiftedMap] = None,
 ):
-    """(value, error) of an integrand against mu; orbit measures are walked."""
-    support = mu.point if mu.kind == "dirac_orbit" else mu.samples
-    if support is not None and support.shape[-1] != dimension:
-        raise DimensionMismatch(
-            f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
-        )
+    """(value, error) of an integrand against mu; orbit measures are walked.
+
+    Lebesgue means are midpoint tensor quadrature at m and m//2 points per
+    axis. On the torus the midpoint rule integrates trigonometric polynomials
+    of degree < m exactly, so the Richardson-style difference is a
+    conservative error bound for the smooth integrands that arise here."""
+    pts, weights = _measure_points(mu, dimension, quadrature_points, base_map)
+    vals = integrand_many(pts)
+    value = _average(vals, weights)
     if mu.kind == "lebesgue":
-        return _lebesgue_mean(integrand_many, dimension, quadrature_points)
-    if mu.kind == "dirac_orbit":
-        if base_map is None:
-            raise ValidationError("orbit measure needs the map that generates the orbit")
-        pts = np.empty((mu.period, dimension))
-        cur = mu.point.copy()
-        for i in range(mu.period):
-            pts[i] = cur
-            cur = reduce_point(base_map(cur))
-        vals = integrand_many(pts)
-        return float(np.mean(vals)), 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
-    if mu.kind == "empirical":
-        vals = integrand_many(mu.samples)
-        return float(np.dot(mu.weights, vals)), 8.0 * np.finfo(float).eps * (
-            1.0 + float(np.max(np.abs(vals)))
-        )
-    raise ValidationError(f"unknown measure kind {mu.kind!r}")
+        coarse_m = max(1, quadrature_points // 2)
+        coarse = float(np.mean(integrand_many(_tensor_grid(dimension, coarse_m, 0.5))))
+        return value, abs(value - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(value))
+    return value, 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
 
 
 def _default_test_functions(dimension: int):
@@ -551,23 +561,16 @@ def _default_test_functions(dimension: int):
 def measure_invariance_residual(
     base_map: LiftedMap,
     mu: InvariantMeasure,
-    test_functions: Optional[Sequence[Callable]] = None,
     quadrature_points: int = 128,
 ) -> float:
-    """max_f |int f(g x) dmu - int f dmu| over the probe functions."""
+    """max_f |int f(g x) dmu - int f dmu| over the probe functions, all read
+    from one set of mu's points and one evaluation of g on them."""
     n = base_map.dimension
-    funcs = list(test_functions) if test_functions is not None else _default_test_functions(n)
+    pts, weights = _measure_points(mu, n, quadrature_points, base_map)
+    moved = reduce_point(base_map.evaluate_many(pts))
     worst = 0.0
-    for f in funcs:
-        pushed, _ = _measure_mean(
-            lambda pts, _f=f: _f(reduce_point(base_map.evaluate_many(pts))),
-            mu,
-            n,
-            quadrature_points,
-            base_map=base_map,
-        )
-        plain, _ = _measure_mean(lambda pts, _f=f: _f(pts), mu, n, quadrature_points, base_map=base_map)
-        worst = max(worst, abs(pushed - plain))
+    for f in _default_test_functions(n):
+        worst = max(worst, abs(_average(f(moved), weights) - _average(f(pts), weights)))
     return worst
 
 
@@ -586,14 +589,13 @@ def mean_translation_number(
     mu: InvariantMeasure,
     quadrature_points: int = 128,
     check_invariance: bool = True,
-    invariance_tolerance: float = 1e-6,
 ) -> MeanReport:
     """Integral of rho against mu.
 
     For orbit measures the mean is the exact cycle average; for Lebesgue it
     is midpoint quadrature (exact for the trig-polynomial displacements of
     the built-in families once the grid beats the degree). A push-forward
-    residual above `invariance_tolerance` sets the warning flag."""
+    residual above INVARIANCE_TOLERANCE sets the warning flag."""
     require_preserves_class(a, g.lift)
     _shift_float(a, g)
     value, err = _measure_mean(
@@ -609,7 +611,7 @@ def mean_translation_number(
         residual = measure_invariance_residual(
             g.lift, mu, quadrature_points=min(quadrature_points, 128)
         )
-        warning = residual > invariance_tolerance
+        warning = residual > INVARIANCE_TOLERANCE
     return MeanReport(
         value=value,
         error_bound=err,

@@ -30,7 +30,6 @@ __all__ = [
     "arnold_circle",
     "sinusoidal_shear",
     "skew_translation",
-    "make_family",
     "sample_class_entries",
     "sample_map",
     "sample_fiber_shift",
@@ -262,32 +261,6 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
             -_o, -(_c.shifted(-_o))
         ),
     )
-
-
-_FAMILY_NAMES = ("rigid", "affine", "arnold", "sinshear", "skew")
-
-
-def make_family(name: str, **params) -> LiftedMap:
-    """Config-facing constructor; `name` is one of rigid | affine | arnold |
-    sinshear | skew."""
-    if name == "rigid":
-        return rigid_rotation(params["vector"])
-    if name == "affine":
-        return torus_affine(params["matrix"], params["vector"])
-    if name == "arnold":
-        return arnold_circle(params["omega"], params["k"])
-    if name == "sinshear":
-        return sinusoidal_shear(params["epsilon"])
-    if name == "skew":
-        poly = params.get("poly")
-        if poly is None:
-            coeffs = list(params["coeffs"])
-            const = coeffs[0]
-            cos_c = coeffs[1::2]
-            sin_c = coeffs[2::2]
-            poly = TrigPolynomial(const, tuple(cos_c), tuple(sin_c))
-        return skew_translation(params["omega"], poly)
-    raise ValidationError(f"unknown family {name!r}; expected one of {_FAMILY_NAMES}")
 
 
 # --- seeded samplers used by the residual suites and the test corpus ------

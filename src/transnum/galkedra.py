@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    INVARIANCE_TOLERANCE,
     BundleAutomorphism,
     InvariantMeasure,
     _cover_of,
@@ -200,13 +201,12 @@ def splitting_check(
     word_length: int = 2,
     quadrature_points: int = 64,
     seed: int = 0,
-    invariance_tolerance: float = 1e-6,
 ) -> SplittingReport:
     """Sample pairs of words in the generators and test F(gh) = F(g) + F(h)
     for F the mean translation number against mu.
 
     Every generator's base map must preserve mu (push-forward residual at
-    most invariance_tolerance), otherwise the premise of additivity fails
+    most INVARIANCE_TOLERANCE), otherwise the premise of additivity fails
     and the check refuses to run."""
     if not generators:
         raise ValidationError("need at least one generator")
@@ -215,7 +215,7 @@ def splitting_check(
         for g in generators
     )
     for g, r in zip(generators, inv):
-        if r > invariance_tolerance:
+        if r > INVARIANCE_TOLERANCE:
             raise PreconditionError(
                 f"generator {g.label!r} does not preserve the measure "
                 f"(push-forward residual {r:.3e})"

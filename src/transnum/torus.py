@@ -179,7 +179,7 @@ class LiftedMap:
     """Lift of a torus map: evaluator on cover coordinates plus its matrix.
 
     evaluator must broadcast over leading axes (points stacked as (..., n));
-    scalar-only callables still work through `evaluate_many`, just slower.
+    `evaluate_many` refuses one whose output shape differs from its input's.
     Calling the map casts its input to float; the evaluator itself should
     also accept complex points, because derivatives are taken by the complex
     step Im g(x + i h v) / h (see `galkedra.gal_kedra_quadrature`).
@@ -214,18 +214,15 @@ class LiftedMap:
         return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Apply the lift to an (N, n) stack, tolerating scalar-only evaluators.
-
-        Only the errors a scalar-only evaluator raises on a stack send it
-        point by point; any other error propagates."""
+        """Apply the lift to an (N, n) stack in one evaluator call."""
         pts = np.asarray(points, dtype=float)
-        try:
-            out = np.asarray(self.evaluator(pts), dtype=float)
-            if out.shape == pts.shape:
-                return out
-        except (TypeError, ValueError, IndexError):
-            pass
-        return np.stack([np.asarray(self.evaluator(p), dtype=float) for p in pts])
+        out = np.asarray(self.evaluator(pts), dtype=float)
+        if out.shape != pts.shape:
+            raise ValidationError(
+                f"evaluator of {self.label!r} maps points of shape {pts.shape} to shape "
+                f"{out.shape}; it must broadcast over (N, n) stacks"
+            )
+        return out
 
     def displacement(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

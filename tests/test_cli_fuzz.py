@@ -114,6 +114,9 @@ def fuzz_dir(tmp_path_factory):
 @example(command="rot-local", text="[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.3\n[point]\nx = 0\nfiber = 1/0\n", fmt="table")
 @example(command="rot-mean", text="[class]\nentries = 1 0\n[map]\nfamily = sinshear\nepsilon = 1e308\n", fmt="record")
 @example(command="rot-mean", text="[class]\nentries = 0 1\n[map]\nfamily = skew\nomega = 0.3\ncoeffs = 0.3 1e308 0.1\n", fmt="record")
+@example(command="rot-homovec", text="[class]\nentries = 0 1\n[isotopy]\nkind = skew\nomega = 0.3\ncoeffs = ,\n", fmt="record")
+@example(command="rot-homovec", text="[class]\nentries = 1 0\n[isotopy]\nkind = shear\nepsilon = 0.1\nvector = 0.3 0.4\n",
+         fmt="record")
 def test_front_end_exits_are_0_2_3_or_4(fuzz_dir, command, text, fmt):
     try:
         config_from_text(text)

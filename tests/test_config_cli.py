@@ -389,6 +389,45 @@ def test_bad_config_exits_with_validation_code(tmp_path, capsys):
     assert "vectro" in capsys.readouterr().err
 
 
+EMPTY_CASES = sorted((s, k) for s, keys in tcfg._SECTION_KEYS.items() for k in keys)
+
+
+@pytest.mark.parametrize("section, key", EMPTY_CASES, ids=[f"{s}.{k}" for s, k in EMPTY_CASES])
+def test_an_empty_value_is_refused_not_replaced_by_a_default(section, key):
+    with pytest.raises(ValidationError, match=rf"empty value for '{key}' in \[{section}\]"):
+        cfg_of(f"[{section}]\n{key} =  # nothing\n")
+
+
+def test_an_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "gk-check", lambda cfg, res: ran.append(cfg))
+    assert cli.main(["gk-check", "--out", str(tmp_path / "missing" / "x.txt")]) == 2
+    assert ran == []
+    assert "--out" in capsys.readouterr().err
+
+
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    small = write(tmp_path, "c.ini", "[check]\ncount = 1\ndimensions = 1\n")
+    # the directory exists and is writable, but the path is the directory itself
+    assert cli.main(["gk-check", "--config", small, "--out", str(tmp_path)]) == 2
+    assert "cannot write --out" in capsys.readouterr().err
+
+
+ISOTOPY_VALUES = {"vector": "0.3 0.4", "epsilon": "0.1", "omega": "0.3", "coeffs": "0.3 0.05 0.1"}
+ISOTOPY_KEYS = {"straight": ["vector"], "shear": ["epsilon"], "skew": ["omega", "coeffs"]}
+STRAY_ISOTOPY_CASES = [
+    (kind, key) for kind, own in ISOTOPY_KEYS.items() for key in ISOTOPY_VALUES if key not in own
+]
+
+
+@pytest.mark.parametrize("kind, stray", STRAY_ISOTOPY_CASES, ids=[f"{k} {s}" for k, s in STRAY_ISOTOPY_CASES])
+def test_an_isotopy_kind_refuses_the_keys_of_another_kind(tmp_path, capsys, kind, stray):
+    lines = "".join(f"{k} = {ISOTOPY_VALUES[k]}\n" for k in ISOTOPY_KEYS[kind] + [stray])
+    text = f"[class]\nentries = 0 1\n[isotopy]\nkind = {kind}\n{lines}"
+    assert cli.main(["rot-homovec", "--config", write(tmp_path, "i.ini", text)]) == 2
+    assert f"keys ['{stray}'] do not belong to kind '{kind}'" in capsys.readouterr().err
+
+
 # one case per option read by a command; none may turn 0 into a default
 ZERO_OPTION_CASES = [
     ("rot-local", ROT_TEXT, "--max-iterations"),

@@ -39,6 +39,8 @@ from transnum import (
     theta,
     torus_affine,
 )
+from transnum.dynamics import _default_test_functions, _measure_mean
+from transnum.torus import reduce_point
 
 A1 = CohomologyClass([1])
 A1R = CohomologyClass([1.0], coefficients=Coefficients.REAL)
@@ -416,6 +418,32 @@ def test_genuine_orbit_measure_has_zero_pushforward_residual():
         rigid_rotation([0.25]), InvariantMeasure.dirac_orbit([0.05], 4)
     )
     assert res <= 1e-12
+
+
+BUMPY = LiftedMap(
+    evaluator=lambda x: np.asarray(x) + 0.05 * np.sin(2.0 * np.pi * np.asarray(x)),
+    matrix=[[1, 0], [0, 1]],
+    label="bumpy",
+)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        InvariantMeasure.lebesgue(),
+        InvariantMeasure.dirac_orbit([0.1, 0.35], 3),
+        InvariantMeasure.empirical([[0.1, 0.2], [0.6, 0.7], [0.3, 0.9]], [0.5, 0.25, 0.25]),
+    ],
+    ids=lambda mu: mu.kind,
+)
+def test_invariance_residual_is_the_per_probe_difference_of_measure_means(mu):
+    expected = 0.0
+    for f in _default_test_functions(2):
+        pushed, _ = _measure_mean(lambda p, _f=f: _f(reduce_point(BUMPY.evaluate_many(p))), mu, 2, 64, BUMPY)
+        plain, _ = _measure_mean(f, mu, 2, 64, BUMPY)
+        expected = max(expected, abs(pushed - plain))
+    assert expected > 1e-3
+    assert measure_invariance_residual(BUMPY, mu, quadrature_points=64) == expected
 
 
 def test_squaring_chart_map_visibly_breaks_lebesgue_invariance():

@@ -185,10 +185,12 @@ def test_evaluate_many_agrees_with_scalar_calls():
         assert np.allclose(g(p), q)
 
 
-def test_evaluate_many_retries_scalar_only_evaluators_point_by_point():
-    scalar_only = LiftedMap(evaluator=lambda x: np.array([x.item() + 0.25]), matrix=[[1]])
+def test_evaluate_many_refuses_an_evaluator_that_does_not_broadcast():
+    first_point_only = LiftedMap(evaluator=lambda x: np.atleast_2d(x)[0] + 0.25, matrix=[[1]])
     pts = np.array([[0.1], [0.2], [0.3]])
-    assert np.array_equal(scalar_only.evaluate_many(pts), pts + 0.25)
+    assert np.array_equal(first_point_only(pts[0]), pts[0] + 0.25)
+    with pytest.raises(ValidationError, match="broadcast"):
+        first_point_only.evaluate_many(pts)
 
 
 def test_evaluate_many_propagates_other_errors():
