@@ -34,6 +34,7 @@ from .config import (
     parse_sweep,
 )
 from .distortion import (
+    BFS_RADIUS,
     MODE_CERTIFIED,
     MODE_ESTIMATE,
     seminorm,
@@ -48,6 +49,9 @@ from .dynamics import (
 )
 from .errors import PreconditionError, TransnumError, ValidationError
 from .galkedra import (
+    CHECK_COUNT,
+    CHECK_DIMENSIONS,
+    QUADRATURE_SEGMENTS,
     coboundary_residual_suite,
     cocycle_residual_suite,
     gal_kedra,
@@ -114,10 +118,10 @@ def _resolve(args, cfg: Optional[RunConfig]) -> Resolved:
     return res
 
 
-def _or_default(value, default):
-    """An option's value when it was given (0 included), else the command's
-    default."""
-    return default if value is None else value
+def _given(**options) -> dict:
+    """The options that were given (0 included); the library function's own
+    defaults stand for the rest."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _headline(value, *, error_bound=None, exact=False, verdict="ok") -> dict:
@@ -146,11 +150,7 @@ def _cmd_rot_local(cfg: RunConfig, res: Resolved) -> Report:
     g = build_bundle_map(cfg, "map")
     x = build_point(cfg, a.dimension)
     rep = local_translation_number(
-        a,
-        g,
-        x,
-        tolerance=res.tolerance,
-        max_iterations=_or_default(res.max_iterations, 10**5),
+        a, g, x, **_given(tolerance=res.tolerance, max_iterations=res.max_iterations)
     )
     results = {
         "rot": _convergence_entry(rep),
@@ -168,7 +168,7 @@ def _cmd_rot_mean(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
     mu = build_measure(cfg)
-    rep = mean_translation_number(a, g, mu, quadrature_points=_or_default(res.grid, 128))
+    rep = mean_translation_number(a, g, mu, **_given(quadrature_points=res.grid))
     results = {
         "mean": value_entry(rep.value, error_bound=rep.error_bound),
         "measure": {
@@ -185,15 +185,10 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     iso = build_isotopy(cfg)
     x = build_point(cfg, a.dimension)
-    kwargs = dict(
-        tolerance=_or_default(res.tolerance, 1e-6),
-        max_iterations=_or_default(res.max_iterations, 10**5),
-    )
+    # each limit falls back to its own default tolerance
+    kwargs = _given(tolerance=res.tolerance, max_iterations=res.max_iterations)
     hom = homological_translation(a, iso, x, **kwargs)
-    endpoint = induced_bundle_map(iso)
-    loc = local_translation_number(
-        a, endpoint, x, tolerance=res.tolerance, max_iterations=kwargs["max_iterations"]
-    )
+    loc = local_translation_number(a, induced_bundle_map(iso), x, **kwargs)
     results = {
         "homological": _convergence_entry(hom),
         "endpoint_local": _convergence_entry(loc),
@@ -210,7 +205,7 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
     }
     if cfg.has("measure"):
         mu = build_measure(cfg)
-        mean = mean_homological_translation(a, iso, mu, quadrature_points=_or_default(res.grid, 128))
+        mean = mean_homological_translation(a, iso, mu, **_given(quadrature_points=res.grid))
         results["mean_homological"] = value_entry(mean.value, error_bound=mean.error_bound)
     return make_report("rot-homovec", cfg.echo(), results, res.seed)
 
@@ -220,7 +215,7 @@ def _cmd_gk_eval(cfg: RunConfig, res: Resolved) -> Report:
     g = build_lifted_map(cfg, "map")
     h = build_lifted_map(cfg, "map.h")
     x = build_point(cfg, a.dimension)
-    segments = _or_default(res.grid, 10_000)
+    segments = QUADRATURE_SEGMENTS if res.grid is None else res.grid
     closed = gal_kedra(a, g, h, x)
     quad = gal_kedra_quadrature(a, g, h, x, segments=segments)
     results = {
@@ -234,18 +229,19 @@ def _cmd_gk_eval(cfg: RunConfig, res: Resolved) -> Report:
 
 
 def _check_sizes(cfg: Optional[RunConfig]) -> tuple:
-    """[check] count and dimensions (defaults 100 and 1 2), each at least 1."""
-    count, dims = 100, (1, 2)
+    """[check] count and dimensions (defaults CHECK_COUNT and
+    CHECK_DIMENSIONS), each at least 1."""
+    count, dims = CHECK_COUNT, CHECK_DIMENSIONS
     if cfg is not None:
         count_text = cfg.get("check", "count")
         if count_text is not None:
             count = parse_int(count_text, "[check] count")
         dims_text = cfg.get("check", "dimensions")
         if dims_text is not None:
-            dims = tuple(parse_int(t, "[check] dimensions") for t in dims_text.split())
+            dims = tuple(cfgmod._int_list(dims_text, "[check] dimensions"))
     if count < 1:
         raise ValidationError(f"[check] count must be positive, got {count}")
-    if min(dims) < 1:
+    if not dims or min(dims) < 1:
         raise ValidationError(f"[check] dimensions must be positive, got {' '.join(map(str, dims))}")
     return count, dims
 
@@ -273,12 +269,7 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
     seed = res.seed if res.seed is not None else 0
     pairs, _ = _check_sizes(cfg)
     rep = splitting_check(
-        a,
-        [g for _, g in named],
-        mu,
-        pairs=pairs,
-        seed=seed,
-        quadrature_points=_or_default(res.grid, 64),
+        a, [g for _, g in named], mu, pairs=pairs, seed=seed, **_given(quadrature_points=res.grid)
     )
     results = {
         "additivity_residual": value_entry(rep.additivity_residual, error_bound=0.0),
@@ -297,7 +288,6 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
 def _cmd_seminorm(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
-    m = _or_default(res.grid, 256)
     mode = cfg.get("seminorm", "mode", "auto").lower()
     if mode == "auto":
         has_lip = (
@@ -307,7 +297,7 @@ def _cmd_seminorm(cfg: RunConfig, res: Resolved) -> Report:
         mode = MODE_CERTIFIED if has_lip else MODE_ESTIMATE
     elif mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError("[seminorm] mode must be auto, estimate or certified")
-    rep = seminorm(a, g, grid_resolution=m, mode=mode)
+    rep = seminorm(a, g, mode=mode, **_given(grid_resolution=res.grid))
     entry = value_entry(
         rep.estimate,
         error_bound=rep.cell_term,  # None in estimate mode: no upper bound claimed
@@ -328,17 +318,14 @@ def _cmd_distortion_cert(cfg: RunConfig, res: Resolved) -> Report:
     g = build_bundle_map(cfg, "map")
     named = build_bundle_generators(cfg)
     x = build_point(cfg, a.dimension)
-    rot_kwargs = {"max_iterations": _or_default(res.max_iterations, 10**5)}
-    if res.tolerance is not None:
-        rot_kwargs["tolerance"] = res.tolerance
     cert = undistortion_certificate(
         a,
         g,
         named,
         x,
-        grid_resolution=_or_default(res.grid, 256),
         generating_set_label=" ".join(name for name, _ in named),
-        rot_kwargs=rot_kwargs,
+        rot_kwargs=_given(tolerance=res.tolerance, max_iterations=res.max_iterations),
+        **_given(grid_resolution=res.grid),
     )
     results = {
         "verdict": cert.verdict,
@@ -369,7 +356,7 @@ def _cmd_word_norm(cfg: RunConfig, res: Resolved) -> Report:
     if target_name is None:
         raise ValidationError("[generators] target must name an [affine.NAME] section")
     target = build_affine(cfg, target_name.strip())
-    radius = _or_default(res.max_iterations, 12)
+    radius = BFS_RADIUS if res.max_iterations is None else res.max_iterations
     powers_text = cfg.get("generators", "powers")
     tl = None
     if powers_text is not None:

@@ -53,12 +53,13 @@ from .dynamics import (
 )
 from .errors import (
     CertificateUnavailable,
+    ClassNotPreserved,
     DimensionMismatch,
     SearchBudgetExceeded,
     ValidationError,
 )
 from .families import torus_affine
-from .torus import CohomologyClass, require_preserves_class
+from .torus import CohomologyClass, preserves_class, require_preserves_class
 
 __all__ = [
     "SeminormReport",
@@ -78,6 +79,10 @@ MODE_CERTIFIED = "certified"
 VERDICT_CERTIFIED = "undistorted-certified"
 VERDICT_NONE = "no-certificate"
 
+GRID_RESOLUTION = 256
+BFS_RADIUS = 12
+BFS_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class SeminormReport:
@@ -92,7 +97,7 @@ class SeminormReport:
 def seminorm(
     a: CohomologyClass,
     g: BundleAutomorphism,
-    grid_resolution: int = 256,
+    grid_resolution: int = GRID_RESOLUTION,
     mode: str = MODE_ESTIMATE,
 ) -> SeminormReport:
     """sup_x |rho(x)| by grid scan; certified mode adds the cell bound."""
@@ -155,7 +160,7 @@ def undistortion_certificate(
     generating_set: Sequence,
     x,
     *,
-    grid_resolution: int = 256,
+    grid_resolution: int = GRID_RESOLUTION,
     generating_set_label: str = "user-supplied generating set",
     rot_kwargs: Optional[dict] = None,
 ) -> UndistortionCertificate:
@@ -353,6 +358,13 @@ class ExactAffineAutomorphism:
         return BundleAutomorphism(lift, self.fiber_shift)
 
 
+def _require_fixes_class(a: CohomologyClass, maps) -> None:
+    """Refuse a map whose matrix moves a: it is no automorphism of the bundle."""
+    for s in maps:
+        if not preserves_class(a, s.matrix):
+            raise ClassNotPreserved(f"matrix {s.matrix} moves the class {a.entries}")
+
+
 def _symmetrized(a: CohomologyClass, generators):
     seen = {}
     for s in generators:
@@ -413,13 +425,14 @@ class _Lattice:
 def _bfs(a: CohomologyClass, generators, radius: int, cap: int, target=None):
     """(lattice, integer key -> word norm) over the BFS ball of the
     symmetrized set, stopping early once `target` is reached (a target off
-    the lattice is never reached).
+    the lattice is never reached). Every generator and the target must fix a.
 
     Frontier states stay unreduced, so each is the product of its word's
-    letters even when a matrix does not fix a."""
+    letters."""
     if not generators:
         raise ValidationError("need at least one generator")
     gens = _symmetrized(a, generators)
+    _require_fixes_class(a, generators if target is None else [*generators, target])
     lattice = _Lattice(a, gens)
     letters = [(s.matrix,) + lattice.state(s)[1:] for s in gens]
     n = lattice.dimension
@@ -458,8 +471,8 @@ def _bfs(a: CohomologyClass, generators, radius: int, cap: int, target=None):
 def ball_norms(
     a: CohomologyClass,
     generators: Sequence[ExactAffineAutomorphism],
-    radius: int = 12,
-    cap: int = 200_000,
+    radius: int = BFS_RADIUS,
+    cap: int = BFS_CAP,
 ) -> dict:
     """BFS ball of the symmetrized set: canonical key -> word-norm.
 
@@ -472,8 +485,8 @@ def word_norm_bfs(
     a: CohomologyClass,
     generators: Sequence[ExactAffineAutomorphism],
     target: ExactAffineAutomorphism,
-    radius: int = 12,
-    cap: int = 200_000,
+    radius: int = BFS_RADIUS,
+    cap: int = BFS_CAP,
 ) -> Optional[int]:
     """Length of the shortest word in the symmetrized set equal to target
     (as a bundle automorphism); None when not found within the radius."""
@@ -496,9 +509,10 @@ def translation_length_estimate(
     generators: Sequence[ExactAffineAutomorphism],
     g: ExactAffineAutomorphism,
     max_power: int = 10,
-    radius: int = 12,
-    cap: int = 200_000,
+    radius: int = BFS_RADIUS,
+    cap: int = BFS_CAP,
 ) -> TranslationLengthReport:
+    _require_fixes_class(a, [g])
     lattice, table = _bfs(a, generators, radius, cap)
     rows = []
     best: Optional[float] = None

@@ -75,8 +75,15 @@ VERDICT_EXACT_PERIODIC = "exact-periodic"
 VERDICT_NOT_CONVERGED = "not-converged"
 
 INTEGER_FIBER_TOLERANCE = 1e-9
-DEFAULT_RETURN_TOLERANCE = 1e-10
-DEFAULT_SCAN_HORIZON = 16
+# An orbit has returned once it is this close to its start (torus sup metric).
+RETURN_TOLERANCE = 1e-10
+# The window verdict waits for this many steps, so short exact periods are seen.
+SCAN_HORIZON = 16
+# Window tolerance of the limits whose maps are not affine-exact.
+WINDOW_TOLERANCE = 1e-6
+MAX_ITERATIONS = 10**5
+# Midpoint points per axis of a Lebesgue mean; also the cap of the invariance grid.
+QUADRATURE_POINTS = 128
 # A measure counts as preserved when its push-forward residual is at most this.
 INVARIANCE_TOLERANCE = 1e-6
 
@@ -193,18 +200,15 @@ class _PythonOrbit:
     """Running rho-sum along one base orbit, in constant memory.
 
     Keeps the reduced base point, the running sum, the first step index at
-    which the orbit re-enters the return-tolerance ball around the start,
+    which the orbit re-enters the RETURN_TOLERANCE ball around the start,
     and the running sum at that step: the only partial sum the limit reads.
     A `kernel` (code, params, avec pair, shift) runs the built-in family
     step of `_kernels`; otherwise `step` is any callable giving (next cover
     image, rho value)."""
 
-    def __init__(
-        self, x0: np.ndarray, return_tol: float, step: Optional[Callable] = None, kernel: Optional[tuple] = None
-    ):
+    def __init__(self, x0: np.ndarray, step: Optional[Callable] = None, kernel: Optional[tuple] = None):
         self.x0 = reduce_point(x0)
         self.x = self.x0.copy()
-        self.return_tol = float(return_tol)
         self.s = 0.0
         self.count = 0
         self.first_return = -1
@@ -221,7 +225,7 @@ class _PythonOrbit:
             code, params, avec, shift = self._kernel
             point, self.s, self.first_return, self.s_return = _kernels.orbit_chunk(
                 code, params, avec, shift, _kernels.pair(self.x), _kernels.pair(self.x0),
-                self.count, steps, self.s, self.first_return, self.s_return, self.return_tol,
+                self.count, steps, self.s, self.first_return, self.s_return, RETURN_TOLERANCE,
             )
             self.x = np.array(point[: self.x0.size])
         else:
@@ -229,13 +233,13 @@ class _PythonOrbit:
                 image, value = self._step(self.x)
                 self.s += value
                 self.x = reduce_point(image)
-                if self.first_return < 0 and torus_distance(self.x, self.x0) <= self.return_tol:
+                if self.first_return < 0 and torus_distance(self.x, self.x0) <= RETURN_TOLERANCE:
                     self.first_return = self.count + i + 1
                     self.s_return = self.s
         self.count += steps
 
 
-def _evaluator_orbit(lift: LiftedMap, avec: np.ndarray, c: float, cover: np.ndarray, return_tol) -> _PythonOrbit:
+def _evaluator_orbit(lift: LiftedMap, avec: np.ndarray, c: float, cover: np.ndarray) -> _PythonOrbit:
     """The orbit stepped by the lift's numpy evaluator (the generic step)."""
     evaluator = lift.evaluator
 
@@ -243,10 +247,10 @@ def _evaluator_orbit(lift: LiftedMap, avec: np.ndarray, c: float, cover: np.ndar
         y = np.asarray(evaluator(x))
         return y, float(np.dot(avec, y - x)) + c
 
-    return _PythonOrbit(cover, return_tol, step=step)
+    return _PythonOrbit(cover, step=step)
 
 
-def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0, return_tol) -> _PythonOrbit:
+def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0) -> _PythonOrbit:
     require_preserves_class(a, g.lift)
     c = _shift_float(a, g)
     cover = _cover_of(x0, a.dimension)
@@ -254,8 +258,8 @@ def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0, return_tol) -> _P
     # higher dimension have constant displacement and stop within 32 steps
     if g.lift.kernel_spec is not None and a.dimension <= 2:
         code, params = g.lift.kernel_spec
-        return _PythonOrbit(cover, return_tol, kernel=(code, params, _kernels.pair(a.vector), c))
-    return _evaluator_orbit(g.lift, a.vector, c, cover, return_tol)
+        return _PythonOrbit(cover, kernel=(code, params, _kernels.pair(a.vector), c))
+    return _evaluator_orbit(g.lift, a.vector, c, cover)
 
 
 @dataclass(frozen=True)
@@ -284,12 +288,15 @@ class ConvergenceReport:
         return self.verdict in (VERDICT_CONVERGED, VERDICT_EXACT_PERIODIC)
 
 
+def _integer_cycle(s_q: float) -> Optional[int]:
+    """The integer p that a cycle's fiber displacement s_q stands for, when
+    s_q is within INTEGER_FIBER_TOLERANCE of it; else None."""
+    nearest = round(s_q)
+    return int(nearest) if abs(s_q - nearest) <= INTEGER_FIBER_TOLERANCE else None
+
+
 def _translation_limit(
-    orbit: _PythonOrbit,
-    tolerance: float,
-    max_iterations: int,
-    scan_horizon: int,
-    integer_eligible: bool,
+    orbit: _PythonOrbit, tolerance: float, max_iterations: int, integer_eligible: bool
 ) -> ConvergenceReport:
     """Window-doubling limit with exact-return preemption.
 
@@ -297,12 +304,12 @@ def _translation_limit(
     checkpoint a detected first return q is inspected once: if the fiber
     displacement over the q-cycle is within INTEGER_FIBER_TOLERANCE of an
     integer p (and the fiber group is Z), the limit is exactly p/q. The
-    doubling verdict is withheld until min(scan_horizon, max_iterations)
+    doubling verdict is withheld until min(SCAN_HORIZON, max_iterations)
     steps have been scanned so short exact periods are not shadowed by an
     early stable window."""
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
-    horizon = min(scan_horizon, max_iterations)
+    horizon = min(SCAN_HORIZON, max_iterations)
     est_prev: Optional[float] = None
     periodic_seen: Optional[tuple] = None
     n = 1
@@ -311,19 +318,18 @@ def _translation_limit(
         if orbit.first_return > 0 and periodic_seen is None:
             q = orbit.first_return
             s_q = orbit.s_return
-            if integer_eligible:
-                nearest = round(s_q)
-                if abs(s_q - nearest) <= INTEGER_FIBER_TOLERANCE:
-                    frac = Fraction(int(nearest), q)
-                    return ConvergenceReport(
-                        value=float(frac),
-                        error_bound=0.0,
-                        iterations=q,
-                        verdict=VERDICT_EXACT_PERIODIC,
-                        rational=frac,
-                        window=(float(frac), float(frac)),
-                        periodic_base=(q, s_q),
-                    )
+            p = _integer_cycle(s_q) if integer_eligible else None
+            if p is not None:
+                frac = Fraction(p, q)
+                return ConvergenceReport(
+                    value=float(frac),
+                    error_bound=0.0,
+                    iterations=q,
+                    verdict=VERDICT_EXACT_PERIODIC,
+                    rational=frac,
+                    window=(float(frac), float(frac)),
+                    periodic_base=(q, s_q),
+                )
             periodic_seen = (q, s_q)
         est = orbit.s / n
         diff = abs(est - est_prev) if est_prev is not None else math.inf
@@ -353,7 +359,7 @@ def _default_tolerance(g: BundleAutomorphism) -> float:
     spec = g.lift.kernel_spec
     if spec is not None and spec[0] in (_kernels.RIGID, _kernels.AFFINE):
         return 1e-9
-    return 1e-6
+    return WINDOW_TOLERANCE
 
 
 def local_translation_number(
@@ -362,26 +368,19 @@ def local_translation_number(
     x,
     *,
     tolerance: Optional[float] = None,
-    max_iterations: int = 10**5,
-    return_tolerance: float = DEFAULT_RETURN_TOLERANCE,
-    scan_horizon: int = DEFAULT_SCAN_HORIZON,
+    max_iterations: int = MAX_ITERATIONS,
     diagnostics: bool = False,
 ) -> ConvergenceReport:
     """Limit of rho_x(g^n)/n at the point x.
 
-    Defaults: tolerance 1e-9 for the affine-exact families, 1e-6 otherwise;
-    orbit returns detected within 1e-10 in the torus sup metric. The window
+    Defaults: tolerance 1e-9 for the affine-exact families, WINDOW_TOLERANCE
+    otherwise; orbit returns detected within RETURN_TOLERANCE. The window
     check is a heuristic stopping rule, not a certificate; exact-periodic
     verdicts are the only exact ones."""
     if tolerance is None:
         tolerance = _default_tolerance(g)
-    orbit = _make_orbit(a, g, x, return_tolerance)
     report = _translation_limit(
-        orbit,
-        tolerance,
-        max_iterations,
-        scan_horizon,
-        integer_eligible=a.is_integral(),
+        _make_orbit(a, g, x), tolerance, max_iterations, integer_eligible=a.is_integral()
     )
     if diagnostics:
         fiber = x.fiber if isinstance(x, BundlePoint) else 0
@@ -395,35 +394,34 @@ def rho_power_average(a: CohomologyClass, g: BundleAutomorphism, x, n: int) -> f
     """rho_x(g^n)/n without any stopping rule: the raw Birkhoff estimate."""
     if n < 1:
         raise ValidationError("need n >= 1")
-    orbit = _make_orbit(a, g, x, DEFAULT_RETURN_TOLERANCE)
+    orbit = _make_orbit(a, g, x)
     orbit.run_to(n)
     return orbit.s / n
 
 
-def periodic_rot(a: CohomologyClass, g: BundleAutomorphism, x, period: int, *, return_tolerance: float = DEFAULT_RETURN_TOLERANCE) -> Fraction:
+def periodic_rot(a: CohomologyClass, g: BundleAutomorphism, x, period: int) -> Fraction:
     """Exact rational translation number at a q-periodic base point.
 
     Requires the integer fiber group: the q-step displacement must land
-    within 1e-9 of an integer, and the base orbit must close up within the
-    return tolerance."""
+    within INTEGER_FIBER_TOLERANCE of an integer, and the base orbit must
+    close up within RETURN_TOLERANCE."""
     if not a.is_integral():
         raise ValidationError("periodic_rot is defined for integer-fiber bundles")
     if period < 1:
         raise ValidationError("period must be >= 1")
-    orbit = _make_orbit(a, g, x, return_tolerance)
+    orbit = _make_orbit(a, g, x)
     orbit.run_to(period)
     dist = torus_distance(orbit.x, orbit.x0)
-    if dist > return_tolerance:
+    if dist > RETURN_TOLERANCE:
         raise NotPeriodicError(
             f"point is not {period}-periodic: distance {dist:.3e} after {period} steps"
         )
-    s_q = orbit.s
-    nearest = round(s_q)
-    if abs(s_q - nearest) > INTEGER_FIBER_TOLERANCE:
+    p = _integer_cycle(orbit.s)
+    if p is None:
         raise NonIntegerFiberError(
-            f"fiber displacement {s_q!r} over the cycle is not an integer"
+            f"fiber displacement {orbit.s!r} over the cycle is not an integer"
         )
-    return Fraction(int(nearest), period)
+    return Fraction(p, period)
 
 
 # --------------------------------------------------------------------------
@@ -561,7 +559,7 @@ def _default_test_functions(dimension: int):
 def measure_invariance_residual(
     base_map: LiftedMap,
     mu: InvariantMeasure,
-    quadrature_points: int = 128,
+    quadrature_points: int = QUADRATURE_POINTS,
 ) -> float:
     """max_f |int f(g x) dmu - int f dmu| over the probe functions, all read
     from one set of mu's points and one evaluation of g on them."""
@@ -587,7 +585,7 @@ def mean_translation_number(
     a: CohomologyClass,
     g: BundleAutomorphism,
     mu: InvariantMeasure,
-    quadrature_points: int = 128,
+    quadrature_points: int = QUADRATURE_POINTS,
     check_invariance: bool = True,
 ) -> MeanReport:
     """Integral of rho against mu.
@@ -609,7 +607,7 @@ def mean_translation_number(
     warning = False
     if check_invariance:
         residual = measure_invariance_residual(
-            g.lift, mu, quadrature_points=min(quadrature_points, 128)
+            g.lift, mu, quadrature_points=min(quadrature_points, QUADRATURE_POINTS)
         )
         warning = residual > INVARIANCE_TOLERANCE
     return MeanReport(

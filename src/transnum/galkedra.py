@@ -55,6 +55,12 @@ __all__ = [
     "cocycle_residual_suite",
 ]
 
+# Draws of a seeded check (suite draws, splitting pairs) and the suites' tori.
+CHECK_COUNT = 100
+CHECK_DIMENSIONS = (1, 2)
+QUADRATURE_SEGMENTS = 10_000
+WORD_LENGTH = 2
+
 
 def gal_kedra(a: CohomologyClass, g: LiftedMap, h: LiftedMap, x) -> float:
     """Closed-form G_x(g, h); lift-independent because both matrices fix a."""
@@ -96,7 +102,7 @@ def gal_kedra_quadrature(
     g: LiftedMap,
     h: LiftedMap,
     x,
-    segments: int = 10_000,
+    segments: int = QUADRATURE_SEGMENTS,
 ) -> float:
     """Midpoint line integral of g*alpha - alpha from x~ to h(x~).
 
@@ -141,9 +147,9 @@ def cocycle_residual(a: CohomologyClass, g: LiftedMap, h: LiftedMap, k: LiftedMa
     )
 
 
-def _random_word(rng, elements: Sequence[BundleAutomorphism], word_length: int) -> BundleAutomorphism:
-    """A product of 1..word_length elements drawn uniformly from the set."""
-    length = int(rng.integers(1, word_length + 1))
+def _random_word(rng, elements: Sequence[BundleAutomorphism]) -> BundleAutomorphism:
+    """A product of 1..WORD_LENGTH elements drawn uniformly from the set."""
+    length = int(rng.integers(1, WORD_LENGTH + 1))
     out = elements[int(rng.integers(len(elements)))]
     for _ in range(length - 1):
         out = out.compose(elements[int(rng.integers(len(elements)))])
@@ -154,20 +160,19 @@ def quasimorphism_defect(
     a: CohomologyClass,
     elements: Sequence[BundleAutomorphism],
     x,
-    word_length: int = 2,
     samples: int = 64,
     seed: int = 0,
 ) -> float:
     """max |rho_x(g) + rho_x(h) - rho_x(gh)| over sampled words in the set.
 
     The defect of rho_x as a quasimorphism on the group the elements
-    generate, probed on random words up to the given length."""
+    generate, probed on random words of up to WORD_LENGTH letters."""
     if not elements:
         raise ValidationError("need at least one element")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        gw, hw = _random_word(rng, elements, word_length), _random_word(rng, elements, word_length)
+        gw, hw = _random_word(rng, elements), _random_word(rng, elements)
         defect = abs(rho(a, gw, x) + rho(a, hw, x) - rho(a, gw.compose(hw), x))
         worst = max(worst, defect)
     return worst
@@ -197,8 +202,7 @@ def splitting_check(
     generators: Sequence[BundleAutomorphism],
     mu: InvariantMeasure,
     *,
-    pairs: int = 100,
-    word_length: int = 2,
+    pairs: int = CHECK_COUNT,
     quadrature_points: int = 64,
     seed: int = 0,
 ) -> SplittingReport:
@@ -230,7 +234,7 @@ def splitting_check(
     worst_add = 0.0
     worst_mean_cocycle = 0.0
     for _ in range(pairs):
-        gw, hw = _random_word(rng, generators, word_length), _random_word(rng, generators, word_length)
+        gw, hw = _random_word(rng, generators), _random_word(rng, generators)
         fg, fh = mean_of(gw), mean_of(hw)
         fgh = mean_of(gw.compose(hw))
         worst_add = max(worst_add, abs(fgh - fg - fh))
@@ -262,7 +266,7 @@ class ResidualSuite:
     dimensions: tuple
 
 
-def coboundary_residual_suite(seed: int, count: int, dimensions=(1, 2)) -> ResidualSuite:
+def coboundary_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -> ResidualSuite:
     """Random classes, maps, shifts, points; worst coboundary residual."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -277,7 +281,7 @@ def coboundary_residual_suite(seed: int, count: int, dimensions=(1, 2)) -> Resid
     return ResidualSuite(max_residual=worst, count=count, dimensions=tuple(dimensions))
 
 
-def cocycle_residual_suite(seed: int, count: int, dimensions=(1, 2)) -> ResidualSuite:
+def cocycle_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -> ResidualSuite:
     """Random triples of base lifts; worst cocycle residual."""
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -26,10 +26,11 @@ import numpy as np
 from .dynamics import (
     BundleAutomorphism,
     ConvergenceReport,
-    DEFAULT_RETURN_TOLERANCE,
-    DEFAULT_SCAN_HORIZON,
     InvariantMeasure,
+    MAX_ITERATIONS,
     MeanReport,
+    QUADRATURE_POINTS,
+    WINDOW_TOLERANCE,
     _cover_of,
     _evaluator_orbit,
     _measure_mean,
@@ -120,10 +121,8 @@ def homological_translation(
     iso: Isotopy,
     x,
     *,
-    tolerance: float = 1e-6,
-    max_iterations: int = 10**5,
-    return_tolerance: float = DEFAULT_RETURN_TOLERANCE,
-    scan_horizon: int = DEFAULT_SCAN_HORIZON,
+    tolerance: float = WINDOW_TOLERANCE,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> ConvergenceReport:
     """Average winding (1/n) sum delta_phi(arc at g^i x) as n grows.
 
@@ -133,21 +132,15 @@ def homological_translation(
     the two is a check of one engine against the other."""
     require_preserves_class(a, iso.terminal)
     x = _cover_of(x, a.dimension)
-    orbit = _evaluator_orbit(iso.terminal, a.vector, 0.0, x, return_tolerance)
-    return _translation_limit(
-        orbit,
-        tolerance,
-        max_iterations,
-        scan_horizon,
-        integer_eligible=a.is_integral(),
-    )
+    orbit = _evaluator_orbit(iso.terminal, a.vector, 0.0, x)
+    return _translation_limit(orbit, tolerance, max_iterations, integer_eligible=a.is_integral())
 
 
 def mean_homological_translation(
     a: CohomologyClass,
     iso: Isotopy,
     mu: InvariantMeasure,
-    quadrature_points: int = 128,
+    quadrature_points: int = QUADRATURE_POINTS,
 ) -> MeanReport:
     """Integral of the single-arc winding x -> delta_phi(arc at x) over mu."""
     require_preserves_class(a, iso.terminal)

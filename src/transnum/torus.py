@@ -224,10 +224,6 @@ class LiftedMap:
             )
         return out
 
-    def displacement(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self(x) - x
-
     def compose(self, other: "LiftedMap") -> "LiftedMap":
         """self after other; matrices multiply, Lipschitz data propagates."""
         if self.dimension != other.dimension:

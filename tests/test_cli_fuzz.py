@@ -52,7 +52,7 @@ VALID = {
     ("seifert", "pairs"): ["(2,1) (2,-1)", "(3,1)", "(2,1) (3,-1)"],
     ("seifert", "convention"): ["h-positive", "h-negative"],
     ("check", "count"): ["1", "8"],
-    ("check", "dimensions"): ["1", "2", "1 2"],
+    ("check", "dimensions"): ["1", "2", "1 2", "1,2"],
     ("options", "seed"): ["0", "7"],
     ("options", "tolerance"): ["1e-6", "1e-3"],
     # a word-norm BFS of radius 4096 can take seconds; 256 keeps it near 0.2 s

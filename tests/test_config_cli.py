@@ -1,5 +1,6 @@
 """Config parsing, builders, and the command-line surface end to end."""
 
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -13,7 +14,16 @@ from transnum import (
     ValidationError,
     cli,
     config as tcfg,
+    gal_kedra_quadrature,
+    homological_translation,
+    local_translation_number,
+    mean_homological_translation,
+    mean_translation_number,
     reports,
+    seminorm,
+    splitting_check,
+    undistortion_certificate,
+    word_norm_bfs,
 )
 
 GOLDEN = repr((math.sqrt(5.0) - 1.0) / 2.0)
@@ -455,6 +465,34 @@ def test_zero_options_are_rejected_not_replaced(tmp_path, capsys, command, text,
     assert cli.main([command, "--config", write(tmp_path, "o.ini", text + f"\n[options]\n{key} = 0\n")]) == 2
 
 
+# The library parameter each flag feeds. --tolerance is left out: rot-local's
+# default depends on the map family, so no single value stands in for it.
+LIBRARY_PARAMETERS = {
+    ("rot-local", "--max-iterations"): (local_translation_number, "max_iterations"),
+    ("rot-mean", "--grid"): (mean_translation_number, "quadrature_points"),
+    ("rot-homovec", "--max-iterations"): (homological_translation, "max_iterations"),
+    ("rot-homovec", "--grid"): (mean_homological_translation, "quadrature_points"),
+    ("gk-eval", "--grid"): (gal_kedra_quadrature, "segments"),
+    ("split-check", "--grid"): (splitting_check, "quadrature_points"),
+    ("seminorm", "--grid"): (seminorm, "grid_resolution"),
+    ("distortion-cert", "--max-iterations"): (local_translation_number, "max_iterations"),
+    ("distortion-cert", "--grid"): (undistortion_certificate, "grid_resolution"),
+    ("word-norm", "--max-iterations"): (word_norm_bfs, "radius"),
+}
+DEFAULT_CASES = [case for case in ZERO_OPTION_CASES if case[2] != "--tolerance"]
+
+
+@pytest.mark.parametrize("command, text, flag", DEFAULT_CASES, ids=[f"{c} {f}" for c, _, f in DEFAULT_CASES])
+def test_an_absent_option_is_the_library_default(tmp_path, command, text, flag):
+    # the command line adds no defaults of its own
+    fn, name = LIBRARY_PARAMETERS[command, flag]
+    default = inspect.signature(fn).parameters[name].default
+    path = write(tmp_path, "d.ini", text)
+    assert run_record(tmp_path, [command, "--config", path]) == run_record(
+        tmp_path, [command, "--config", path, flag, str(default)]
+    )
+
+
 @pytest.mark.parametrize("flag, value", [("--grid", "-3"), ("--max-iterations", "-1"), ("--tolerance", "-1e-9"), ("--tolerance", "nan"), ("--tolerance", "inf")])
 def test_nonpositive_and_nonfinite_options_exit_2(tmp_path, flag, value):
     assert cli.main(["rot-local", "--config", write(tmp_path, "r.ini", ROT_TEXT), f"{flag}={value}"]) == 2
@@ -614,6 +652,15 @@ def test_word_norm_powers_below_one_exit_2(tmp_path, capsys, powers):
     text = WORD_TEXT.replace("powers = 3", f"powers = {powers}")
     assert cli.main(["word-norm", "--config", write(tmp_path, "p.ini", text)]) == 2
     assert "powers must be a positive count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["t", "w"])
+def test_word_norm_refuses_a_matrix_that_moves_the_class_with_exit_4(tmp_path, capsys, name):
+    # [[1, 1], [0, 1]] sends the class (1, 0) to (1, 1): no bundle automorphism
+    text = WORD_TEXT.replace(f"[affine.{name}]\nmatrix = 1 0 ; 0 1", f"[affine.{name}]\nmatrix = 1 1 ; 0 1")
+    assert text != WORD_TEXT
+    assert cli.main(["word-norm", "--config", write(tmp_path, "m.ini", text)]) == 4
+    assert "moves the class" in capsys.readouterr().err
 
 
 def test_word_norm_without_powers_reports_the_norm_alone(tmp_path):
@@ -810,6 +857,15 @@ def test_check_sizes_below_one_exit_2(tmp_path, capsys, command, text, key):
     # a check over no samples would report a vacuous max residual of 0
     assert cli.main([command, "--config", write(tmp_path, "c.ini", text)]) == 2
     assert f"[check] {key} must be positive" in capsys.readouterr().err
+
+
+def test_check_dimensions_split_on_commas_like_every_list(tmp_path):
+    def results(dims):
+        path = write(tmp_path, "c.ini", f"[check]\ncount = 4\ndimensions = {dims}\n")
+        return run_record(tmp_path, ["gk-check", "--config", path])["results"]
+
+    assert results("1,2") == results("1 2")
+    assert results("1,2")["dimensions"] == [1, 2]
 
 
 ZERO_DENOMINATOR_CASES = {

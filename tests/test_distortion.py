@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from transnum import (
     BundleAutomorphism,
     CertificateUnavailable,
+    ClassNotPreserved,
     CohomologyClass,
     ExactAffineAutomorphism,
     LiftedMap,
@@ -250,6 +251,27 @@ def test_word_norm_matches_brute_force_enumeration():
         assert word_norm_bfs(A1, GENS, target, radius=4) == expected
 
 
+# [[1, 1], [0, 1]] sends the class (1, 0) to (1, 1)
+MOVES_A10 = ExactAffineAutomorphism(((1, 1), (0, 1)), (0, 0))
+TURN_2D = ExactAffineAutomorphism(((1, 0), (0, 1)), (Fraction(1, 3), 0))
+
+
+@pytest.mark.parametrize(
+    "search, generators, target",
+    [
+        (ball_norms, [TURN_2D, MOVES_A10], None),
+        (word_norm_bfs, [MOVES_A10], TURN_2D),
+        (word_norm_bfs, [TURN_2D], MOVES_A10),
+        (translation_length_estimate, [MOVES_A10], TURN_2D),
+        (translation_length_estimate, [TURN_2D], MOVES_A10),
+    ],
+)
+def test_searches_refuse_a_matrix_that_moves_the_class(search, generators, target):
+    args = (A10, generators) if target is None else (A10, generators, target)
+    with pytest.raises(ClassNotPreserved):
+        search(*args)
+
+
 def test_search_budget_is_enforced():
     with pytest.raises(SearchBudgetExceeded):
         ball_norms(A1, GENS, radius=12, cap=3)
@@ -356,7 +378,8 @@ def _fixes(a, m):
 @st.composite
 def word_problems(draw):
     """An integer class, a generating set with p/q data (sometimes with
-    matrices that do not fix the class), a radius and a cap."""
+    matrices that do not fix the class, which every search refuses), a
+    radius and a cap."""
     dim = draw(st.integers(1, 3))
     entries = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
     a = CohomologyClass(entries)
@@ -387,6 +410,10 @@ def _words(gens, length):
 @given(problem=word_problems(), data=st.data())
 def test_integer_bfs_matches_the_fraction_bfs(problem, data):
     a, gens, radius, cap = problem
+    if not all(_fixes(a, s.matrix) for s in gens):
+        with pytest.raises(ClassNotPreserved):
+            ball_norms(a, gens, radius, cap)
+        return
     want, want_err = _reference(_reference_bfs, a, gens, radius, cap)
     got, got_err = _reference(ball_norms, a, gens, radius, cap)
     assert got_err == want_err  # the budget trips at the same cap and radius
@@ -434,6 +461,11 @@ def test_a_target_off_the_lattice_is_never_found(problem, shift_off):
     else:
         moved = (base.translation[0] + Fraction(1, 2 * dt),) + base.translation[1:]
         target = ExactAffineAutomorphism(base.matrix, moved, base.fiber_shift)
+    if not all(_fixes(a, s.matrix) for s in gens):
+        for search in (word_norm_bfs, translation_length_estimate):
+            with pytest.raises(ClassNotPreserved):
+                search(a, gens, target, radius=radius, cap=10**6)
+        return
     assert word_norm_bfs(a, gens, target, radius, cap=10**6) is None
     rep = translation_length_estimate(a, gens, target, max_power=1, radius=radius, cap=10**6)
     assert rep.norms == ((1, None),)
