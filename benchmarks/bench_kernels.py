@@ -18,9 +18,15 @@ This script times
   - the word-norm BFS of `translation_length_estimate` (one ball, then the
     powers looked up in it) on rational affine generating sets in dimensions
     1, 2 and 3, in microseconds per ball element;
+  - the generic orbit step (composed maps and the isotopy route of
+    `rot-homovec`) on the skew isotopy's time-1 map, in microseconds per
+    orbit step: one orbit on an (n,) point, and stacks of B = 16, 256 and
+    4096 orbits stepped together;
   - the command-line front end: in-process `cli.main` on a `seifert-class`
-    run, in milliseconds per call, and on a 200-row rigid `rot-local` sweep,
-    in milliseconds per row.
+    run, in milliseconds per call;
+  - `rot-local` sweeps, whose rows run as stacks, in rows per second: 200
+    rigid rows, and 10,000 rows of arnold(omega, 0.9) at --max-iterations
+    4096.
 It imports the package from the checkout's src/ directory:
 
     python3 benchmarks/bench_kernels.py --steps 100000
@@ -46,10 +52,12 @@ from transnum import (  # noqa: E402
     _kernels,
     ball_norms,
     cli,
+    skew_isotopy,
     gal_kedra_quadrature,
     measure_invariance_residual,
     translation_length_estimate,
 )
+from transnum.dynamics import _PythonOrbit  # noqa: E402
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
     arnold_circle,
@@ -96,28 +104,39 @@ def _word_set(dim):
 WORD_SETS = [(f"dimension {dim}", *_word_set(dim)) for dim in (1, 2, 3)]
 
 
-SWEEP_ROWS = 200
-FRONT_END_RUNS = [
-    # (case, command, config, rows per call)
-    ("seifert-class", "seifert-class", "[seifert]\ngenus = 1\npairs = (2,1) (3,1) (2,-1) (3,-1)\n", 1),
+SEIFERT_TEXT = "[seifert]\ngenus = 1\npairs = (2,1) (3,1) (2,-1) (3,-1)\n"
+
+
+def _sweep_text(map_keys, parameter, rows):
+    """A circle map's rot-local sweep over `parameter` in [0, 1)."""
+    return (
+        f"[class]\nentries = 1\n[map]\n{map_keys}[point]\nx = 0.3\n[sweep]\ncommand = rot-local\n"
+        f"parameter = map.{parameter}\nvalues = linspace:0:1:{rows}\n"
+    )
+
+
+SWEEPS = [
+    # (case, config, rows, extra flags, calls per timing)
+    ("200 rigid rows", _sweep_text("family = rigid\nvector = 0.5\n", "vector", 200), 200, [], 20),
     (
-        f"sweep, {SWEEP_ROWS} rigid rot-local rows",
-        "sweep",
-        "[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.5\n[point]\nx = 0.3\n"
-        f"[sweep]\ncommand = rot-local\nparameter = map.vector\nvalues = linspace:0.05:0.95:{SWEEP_ROWS}\n",
-        SWEEP_ROWS,
+        "10,000 arnold(omega, 0.9) rows, 4096 steps",
+        _sweep_text("family = arnold\nomega = 0\nk = 0.9\n", "omega", 10_000),
+        10_000,
+        ["--max-iterations", "4096"],
+        1,
     ),
 ]
+GENERIC_STEPS = [(None, 4096), (16, 4096), (256, 1024), (4096, 256)]  # (stack size B, steps)
 
 
-def ms_per_row(command, text, rows, repeat, calls=20):
+def s_per_call(command, text, repeat, calls, extra=()):
     """Best-of-`repeat` mean cost of in-process `cli.main` on the config
-    `text` (record written to a file), per call divided by `rows`."""
+    `text` (record written to a file), in seconds per call."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        argv = [command, "--config", path, "--format", "record", "--out", os.path.join(tmp, "out.json")]
+        argv = [command, "--config", path, "--format", "record", "--out", os.path.join(tmp, "out.json"), *extra]
         best = math.inf
         for _ in range(repeat):
             start = time.perf_counter()
@@ -125,7 +144,26 @@ def ms_per_row(command, text, rows, repeat, calls=20):
                 if cli.main(argv) != 0:
                     raise SystemExit(f"transnum {command} failed on the benchmark config")
             best = min(best, (time.perf_counter() - start) / calls)
-    return best / rows * 1e3
+    return best
+
+
+def us_per_generic_step(rows, steps, repeat):
+    """Best-of-`repeat` cost of one orbit step of the generic step on the
+    skew isotopy's time-1 map: one orbit on an (n,) point when `rows` is
+    None, else a (rows, n) stack, whose step cost is split over its rows.
+    The starts are irrational, so the return check runs on every step."""
+    lift = skew_isotopy(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,))).terminal
+    if rows is None:
+        x0 = np.array([0.1, 0.2])
+    else:
+        x0 = (np.arange(rows)[:, None] * np.array([GOLDEN, GOLDEN**2]) + 0.1) % 1.0
+    best = math.inf
+    for _ in range(repeat):
+        orbit = _PythonOrbit(x0, evaluator=lift.evaluator, avec=(0, 1))
+        start = time.perf_counter()
+        orbit.run_to(steps)
+        best = min(best, time.perf_counter() - start)
+    return best / (steps * (rows or 1)) * 1e6
 
 
 def us_per_element(a, gens, radius, repeat):
@@ -249,12 +287,24 @@ def main():
     print_table(rows)
 
     print()
-    print(f"command-line front end (in-process cli.main), best of {args.repeat}")
-    rows = [("case", "rows/call", "ms/row")]
+    print(f"generic orbit step (skew isotopy, time-1 map), best of {args.repeat}")
+    rows = [("orbits", "steps", "us per orbit step")]
     rows += [
-        (label, str(n), f"{ms_per_row(command, text, n, args.repeat):.3f}")
-        for label, command, text, n in FRONT_END_RUNS
+        ("one, (n,) point" if b is None else f"B = {b}", str(steps), f"{us_per_generic_step(b, steps, args.repeat):.3f}")
+        for b, steps in GENERIC_STEPS
     ]
+    print_table(rows)
+
+    print()
+    print(f"command-line front end (in-process cli.main), best of {args.repeat}")
+    cost = s_per_call("seifert-class", SEIFERT_TEXT, args.repeat, 20) * 1e3
+    print_table([("case", "ms/call"), ("seifert-class", f"{cost:.3f}")])
+
+    print()
+    print(f"rot-local sweeps (in-process cli.main), best of {args.repeat}")
+    rows = [("case", "rows", "rows/s")]
+    for label, text, n, extra, calls in SWEEPS:
+        rows.append((label, str(n), f"{n / s_per_call('sweep', text, args.repeat, calls, extra):.0f}"))
     print_table(rows)
 
 

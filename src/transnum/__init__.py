@@ -60,6 +60,7 @@ from .dynamics import (
     MeanReport,
     fiber_translation,
     local_translation_number,
+    local_translation_numbers,
     mean_translation_number,
     measure_invariance_residual,
     periodic_rot,

@@ -73,7 +73,8 @@ def _step_impl(code, params, x0, x1):
         k = 1
         while k <= params[1]:  # a while loop is the cheaper one interpreted
             ang = TWO_PI * k * x0
-            c += params[2 * k + 1] * cos(ang) + params[2 * k + 2] * sin(ang)
+            # not +=, which would add into a parameter column in place
+            c = c + (params[2 * k + 1] * cos(ang) + params[2 * k + 2] * sin(ang))
             k += 1
         return x0 + params[0], x1 + c
     if code == CIRCLE_SINE:

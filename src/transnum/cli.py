@@ -44,7 +44,9 @@ from .distortion import (
 )
 from .dynamics import (
     VERDICT_NOT_CONVERGED,
+    _orbit_start,
     local_translation_number,
+    local_translation_numbers,
     mean_translation_number,
 )
 from .errors import PreconditionError, TransnumError, ValidationError
@@ -145,22 +147,27 @@ def _convergence_entry(rep) -> dict:
 # -- command handlers: RunConfig + Resolved -> Report ------------------------
 
 
-def _cmd_rot_local(cfg: RunConfig, res: Resolved) -> Report:
+def _convergence_headline(rep) -> dict:
+    return _headline(
+        rep.value,
+        error_bound=rep.error_bound if rep.rational is None else None,
+        exact=rep.rational is not None,
+        verdict=rep.verdict,
+    )
+
+
+def _rot_local_inputs(cfg: RunConfig) -> tuple:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
-    x = build_point(cfg, a.dimension)
+    return a, g, build_point(cfg, a.dimension)
+
+
+def _cmd_rot_local(cfg: RunConfig, res: Resolved) -> Report:
+    a, g, x = _rot_local_inputs(cfg)
     rep = local_translation_number(
         a, g, x, **_given(tolerance=res.tolerance, max_iterations=res.max_iterations)
     )
-    results = {
-        "rot": _convergence_entry(rep),
-        "headline": _headline(
-            rep.value,
-            error_bound=rep.error_bound if rep.rational is None else None,
-            exact=rep.rational is not None,
-            verdict=rep.verdict,
-        ),
-    }
+    results = {"rot": _convergence_entry(rep), "headline": _convergence_headline(rep)}
     return make_report("rot-local", cfg.echo(), results, res.seed)
 
 
@@ -196,12 +203,7 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
             abs(hom.value - loc.value),
             error_bound=hom.error_bound + loc.error_bound,
         ),
-        "headline": _headline(
-            hom.value,
-            error_bound=hom.error_bound if hom.rational is None else None,
-            exact=hom.rational is not None,
-            verdict=hom.verdict,
-        ),
+        "headline": _convergence_headline(hom),
     }
     if cfg.has("measure"):
         mu = build_measure(cfg)
@@ -413,29 +415,62 @@ def _cmd_seifert_class(cfg: RunConfig, res: Resolved) -> Report:
     return make_report("seifert-class", cfg.echo(), results, res.seed)
 
 
+def _rot_local_headlines(configs, res: Resolved) -> list:
+    """The rot-local headline of each config, as `_cmd_rot_local` gives it.
+
+    Each row is built and checked in turn, so the first bad row is the one
+    reported; the limits of the rows that share a class and options are
+    then computed together by `local_translation_numbers`."""
+    batches = {}
+    heads = []
+    for sub in configs:
+        row_res = res.rebind(sub)
+        a, g, x = _rot_local_inputs(sub)
+        _orbit_start(a, g, x)  # the checks of the orbit, in row order
+        options = _given(tolerance=row_res.tolerance, max_iterations=row_res.max_iterations)
+        rows, maps, points = batches.setdefault((a, tuple(sorted(options.items()))), ([], [], []))
+        rows.append(len(heads))
+        maps.append(g)
+        points.append(x)
+        heads.append(None)
+    for (a, options), (rows, maps, points) in batches.items():
+        for i, rep in zip(rows, local_translation_numbers(a, maps, points, **dict(options))):
+            heads[i] = _convergence_headline(rep)
+    return heads
+
+
 def _cmd_sweep(cfg: RunConfig, res: Resolved) -> Report:
     command, axes = parse_sweep(cfg)
     if command == "sweep" or command not in _HANDLERS:
         targets = ", ".join(sorted(set(_HANDLERS) - {"sweep"}))
         raise ValidationError(f"[sweep] cannot run {command!r}; expected one of {targets}")
-    handler = _HANDLERS[command]
     columns = [f"{section}.{key}" for section, key, _ in axes]
     columns += ["value", "error_bound", "verdict", "exact"]
-    rows = []
-    for combo in itertools.product(*(values for _, _, values in axes)):
-        sub = cfg.clone()
-        for (section, key, _), value in zip(axes, combo):
-            sub.set_override(section, key, value)
-        head = handler(sub, res.rebind(sub)).results["headline"]
-        rows.append(
-            list(combo)
-            + [
-                head.get("value"),
-                head.get("error_bound"),
-                head.get("verdict"),
-                bool(head.get("exact", False)),
-            ]
-        )
+    combos = list(itertools.product(*(values for _, _, values in axes)))
+
+    def row_configs():
+        """Each row's config, made only when the row before it is done."""
+        for combo in combos:
+            sub = cfg.clone()
+            for (section, key, _), value in zip(axes, combo):
+                sub.set_override(section, key, value)
+            yield sub
+
+    if command == "rot-local":
+        heads = _rot_local_headlines(row_configs(), res)
+    else:
+        handler = _HANDLERS[command]
+        heads = [handler(sub, res.rebind(sub)).results["headline"] for sub in row_configs()]
+    rows = [
+        list(combo)
+        + [
+            head.get("value"),
+            head.get("error_bound"),
+            head.get("verdict"),
+            bool(head.get("exact", False)),
+        ]
+        for combo, head in zip(combos, heads)
+    ]
     results = {
         "columns": columns,
         "rows": rows,

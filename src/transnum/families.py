@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -123,22 +122,37 @@ class TrigPolynomial:
         return np.asarray(out, dtype=float)
 
 
-def _step_evaluator(code: int, params) -> Callable[[np.ndarray], np.ndarray]:
+class _StepEvaluator:
     """Numpy evaluator of a kernel family: `_kernels.np_step` applied to the
-    coordinate columns of a (..., n) stack, real or complex."""
-    p = tuple(float(t) for t in params)
+    coordinate columns of a (..., n) stack, real or complex.
 
-    def ev(x):
+    A parameter is a float, or a (B,) column giving row i of a (B, n) stack
+    its own value (the skew degree stays one float); `take(rows)` keeps the
+    columns of those rows."""
+
+    __slots__ = ("code", "params")
+
+    def __init__(self, code: int, params):
+        self.code = code
+        self.params = tuple(t if isinstance(t, np.ndarray) else float(t) for t in params)
+
+    def __call__(self, x):
         x = np.asarray(x)
         out = x.astype(complex if x.dtype.kind == "c" else float)
+        # .T[j] is coordinate j of every point: a scalar for one point, which
+        # numpy steps faster than the 0-d array that x[..., j] would give
+        cols, out_cols = x.T, out.T
         torus = x.shape[-1] > 1  # on the circle the step's second entry is 0.0
-        y0, y1 = _kernels.np_step(code, p, x[..., 0], x[..., 1] if torus else 0.0)
-        out[..., 0] = y0
+        y0, y1 = _kernels.np_step(self.code, self.params, cols[0], cols[1] if torus else 0.0)
+        out_cols[0] = y0
         if torus:
-            out[..., 1] = y1
+            out_cols[1] = y1
         return out
 
-    return ev
+    def take(self, rows) -> "_StepEvaluator":
+        return _StepEvaluator(
+            self.code, [t[rows] if isinstance(t, np.ndarray) else t for t in self.params]
+        )
 
 
 def rigid_rotation(vector) -> LiftedMap:
@@ -189,7 +203,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
     if not abs(k) < 1.0:
         raise ValidationError(f"|k| must be < 1 for an invertible circle map, got {k}")
     params = np.array([omega, k])
-    forward = _step_evaluator(_kernels.CIRCLE_SINE, params)
+    forward = _StepEvaluator(_kernels.CIRCLE_SINE, params)
 
     def inverse(_o=omega, _k=k):
         def ev_inv(y):
@@ -232,7 +246,7 @@ def sinusoidal_shear(epsilon: float) -> LiftedMap:
     eps = _translation(float(epsilon), "sinshear epsilon")
     params = np.array([eps])
     return LiftedMap(
-        evaluator=_step_evaluator(_kernels.SINE_SHEAR, params),
+        evaluator=_StepEvaluator(_kernels.SINE_SHEAR, params),
         matrix=np.eye(2, dtype=np.int64),
         label=f"sineshear({eps})",
         lipschitz_bound=1.0 + TWO_PI * abs(eps),
@@ -251,7 +265,7 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
         [np.array([omega, float(poly.degree)]), poly.kernel_params()]
     )
     return LiftedMap(
-        evaluator=_step_evaluator(_kernels.SKEW, params),
+        evaluator=_StepEvaluator(_kernels.SKEW, params),
         matrix=np.eye(2, dtype=np.int64),
         label=f"skew({omega})",
         lipschitz_bound=1.0 + poly.derivative_bound,

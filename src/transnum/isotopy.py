@@ -31,10 +31,10 @@ from .dynamics import (
     MeanReport,
     QUADRATURE_POINTS,
     WINDOW_TOLERANCE,
+    _PythonOrbit,
     _cover_of,
-    _evaluator_orbit,
     _measure_mean,
-    _translation_limit,
+    _translation_limits,
 )
 from .errors import ValidationError
 from .families import TrigPolynomial, rigid_rotation, sinusoidal_shear, skew_translation
@@ -132,8 +132,9 @@ def homological_translation(
     the two is a check of one engine against the other."""
     require_preserves_class(a, iso.terminal)
     x = _cover_of(x, a.dimension)
-    orbit = _evaluator_orbit(iso.terminal, a.vector, 0.0, x)
-    return _translation_limit(orbit, tolerance, max_iterations, integer_eligible=a.is_integral())
+    orbit = _PythonOrbit(x, evaluator=iso.terminal.evaluator, avec=a.entries)
+    (report,) = _translation_limits(orbit, tolerance, max_iterations, a.is_integral())
+    return report
 
 
 def mean_homological_translation(

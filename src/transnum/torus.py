@@ -29,6 +29,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -274,14 +275,14 @@ def identity_lift(dimension: int) -> LiftedMap:
 
 def preserves_class(a: CohomologyClass, lift_or_matrix) -> bool:
     """Exact test of M^T a = a (integer arithmetic for integral classes)."""
-    m = lift_or_matrix.matrix if isinstance(lift_or_matrix, LiftedMap) else np.asarray(lift_or_matrix)
-    if m.shape[0] != a.dimension:
-        raise DimensionMismatch(f"matrix dim {m.shape[0]} vs class dim {a.dimension}")
+    m = lift_or_matrix.matrix if isinstance(lift_or_matrix, LiftedMap) else lift_or_matrix
+    if len(m) != a.dimension:
+        raise DimensionMismatch(f"matrix dim {len(m)} vs class dim {a.dimension}")
     if a.is_integral():
-        mt = m.T.astype(object)
-        image = [sum(int(mt[i, j]) * int(a.entries[j]) for j in range(a.dimension)) for i in range(a.dimension)]
-        return all(image[i] == a.entries[i] for i in range(a.dimension))
-    image = m.T.astype(float) @ a.vector
+        # (M^T a)_i = <column i of M, a>, in Python ints
+        columns = zip(*(m.tolist() if isinstance(m, np.ndarray) else m))
+        return all(sum(map(mul, col, a.entries)) == e for col, e in zip(columns, a.entries))
+    image = np.asarray(m).T.astype(float) @ a.vector
     return bool(np.all(image == a.vector))
 
 

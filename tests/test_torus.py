@@ -98,6 +98,34 @@ def test_preserves_class_is_exact_for_huge_entries():
     assert not preserves_class(CohomologyClass((1, 8)), shear)
 
 
+def numpy_preserves_class(a, m):
+    """M^T a = a in the object-array form the plain-int check replaced."""
+    mt = np.asarray(m).T.astype(object)
+    n = a.dimension
+    image = [sum(int(mt[i, j]) * int(a.entries[j]) for j in range(n)) for i in range(n)]
+    return all(image[i] == a.entries[i] for i in range(n))
+
+
+def test_preserves_class_agrees_with_the_numpy_form_on_random_integer_matrices():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 5))
+        a = CohomologyClass(tuple(int(e) for e in rng.integers(-3, 4, size=n)))
+        m = rng.integers(-2, 3, size=(n, n))
+        if rng.random() < 0.5:
+            # M = I + v u^T has M^T a = a + u <v, a>: it keeps a when v is orthogonal to a
+            avec = np.array(a.entries)
+            w = rng.integers(-2, 3, size=n)
+            v = w * int(avec @ avec) - avec * int(w @ avec)
+            m = np.eye(n, dtype=np.int64) + np.outer(v, rng.integers(-2, 3, size=n))
+        expected = numpy_preserves_class(a, m)
+        seen.add(expected)
+        assert preserves_class(a, m) is expected
+        assert preserves_class(a, tuple(map(tuple, m.tolist()))) is expected
+    assert seen == {True, False}
+
+
 def test_rigid_preserves_every_class():
     g = rigid_rotation([0.3, 0.7])
     assert preserves_class(CohomologyClass((2, -3)), g)
