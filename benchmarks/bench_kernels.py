@@ -15,6 +15,10 @@ This script times
   - the push-forward check of `rot-mean`, `measure_invariance_residual`
     against Lebesgue measure at m = 128 per axis on T^2 (skew map), in
     milliseconds per call;
+  - the grid scans on the skew map at 256^2, 1024^2 and 2048^2 points of
+    T^2: a Lebesgue mean (fine and coarse midpoint grid, no push-forward
+    check) and a certified seminorm, each in milliseconds per call and in
+    the tracemalloc peak of one call;
   - the word-norm BFS of `translation_length_estimate` (one ball, then the
     powers looked up in it) on rational affine generating sets in dimensions
     1, 2 and 3, in microseconds per ball element;
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
@@ -48,13 +53,16 @@ import numpy as np  # noqa: E402
 from transnum import (  # noqa: E402
     CohomologyClass,
     ExactAffineAutomorphism,
+    BundleAutomorphism,
     InvariantMeasure,
     _kernels,
     ball_norms,
     cli,
     skew_isotopy,
     gal_kedra_quadrature,
+    mean_translation_number,
     measure_invariance_residual,
+    seminorm,
     translation_length_estimate,
 )
 from transnum.dynamics import _PythonOrbit  # noqa: E402
@@ -71,6 +79,7 @@ GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 SIDE = 1024  # evaluator grids have SIDE^2 points, as a 1024 seminorm grid on T^2
 SEGMENTS = 10_000  # the gk-eval default
 RESIDUAL_M = 128  # the rot-mean default grid
+GRID_SIDES = (256, 1024, 2048)  # points per axis of the grid-scan table
 
 CASES = [
     ("rigid T^2", rigid_rotation([0.3, 0.61]), (1.0, 0.0)),
@@ -231,6 +240,23 @@ def ms_per_residual(lift, repeat, calls=10):
     return best * 1e3
 
 
+def grid_scan_costs(scan, repeat):
+    """(best-of-`repeat` ms per call, tracemalloc peak in MiB of one more
+    call) of `scan()`; the traced call is not timed."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        scan()
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return best * 1e3, peak / 2**20
+
+
 def print_table(rows):
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for i, row in enumerate(rows):
@@ -277,6 +303,18 @@ def main():
     print(f"invariance residual (Lebesgue, m = {RESIDUAL_M} per axis on T^2), best of {args.repeat}")
     label, lift, _ = CASES[-1]
     print_table([("case", "ms/call"), (label, f"{ms_per_residual(lift, args.repeat):.3f}")])
+
+    print()
+    print(f"grid scans on T^2 ({label}), best of {args.repeat}; peak of one call under tracemalloc")
+    a, g, mu = CohomologyClass([0, 1]), BundleAutomorphism(lift), InvariantMeasure.lebesgue()
+    rows = [("grid", "mean ms/call", "mean peak MiB", "seminorm ms/call", "seminorm peak MiB")]
+    for m in GRID_SIDES:
+        mean = grid_scan_costs(
+            lambda: mean_translation_number(a, g, mu, m, check_invariance=False), args.repeat
+        )
+        sup = grid_scan_costs(lambda: seminorm(a, g, m, "certified"), args.repeat)
+        rows.append((f"{m}^2", *(f"{v:.1f}" for v in mean + sup)))
+    print_table(rows)
 
     print()
     print(f"word-norm BFS (translation_length_estimate, powers 1..4), best of {args.repeat}")

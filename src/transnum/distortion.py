@@ -46,10 +46,11 @@ from . import _kernels
 from .dynamics import (
     BundleAutomorphism,
     ConvergenceReport,
+    _grid_blocks,
     _power,
-    _tensor_grid,
+    _rho_values,
+    _shift_float,
     local_translation_number,
-    rho_many,
 )
 from .errors import (
     CertificateUnavailable,
@@ -100,7 +101,11 @@ def seminorm(
     grid_resolution: int = GRID_RESOLUTION,
     mode: str = MODE_ESTIMATE,
 ) -> SeminormReport:
-    """sup_x |rho(x)| by grid scan; certified mode adds the cell bound."""
+    """sup_x |rho(x)| by grid scan; certified mode adds the cell bound.
+
+    The numpy scan runs over the corner grid in blocks of at most
+    GRID_BLOCK points and keeps only each block's max |rho|, so it holds
+    O(GRID_BLOCK) points and values at a time whatever the resolution."""
     if mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError(f"mode must be {MODE_ESTIMATE!r} or {MODE_CERTIFIED!r}")
     require_preserves_class(a, g.lift)
@@ -114,8 +119,10 @@ def seminorm(
             _kernels.grid_sup_abs_rho(spec[0], spec[1], a.vector, float(g.fiber_shift), m, n)
         )
     else:
-        pts = _tensor_grid(n, m, 0.0)
-        est = float(np.max(np.abs(rho_many(a, g, pts))))
+        blocks = _grid_blocks(n, m, 0.0)
+        shift, avec = _shift_float(a, g), a.vector
+        maxima = [np.max(np.abs(_rho_values(g.lift, avec, shift, pts))) for pts in blocks]
+        est = float(np.max(maxima))
     if mode == MODE_ESTIMATE:
         return SeminormReport(est, None, None, mode, m, rigorous=False)
     disp_lip = g.lift.displacement_lipschitz

@@ -91,6 +91,9 @@ MAX_ITERATIONS = 10**5
 STACK_MIN_ROWS = 32
 # Midpoint points per axis of a Lebesgue mean; also the cap of the invariance grid.
 QUADRATURE_POINTS = 128
+# Tensor grids are evaluated in blocks of at most this many points, so a scan
+# of any size holds one block of points and their images at a time.
+GRID_BLOCK = 1 << 14
 # A measure counts as preserved when its push-forward residual is at most this.
 INVARIANCE_TOLERANCE = 1e-6
 
@@ -193,10 +196,12 @@ def rho(a: CohomologyClass, g: BundleAutomorphism, x) -> float:
 def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> np.ndarray:
     """Vectorized rho over an (N, n) stack of base points."""
     require_preserves_class(a, g.lift)
-    c = _shift_float(a, g)
-    pts = np.asarray(points, dtype=float)
-    disp = g.lift.evaluate_many(pts) - pts
-    return disp @ a.vector + c
+    return _rho_values(g.lift, a.vector, _shift_float(a, g), np.asarray(points, dtype=float))
+
+
+def _rho_values(lift: LiftedMap, avec: np.ndarray, shift: float, pts: np.ndarray) -> np.ndarray:
+    """rho over an (N, n) float stack whose class and fiber shift are checked."""
+    return (lift.evaluate_many(pts) - pts) @ avec + shift
 
 
 # --------------------------------------------------------------------------
@@ -612,16 +617,57 @@ class InvariantMeasure:
         return cls(kind="empirical", samples=reduce_point(pts), weights=w)
 
 
-def _tensor_grid(dimension: int, m: int, offset: float) -> np.ndarray:
-    """The (m^n, n) grid of points ((i_1 + offset)/m, ..., (i_n + offset)/m):
-    offset 0 gives the corner grid, 0.5 the midpoint grid."""
+def _grid_blocks(dimension: int, m: int, offset: float):
+    """The (m^n, n) grid of points ((i_1 + offset)/m, ..., (i_n + offset)/m)
+    in row-major order, as (k, n) blocks of at most GRID_BLOCK points: offset
+    0 gives the corner grid, 0.5 the midpoint grid.
+
+    The trailing axes whose grid fits in a block form the tail grid, written
+    into a (rows, tail points, n) buffer once; each block then only fills in
+    the coordinates of its rows of the head grid. Every block is a view of
+    that buffer, overwritten by the next one."""
     if m < 1:
         raise ValidationError("a grid needs at least one point per axis")
     if m**dimension > 2**24:
         raise ValidationError(f"grid {m}^{dimension} too large; lower the resolution")
-    axes = [(np.arange(m) + offset) / m] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([ax.ravel() for ax in mesh], axis=-1)
+    axis = (np.arange(m) + offset) / m
+    tail_dims = dimension
+    while m**tail_dims > GRID_BLOCK:
+        tail_dims -= 1
+    return _fill_blocks(_axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims))
+
+
+def _axis_grid(axis: np.ndarray, d: int) -> np.ndarray:
+    """The (m^d, d) row-major tensor grid of `axis` in d coordinates."""
+    mesh = np.meshgrid(*[axis] * d, indexing="ij")
+    return np.stack([c.ravel() for c in mesh], axis=-1) if d else np.empty((1, 0))
+
+
+def _fill_blocks(head: np.ndarray, tail: np.ndarray):
+    """The blocks of the grid head x tail, whole rows of head at a time."""
+    h, t = head.shape[1], len(tail)
+    n = h + tail.shape[1]
+    rows = min(len(head), GRID_BLOCK // t)
+    buf = np.empty((rows, t, n))
+    buf[:, :, h:] = tail
+    for i in range(0, len(head), rows):
+        r = min(rows, len(head) - i)
+        buf[:r, :, :h] = head[i : i + r, None, :]
+        yield buf[:r].reshape(r * t, n)
+
+
+def _grid_map(func: Callable[[np.ndarray], np.ndarray], dimension: int, m: int, offset: float):
+    """func of every grid point, run block by block into one (m^n, ...)
+    float array in grid order; the point stack is never built whole."""
+    out = None
+    i = 0
+    for pts in _grid_blocks(dimension, m, offset):
+        vals = func(pts)
+        if out is None:
+            out = np.empty((m**dimension,) + np.shape(vals)[1:])
+        out[i : i + len(pts)] = vals
+        i += len(pts)
+    return out
 
 
 def _measure_points(
@@ -636,7 +682,7 @@ def _measure_points(
             f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
         )
     if mu.kind == "lebesgue":
-        return _tensor_grid(dimension, quadrature_points, 0.5), None
+        return _grid_map(np.asarray, dimension, quadrature_points, 0.5), None
     if mu.kind == "dirac_orbit":
         if base_map is None:
             raise ValidationError("orbit measure needs the map that generates the orbit")
@@ -667,14 +713,18 @@ def _measure_mean(
     Lebesgue means are midpoint tensor quadrature at m and m//2 points per
     axis. On the torus the midpoint rule integrates trigonometric polynomials
     of degree < m exactly, so the Richardson-style difference is a
-    conservative error bound for the smooth integrands that arise here."""
+    conservative error bound for the smooth integrands that arise here. The
+    integrand runs on blocks of at most GRID_BLOCK grid points, each block's
+    values going into one array of m^n floats whose mean is the value: the
+    grid's points are never held all at once."""
+    if mu.kind == "lebesgue":
+        value = float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5)))
+        coarse_m = max(1, quadrature_points // 2)
+        coarse = float(np.mean(_grid_map(integrand_many, dimension, coarse_m, 0.5)))
+        return value, abs(value - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(value))
     pts, weights = _measure_points(mu, dimension, quadrature_points, base_map)
     vals = integrand_many(pts)
     value = _average(vals, weights)
-    if mu.kind == "lebesgue":
-        coarse_m = max(1, quadrature_points // 2)
-        coarse = float(np.mean(integrand_many(_tensor_grid(dimension, coarse_m, 0.5))))
-        return value, abs(value - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(value))
     return value, 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
 
 
@@ -739,9 +789,10 @@ def mean_translation_number(
     the built-in families once the grid beats the degree). A push-forward
     residual above INVARIANCE_TOLERANCE sets the warning flag."""
     require_preserves_class(a, g.lift)
-    _shift_float(a, g)
+    shift = _shift_float(a, g)
+    avec = a.vector
     value, err = _measure_mean(
-        lambda pts: rho_many(a, g, pts),
+        lambda pts: _rho_values(g.lift, avec, shift, pts),
         mu,
         a.dimension,
         quadrature_points,

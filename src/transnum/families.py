@@ -161,7 +161,7 @@ def rigid_rotation(vector) -> LiftedMap:
     return LiftedMap(
         evaluator=lambda x, _v=v: np.asarray(x) + _v,
         matrix=np.eye(v.shape[0], dtype=np.int64),
-        label=f"rigid{tuple(round(t, 6) for t in v)}",
+        label=f"rigid{tuple(float(round(t, 6)) for t in v)}",
         lipschitz_bound=1.0,
         displacement_lipschitz=0.0,
         kernel_spec=(_kernels.RIGID, v.copy()),

@@ -194,6 +194,11 @@ def test_range_checks_keep_the_largest_allowed_values():
     assert TrigPolynomial(2.0**52, (-(2.0**52),), ()).cos_coeffs == (-(2.0**52),)
 
 
+def test_rigid_label_prints_plain_rounded_floats():
+    assert rigid_rotation([0.3, 0.61]).label == "rigid(0.3, 0.61)"
+    assert rigid_rotation([1 / 3]).label == "rigid(0.333333,)"
+
+
 @pytest.mark.parametrize("y", [0.4, 10.0, 1000.0, 1e6])
 def test_arnold_inverse_round_trip_is_within_a_few_ulps(y):
     f = arnold_circle(0.3, 0.9)
