@@ -46,7 +46,7 @@ from . import _kernels
 from .dynamics import (
     BundleAutomorphism,
     ConvergenceReport,
-    _grid_blocks,
+    _grid_images,
     _power,
     _rho_values,
     _shift_float,
@@ -104,8 +104,9 @@ def seminorm(
     """sup_x |rho(x)| by grid scan; certified mode adds the cell bound.
 
     The numpy scan runs over the corner grid in blocks of at most
-    GRID_BLOCK points and keeps only each block's max |rho|, so it holds
-    O(GRID_BLOCK) points and values at a time whatever the resolution."""
+    GRID_BLOCK points, imaged as `dynamics._grid_images` gives them, and
+    keeps only each block's max |rho|, so it holds O(GRID_BLOCK) points and
+    values at a time whatever the resolution."""
     if mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError(f"mode must be {MODE_ESTIMATE!r} or {MODE_CERTIFIED!r}")
     require_preserves_class(a, g.lift)
@@ -119,9 +120,9 @@ def seminorm(
             _kernels.grid_sup_abs_rho(spec[0], spec[1], a.vector, float(g.fiber_shift), m, n)
         )
     else:
-        blocks = _grid_blocks(n, m, 0.0)
+        blocks = _grid_images(g.lift, n, m, 0.0)
         shift, avec = _shift_float(a, g), a.vector
-        maxima = [np.max(np.abs(_rho_values(g.lift, avec, shift, pts))) for pts in blocks]
+        maxima = [np.max(np.abs(_rho_values(pts, images, avec, shift))) for pts, images in blocks]
         est = float(np.max(maxima))
     if mode == MODE_ESTIMATE:
         return SeminormReport(est, None, None, mode, m, rigorous=False)

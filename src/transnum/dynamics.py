@@ -196,12 +196,14 @@ def rho(a: CohomologyClass, g: BundleAutomorphism, x) -> float:
 def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> np.ndarray:
     """Vectorized rho over an (N, n) stack of base points."""
     require_preserves_class(a, g.lift)
-    return _rho_values(g.lift, a.vector, _shift_float(a, g), np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    return _rho_values(pts, g.lift.evaluate_many(pts), a.vector, _shift_float(a, g))
 
 
-def _rho_values(lift: LiftedMap, avec: np.ndarray, shift: float, pts: np.ndarray) -> np.ndarray:
-    """rho over an (N, n) float stack whose class and fiber shift are checked."""
-    return (lift.evaluate_many(pts) - pts) @ avec + shift
+def _rho_values(pts: np.ndarray, images: np.ndarray, avec: np.ndarray, shift: float) -> np.ndarray:
+    """rho over an (N, n) float stack and its images under a lift whose class
+    and fiber shift are checked."""
+    return (images - pts) @ avec + shift
 
 
 # --------------------------------------------------------------------------
@@ -321,12 +323,12 @@ def _orbit_start(a: CohomologyClass, g: BundleAutomorphism, x0) -> tuple:
     return c, _cover_of(x0, a.dimension)
 
 
-def _kernel_family(a: CohomologyClass, g: BundleAutomorphism) -> Optional[tuple]:
-    """(code, skew degree or None) when the kernel step runs g's orbits:
-    built-in families in dimensions 1 and 2. Rigid and affine maps of higher
-    dimension have constant displacement and stop within 32 steps."""
-    spec = g.lift.kernel_spec
-    if spec is None or a.dimension > 2:
+def _kernel_family(lift: LiftedMap) -> Optional[tuple]:
+    """(code, skew degree or None) when the kernel step runs the lift's
+    orbits: built-in families in dimensions 1 and 2. Rigid and affine maps of
+    higher dimension have constant displacement and stop within 32 steps."""
+    spec = lift.kernel_spec
+    if spec is None or lift.dimension > 2:
         return None
     code, params = spec
     return code, float(params[1]) if code == _kernels.SKEW else None
@@ -334,7 +336,7 @@ def _kernel_family(a: CohomologyClass, g: BundleAutomorphism) -> Optional[tuple]
 
 def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0) -> _PythonOrbit:
     c, cover = _orbit_start(a, g, x0)
-    if _kernel_family(a, g) is not None:
+    if _kernel_family(g.lift) is not None:
         code, params = g.lift.kernel_spec
         return _PythonOrbit(cover, kernel=(code, params, _kernels.pair(a.vector), c))
     return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c)
@@ -515,7 +517,7 @@ def local_translation_numbers(
     reports = [None] * len(maps)
     stacks = {}
     for i, g in enumerate(maps):
-        stacks.setdefault(_kernel_family(a, g), []).append(i)
+        stacks.setdefault(_kernel_family(g.lift), []).append(i)
     for family, rows in stacks.items():
         if family is None or len(rows) < STACK_MIN_ROWS:
             for i in rows:
@@ -622,16 +624,20 @@ def _grid_blocks(dimension: int, m: int, offset: float):
     in row-major order, as (k, n) blocks of at most GRID_BLOCK points: offset
     0 gives the corner grid, 0.5 the midpoint grid.
 
-    The trailing axes whose grid fits in a block form the tail grid, written
-    into a (rows, tail points, n) buffer once; each block then only fills in
-    the coordinates of its rows of the head grid. Every block is a view of
-    that buffer, overwritten by the next one."""
+    The trailing axes whose grid fits in a block (at most n - 1 of them) form
+    the tail grid, written into a (rows, tail points, n) buffer once; each
+    block then only fills in the coordinates of its rows of the head grid.
+    Every block is a view of that buffer, overwritten by the next one, and
+    comes with its axis columns: one array per coordinate, (rows, 1) for a
+    head axis and (1, tail points) for a tail axis, which broadcast to the
+    block's points. On T^2 these are the block's rows of axis 0 and the whole
+    axis 1; on the circle, the block's points as a (k, 1) column."""
     if m < 1:
         raise ValidationError("a grid needs at least one point per axis")
     if m**dimension > 2**24:
         raise ValidationError(f"grid {m}^{dimension} too large; lower the resolution")
     axis = (np.arange(m) + offset) / m
-    tail_dims = dimension
+    tail_dims = dimension - 1
     while m**tail_dims > GRID_BLOCK:
         tail_dims -= 1
     return _fill_blocks(_axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims))
@@ -644,29 +650,65 @@ def _axis_grid(axis: np.ndarray, d: int) -> np.ndarray:
 
 
 def _fill_blocks(head: np.ndarray, tail: np.ndarray):
-    """The blocks of the grid head x tail, whole rows of head at a time."""
+    """(points, axis columns) of the blocks of the grid head x tail, whole
+    rows of head at a time."""
     h, t = head.shape[1], len(tail)
     n = h + tail.shape[1]
     rows = min(len(head), GRID_BLOCK // t)
     buf = np.empty((rows, t, n))
     buf[:, :, h:] = tail
+    tail_cols = tuple(tail[None, :, j] for j in range(tail.shape[1]))
     for i in range(0, len(head), rows):
         r = min(rows, len(head) - i)
         buf[:r, :, :h] = head[i : i + r, None, :]
-        yield buf[:r].reshape(r * t, n)
+        head_cols = tuple(head[i : i + r, j : j + 1] for j in range(h))
+        yield buf[:r].reshape(r * t, n), head_cols + tail_cols
 
 
-def _grid_map(func: Callable[[np.ndarray], np.ndarray], dimension: int, m: int, offset: float):
+def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
+    """(points, images under lift) of each block of the grid `_grid_blocks`
+    gives. A built-in family in dimension 1 or 2 (`_kernel_family`) whose
+    evaluator is its numpy step images a block by running that step on the
+    block's axis columns, so each sin and cos runs once per grid coordinate
+    rather than once per point, and broadcasts the result into one image
+    buffer reused by every block; the values are those of
+    `lift.evaluate_many` on the points. Any other lift runs `evaluate_many`
+    on each block: affine maps too, whose evaluator `x @ M.T + v` may fuse a
+    multiply and an add on a stack of points where the step rounds twice."""
+    blocks = _grid_blocks(dimension, m, offset)
+    family = _kernel_family(lift)
+    if family is None or family[0] == _kernels.AFFINE:
+        for pts, _ in blocks:
+            yield pts, lift.evaluate_many(pts)
+        return
+    step = _StepEvaluator(*lift.kernel_spec)
+    buf = None
+    for pts, cols in blocks:
+        if buf is None:  # the first block is the largest
+            buf = np.empty(pts.shape)
+        images = buf[: len(pts)]
+        # coordinate j of the block's images as a (rows, tail points) view
+        step.image(cols, images.reshape(len(cols[0]), -1, dimension).transpose(2, 0, 1))
+        yield pts, images
+
+
+def _grid_map(func: Callable, dimension: int, m: int, offset: float, lift: Optional[LiftedMap] = None):
     """func of every grid point, run block by block into one (m^n, ...)
-    float array in grid order; the point stack is never built whole."""
+    float array in grid order; the point stack is never built whole. With a
+    lift, func takes each block's points and their images (`_grid_images`)."""
+    if lift is None:
+        blocks = ((pts,) for pts, _ in _grid_blocks(dimension, m, offset))
+    else:
+        blocks = _grid_images(lift, dimension, m, offset)
     out = None
     i = 0
-    for pts in _grid_blocks(dimension, m, offset):
-        vals = func(pts)
+    for block in blocks:
+        vals = func(*block)
+        k = len(block[0])
         if out is None:
             out = np.empty((m**dimension,) + np.shape(vals)[1:])
-        out[i : i + len(pts)] = vals
-        i += len(pts)
+        out[i : i + k] = vals
+        i += k
     return out
 
 
@@ -707,8 +749,12 @@ def _measure_mean(
     dimension: int,
     quadrature_points: int,
     base_map: Optional[LiftedMap] = None,
+    *,
+    with_images: bool = False,
 ):
     """(value, error) of an integrand against mu; orbit measures are walked.
+    With `with_images`, the integrand takes a point stack and its images
+    under `base_map`.
 
     Lebesgue means are midpoint tensor quadrature at m and m//2 points per
     axis. On the torus the midpoint rule integrates trigonometric polynomials
@@ -718,12 +764,13 @@ def _measure_mean(
     values going into one array of m^n floats whose mean is the value: the
     grid's points are never held all at once."""
     if mu.kind == "lebesgue":
-        value = float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5)))
+        lift = base_map if with_images else None
+        value = float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, lift)))
         coarse_m = max(1, quadrature_points // 2)
-        coarse = float(np.mean(_grid_map(integrand_many, dimension, coarse_m, 0.5)))
+        coarse = float(np.mean(_grid_map(integrand_many, dimension, coarse_m, 0.5, lift)))
         return value, abs(value - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(value))
     pts, weights = _measure_points(mu, dimension, quadrature_points, base_map)
-    vals = integrand_many(pts)
+    vals = integrand_many(pts, base_map.evaluate_many(pts)) if with_images else integrand_many(pts)
     value = _average(vals, weights)
     return value, 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
 
@@ -756,10 +803,15 @@ def measure_invariance_residual(
     quadrature_points: int = QUADRATURE_POINTS,
 ) -> float:
     """max_f |int f(g x) dmu - int f dmu| over the probe functions, all read
-    from one set of mu's points and one evaluation of g on them."""
+    from one set of mu's points and one evaluation of g on them (on the
+    Lebesgue grid, block by block as `_grid_images` gives them)."""
     n = base_map.dimension
     pts, weights = _measure_points(mu, n, quadrature_points, base_map)
-    moved = reduce_point(base_map.evaluate_many(pts))
+    if mu.kind == "lebesgue":
+        images = _grid_map(lambda p, y: y, n, quadrature_points, 0.5, base_map)
+    else:
+        images = base_map.evaluate_many(pts)
+    moved = reduce_point(images)
     worst = 0.0
     for f in _default_test_functions(n):
         worst = max(worst, abs(_average(f(moved), weights) - _average(f(pts), weights)))
@@ -792,11 +844,12 @@ def mean_translation_number(
     shift = _shift_float(a, g)
     avec = a.vector
     value, err = _measure_mean(
-        lambda pts: _rho_values(g.lift, avec, shift, pts),
+        lambda pts, images: _rho_values(pts, images, avec, shift),
         mu,
         a.dimension,
         quadrature_points,
         base_map=g.lift,
+        with_images=True,
     )
     residual = None
     warning = False

@@ -141,13 +141,17 @@ class _StepEvaluator:
         out = x.astype(complex if x.dtype.kind == "c" else float)
         # .T[j] is coordinate j of every point: a scalar for one point, which
         # numpy steps faster than the 0-d array that x[..., j] would give
-        cols, out_cols = x.T, out.T
-        torus = x.shape[-1] > 1  # on the circle the step's second entry is 0.0
+        self.image(x.T, out.T)
+        return out
+
+    def image(self, cols, out_cols) -> None:
+        """Write the image of the coordinates `cols` (one array per axis,
+        broadcasting against each other) into `out_cols[0]`, `out_cols[1]`."""
+        torus = len(cols) > 1  # on the circle the step's second entry is 0.0
         y0, y1 = _kernels.np_step(self.code, self.params, cols[0], cols[1] if torus else 0.0)
         out_cols[0] = y0
         if torus:
             out_cols[1] = y1
-        return out
 
     def take(self, rows) -> "_StepEvaluator":
         return _StepEvaluator(

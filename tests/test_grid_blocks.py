@@ -23,8 +23,8 @@ from transnum import (
     skew_translation,
     torus_affine,
 )
-from transnum.dynamics import GRID_BLOCK, _default_test_functions, _grid_blocks, _measure_mean
-from transnum.torus import reduce_point
+from transnum.dynamics import GRID_BLOCK, _default_test_functions, _grid_blocks, _grid_images, _measure_mean
+from transnum.torus import LiftedMap, reduce_point
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 LEBESGUE = InvariantMeasure.lebesgue()
@@ -38,7 +38,7 @@ def meshgrid_grid(n, m, offset):
 
 
 def concatenated(n, m, offset):
-    blocks = [blk.copy() for blk in _grid_blocks(n, m, offset)]
+    blocks = [blk.copy() for blk, _ in _grid_blocks(n, m, offset)]
     assert all(blk.ndim == 2 and blk.shape[1] == n and 0 < len(blk) <= GRID_BLOCK for blk in blocks)
     return np.concatenate(blocks)
 
@@ -90,6 +90,34 @@ CASES = [
     ),
 ]
 
+# The built-in families of dimension 1 and 2, each with a class it fixes (the
+# cat map fixes only 0); all but the affine maps image grid blocks from their
+# axis columns.
+SKEW3 = skew_translation(0.3, TrigPolynomial(-0.2, (0.05, -0.03, 0.02), (0.1, 0.04, -0.01)))
+KERNEL_FAMILIES = [
+    ("rigid", CohomologyClass([1, 0]), BundleAutomorphism(rigid_rotation([0.3, 0.61]), 1)),
+    ("affine", CohomologyClass([1, 0]), BundleAutomorphism(torus_affine([[1, 0], [2, 1]], [0.25, 0.1]))),
+    ("affine-cat", CohomologyClass([0, 0]), BundleAutomorphism(torus_affine([[2, 1], [1, 1]], [0.25, 0.1]), 2)),
+    ("affine-shear", CohomologyClass([0, 1]), BundleAutomorphism(torus_affine([[1, -3], [0, 1]], [0.7, 0.45]))),
+    ("sinshear", CohomologyClass([1, 0]), BundleAutomorphism(sinusoidal_shear(0.1))),
+    ("skew", CohomologyClass([0, 1]), BundleAutomorphism(SKEW)),
+    ("skew-degree-3", CohomologyClass([0, 1]), BundleAutomorphism(SKEW3, -1)),
+    ("rigid-circle", CohomologyClass([1]), BundleAutomorphism(rigid_rotation([0.3]), 1)),
+    ("affine-circle", CohomologyClass([1]), BundleAutomorphism(torus_affine([[1]], [0.25]))),
+    ("arnold", CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.3, 0.9), -2)),
+]
+# m on both sides of the one-block split: m^2 = GRID_BLOCK at m = 128 on T^2,
+# m = GRID_BLOCK on the circle
+SIDES = {2: (1, 3, 128, 129, 300, 1024), 1: (1, 3, 1024, GRID_BLOCK, GRID_BLOCK + 1, 50_000)}
+assert 128**2 == GRID_BLOCK
+CASES += [
+    (f"{name}-m{m}", a, g, m)
+    for name, a, g in KERNEL_FAMILIES
+    for m in SIDES[a.dimension]
+    if (name, m) not in {(c[0], c[3]) for c in CASES}
+]
+TORUS_FAMILIES = [(name, g.lift) for name, a, g in KERNEL_FAMILIES if a.dimension == 2]
+
 
 def reference_mean(integrand, n, m):
     """(value, error) of a Lebesgue mean read off whole meshgrid stacks."""
@@ -122,12 +150,82 @@ def test_gal_kedra_mean_matches_the_whole_grid_bit_for_bit():
     assert _measure_mean(integrand, LEBESGUE, 2, 300) == reference_mean(integrand, 2, 300)
 
 
+def reference_residual(lift, m):
+    """The Lebesgue invariance residual read off the whole meshgrid stack."""
+    pts = meshgrid_grid(lift.dimension, m, 0.5)
+    moved = reduce_point(lift.evaluate_many(pts))
+    return max(abs(float(np.mean(f(moved))) - float(np.mean(f(pts)))) for f in _default_test_functions(lift.dimension))
+
+
 def test_invariance_residual_reads_the_same_grid():
     m = 200  # 40000 midpoints: three blocks
-    pts = meshgrid_grid(2, m, 0.5)
-    moved = reduce_point(SKEW.evaluate_many(pts))
-    want = max(abs(float(np.mean(f(moved))) - float(np.mean(f(pts)))) for f in _default_test_functions(2))
-    assert measure_invariance_residual(SKEW, LEBESGUE, quadrature_points=m) == want
+    assert measure_invariance_residual(SKEW, LEBESGUE, quadrature_points=m) == reference_residual(SKEW, m)
+
+
+@pytest.mark.parametrize("m", SIDES[2])
+@pytest.mark.parametrize("name, lift", TORUS_FAMILIES, ids=[c[0] for c in TORUS_FAMILIES])
+def test_invariance_residual_of_each_torus_family_matches_the_whole_grid_bit_for_bit(name, lift, m):
+    assert measure_invariance_residual(lift, LEBESGUE, quadrature_points=m) == reference_residual(lift, m)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
+def test_column_images_equal_evaluate_many_on_every_block(name, a, g, offset):
+    m = SIDES[a.dimension][-2]  # several blocks, the last one short
+    blocks = 0
+    for pts, images in _grid_images(g.lift, a.dimension, m, offset):  # views, reused by the next block
+        assert images.tobytes() == g.lift.evaluate_many(pts).tobytes()
+        blocks += 1
+    assert blocks > 1
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (1, 20_000), (2, 3), (2, 300), (3, 40), (3, 200)])
+def test_axis_columns_broadcast_to_the_block(n, m):
+    for pts, cols in _grid_blocks(n, m, 0.5):
+        assert len(cols) == n and all(c.ndim == 2 for c in cols)
+        rows = len(cols[0])
+        grid = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n)
+        assert len(pts) % rows == 0 and grid.tobytes() == pts.tobytes()
+        if n <= 2:  # the kernel families' blocks: rows of axis 0 by the whole of axis 1
+            assert cols[0].shape == (rows, 1) and (n == 1 or cols[1].shape == (1, m))
+
+
+def counted_evaluate_many(monkeypatch):
+    """The point counts of every LiftedMap.evaluate_many call from now on."""
+    calls = []
+    evaluate_many = LiftedMap.evaluate_many
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate_many(self, points)
+
+    monkeypatch.setattr(LiftedMap, "evaluate_many", counted)
+    return calls
+
+
+def test_kernel_family_grids_make_no_evaluate_many_call(monkeypatch):
+    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
+    calls = counted_evaluate_many(monkeypatch)
+    a, g = CohomologyClass([0, 1]), BundleAutomorphism(SKEW)
+    mean_translation_number(a, g, LEBESGUE, 1024)  # with its invariance residual
+    seminorm(a, g, 1024, "certified")
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["composed", "affine T^3", "affine"])
+def test_other_lifts_image_every_block_with_evaluate_many(name, monkeypatch):
+    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
+    _, a, g, m = next(c for c in CASES if c[0] == name)
+    n = a.dimension
+    calls = counted_evaluate_many(monkeypatch)
+    mean_translation_number(a, g, LEBESGUE, m, check_invariance=False)
+    assert len(calls) > 2 and sum(calls) == m**n + (m // 2) ** n
+    calls.clear()
+    seminorm(a, g, m)
+    assert len(calls) > 1 and sum(calls) == m**n
+    calls.clear()
+    measure_invariance_residual(g.lift, LEBESGUE, quadrature_points=m)
+    assert sum(calls) == m**n
 
 
 def traced_peak(fn):
