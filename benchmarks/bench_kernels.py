@@ -28,15 +28,22 @@ This script times
     4096 orbits stepped together;
   - the command-line front end: in-process `cli.main` on a `seifert-class`
     run, in milliseconds per call;
-  - `rot-local` sweeps, whose rows run as stacks, in rows per second: 200
-    rigid rows, and 10,000 rows of arnold(omega, 0.9) at --max-iterations
-    4096.
+  - `rot-local` sweeps, whose rows run as stacks, in rows per second, with
+    the count of each verdict: 200 rigid rows, and 10,000 rows of
+    arnold(omega, 0.9) at --max-iterations 4096;
+  - the period cap of the tongue test (`dynamics.LOCK_PERIODS`, set here
+    for the run only): for caps 1, 8, 16 and 64, the 10,000-row Arnold
+    sweep's rows/s and verdict counts, and the cost of the test on a map it
+    cannot settle, in ms per orbit alone and per row of a stack of all the
+    sweep's unsettled rows.
 It imports the package from the checkout's src/ directory:
 
     python3 benchmarks/bench_kernels.py --steps 100000
 """
 
 import argparse
+import collections
+import json
 import math
 import os
 import subprocess
@@ -65,6 +72,7 @@ from transnum import (  # noqa: E402
     seminorm,
     translation_length_estimate,
 )
+from transnum import dynamics  # noqa: E402
 from transnum.dynamics import _PythonOrbit  # noqa: E402
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
@@ -136,16 +144,19 @@ SWEEPS = [
     ),
 ]
 GENERIC_STEPS = [(None, 4096), (16, 4096), (256, 1024), (4096, 256)]  # (stack size B, steps)
+LOCK_CAPS = (1, 8, 16, 64)
+VERDICTS = ("exact-locked", "exact-periodic", "converged", "not-converged")
 
 
 def s_per_call(command, text, repeat, calls, extra=()):
     """Best-of-`repeat` mean cost of in-process `cli.main` on the config
-    `text` (record written to a file), in seconds per call."""
+    `text` (record written to a file), in seconds per call, and the
+    results of the last call."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "run.ini")
+        path, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        argv = [command, "--config", path, "--format", "record", "--out", os.path.join(tmp, "out.json"), *extra]
+        argv = [command, "--config", path, "--format", "record", "--out", out, *extra]
         best = math.inf
         for _ in range(repeat):
             start = time.perf_counter()
@@ -153,7 +164,39 @@ def s_per_call(command, text, repeat, calls, extra=()):
                 if cli.main(argv) != 0:
                     raise SystemExit(f"transnum {command} failed on the benchmark config")
             best = min(best, (time.perf_counter() - start) / calls)
-    return best
+        with open(out, encoding="utf-8") as fh:
+            results = json.load(fh)["results"]
+    return best, results
+
+
+def sweep_row(text, n, extra, calls, repeat):
+    """(rows/s, count of each verdict) of one sweep."""
+    cost, results = s_per_call("sweep", text, repeat, calls, extra)
+    counts = collections.Counter(row[-2] for row in results["rows"])
+    return [f"{n / cost:.0f}", *(str(counts[v]) for v in VERDICTS)]
+
+
+def ms_per_unsettled(omegas, k, repeat):
+    """(ms per orbit alone, ms per row of one stack) of the tongue test on
+    the maps arnold(omega, k) it cannot settle, or None when it settles all."""
+    omegas = np.asarray(omegas, dtype=float)
+    ks = np.full(len(omegas), k)
+    open_rows = [i for i, lock in enumerate(dynamics._grid_locks(omegas, ks)) if lock is None]
+    if not open_rows:
+        return None
+    one, many = omegas[open_rows[:1]], omegas[open_rows]
+
+    def best(om, calls):
+        kk = ks[: len(om)]
+        costs = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            for _ in range(calls):
+                dynamics._grid_locks(om, kk)
+            costs.append((time.perf_counter() - start) / calls)
+        return min(costs) * 1e3
+
+    return best(one, 20), best(many, 1) / len(open_rows)
 
 
 def us_per_generic_step(rows, steps, repeat):
@@ -339,14 +382,30 @@ def main():
 
     print()
     print(f"command-line front end (in-process cli.main), best of {args.repeat}")
-    cost = s_per_call("seifert-class", SEIFERT_TEXT, args.repeat, 20) * 1e3
+    cost = s_per_call("seifert-class", SEIFERT_TEXT, args.repeat, 20)[0] * 1e3
     print_table([("case", "ms/call"), ("seifert-class", f"{cost:.3f}")])
 
     print()
     print(f"rot-local sweeps (in-process cli.main), best of {args.repeat}")
-    rows = [("case", "rows", "rows/s")]
+    rows = [("case", "rows", "rows/s", *VERDICTS)]
     for label, text, n, extra, calls in SWEEPS:
-        rows.append((label, str(n), f"{n / s_per_call('sweep', text, args.repeat, calls, extra):.0f}"))
+        rows.append((label, str(n), *sweep_row(text, n, extra, calls, args.repeat)))
+    print_table(rows)
+
+    print()
+    label, text, n, extra, calls = SWEEPS[-1]
+    print(f"tongue test period cap (LOCK_PERIODS, now {dynamics.LOCK_PERIODS}): {label}, best of {args.repeat}")
+    omegas = np.linspace(0.0, 1.0, n)
+    rows = [("cap", "rows/s", *VERDICTS, "ms/unsettled orbit", "ms/unsettled row, stacked")]
+    default = dynamics.LOCK_PERIODS
+    try:
+        for cap in LOCK_CAPS:
+            dynamics.LOCK_PERIODS = cap
+            costs = ms_per_unsettled(omegas, 0.9, args.repeat)
+            cells = ("-", "-") if costs is None else (f"{costs[0]:.3f}", f"{costs[1]:.4f}")
+            rows.append((str(cap), *sweep_row(text, n, extra, calls, args.repeat), *cells))
+    finally:
+        dynamics.LOCK_PERIODS = default
     print_table(rows)
 
 

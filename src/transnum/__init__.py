@@ -51,6 +51,7 @@ from .families import (
 )
 from .dynamics import (
     VERDICT_CONVERGED,
+    VERDICT_EXACT_LOCKED,
     VERDICT_EXACT_PERIODIC,
     VERDICT_NOT_CONVERGED,
     BundleAutomorphism,
@@ -58,6 +59,7 @@ from .dynamics import (
     ConvergenceReport,
     InvariantMeasure,
     MeanReport,
+    TongueProof,
     fiber_translation,
     local_translation_number,
     local_translation_numbers,

@@ -141,6 +141,7 @@ def _convergence_entry(rep) -> dict:
         verdict=rep.verdict,
         iterations=rep.iterations,
         window=list(rep.window),
+        tongue=None if rep.tongue is None else {"period": rep.tongue.period, "grid": rep.tongue.grid},
     )
 
 
@@ -420,21 +421,23 @@ def _rot_local_headlines(configs, res: Resolved) -> list:
 
     Each row is built and checked in turn, so the first bad row is the one
     reported; the limits of the rows that share a class and options are
-    then computed together by `local_translation_numbers`."""
+    then computed together by `local_translation_numbers`, from the checked
+    starts."""
     batches = {}
     heads = []
     for sub in configs:
         row_res = res.rebind(sub)
         a, g, x = _rot_local_inputs(sub)
-        _orbit_start(a, g, x)  # the checks of the orbit, in row order
+        start = _orbit_start(a, g, x)  # the checks of the orbit, in row order
         options = _given(tolerance=row_res.tolerance, max_iterations=row_res.max_iterations)
-        rows, maps, points = batches.setdefault((a, tuple(sorted(options.items()))), ([], [], []))
+        rows, maps, points, starts = batches.setdefault((a, tuple(sorted(options.items()))), ([], [], [], []))
         rows.append(len(heads))
         maps.append(g)
         points.append(x)
+        starts.append(start)
         heads.append(None)
-    for (a, options), (rows, maps, points) in batches.items():
-        for i, rep in zip(rows, local_translation_numbers(a, maps, points, **dict(options))):
+    for (a, options), (rows, maps, points, starts) in batches.items():
+        for i, rep in zip(rows, local_translation_numbers(a, maps, points, starts=starts, **dict(options))):
             heads[i] = _convergence_headline(rep)
     return heads
 

@@ -12,7 +12,10 @@ local translation number is the limit of rho_x(g^n)/n. The driver below
 estimates it by window doubling, but first watches the orbit for an exact
 return to x: a period-q return whose accumulated displacement is within
 1e-9 of an integer p (integer-fiber bundles only) is reported as the exact
-rational p/q instead of a floating estimate.
+rational p/q instead of a floating estimate. The orbits of an Arnold circle
+map on an integer class get a second exact rule: a grid orbit, rounded
+outward, that proves F^q - p has a fixed point, so the rotation number of F
+is p/q (`exact-locked`). Every other verdict is a window estimate.
 
 Means over an invariant measure use midpoint tensor quadrature (Lebesgue),
 exact finite sums (orbit and empirical measures), and carry a push-forward
@@ -68,11 +71,14 @@ __all__ = [
     "CochainPerturbation",
     "perturbed_rho",
     "VERDICT_CONVERGED",
+    "VERDICT_EXACT_LOCKED",
     "VERDICT_EXACT_PERIODIC",
     "VERDICT_NOT_CONVERGED",
+    "TongueProof",
 ]
 
 VERDICT_CONVERGED = "converged"
+VERDICT_EXACT_LOCKED = "exact-locked"
 VERDICT_EXACT_PERIODIC = "exact-periodic"
 VERDICT_NOT_CONVERGED = "not-converged"
 
@@ -96,6 +102,21 @@ QUADRATURE_POINTS = 128
 GRID_BLOCK = 1 << 14
 # A measure counts as preserved when its push-forward residual is at most this.
 INVARIANCE_TOLERANCE = 1e-6
+# The tongue test of Arnold maps (`_grid_locks`): a grid of LOCK_GRID + 1
+# points is iterated for periods q = 1 .. LOCK_PERIODS. The cap comes from
+# the period table of `benchmarks/bench_kernels.py` (2-vCPU Xeon, no numba).
+# On a 10,000-row sweep of arnold(omega, 0.9), caps of 1, 8, 16 and 64
+# prove 2866, 4674, 4954 and 5114 rows. A map the test cannot settle costs
+# 0.08, 0.42, 0.56 and 2.0 ms per orbit.
+LOCK_PERIODS = 8
+LOCK_GRID = 256
+# Rounding budget of the tongue test. Every float operation of the step is
+# correctly rounded (unit roundoff 2^-53), except numpy's float64 sin, which
+# is assumed to be within SIN_ULPS units in the last place; numpy on common
+# platforms stays within one, and the test suite checks the step bound
+# `_arnold_step_error` against 50-digit arithmetic.
+UNIT_ROUNDOFF = 2.0**-53
+SIN_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -335,7 +356,12 @@ def _kernel_family(lift: LiftedMap) -> Optional[tuple]:
 
 
 def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0) -> _PythonOrbit:
-    c, cover = _orbit_start(a, g, x0)
+    return _start_orbit(a, g, _orbit_start(a, g, x0))
+
+
+def _start_orbit(a: CohomologyClass, g: BundleAutomorphism, start: tuple) -> _PythonOrbit:
+    """The orbit of g from a checked `_orbit_start`."""
+    c, cover = start
     if _kernel_family(g.lift) is not None:
         code, params = g.lift.kernel_spec
         return _PythonOrbit(cover, kernel=(code, params, _kernels.pair(a.vector), c))
@@ -347,12 +373,13 @@ class ConvergenceReport:
     """Outcome of a translation-number limit.
 
     value/error_bound are the window estimate and the last window difference
-    (0 for exact-periodic verdicts, where `rational` holds the exact value).
-    `window` keeps the final two window estimates so a not-converged outcome
-    stays inspectable. `height_average` (diagnostics only) is the average of
-    the bundle height theta along the orbit, (theta(x^) + rho_x(g^n))/n; it
-    has the same limit but differs at finite n by theta(x^)/n, i.e. it
-    depends on the chosen height and base fiber."""
+    (0 for the exact verdicts, exact-periodic and exact-locked, where
+    `rational` holds the exact value). `window` keeps the final two window
+    estimates so a not-converged outcome stays inspectable. `tongue` is the
+    grid proof behind an exact-locked verdict. `height_average` (diagnostics
+    only) is the average of the bundle height theta along the orbit,
+    (theta(x^) + rho_x(g^n))/n; it has the same limit but differs at finite
+    n by theta(x^)/n, i.e. it depends on the chosen height and base fiber."""
 
     value: float
     error_bound: float
@@ -362,10 +389,11 @@ class ConvergenceReport:
     window: tuple = ()
     periodic_base: Optional[tuple] = None
     height_average: Optional[float] = None
+    tongue: Optional["TongueProof"] = None
 
     @property
     def converged(self) -> bool:
-        return self.verdict in (VERDICT_CONVERGED, VERDICT_EXACT_PERIODIC)
+        return self.verdict in (VERDICT_CONVERGED, VERDICT_EXACT_PERIODIC, VERDICT_EXACT_LOCKED)
 
 
 def _integer_cycle(s_q: float) -> Optional[int]:
@@ -375,8 +403,135 @@ def _integer_cycle(s_q: float) -> Optional[int]:
     return int(nearest) if abs(s_q - nearest) <= INTEGER_FIBER_TOLERANCE else None
 
 
+@dataclass(frozen=True)
+class TongueProof:
+    """Why an exact-locked verdict holds: with q = period, p = q rotation
+    and y_i = i/grid, the outward-rounded q-step grid orbits give
+    F^q(y_below) - y_below < p < F^q(y_above) - y_above, so F^q - p has a
+    fixed point between the two points and the rotation number of the
+    circle lift F is exactly `rotation` = p/q."""
+
+    rotation: Fraction
+    period: int
+    grid: int
+    below: int
+    above: int
+
+
+def _arnold_step_error(omega, k) -> tuple:
+    """(slope, offset) of the bound e(y) = slope |y| + offset on the rounding
+    of one outward step of the tongue test, |fl(fl(F(y)) +- e(y)) - (F(y) +-
+    e(y))|. Here F(y) = y + omega + k sin(2 pi y) / 2 pi is the exact lift
+    of the float parameters, and fl(F(y)) is `_kernels.np_step` on floats:
+    fl(fl(y + omega) + fl(fl(k sin(fl(TWO_PI y))) / TWO_PI)). Needs
+    |omega| <= 1/2 and |k| < 1.
+
+    With u = UNIT_ROUNDOFF and S = SIN_ULPS, absolute errors, first order:
+      - |TWO_PI - 2 pi| <= 4u (half an ulp of TWO_PI), so the product
+        a = fl(TWO_PI y) is within (4 + 6.3) u |y| of 2 pi y;
+      - numpy's sin adds S ulps of a value below 1, at most S u, so the
+        computed sine is within S u + 10.3 u |y| of sin(2 pi y);
+      - the product by k and the division by TWO_PI (each rounding once)
+        and TWO_PI against 2 pi in the denominator leave the sine term
+        within |k| u (0.16 S + 0.43 + 1.65 |y|) of k sin(2 pi y) / 2 pi;
+      - the adds y + omega and + sine term round by u (|y| + |omega|) and
+        u (|y| + |omega| + 0.17);
+      - the outward add +- e rounds by u (|y| + |omega| + 0.17) more.
+    Together: u (3 |y| + 3 |omega| + 0.51 + |k| (0.16 S + 0.43 + 1.65 |y|)).
+    e(y) = u ((4 + 2 |k|) |y| + 4 |omega| + 1 + |k| (S/4 + 1)) rounds each
+    coefficient up; its margin of at least 0.49 u covers the second-order
+    terms and the rounding of e itself. It holds while |y| stays within
+    LOCK_PERIODS + 2, the lift the grid reaches, where numpy's sin is
+    assumed within its budget."""
+    k = np.abs(k)
+    slope = UNIT_ROUNDOFF * (4.0 + 2.0 * k)
+    return slope, UNIT_ROUNDOFF * (4.0 * np.abs(omega) + 1.0 + k * (SIN_ULPS / 4.0 + 1.0))
+
+
+def _grid_locks(omega: np.ndarray, k: np.ndarray) -> list:
+    """For each row i of the (B,) parameter columns: the TongueProof of
+    arnold(omega[i], k[i]) when one of the periods q <= LOCK_PERIODS
+    proves its rotation number, else None.
+
+    The integer part of omega is moved out of the lift (it adds to the
+    rotation number), leaving |omega| <= 1/2 and lifts within q + 2 of 0.
+    The grid y_i = i/LOCK_GRID, i = 0 .. LOCK_GRID, is iterated twice, one
+    orbit rounded down and one up by `_arnold_step_error`, as one (2B, m+1)
+    stack through `_kernels.np_step` on the parameter columns; F is
+    increasing for |k| < 1, so the true orbit of each grid point stays
+    between the two, and D_q(y) = F^q(y) - y between D-_q and D+_q, the
+    rounded differences of the two orbits and y. At the first q where an
+    integer p has D+_q(y_i) < p < D-_q(y_j) for two grid points, the
+    intermediate value theorem gives a fixed point of F^q - p between them.
+    Rounding is monotone, so a rounded difference strictly below (above)
+    the float p puts the exact one there too. Rows run in blocks of at most
+    GRID_BLOCK grid points."""
+    turns = np.round(omega)
+    omega = omega - turns  # exact: |omega - turns| <= 1/2 is on omega's own float grid
+    y = np.arange(LOCK_GRID + 1) / LOCK_GRID
+    rows = max(1, GRID_BLOCK // (2 * len(y)))
+    locks = []
+    for b in range(0, len(omega), rows):
+        locks += _block_locks(turns[b : b + rows], omega[b : b + rows], k[b : b + rows], y)
+    return locks
+
+
+def _block_locks(turns, omega, k, y) -> list:
+    """`_grid_locks` on one block of rows."""
+    size = len(omega)
+    # rows 0 .. size - 1 run the lower orbits, the next size rows the upper
+    omega2, k2 = (np.concatenate([t, t])[:, None] for t in (omega, k))
+    outward = np.repeat([-1.0, 1.0], size)[:, None]
+    slope, offset = (outward * t for t in _arnold_step_error(omega2, k2))
+    orbit = np.tile(y, (2 * size, 1))
+    locks = [None] * size
+    open_rows = np.ones(size, dtype=bool)
+    for q in range(1, LOCK_PERIODS + 1):
+        image, _ = _kernels.np_step(_kernels.CIRCLE_SINE, (omega2, k2), orbit, 0.0)
+        orbit = image + (slope * np.abs(orbit) + offset)
+        diff = orbit - y
+        lower, upper = diff[:size], diff[size:]
+        p = np.floor(upper.min(axis=1)) + 1.0  # the least integer above min D+
+        proven = open_rows & (lower.max(axis=1) > p)
+        for i in np.flatnonzero(proven):
+            rotation = int(turns[i]) + Fraction(int(p[i]), q)
+            locks[i] = TongueProof(rotation, q, LOCK_GRID, int(upper[i].argmin()), int(lower[i].argmax()))
+        open_rows &= ~proven
+        if not open_rows.any():
+            break
+    return locks
+
+
+def _tongue_prover(a: CohomologyClass, code: int, params, shift) -> Optional[Callable]:
+    """The tongue test of the orbits of Arnold maps on an integer class:
+    a function from a list of orbit indices to, for each, (rational,
+    TongueProof) when `_grid_locks` proves the map's rotation number rho(F),
+    else None; the rational is a rho(F) + shift. `params` holds the
+    family's parameters and `shift` the fiber shift, each a float for one
+    orbit or a (B,) column for a stack. None for every other family or
+    class."""
+    if code != _kernels.CIRCLE_SINE or not a.is_integral():
+        return None
+    omega, k = (np.atleast_1d(np.asarray(t, dtype=float)) for t in params[:2])
+    shifts = np.broadcast_to(np.asarray(shift, dtype=float), omega.shape)
+    (entry,) = a.entries
+
+    def prove(rows):
+        locks = _grid_locks(omega[rows], k[rows])
+        return [
+            None if lock is None else (entry * lock.rotation + Fraction(float(shifts[r])), lock)
+            for r, lock in zip(rows, locks)
+        ]
+
+    return prove
+
+
 def _translation_limits(
-    orbit: _PythonOrbit, tolerance: float, max_iterations: int, integer_eligible: bool
+    orbit: _PythonOrbit,
+    tolerance: float,
+    max_iterations: int,
+    integer_eligible: bool,
+    tongue: Optional[Callable] = None,
 ) -> list:
     """Window-doubling limit with exact-return preemption, one report per
     orbit of `orbit`.
@@ -387,8 +542,10 @@ def _translation_limits(
     integer p (and the fiber group is Z), the limit is exactly p/q. The
     doubling verdict is withheld until min(SCAN_HORIZON, max_iterations)
     steps have been scanned so short exact periods are not shadowed by an
-    early stable window. An orbit of a stack leaves it at the checkpoint
-    where its limit stops."""
+    early stable window. At that first checkpoint, the orbits that neither
+    rule stopped are handed to `tongue` (`_tongue_prover`), once: an orbit
+    it proves stops there as exact-locked. An orbit of a stack leaves it at
+    the checkpoint where its limit stops."""
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
     horizon = min(SCAN_HORIZON, max_iterations)
@@ -434,15 +591,33 @@ def _translation_limits(
         state[0] = est
         return None
 
+    def locked(n, rational, proof, state):
+        return ConvergenceReport(
+            value=float(rational),
+            error_bound=0.0,
+            iterations=n,
+            verdict=VERDICT_EXACT_LOCKED,
+            rational=rational,
+            window=(float(rational), float(rational)),
+            periodic_base=state[1],
+            tongue=proof,
+        )
+
     states = [[None, None] for _ in range(orbit.size)]
     reports = [None] * orbit.size
     live = list(range(orbit.size))
     n = 1
     while True:
         orbit.run_to(n)
+        found = [verdict(n, s, q, s_q, states[row]) for row, (s, q, s_q) in zip(live, orbit.rows())]
+        if tongue is not None and n >= horizon:
+            open_rows = [k for k, rep in enumerate(found) if rep is None or rep.verdict == VERDICT_NOT_CONVERGED]
+            for k, proof in zip(open_rows, tongue([live[k] for k in open_rows])):
+                if proof is not None:
+                    found[k] = locked(n, *proof, states[live[k]])
+            tongue = None  # tried once, at the first checkpoint past the horizon
         stay = []
-        for k, (row, (s, q, s_q)) in enumerate(zip(live, orbit.rows())):
-            report = verdict(n, s, q, s_q, states[row])
+        for k, (row, report) in enumerate(zip(live, found)):
             if report is None:
                 stay.append(k)
             else:
@@ -475,18 +650,28 @@ def local_translation_number(
 
     Defaults: tolerance 1e-9 for the affine-exact families, WINDOW_TOLERANCE
     otherwise; orbit returns detected within RETURN_TOLERANCE. The window
-    check is a heuristic stopping rule, not a certificate; exact-periodic
-    verdicts are the only exact ones."""
-    if tolerance is None:
-        tolerance = _default_tolerance(g)
-    (report,) = _translation_limits(
-        _make_orbit(a, g, x), tolerance, max_iterations, integer_eligible=a.is_integral()
-    )
+    check is a heuristic stopping rule, not a certificate. Two verdicts are
+    exact, with `error_bound` 0 and the value in `rational`: exact-periodic
+    (the orbit returns to x) and, for Arnold maps on an integer class,
+    exact-locked (`_grid_locks` proves the rotation number)."""
+    report = _local_limit(a, g, _orbit_start(a, g, x), tolerance, max_iterations)
     if diagnostics:
         fiber = x.fiber if isinstance(x, BundlePoint) else 0
         start = BundlePoint(_cover_of(x, a.dimension), fiber)
         height_avg = report.value + theta(a, start) / report.iterations
         report = dataclasses.replace(report, height_average=height_avg)
+    return report
+
+
+def _local_limit(
+    a: CohomologyClass, g: BundleAutomorphism, start: tuple, tolerance: Optional[float], max_iterations: int
+) -> ConvergenceReport:
+    """`local_translation_number` from a checked `_orbit_start`."""
+    if tolerance is None:
+        tolerance = _default_tolerance(g)
+    spec = g.lift.kernel_spec
+    tongue = None if spec is None else _tongue_prover(a, *spec, start[0])
+    (report,) = _translation_limits(_start_orbit(a, g, start), tolerance, max_iterations, a.is_integral(), tongue)
     return report
 
 
@@ -497,15 +682,19 @@ def local_translation_numbers(
     *,
     tolerance: Optional[float] = None,
     max_iterations: int = MAX_ITERATIONS,
+    starts: Optional[list] = None,
 ) -> list:
     """`local_translation_number(a, g, x)` for each map g and point x, in order.
 
-    Every pair is checked first, in order. The orbits of the maps that the
-    kernel step would run (built-in families in dimensions 1 and 2) and that
-    share a family (and, for skew maps, a degree) are then stepped together
-    when there are at least STACK_MIN_ROWS of them: one `np_step` call per
-    step on their stacked parameters, each orbit leaving the stack at the
-    checkpoint where its limit stops. The other orbits run one by one.
+    Every pair is checked first, in order, unless `starts` holds what
+    `_orbit_start` gave for each pair: a caller that has checked the pairs
+    passes those on. The orbits of the maps that the kernel step would run
+    (built-in families in dimensions 1 and 2) and that share a family (and,
+    for skew maps, a degree) are then stepped together when there are at
+    least STACK_MIN_ROWS of them: one `np_step` call per step on their
+    stacked parameters, each orbit leaving the stack at the checkpoint
+    where its limit stops. The tongue test of Arnold maps runs the stack's
+    open orbits as one grid stack. The other orbits run one by one.
 
     Each report is the separate call's: bit for bit for rigid and affine
     maps, whose stacked step does the kernel's arithmetic; the sine families
@@ -513,7 +702,8 @@ def local_translation_numbers(
     not agree to the last bit on every platform."""
     if len(maps) != len(points):
         raise ValidationError(f"{len(maps)} maps but {len(points)} points")
-    starts = [_orbit_start(a, g, x) for g, x in zip(maps, points)]
+    if starts is None:
+        starts = [_orbit_start(a, g, x) for g, x in zip(maps, points)]
     reports = [None] * len(maps)
     stacks = {}
     for i, g in enumerate(maps):
@@ -521,22 +711,22 @@ def local_translation_numbers(
     for family, rows in stacks.items():
         if family is None or len(rows) < STACK_MIN_ROWS:
             for i in rows:
-                reports[i] = local_translation_number(
-                    a, maps[i], points[i], tolerance=tolerance, max_iterations=max_iterations
-                )
+                reports[i] = _local_limit(a, maps[i], starts[i], tolerance, max_iterations)
             continue
         code, degree = family
         columns = list(np.array([maps[i].lift.kernel_spec[1] for i in rows], dtype=float).T.copy())
         if degree is not None:
             columns[1] = degree  # np_step loops over one skew degree
+        shifts = np.array([starts[i][0] for i in rows])
         orbit = _PythonOrbit(
             np.stack([starts[i][1] for i in rows]),
             evaluator=_StepEvaluator(code, columns),
             avec=a.entries,
-            shift=np.array([starts[i][0] for i in rows]),
+            shift=shifts,
         )
         tol = _default_tolerance(maps[rows[0]]) if tolerance is None else tolerance
-        for i, report in zip(rows, _translation_limits(orbit, tol, max_iterations, a.is_integral())):
+        tongue = _tongue_prover(a, code, columns, shifts)
+        for i, report in zip(rows, _translation_limits(orbit, tol, max_iterations, a.is_integral(), tongue)):
             reports[i] = report
     return reports
 

@@ -14,6 +14,7 @@ from transnum import (
     ValidationError,
     cli,
     config as tcfg,
+    dynamics,
     gal_kedra_quadrature,
     homological_translation,
     local_translation_number,
@@ -555,10 +556,13 @@ def test_sweep_values_past_2_52_exit_2(tmp_path, values):
 
 
 def test_not_converged_headline_exits_3(tmp_path):
+    # rot = 0.2759 lies between the Farey neighbours 1/4 and 2/7, so no
+    # period below 11 can prove it locked, and 100 steps settle no window
+    assert dynamics.LOCK_PERIODS < 11
     slow = write(
         tmp_path,
         "slow.ini",
-        "[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0\nk = 0.5\n[point]\nx = 0.1\n",
+        "[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0.3\nk = 0.9\n[point]\nx = 0.2\n",
     )
     rec = run_record(
         tmp_path,

@@ -308,3 +308,75 @@ def test_the_first_bad_row_sets_the_exit_code_and_message(tmp_path, capsys, name
     path.write_text(ini({**base, "sweep": {"command": "rot-local", **sweep}}))
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.txt")]) == expected_code == 4
     assert capsys.readouterr().err.strip() == expected
+
+
+def test_locked_and_unlocked_arnold_rows_stack_as_they_run_alone(monkeypatch):
+    """STACK_MIN_ROWS Arnold rows, some in tongues the grid proves and some
+    not, as one stack at the library threshold: each report is the separate
+    call's, tongue proof included."""
+    monkeypatch.setattr(dynamics, "STACK_MIN_ROWS", STACK_MIN_ROWS)
+    a = CohomologyClass((1,))
+    omegas = np.linspace(-0.1, 0.9, STACK_MIN_ROWS)
+    maps = [BundleAutomorphism(arnold_circle(float(o), 0.9), i % 3 - 1) for i, o in enumerate(omegas)]
+    points = [[0.05 * i] for i in range(len(maps))]
+    sizes = []
+    init = dynamics._PythonOrbit.__init__
+
+    def counting(self, x0, **kwargs):
+        sizes.append(np.shape(x0))
+        init(self, x0, **kwargs)
+
+    monkeypatch.setattr(dynamics._PythonOrbit, "__init__", counting)
+    stacked = local_translation_numbers(a, maps, points, max_iterations=512)
+    assert sizes == [(STACK_MIN_ROWS, 1)]
+    verdicts = [rep.verdict for rep in stacked]
+    assert "exact-locked" in verdicts and set(verdicts) - {"exact-locked"}
+    for g, x, rep in zip(maps, points, stacked):
+        alone = local_translation_number(a, g, x, max_iterations=512)
+        assert (rep.verdict, rep.rational, rep.tongue, rep.iterations) == (
+            alone.verdict, alone.rational, alone.tongue, alone.iterations
+        )
+        assert abs(rep.value - alone.value) <= SINE_ULPS * np.spacing(max(abs(alone.value), 1.0))
+
+
+@pytest.mark.parametrize("threshold", [1, STACK_MIN_ROWS])
+def test_a_sweep_checks_each_row_once(tmp_path, monkeypatch, threshold):
+    """One `_orbit_start` per row, whether the rows run stacked or alone."""
+    monkeypatch.setattr(dynamics, "STACK_MIN_ROWS", threshold)
+    calls = []
+    check = dynamics._orbit_start
+
+    def counting(a, g, x0):
+        calls.append(x0)
+        return check(a, g, x0)
+
+    monkeypatch.setattr(dynamics, "_orbit_start", counting)
+    monkeypatch.setattr(cli, "_orbit_start", counting)
+    base = {"class": {"entries": "1"}, "map": {"family": "arnold", "omega": "0.3", "k": "0.9"}, "point": {"x": "0"}}
+    path = tmp_path / "sweep.ini"
+    path.write_text(ini({**base, "sweep": {"command": "rot-local", "parameter": "map.omega", "values": "linspace:0:1:6"}}))
+    assert cli.main(["sweep", "--config", str(path), "--max-iterations", "64", "--out", str(tmp_path / "s.txt")]) == 0
+    assert len(calls) == 6
+
+
+def test_the_first_bad_row_is_the_last_row_checked(tmp_path, capsys, monkeypatch):
+    calls = []
+    check = dynamics._orbit_start
+
+    def counting(a, g, x0):
+        calls.append(g.fiber_shift)
+        return check(a, g, x0)
+
+    monkeypatch.setattr(dynamics, "_orbit_start", counting)
+    monkeypatch.setattr(cli, "_orbit_start", counting)
+    base = {
+        "class": {"entries": "1"},
+        "map": {"family": "affine", "matrix": "1", "vector": "0.3"},
+        "point": {"x": "0.2"},
+        "sweep": {"command": "rot-local", "parameter": "map.shift", "values": "0 2 1/2 1/3"},
+    }
+    path = tmp_path / "sweep.ini"
+    path.write_text(ini(base))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.txt")]) == 4
+    assert "non-integer 1/2" in capsys.readouterr().err
+    assert len(calls) == 3

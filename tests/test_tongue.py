@@ -1,0 +1,185 @@
+"""The exact-locked verdict: a grid orbit, rounded outward, proves that an
+Arnold circle map is mode-locked at p/q. The tests check the rounding bound
+and the proofs themselves against 50-digit arithmetic."""
+
+import json
+import os
+import re
+import sys
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+from hypothesis import example, given, strategies as st
+
+from transnum import (
+    VERDICT_EXACT_LOCKED,
+    BundleAutomorphism,
+    CohomologyClass,
+    Coefficients,
+    _kernels,
+    arnold_circle,
+    cli,
+    local_translation_number,
+    local_translation_numbers,
+)
+from transnum import dynamics
+from transnum.dynamics import LOCK_GRID, LOCK_PERIODS, _arnold_step_error
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+REACH = LOCK_PERIODS + 2  # the largest |y| the grid orbits reach
+
+mpmath.mp.dps = 50
+
+
+def exact_step(omega, k, y):
+    """F(y) = y + omega + k sin(2 pi y) / 2 pi of the float parameters, in 50 digits."""
+    y = mpmath.mpf(float(y))
+    return y + mpmath.mpf(float(omega)) + mpmath.mpf(float(k)) * mpmath.sin(2 * mpmath.pi * y) / (2 * mpmath.pi)
+
+
+def exact_displacement(omega, k, y, q):
+    """D_q(y) = F^q(y) - y in 50 digits."""
+    x = mpmath.mpf(float(y))
+    for _ in range(q):
+        x = exact_step(omega, k, x)
+    return x - mpmath.mpf(float(y))
+
+
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.lists(st.floats(-REACH, REACH), min_size=1, max_size=32),
+)
+@example(0.5, 0.999999, [REACH, -REACH, 0.25, 0.0])
+@example(-0.5, -0.999999, [REACH - 0.25, 1e-300, -3.75])
+def test_step_error_bounds_one_rounded_step(omega, k, ys):
+    """|fl(F(y)) - F(y)| <= e(y), and the outward steps fl(fl(F(y)) -+ e(y))
+    stay below and above F(y), with F evaluated as the grid evaluates it:
+    the numpy step on a row of points with (1, 1) parameter columns."""
+    y = np.array([ys])
+    image, _ = _kernels.np_step(_kernels.CIRCLE_SINE, (np.array([[omega]]), np.array([[k]])), y, 0.0)
+    slope, offset = _arnold_step_error(np.array([[omega]]), np.array([[k]]))
+    e = slope * np.abs(y) + offset
+    lower, upper = image + -e, image + e
+    for yi, r, ei, lo, hi in zip(ys, image[0], e[0], lower[0], upper[0]):
+        truth = exact_step(omega, k, yi)
+        assert abs(mpmath.mpf(float(r)) - truth) <= ei
+        assert mpmath.mpf(float(lo)) <= truth <= mpmath.mpf(float(hi))
+
+
+def test_the_grid_orbits_are_widened_by_the_step_bound(monkeypatch):
+    """The proof reads the orbits rounded outward by `_arnold_step_error`: a
+    widening of 0.2 per step hides the 0/1 tongue of arnold(0.05, 0.9),
+    whose D_1 spans only 0.05 -+ 0.143."""
+
+    def lock():
+        return dynamics._grid_locks(np.array([0.05]), np.array([0.9]))[0]
+
+    assert lock().rotation == 0
+    monkeypatch.setattr(dynamics, "_arnold_step_error", lambda omega, k: (0.0, 0.2))
+    assert lock() is None
+
+
+def corpus():
+    """Arnold maps over the tongues of periods up to 5 and between them,
+    integer parts of omega and negative k included."""
+    omegas = np.linspace(-1.6, 1.6, 65)
+    return [(float(o), k) for k in (0.35, 0.7, 0.95, -0.9) for o in omegas]
+
+
+def check_proof(omega, k, rep, entry, shift):
+    """The report's rational and its witnesses, against 50-digit arithmetic:
+    D_q - p changes sign between the two witness grid points."""
+    proof = rep.tongue
+    q, rotation = proof.period, proof.rotation
+    assert rep.rational == entry * rotation + shift and rep.error_bound == 0.0
+    assert (rotation * q).denominator == 1 and proof.grid == LOCK_GRID
+    p = int(rotation * q)
+    below = exact_displacement(omega, k, proof.below / proof.grid, q) - p
+    above = exact_displacement(omega, k, proof.above / proof.grid, q) - p
+    assert below < 0 < above
+
+
+def test_every_exact_locked_report_changes_sign_between_its_witnesses():
+    a = CohomologyClass([-2])
+    maps = [(o, k) for o, k in corpus()]
+    autos = [BundleAutomorphism(arnold_circle(o, k), 1) for o, k in maps]
+    reports = local_translation_numbers(a, autos, [[0.3]] * len(autos), max_iterations=64)
+    locked = [(m, rep) for m, rep in zip(maps, reports) if rep.verdict == VERDICT_EXACT_LOCKED]
+    periods = {rep.tongue.period for _, rep in locked}
+    assert len(locked) > len(maps) // 4 and {1, 2, 3} <= periods
+    for (omega, k), rep in locked:
+        check_proof(omega, k, rep, -2, 1)
+
+
+def test_a_single_call_names_its_proof_and_adds_the_integer_part_of_omega():
+    rep = local_translation_number(CohomologyClass([3]), BundleAutomorphism(arnold_circle(2.05, 0.9), -1), [0.3])
+    assert rep.verdict == VERDICT_EXACT_LOCKED and rep.converged
+    assert rep.rational == 3 * 2 - 1 and rep.value == 5.0 and rep.iterations == dynamics.SCAN_HORIZON
+    assert (rep.tongue.rotation, rep.tongue.period) == (2, 1)
+    check_proof(2.05, 0.9, rep, 3, -1)
+
+
+def test_a_real_class_gets_no_tongue_test():
+    a = CohomologyClass([1.0], coefficients=Coefficients.REAL)
+    rep = local_translation_number(a, BundleAutomorphism(arnold_circle(0.05, 0.9), 0.5), [0.3], max_iterations=64)
+    assert rep.verdict != VERDICT_EXACT_LOCKED and rep.tongue is None
+
+
+def test_exact_returns_and_early_windows_keep_priority():
+    # 0 is a fixed point: the return at step 1 wins over the tongue
+    rep = local_translation_number(CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.0, 0.9)), [0.0])
+    assert rep.verdict == "exact-periodic" and rep.tongue is None
+    # a window that settles by step 16 is reported as it was
+    rep = local_translation_number(
+        CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.0, 0.9)), [0.3], tolerance=1.0
+    )
+    assert rep.verdict == "converged" and rep.iterations == dynamics.SCAN_HORIZON
+
+
+def test_the_tongue_test_runs_at_a_cap_below_the_horizon():
+    rep = local_translation_number(
+        CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.05, 0.9)), [0.3], max_iterations=5
+    )
+    assert rep.verdict == VERDICT_EXACT_LOCKED and rep.iterations == 5
+
+
+def test_the_record_names_the_period_and_the_grid(tmp_path):
+    path = tmp_path / "locked.ini"
+    path.write_text("[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0.5\nk = 0.9\nshift = 1\n[point]\nx = 0.1\n")
+    out = tmp_path / "out.json"
+    assert cli.main(["rot-local", "--config", str(path), "--format", "record", "--out", str(out)]) == 0
+    rot = json.loads(out.read_text())["results"]["rot"]
+    assert rot["verdict"] == "exact-locked" and rot["exact"] is True and "error_bound" not in rot
+    assert rot["rational"] == "3/2" and rot["tongue"] == {"period": 2, "grid": LOCK_GRID}
+
+
+def locked_slots():
+    """The locked Arnold rot-local jobs of the orbit-sweep decks (those run
+    to 2^14 steps), passes 0-2 of seeds 1 and 2718."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import jobs
+    finally:
+        sys.path.remove(PERFBENCH)
+    return [
+        job
+        for seed in (1, 2718)
+        for p in range(3)
+        for job in jobs.deck("orbit-sweep", seed, p)
+        if job["kind"] == "rot-local/arnold" and str(1 << 14) in job["argv"]
+    ]
+
+
+def test_perfbench_locked_slots_are_exact_locked_at_their_shift(tmp_path):
+    slots = locked_slots()
+    assert len(slots) == 30
+    path, out = tmp_path / "job.ini", tmp_path / "out.json"
+    for job in slots:
+        path.write_text(job["config"])
+        argv = [str(path) if arg == "{config}" else arg for arg in job["argv"]]
+        assert cli.main(argv + ["--out", str(out)]) == 0, job["config"]
+        rot = json.loads(out.read_text())["results"]["rot"]
+        shift = int(re.search(r"^shift = (-?\d+)$", job["config"], re.M).group(1))
+        assert rot["verdict"] == "exact-locked" and Fraction(rot["rational"]) == shift, job["config"]
