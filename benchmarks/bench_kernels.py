@@ -16,7 +16,7 @@ This script times
     against Lebesgue measure at m = 128 per axis on T^2 (skew map), in
     milliseconds per call;
   - the grid scans of each family, at 1024^2 points of T^2 (2048 points of
-    the circle for the Arnold family): a Lebesgue mean (fine and coarse
+    the circle for the Arnold family): a Lebesgue mean (one
     midpoint grid, no push-forward check) and a certified seminorm, each in
     milliseconds per call and in the tracemalloc peak of one call;
   - the word-norm BFS of `translation_length_estimate` (one ball, then the

@@ -46,6 +46,7 @@ from . import _kernels
 from .dynamics import (
     BundleAutomorphism,
     ConvergenceReport,
+    _displacement_lipschitz,
     _grid_images,
     _power,
     _rho_values,
@@ -126,14 +127,9 @@ def seminorm(
         est = float(np.max(maxima))
     if mode == MODE_ESTIMATE:
         return SeminormReport(est, None, None, mode, m, rigorous=False)
-    disp_lip = g.lift.displacement_lipschitz
+    disp_lip = _displacement_lipschitz(g.lift)
     if disp_lip is None:
-        lip = g.lift.lipschitz_bound
-        if lip is None:
-            raise CertificateUnavailable(
-                f"certified seminorm for {g.label!r} needs a Lipschitz bound"
-            )
-        disp_lip = 1.0 + lip
+        raise CertificateUnavailable(f"certified seminorm for {g.label!r} needs a Lipschitz bound")
     cell_diameter = math.sqrt(n) / m
     cell_term = a.one_norm * disp_lip * cell_diameter / 2.0
     return SeminormReport(est, est + cell_term, cell_term, mode, m, rigorous=True)

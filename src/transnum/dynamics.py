@@ -18,9 +18,10 @@ outward, that proves F^q - p has a fixed point, so the rotation number of F
 is p/q (`exact-locked`). Every other verdict is a window estimate.
 
 Means over an invariant measure use midpoint tensor quadrature (Lebesgue),
-exact finite sums (orbit and empirical measures), and carry a push-forward
-invariance residual so a non-invariant measure is flagged rather than
-silently averaged.
+bounded by the trigonometric degree or the Lipschitz constant of the
+displacement (`_lebesgue_bound`), or exact finite sums (orbit and empirical
+measures), and carry a push-forward invariance residual so a non-invariant
+measure is flagged rather than silently averaged.
 """
 
 from __future__ import annotations
@@ -902,19 +903,16 @@ def _grid_map(func: Callable, dimension: int, m: int, offset: float, lift: Optio
     return out
 
 
-def _measure_points(
-    mu: InvariantMeasure, dimension: int, quadrature_points: int, base_map: Optional[LiftedMap]
-):
-    """(points, weights) that a mean against mu is read from: the midpoint
-    grid at m = quadrature_points per axis, the orbit walked under
-    `base_map`, or the samples. weights None means equal weights."""
+def _measure_points(mu: InvariantMeasure, dimension: int, base_map: Optional[LiftedMap]):
+    """(points, weights) that a mean against an orbit or empirical measure
+    is read from: the orbit walked under `base_map`, or the samples. weights
+    None means equal weights. Lebesgue means never build their points: they
+    run block by block over the midpoint grid (`_grid_map`)."""
     support = mu.point if mu.kind == "dirac_orbit" else mu.samples
     if support is not None and support.shape[-1] != dimension:
         raise DimensionMismatch(
             f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
         )
-    if mu.kind == "lebesgue":
-        return _grid_map(np.asarray, dimension, quadrature_points, 0.5), None
     if mu.kind == "dirac_orbit":
         if base_map is None:
             raise ValidationError("orbit measure needs the map that generates the orbit")
@@ -946,41 +944,118 @@ def _measure_mean(
     With `with_images`, the integrand takes a point stack and its images
     under `base_map`.
 
-    Lebesgue means are midpoint tensor quadrature at m and m//2 points per
-    axis. On the torus the midpoint rule integrates trigonometric polynomials
-    of degree < m exactly, so the Richardson-style difference is a
-    conservative error bound for the smooth integrands that arise here. The
-    integrand runs on blocks of at most GRID_BLOCK grid points, each block's
-    values going into one array of m^n floats whose mean is the value: the
-    grid's points are never held all at once."""
+    A Lebesgue mean is the midpoint rule at m = quadrature_points per axis,
+    one pass over the grid: the integrand runs on blocks of at most
+    GRID_BLOCK grid points, each block's values going into one array of m^n
+    floats whose mean is the value, so the grid's points are never held all
+    at once. Its error is None here, because it depends on the integrand:
+    the means of rho bound it with `_lebesgue_bound`. A finite sum (orbit or
+    empirical measure) is exact up to rounding, for which it reports
+    8 eps (1 + max |values|)."""
     if mu.kind == "lebesgue":
         lift = base_map if with_images else None
-        value = float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, lift)))
-        coarse_m = max(1, quadrature_points // 2)
-        coarse = float(np.mean(_grid_map(integrand_many, dimension, coarse_m, 0.5, lift)))
-        return value, abs(value - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(value))
-    pts, weights = _measure_points(mu, dimension, quadrature_points, base_map)
+        return float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, lift))), None
+    pts, weights = _measure_points(mu, dimension, base_map)
     vals = integrand_many(pts, base_map.evaluate_many(pts)) if with_images else integrand_many(pts)
     value = _average(vals, weights)
     return value, 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
 
 
-def _default_test_functions(dimension: int):
-    """Low-degree trigonometric probes for the push-forward test."""
-    waves = []
+def _displacement_lipschitz(lift: LiftedMap) -> Optional[float]:
+    """A bound on Lip(lift - id), Euclidean-in and sup-out: the lift's
+    `displacement_lipschitz`, else 1 + its `lipschitz_bound`; None when it
+    carries neither."""
+    if lift.displacement_lipschitz is not None:
+        return lift.displacement_lipschitz
+    if lift.lipschitz_bound is not None:
+        return 1.0 + lift.lipschitz_bound
+    return None
+
+
+def _displacement_degree(lift: LiftedMap) -> Optional[int]:
+    """The degree of rho = <a, lift(x) - x> + shift as a trigonometric
+    polynomial, for a lift with a kernel spec (in any dimension), else None:
+    0 for rigid and affine maps, whose rho is the constant <a, v> + shift
+    because M^T a = a; 1 for arnold and sinshear maps; the degree of c,
+    params[1], for skew maps."""
+    if lift.kernel_spec is None:
+        return None
+    code, params = lift.kernel_spec
+    if code in (_kernels.RIGID, _kernels.AFFINE):
+        return 0
+    return int(params[1]) if code == _kernels.SKEW else 1
+
+
+def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -> Optional[float]:
+    """A bound on |value - int rho| for the midpoint mean (`_measure_mean`)
+    of rho = <a, lift(x) - x> + shift at m points per axis on T^n, or None,
+    which marks the mean as an estimate. With L = `_displacement_lipschitz`:
+
+      - exact degree: when rho is a trigonometric polynomial of degree d
+        (`_displacement_degree`) and m > d, the midpoint rule is exact, since
+        each character e^(2 pi i k.x) with some 0 < |k_j| < m sums to 0 over
+        the grid (Trefethen and Weideman, SIAM Review 56, 2014). The bound is
+        the rounding term alone;
+      - Lipschitz: otherwise, |rho(x) - rho(c)| <= |a|_1 L |x - c| on a cell
+        of side h = 1/m with center c, and the mean of |x - c| over the cell
+        is at most sqrt(n h^2 / 12) (Jensen), so the rule is off by at most
+        |a|_1 L sqrt(n/12) / m, plus the rounding term;
+      - neither: without L the bound is None.
+
+    The rounding term, first order in u = UNIT_ROUNDOFF. The grid lies in
+    the unit cube, |x_j| < 1. With c its center, each displacement
+    coordinate is at most D = |lift(c) - c|_sup + L sqrt(n) / 2 there (one
+    image, of c), and B = 1 + D + L. Each value is
+    fl(fl(<a, fl(fl(lift(x)) - x)>) + shift):
+      - each image coordinate is assumed within w u B of the exact image of
+        the float parameters, w = 4 + d + (n + 1) sqrt(n) (d = 0 when the
+        degree is unknown). A first-order count for the built-in families
+        gives 1 for rigid, 3.1 for arnold and 3.5 for sinshear (adds within
+        u (1 + D); angles within 2.7 u of relative error move each trig term
+        by at most 2.7 u times its share of L; SIN_ULPS ulps of sin and cos
+        move it by at most 4 u / 2 pi times that share), d + 4 for skew (the
+        same, plus d adds of the running sum of c, each within u (D + L)),
+        and (n + 1) sqrt(n) for affine (n + 1 roundings of |M x| + |v| <=
+        1 + sqrt(n) L + D). Any other lift is assumed within the same w;
+      - the difference with x rounds by u D <= u B;
+      - the pairing with a (n products and n - 1 adds, in any order) adds
+        n u |a|_1 B, and the shift add u R, where R = |a|_1 B + |shift|
+        bounds |rho| and every computed value;
+      - numpy's pairwise sum of the N = m^n values takes each value through
+        at most 25 roundings inside a 128-value block (15 in its unrolled
+        lane, 3 joining the 8 lanes, 7 for the block's tail) and one per
+        halving above it, ceil(log2 N): (25 + ceil(log2 N)) u N R in the
+        sum, that over N in the mean; the division by N rounds by u R.
+    Together: u R (w + n + 28 + ceil(log2 N)); the term takes one u R more,
+    which covers the second-order terms and the rounding of D and R."""
+    lip = _displacement_lipschitz(lift)
+    if lip is None:
+        return None
+    n = lift.dimension
+    degree = _displacement_degree(lift)
+    center = np.full(n, 0.5)
+    disp = float(np.max(np.abs(lift(center) - center))) + lip * math.sqrt(n) / 2.0
+    scale = a.one_norm * (1.0 + disp + lip) + abs(shift)
+    ulps = 4 + (degree or 0) + (n + 1) * math.sqrt(n) + n + 29 + math.ceil(math.log2(m**n))
+    bound = ulps * UNIT_ROUNDOFF * scale
+    if degree is None or m <= degree:
+        bound += a.one_norm * lip * math.sqrt(n / 12.0) / m
+    return bound
+
+
+def _probe_frequencies(dimension: int) -> list:
+    """The frequency vectors k of the push-forward probes."""
     if dimension == 1:
-        ks = [(1,), (2,)]
-    else:
-        ks = []
-        for axis in range(dimension):
-            k = [0] * dimension
-            k[axis] = 1
-            ks.append(tuple(k))
-        if dimension >= 2:
-            ks.append((1,) * dimension)
-            ks.append((1, -1) + (0,) * (dimension - 2))
+        return [(1,), (2,)]
+    ks = [tuple(int(j == axis) for j in range(dimension)) for axis in range(dimension)]
+    return ks + [(1,) * dimension, (1, -1) + (0,) * (dimension - 2)]
+
+
+def _default_test_functions(dimension: int):
+    """Low-degree trigonometric probes for the push-forward test: cos and
+    sin of 2 pi k.x for each k of `_probe_frequencies`."""
     funcs = []
-    for k in ks:
+    for k in _probe_frequencies(dimension):
         kv = np.asarray(k, dtype=float)
         funcs.append(lambda p, _k=kv: np.cos(2.0 * np.pi * (np.asarray(p) @ _k)))
         funcs.append(lambda p, _k=kv: np.sin(2.0 * np.pi * (np.asarray(p) @ _k)))
@@ -993,25 +1068,47 @@ def measure_invariance_residual(
     quadrature_points: int = QUADRATURE_POINTS,
 ) -> float:
     """max_f |int f(g x) dmu - int f dmu| over the probe functions, all read
-    from one set of mu's points and one evaluation of g on them (on the
-    Lebesgue grid, block by block as `_grid_images` gives them)."""
+    from one evaluation of g on mu's points.
+
+    On Lebesgue measure the points are the midpoint grid at m =
+    quadrature_points per axis, imaged block by block as `_grid_images` gives
+    them. Over that grid the mean of a probe of frequency k is a product of
+    sums of e^(2 pi i k_j (i + 1/2) / m) over each axis, which vanishes
+    unless m divides every k_j. So once m exceeds every |k_j| (m >= 2 on
+    T^n for n >= 2, m >= 3 on the circle, whose probes reach degree 2), each
+    unmoved mean is exactly 0 and only the moved means are computed; below
+    that the unmoved grid's means are computed too (pts None marks the
+    means that are 0)."""
     n = base_map.dimension
-    pts, weights = _measure_points(mu, n, quadrature_points, base_map)
     if mu.kind == "lebesgue":
-        images = _grid_map(lambda p, y: y, n, quadrature_points, 0.5, base_map)
+        m = quadrature_points
+        moved = reduce_point(_grid_map(lambda p, y: y, n, m, 0.5, base_map))
+        weights = None
+        aliased = m <= max(abs(j) for k in _probe_frequencies(n) for j in k)
+        pts = _grid_map(np.asarray, n, m, 0.5) if aliased else None
     else:
-        images = base_map.evaluate_many(pts)
-    moved = reduce_point(images)
+        pts, weights = _measure_points(mu, n, base_map)
+        moved = reduce_point(base_map.evaluate_many(pts))
     worst = 0.0
     for f in _default_test_functions(n):
-        worst = max(worst, abs(_average(f(moved), weights) - _average(f(pts), weights)))
+        before = 0.0 if pts is None else _average(f(pts), weights)
+        worst = max(worst, abs(_average(f(moved), weights) - before))
     return worst
 
 
 @dataclass(frozen=True)
 class MeanReport:
+    """A mean translation number and a bound on |value - mean|.
+
+    error_bound is the rounding of the finite sum for orbit and empirical
+    measures. For Lebesgue means (`_lebesgue_bound`) it has three sources:
+    the exact degree (rho a trigonometric polynomial of degree below the
+    grid, so only rounding is left), the midpoint Lipschitz bound plus
+    rounding, or None, for a lift without Lipschitz data, which marks the
+    value as an estimate."""
+
     value: float
-    error_bound: float
+    error_bound: Optional[float]
     measure_kind: str
     invariance_residual: Optional[float] = None
     invariance_warning: bool = False
@@ -1027,9 +1124,14 @@ def mean_translation_number(
     """Integral of rho against mu.
 
     For orbit measures the mean is the exact cycle average; for Lebesgue it
-    is midpoint quadrature (exact for the trig-polynomial displacements of
-    the built-in families once the grid beats the degree). A push-forward
-    residual above INVARIANCE_TOLERANCE sets the warning flag."""
+    is midpoint quadrature in one pass over the grid. Its error_bound
+    (`_lebesgue_bound`) is a rounding bound when rho is a trigonometric
+    polynomial of known degree d < m (every built-in family: 0 for rigid and
+    affine maps, 1 for arnold and sinshear, the degree of c for skew), the
+    midpoint Lipschitz bound |a|_1 L sqrt(n/12)/m plus rounding for any
+    other lift with Lipschitz data, and None, an estimate, for a lift
+    without. A push-forward residual above INVARIANCE_TOLERANCE sets the
+    warning flag."""
     require_preserves_class(a, g.lift)
     shift = _shift_float(a, g)
     avec = a.vector
@@ -1041,6 +1143,8 @@ def mean_translation_number(
         base_map=g.lift,
         with_images=True,
     )
+    if mu.kind == "lebesgue":
+        err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
     residual = None
     warning = False
     if check_invariance:

@@ -33,6 +33,7 @@ from .dynamics import (
     WINDOW_TOLERANCE,
     _PythonOrbit,
     _cover_of,
+    _lebesgue_bound,
     _measure_mean,
     _translation_limits,
 )
@@ -143,13 +144,20 @@ def mean_homological_translation(
     mu: InvariantMeasure,
     quadrature_points: int = QUADRATURE_POINTS,
 ) -> MeanReport:
-    """Integral of the single-arc winding x -> delta_phi(arc at x) over mu."""
+    """Integral of the single-arc winding x -> delta_phi(arc at x) over mu.
+
+    The winding is rho of the induced bundle map, read from the same grid
+    images (`dynamics._grid_images`) and bounded the same way
+    (`_lebesgue_bound`) as in `mean_translation_number`."""
     require_preserves_class(a, iso.terminal)
     value, err = _measure_mean(
-        lambda pts: (iso.terminal(pts) - pts) @ a.vector,
+        lambda pts, images: (images - pts) @ a.vector,
         mu,
         a.dimension,
         quadrature_points,
         base_map=iso.terminal,
+        with_images=True,
     )
+    if mu.kind == "lebesgue":
+        err = _lebesgue_bound(a, iso.terminal, 0.0, quadrature_points)
     return MeanReport(value=value, error_bound=err, measure_kind=mu.kind)

@@ -608,6 +608,23 @@ def test_rot_mean_on_the_skew_family(tmp_path):
     assert rec["results"]["measure"]["invariance_warning"] is False
 
 
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 128])
+def test_rot_mean_bound_contains_the_mean_on_grids_below_the_degree(tmp_path, grid):
+    # c(x) = 0.3 + 0.1 cos + 0.2 sin + 0.05 cos 2 + 0.02 sin 2 (2 pi x) has
+    # degree 2, so grids of 1 and 2 points alias it; the true mean is 0.3
+    text = SKEW_TEXT.replace(f"omega = {GOLDEN}", "omega = 0.618").replace(
+        "coeffs = 0.3 0.05 0.1", "coeffs = 0.3 0.1 0.2 0.05 0.02"
+    )
+    rec = run_record(tmp_path, ["rot-mean", "--config", write(tmp_path, "m.ini", text), "--grid", str(grid)])
+    mean = rec["results"]["mean"]
+    error = abs(mean["value"] - 0.3)
+    assert mean["error_bound"] >= error
+    if grid <= 2:
+        assert error >= 0.04
+    else:
+        assert mean["error_bound"] <= 1e-12
+
+
 def test_gk_eval_closed_form_and_quadrature(tmp_path):
     rec = run_record(tmp_path, ["gk-eval", "--config", write(tmp_path, "g.ini", GK_TEXT)])
     assert rec["results"]["closed_form"] == {"value": 0.1, "exact": True}

@@ -446,9 +446,24 @@ def test_invariance_residual_is_the_per_probe_difference_of_measure_means(mu):
     for f in _default_test_functions(2):
         pushed, _ = _measure_mean(lambda p, _f=f: _f(reduce_point(BUMPY.evaluate_many(p))), mu, 2, 64, BUMPY)
         plain, _ = _measure_mean(f, mu, 2, 64, BUMPY)
+        if mu.kind == "lebesgue":
+            # a nonconstant degree-1 character sums to exactly 0 over the
+            # 64^2 midpoint grid: the residual takes that 0, not its rounding
+            assert abs(plain) <= 1e-15
+            plain = 0.0
         expected = max(expected, abs(pushed - plain))
     assert expected > 1e-3
     assert measure_invariance_residual(BUMPY, mu, quadrature_points=64) == expected
+
+
+def test_lebesgue_mean_of_a_lift_without_lipschitz_data_is_an_estimate():
+    assert BUMPY.displacement_lipschitz is None and BUMPY.lipschitz_bound is None
+    rep = mean_translation_number(A10, auto(BUMPY), InvariantMeasure.lebesgue(), 64)
+    assert rep.error_bound is None
+    assert abs(rep.value) <= 1e-15  # the mean of 0.05 sin(2 pi x) is 0
+    # finite sums keep their rounding bound
+    orbit = mean_translation_number(A10, auto(BUMPY), InvariantMeasure.dirac_orbit([0.1, 0.35], 3))
+    assert orbit.error_bound is not None
 
 
 def test_squaring_chart_map_visibly_breaks_lebesgue_invariance():

@@ -1,6 +1,8 @@
 """The blocked tensor grid: its points, and the means and seminorms read from it."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from transnum import (
     skew_translation,
     torus_affine,
 )
+from transnum import dynamics
 from transnum.dynamics import GRID_BLOCK, _default_test_functions, _grid_blocks, _grid_images, _measure_mean
 from transnum.torus import LiftedMap, reduce_point
 
@@ -120,17 +123,62 @@ TORUS_FAMILIES = [(name, g.lift) for name, a, g in KERNEL_FAMILIES if a.dimensio
 
 
 def reference_mean(integrand, n, m):
-    """(value, error) of a Lebesgue mean read off whole meshgrid stacks."""
-    value = float(np.mean(integrand(meshgrid_grid(n, m, 0.5))))
-    coarse = float(np.mean(integrand(meshgrid_grid(n, max(1, m // 2), 0.5))))
-    return value, abs(value - coarse) / 3.0 + 32.0 * np.finfo(float).eps * (1.0 + abs(value))
+    """The midpoint mean read off the whole meshgrid stack."""
+    return float(np.mean(integrand(meshgrid_grid(n, m, 0.5))))
 
 
 @pytest.mark.parametrize("name, a, g, m", CASES, ids=[c[0] for c in CASES])
 def test_lebesgue_mean_matches_the_whole_grid_bit_for_bit(name, a, g, m):
-    value, err = reference_mean(lambda pts: rho_many(a, g, pts), a.dimension, m)
+    value = reference_mean(lambda pts: rho_many(a, g, pts), a.dimension, m)
     rep = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
-    assert (rep.value, rep.error_bound) == (value, err)
+    assert rep.value == value
+
+
+def mean_displacement_and_degree(g, n):
+    """(v, d) for a built-in family: v its mean displacement, the translation
+    part (for an affine map, M^T a = a cancels the (M - I) x of rho), and d
+    the degree of rho as a trigonometric polynomial."""
+    code, params = g.lift.kernel_spec
+    if code == _kernels.RIGID:
+        return params, 0
+    if code == _kernels.AFFINE:
+        return params[n * n :], 0
+    if code == _kernels.CIRCLE_SINE:
+        return params[:1], 1
+    if code == _kernels.SINE_SHEAR:
+        return [0.0, 0.0], 1
+    return [params[0], params[2]], int(params[1])
+
+
+def exact_mean(a, g):
+    """The Lebesgue mean <a, v> + shift of rho, in exact arithmetic on the
+    float parameters."""
+    v, _ = mean_displacement_and_degree(g, a.dimension)
+    return sum(Fraction(e) * Fraction(float(t)) for e, t in zip(a.entries, v)) + Fraction(g.fiber_shift)
+
+
+@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
+def test_lebesgue_bound_contains_the_exact_mean(name, a, g):
+    _, d = mean_displacement_and_degree(g, a.dimension)
+    for m in sorted({1, d, d + 1, 128} - {0}):
+        rep = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
+        assert abs(Fraction(rep.value) - exact_mean(a, g)) <= Fraction(rep.error_bound), m
+        if m > d:  # the rule is exact: the bound is the rounding term alone
+            assert rep.error_bound <= 1e-12, m
+        else:  # the grid aliases rho: the midpoint Lipschitz bound
+            cell = a.one_norm * g.lift.displacement_lipschitz * math.sqrt(a.dimension / 12) / m
+            assert cell < rep.error_bound <= cell + 1e-12, m
+
+
+def test_a_composed_word_gets_the_lipschitz_bound():
+    # rho of this word is not a trigonometric polynomial: c(x0 + eps sin(2 pi x1))
+    a, g = CohomologyClass([0, 1]), BundleAutomorphism(SKEW.compose(sinusoidal_shear(0.2)), 1)
+    reference = mean_translation_number(a, g, LEBESGUE, quadrature_points=1024, check_invariance=False)
+    for m in (1, 2, 4, 16, 64):
+        rep = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
+        cell = a.one_norm * g.lift.displacement_lipschitz * math.sqrt(2 / 12) / m
+        assert cell < rep.error_bound <= cell + 1e-12, m
+        assert abs(rep.value - reference.value) <= rep.error_bound - reference.error_bound, m
 
 
 @pytest.mark.parametrize("name, a, g, m", CASES, ids=[c[0] for c in CASES])
@@ -147,14 +195,22 @@ def test_gal_kedra_mean_matches_the_whole_grid_bit_for_bit():
     def integrand(pts):
         return gal_kedra_many(a, SKEW, h, pts)
 
-    assert _measure_mean(integrand, LEBESGUE, 2, 300) == reference_mean(integrand, 2, 300)
+    # the error of a Lebesgue mean depends on the integrand: the caller bounds it
+    assert _measure_mean(integrand, LEBESGUE, 2, 300) == (reference_mean(integrand, 2, 300), None)
 
 
 def reference_residual(lift, m):
-    """The Lebesgue invariance residual read off the whole meshgrid stack."""
-    pts = meshgrid_grid(lift.dimension, m, 0.5)
+    """The Lebesgue invariance residual of a T^2 map read off the whole
+    meshgrid stack. Every probe has frequencies in {-1, 0, 1}, and some entry
+    is nonzero, so its mean over the unmoved midpoint grid is exactly 0 once
+    m >= 2; at m = 1 it is computed."""
+    assert lift.dimension == 2
+    pts = meshgrid_grid(2, m, 0.5)
     moved = reduce_point(lift.evaluate_many(pts))
-    return max(abs(float(np.mean(f(moved))) - float(np.mean(f(pts)))) for f in _default_test_functions(lift.dimension))
+    return max(
+        abs(float(np.mean(f(moved))) - (float(np.mean(f(pts))) if m == 1 else 0.0))
+        for f in _default_test_functions(2)
+    )
 
 
 def test_invariance_residual_reads_the_same_grid():
@@ -219,13 +275,41 @@ def test_other_lifts_image_every_block_with_evaluate_many(name, monkeypatch):
     n = a.dimension
     calls = counted_evaluate_many(monkeypatch)
     mean_translation_number(a, g, LEBESGUE, m, check_invariance=False)
-    assert len(calls) > 2 and sum(calls) == m**n + (m // 2) ** n
+    assert len(calls) > 1 and sum(calls) == m**n
     calls.clear()
     seminorm(a, g, m)
     assert len(calls) > 1 and sum(calls) == m**n
     calls.clear()
     measure_invariance_residual(g.lift, LEBESGUE, quadrature_points=m)
     assert sum(calls) == m**n
+
+
+@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
+def test_lebesgue_mean_takes_one_grid_and_its_residual_one(name, a, g, monkeypatch):
+    shapes = []
+    grid_blocks = dynamics._grid_blocks
+
+    def counted(*args):
+        shapes.append(args)
+        return grid_blocks(*args)
+
+    monkeypatch.setattr(dynamics, "_grid_blocks", counted)
+    mean_translation_number(a, g, LEBESGUE)
+    m = dynamics.QUADRATURE_POINTS
+    assert shapes == [(a.dimension, m, 0.5), (a.dimension, m, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "lift, m", [(SKEW, 1), (rigid_rotation([0.3]), 1), (arnold_circle(0.3, 0.9), 2)], ids=["T2-m1", "circle-m1", "circle-m2"]
+)
+def test_grids_the_probes_alias_on_keep_their_unmoved_means(lift, m):
+    # the circle's probes reach degree 2, so m = 2 aliases there too
+    pts = meshgrid_grid(lift.dimension, m, 0.5)
+    moved = reduce_point(lift.evaluate_many(pts))
+    unmoved = [float(np.mean(f(pts))) for f in _default_test_functions(lift.dimension)]
+    assert max(map(abs, unmoved)) == 1.0
+    want = max(abs(float(np.mean(f(moved))) - u) for f, u in zip(_default_test_functions(lift.dimension), unmoved))
+    assert measure_invariance_residual(lift, LEBESGUE, quadrature_points=m) == want
 
 
 def traced_peak(fn):

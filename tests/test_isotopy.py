@@ -135,3 +135,18 @@ def test_mean_winding_matches_the_bundle_mean_for_the_skew():
     assert via_arcs.value == pytest.approx(
         via_bundle.value, abs=via_arcs.error_bound + via_bundle.error_bound + 1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "iso, a",
+    [(straight_isotopy([0.3, 0.4]), A10), (shear_isotopy(0.1), A10), (skew_isotopy(GOLDEN, POLY), A01)],
+    ids=["straight", "shear", "skew"],
+)
+@pytest.mark.parametrize("m", [1, 2, 128])
+def test_mean_winding_is_the_bundle_mean_with_its_bound(iso, a, m):
+    # the winding is rho of the induced bundle map, read from the same grid
+    via_arcs = mean_homological_translation(a, iso, InvariantMeasure.lebesgue(), m)
+    via_bundle = mean_translation_number(
+        a, induced_bundle_map(iso), InvariantMeasure.lebesgue(), m, check_invariance=False
+    )
+    assert (via_arcs.value, via_arcs.error_bound) == (via_bundle.value, via_bundle.error_bound)
