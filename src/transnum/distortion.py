@@ -26,10 +26,17 @@ mod 1 if the fiber shift absorbs <a, floor>, which is exactly the deck
 relation of the bundle. The search runs on plain integers: with D and E the
 lcm of the generators' translation and shift denominators, every word lies
 on the lattice (integer matrix, (1/D) Z^n, (1/E) Z), so a state is
-(M, D v, E c) and its key (M, D v mod D, E c + E <a, floor>) stands for
-`canonical_key` one to one. `ball_norms` decodes the keys once, at the end;
-`translation_length_estimate` looks the powers g^n up in the integer table,
-so one ball gives |g|_S and every |g^n|_S.
+(M, D v, E c) and its key, the flat tuple (M, D v mod D, E c + E <a, floor>),
+stands for `canonical_key` one to one. Since every generator fixes a, the
+deck relation is a congruence, and the frontier holds reduced keys only.
+The BFS expands one whole layer at a time with array arithmetic
+(`_Lattice.layer`): int64 while a bound derived there from the frontier's
+largest entries stays below 2^62, Python ints (`dtype=object`) for a layer
+past it, so no product ever wraps. The dedupe, goal and cap tests then walk
+the layer in the order a word-by-word search would discover it.
+`ball_norms` decodes the keys once, at the end; `translation_length_estimate`
+looks the powers g^n up in the integer table, so one ball gives |g|_S and
+every |g^n|_S.
 """
 
 from __future__ import annotations
@@ -243,41 +250,40 @@ def _int_matrix(rows) -> tuple:
 
 
 def _exact_det(m: tuple) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: after step k every entry below row k is a k+1 by k+1 minor,
+    so each division by the previous pivot is exact and all work stays in
+    ints."""
     n = len(m)
-    mat = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
+    mat = [list(row) for row in m]
+    sign, prev = 1, 1
     for i in range(n):
         piv = next((r for r in range(i, n) if mat[r][i] != 0), None)
         if piv is None:
             return 0
         if piv != i:
             mat[i], mat[piv] = mat[piv], mat[i]
-            det = -det
-        det *= mat[i][i]
-        inv = Fraction(1) / mat[i][i]
-        for r in range(i + 1, n):
-            f = mat[r][i] * inv
-            if f:
-                for c in range(i, n):
-                    mat[r][c] -= f * mat[i][c]
-    return int(det)
+            sign = -sign
+        p, top = mat[i][i], mat[i]
+        for row in mat[i + 1:]:
+            f = row[i]
+            for c in range(i + 1, n):
+                row[c] = (row[c] * p - f * top[c]) // prev
+        prev = p
+    return sign * prev
 
 
 def _exact_inverse(m: tuple) -> tuple:
-    """Inverse of a unimodular integer matrix, via Fraction Gauss-Jordan."""
+    """Inverse of a unimodular integer matrix: its adjugate times det = +-1."""
     n = len(m)
-    aug = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    for i in range(n):
-        piv = next(r for r in range(i, n) if aug[r][i] != 0)
-        aug[i], aug[piv] = aug[piv], aug[i]
-        scale = Fraction(1) / aug[i][i]
-        aug[i] = [v * scale for v in aug[i]]
-        for r in range(n):
-            if r != i and aug[r][i]:
-                f = aug[r][i]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[i])]
-    inv = tuple(tuple(int(aug[r][n + c]) for c in range(n)) for r in range(n))
-    return inv
+    det = _exact_det(m)
+
+    def minor(r: int, c: int) -> tuple:
+        return tuple(row[:c] + row[c + 1:] for i, row in enumerate(m) if i != r)
+
+    return tuple(
+        tuple((-1) ** (i + j) * det * _exact_det(minor(j, i)) for j in range(n)) for i in range(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -383,14 +389,47 @@ class _Lattice:
     Matrices are integral, so every word's translation lies in (1/D) Z^n
     and its fiber shift in (1/E) Z, with D and E the lcm of the generators'
     translation and shift denominators. A state (flat M, D v, E c) holds
-    only ints; `key` reduces it mod the deck relation exactly as
-    `canonical_key` does, by floors, residues mod D and E c + E <a, floor>."""
+    only ints. Its key is one flat tuple of n^2 + n + 1 ints: flat M, the
+    residues D v mod D and E c + E <a, floor>, with floor = floor(v). That
+    is the deck relation applied exactly as `canonical_key` applies it, so
+    keys and canonical keys correspond one to one, and a key is itself the
+    state of the reduced representative of its element.
+
+    `layer` steps a whole frontier of keys by every letter at once, in
+    int64 while a bound on every value of the layer stays below 2^62 and
+    in Python ints (`dtype=object`) above it. Write mu = max |M_s| over the
+    letters s, m = max |M| over the frontier, tau = max |D v_s|,
+    gamma = max |E c_s|, kappa = max |E c| over the frontier's keys and
+    A = |a|_1. For a key with residues 0 <= r < D:
+      - every partial sum of (M_s M)_ij is at most n mu m;
+      - every partial sum of M_s r + D v_s is at most
+        T = n mu (D - 1) + tau;
+      - its floors f = (M_s r + D v_s) // D satisfy |f| <= F = T // D + 1,
+        and |D f| <= T + D;
+      - every partial sum of E c + E c_s + E <a, f> is at most
+        kappa + gamma + E A F.
+    So B = max(n mu m, T + D, kappa + gamma + E A F, E) bounds every
+    intermediate and every input (the letters' entries too: mu <= n mu m
+    since m >= 1 for a unimodular M, and |a_i| <= E A F). Below 2^62 the
+    sum of any two such values stays below 2^63, and int64 is exact."""
 
     def __init__(self, a: CohomologyClass, gens):
         self.entries = a.entries
-        self.dimension = a.dimension
+        self.dimension = n = a.dimension
         self.tden = math.lcm(*(t.denominator for s in gens for t in s.translation))
         self.sden = math.lcm(*(s.fiber_shift.denominator for s in gens))
+        states = [self.state(s) for s in gens]
+        self._mu = max(abs(e) for m, _, _ in states for e in m)
+        self._tau = max(abs(e) for _, t, _ in states for e in t)
+        self._gamma = max(abs(c) for _, _, c in states)
+        self._a1 = sum(map(abs, self.entries))
+        dtype = np.int64 if max(self._mu, self._tau, self._gamma, self._a1) < 2**62 else object
+        self._letters = (
+            np.array([m for m, _, _ in states], dtype=dtype).reshape(-1, n, n),
+            np.array([t for _, t, _ in states], dtype=dtype),
+            np.array([c for _, _, c in states], dtype=dtype),
+            np.array(self.entries, dtype=dtype),
+        )
 
     def state(self, g: ExactAffineAutomorphism) -> Optional[tuple]:
         """(flat M, D v, E c), or None when g lies off the lattice."""
@@ -406,8 +445,8 @@ class _Lattice:
     def key(self, m: tuple, t, c: int) -> tuple:
         d = self.tden
         floors = [v // d for v in t]
-        residues = tuple([v - d * f for v, f in zip(t, floors)])
-        return m, residues, c + self.sden * sum(map(operator.mul, self.entries, floors))
+        residues = [v - d * f for v, f in zip(t, floors)]
+        return (*m, *residues, c + self.sden * sum(map(operator.mul, self.entries, floors)))
 
     def key_of(self, g: ExactAffineAutomorphism) -> Optional[tuple]:
         """The key of g, or None (which no ball element has) off the lattice."""
@@ -416,14 +455,43 @@ class _Lattice:
 
     def decode(self, key: tuple) -> tuple:
         """The `canonical_key` that an integer key stands for."""
-        m, residues, c = key
         n = self.dimension
-        matrix = tuple(m[i * n:(i + 1) * n] for i in range(n))
+        matrix = tuple(key[i * n:(i + 1) * n] for i in range(n))
         return (
             matrix,
-            tuple(Fraction(r, self.tden) for r in residues),
-            Fraction(c, self.sden),
+            tuple(Fraction(r, self.tden) for r in key[n * n:-1]),
+            Fraction(key[-1], self.sden),
         )
+
+    def layer(self, frontier: np.ndarray) -> np.ndarray:
+        """Keys of s g for every key g of the (F, K) frontier and every
+        letter s, as an (F L, K) array in frontier-major, letter-minor
+        order; int64 when the class docstring's bound B stays below 2^62,
+        else Python ints."""
+        n = self.dimension
+        nn = n * n
+        d, e = self.tden, self.sden
+        largest = np.abs(frontier).max(axis=0)
+        m, kappa = int(largest[:nn].max()), int(largest[-1])
+        t_bound = n * self._mu * (d - 1) + self._tau
+        bound = max(
+            n * self._mu * m,
+            t_bound + d,
+            kappa + self._gamma + e * self._a1 * (t_bound // d + 1),
+            e,
+        )
+        dtype = np.int64 if bound < 2**62 else object
+        keys = frontier.astype(dtype, copy=False)
+        ms, ts, cs, pairing = (x.astype(dtype, copy=False) for x in self._letters)
+        nf, nl = len(keys), len(ms)
+        # s after g: M_s M, M_s r + D v_s, E c + E c_s, then reduced
+        t = np.matmul(ms, keys[:, None, nn:nn + n, None])[..., 0] + ts
+        floors = t // d
+        out = np.empty((nf, nl, nn + n + 1), dtype=dtype)
+        out[..., :nn] = np.matmul(ms, keys[:, None, :nn].reshape(nf, 1, n, n)).reshape(nf, nl, nn)
+        out[..., nn:-1] = t - d * floors
+        out[..., -1] = keys[:, None, -1] + cs + e * (floors @ pairing)
+        return out.reshape(nf * nl, nn + n + 1)
 
 
 def _bfs(a: CohomologyClass, generators, radius: int, cap: int, target=None):
@@ -431,44 +499,39 @@ def _bfs(a: CohomologyClass, generators, radius: int, cap: int, target=None):
     symmetrized set, stopping early once `target` is reached (a target off
     the lattice is never reached). Every generator and the target must fix a.
 
-    Frontier states stay unreduced, so each is the product of its word's
-    letters."""
+    The search runs one layer at a time: `_Lattice.layer` computes every
+    product of the frontier's keys with the letters in one pass of array
+    arithmetic, and the dedupe, the goal test and the cap walk its rows in
+    frontier-major, letter-minor order, the order in which a word-by-word
+    search discovers them. The frontier holds reduced keys: with M_s^T a = a
+    for every letter, <a, M_s f> = <a, f>, so the deck relation is a
+    congruence and the product of reduced representatives has the key of
+    the product of the words."""
     if not generators:
         raise ValidationError("need at least one generator")
     gens = _symmetrized(a, generators)
     _require_fixes_class(a, generators if target is None else [*generators, target])
     lattice = _Lattice(a, gens)
-    letters = [(s.matrix,) + lattice.state(s)[1:] for s in gens]
-    n = lattice.dimension
-    cols = range(n)
-    mul = operator.mul
-    key = lattice.key
-    ident = lattice.state(ExactAffineAutomorphism.identity(n))
-    norms = {key(*ident): 0}
+    ident = lattice.key_of(ExactAffineAutomorphism.identity(lattice.dimension))
+    norms = {ident: 0}
     goal = None if target is None else lattice.key_of(target)
-    frontier = [ident]
+    frontier = np.array([ident], dtype=np.int64)
     depth = 0
-    while frontier and depth < radius and goal not in norms:
+    while len(frontier) and depth < radius and goal not in norms:
         depth += 1
-        grown = []
-        for m, t, c in frontier:
-            columns = [m[j::n] for j in cols]
-            for rows, st, sc in letters:
-                # s after cur: M_s M, M_s t + t_s, c + c_s
-                nm = tuple([sum(map(mul, row, col)) for row in rows for col in columns])
-                nt = [sum(map(mul, row, t)) + u for row, u in zip(rows, st)]
-                nc = c + sc
-                k = key(nm, nt, nc)
-                if k not in norms:
-                    norms[k] = depth
-                    if k == goal:
-                        return lattice, norms
-                    grown.append((nm, nt, nc))
-                    if len(norms) > cap:
-                        raise SearchBudgetExceeded(
-                            f"BFS ball exceeded {cap} elements at radius {depth}"
-                        )
-        frontier = grown
+        rows = lattice.layer(frontier)
+        keep = []
+        for i, k in enumerate(map(tuple, rows.tolist())):
+            if k not in norms:
+                norms[k] = depth
+                if k == goal:
+                    return lattice, norms
+                keep.append(i)
+                if len(norms) > cap:
+                    raise SearchBudgetExceeded(
+                        f"BFS ball exceeded {cap} elements at radius {depth}"
+                    )
+        frontier = rows[keep]
     return lattice, norms
 
 

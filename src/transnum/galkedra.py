@@ -33,7 +33,8 @@ from .dynamics import (
     InvariantMeasure,
     _cover_of,
     _measure_mean,
-    mean_translation_number,
+    _rho_values,
+    _shift_float,
     measure_invariance_residual,
     rho,
 )
@@ -230,9 +231,19 @@ def splitting_check(
     rng = np.random.default_rng(seed)
 
     def mean_of(g: BundleAutomorphism) -> float:
-        return mean_translation_number(
-            a, g, mu, quadrature_points=quadrature_points, check_invariance=False
-        ).value
+        """The value of `mean_translation_number` without its error bound,
+        which the residuals never read."""
+        require_preserves_class(a, g.lift)
+        shift, avec = _shift_float(a, g), a.vector
+        value, _ = _measure_mean(
+            lambda pts, images: _rho_values(pts, images, avec, shift),
+            mu,
+            a.dimension,
+            quadrature_points,
+            base_map=g.lift,
+            with_images=True,
+        )
+        return value
 
     worst_add = 0.0
     worst_mean_cocycle = 0.0

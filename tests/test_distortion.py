@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from transnum import distortion
 from transnum import (
     BundleAutomorphism,
     CertificateUnavailable,
@@ -478,3 +479,123 @@ def test_off_lattice_element_with_a_power_on_the_lattice():
     assert rep.norms == ((1, None), (2, 1), (3, None), (4, 2))
     assert rep.estimate == 0.5
     assert not rep.complete
+
+
+# -- the layered BFS on int64 and on Python ints --------------------------------
+
+HYPERBOLIC = ((1000, 1, 0), (999, 1, 0), (0, 0, 1))
+EYE3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+PAST_INT64 = {
+    # matrix entries near 1000^8 = 1e24 in the deepest layers
+    "hyperbolic": (
+        CohomologyClass([0, 0, 1]),
+        [
+            ExactAffineAutomorphism(HYPERBOLIC, (Fraction(1, 3), 0, Fraction(1, 2)), Fraction(1, 5)),
+            ExactAffineAutomorphism(EYE3, (Fraction(1, 2), 0, Fraction(1, 4)), 1),
+        ],
+    ),
+    # E = 2^61 + 1 and a = 8: one carry of the translation moves E c by 2^64
+    "shift lattice": (
+        CohomologyClass([8]),
+        [ExactAffineAutomorphism(((1,),), (Fraction(1, 3),), Fraction(1, 2**61 + 1)), UNIT],
+    ),
+    # D = 2^60 + 2 and a residue of D / 2 times 16 reaches 2^63
+    "translation lattice": (
+        CohomologyClass([0, 1]),
+        [
+            ExactAffineAutomorphism(((1, 16), (0, 1)), (Fraction(1, 2**59 + 1), Fraction(1, 2)), 1),
+            ExactAffineAutomorphism.fiber_translation(2, 1),
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def layer_dtypes(monkeypatch):
+    """The dtypes of every frontier and layer the BFS steps, in order."""
+    seen = []
+    step = distortion._Lattice.layer
+
+    def spy(self, frontier):
+        rows = step(self, frontier)
+        seen.append((frontier.dtype, rows.dtype))
+        return rows
+
+    monkeypatch.setattr(distortion._Lattice, "layer", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(PAST_INT64))
+def test_layers_past_int64_match_the_fraction_bfs(case, layer_dtypes):
+    a, gens = PAST_INT64[case]
+    want = _reference_bfs(a, gens, 8, 10**6)
+    got = ball_norms(a, gens, radius=8, cap=10**6)
+    assert list(got.items()) == list(want.items())
+    assert layer_dtypes[-1][1] == object
+    g = gens[0]
+    rep = translation_length_estimate(a, gens, g, max_power=8, radius=8)
+    assert rep.norms == tuple((n, want.get(g.power(n).canonical_key(a))) for n in range(1, 9))
+
+
+def test_a_ball_with_small_entries_never_leaves_int64(layer_dtypes):
+    shear = ELEMENTARY[0]  # fixes (0, 1)
+    turn = ExactAffineAutomorphism(((1, 0), (0, 1)), (0, Fraction(1, 4)), Fraction(1, 3))
+    ball = ball_norms(CohomologyClass([0, 1]), [shear, turn], radius=4, cap=10**6)
+    assert len(ball) > 100 and len(layer_dtypes) == 4
+    assert all(dtypes == (np.int64, np.int64) for dtypes in layer_dtypes)
+
+
+# -- fraction-free determinants and adjugate inverses -----------------------------
+
+
+def _fraction_det(m):
+    """The Fraction Gauss elimination `_exact_det` replaced, kept as the reference."""
+    n = len(m)
+    mat = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if mat[r][i] != 0), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            mat[i], mat[piv] = mat[piv], mat[i]
+            det = -det
+        det *= mat[i][i]
+        inv = Fraction(1) / mat[i][i]
+        for r in range(i + 1, n):
+            f = mat[r][i] * inv
+            if f:
+                for c in range(i, n):
+                    mat[r][c] -= f * mat[i][c]
+    return int(det)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of size 1-4; some with a repeated or zero row
+    or a zero pivot column, so singular ones and row swaps are common."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3) | st.integers(-(10**20), 10**20)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "repeat", "zero-row", "zero-pivot"]))
+    if kind == "repeat" and n > 1:
+        rows[-1] = list(rows[0])
+    elif kind == "zero-row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    elif kind == "zero-pivot":
+        rows[0][0] = 0
+    return tuple(tuple(r) for r in rows)
+
+
+@given(m=integer_matrices())
+def test_bareiss_det_is_the_fraction_det(m):
+    det = distortion._exact_det(m)
+    assert type(det) is int and det == _fraction_det(m)
+    translation = (0,) * len(m)
+    if abs(det) == 1:
+        g = ExactAffineAutomorphism(m, translation)
+        inv = distortion._exact_inverse(g.matrix)
+        assert g.compose(ExactAffineAutomorphism(inv, translation)) == ExactAffineAutomorphism.identity(len(m))
+    else:
+        with pytest.raises(ValidationError, match=r"needs \|det M\| = 1"):
+            ExactAffineAutomorphism(m, translation)

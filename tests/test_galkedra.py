@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from transnum import dynamics, galkedra
 from transnum import (
     BundleAutomorphism,
+    ClassNotPreserved,
     LiftedMap,
     CohomologyClass,
     Coefficients,
@@ -22,6 +24,7 @@ from transnum import (
     gal_kedra_many,
     gal_kedra_quadrature,
     identity_lift,
+    mean_translation_number,
     quasimorphism_defect,
     rigid_rotation,
     sinusoidal_shear,
@@ -203,3 +206,32 @@ def test_splitting_refuses_measure_breaking_generators():
         splitting_check(A1, gens, InvariantMeasure.lebesgue(), pairs=5)
     with pytest.raises(ValidationError):
         splitting_check(A1, [], InvariantMeasure.lebesgue())
+
+
+def test_splitting_means_skip_the_unread_error_bound(monkeypatch):
+    """The residuals are those of `mean_translation_number` values, bit for
+    bit, and no `_lebesgue_bound` is computed for them."""
+    gens = [
+        BundleAutomorphism(skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))),
+        BundleAutomorphism(sinusoidal_shear(0.1), 1),
+    ]
+    mu = InvariantMeasure.lebesgue()
+    rng = np.random.default_rng(4)
+    want = 0.0
+    for _ in range(6):
+        gw, hw = galkedra._random_word(rng, gens), galkedra._random_word(rng, gens)
+        fg, fh, fgh = (
+            mean_translation_number(A01, w, mu, quadrature_points=16, check_invariance=False).value
+            for w in (gw, hw, gw.compose(hw))
+        )
+        want = max(want, abs(fgh - fg - fh))
+    monkeypatch.setattr(dynamics, "_lebesgue_bound", None)  # any call would fail
+    rep = splitting_check(A01, gens, mu, pairs=6, quadrature_points=16, seed=4)
+    assert rep.additivity_residual == want
+
+
+def test_splitting_refuses_words_that_move_the_class():
+    # [[1, 1], [0, 1]] preserves Lebesgue measure and sends (1, 0) to (1, 1)
+    gens = [BundleAutomorphism(torus_affine([[1, 1], [0, 1]], [0.0, 0.0]))]
+    with pytest.raises(ClassNotPreserved):
+        splitting_check(A10, gens, InvariantMeasure.lebesgue(), pairs=1)
