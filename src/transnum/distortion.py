@@ -56,6 +56,7 @@ from .dynamics import (
     _displacement_lipschitz,
     _grid_images,
     _power,
+    _require_grid,
     _rho_values,
     _shift_float,
     local_translation_number,
@@ -120,16 +121,13 @@ def seminorm(
     require_preserves_class(a, g.lift)
     n = a.dimension
     m = int(grid_resolution)
-    if m < 1:
-        raise ValidationError("grid_resolution must be >= 1")
+    _require_grid(n, m)
+    shift, avec = _shift_float(a, g), a.vector
     spec = g.lift.kernel_spec
     if spec is not None and _kernels.JIT_ENABLED and n <= 2:
-        est = float(
-            _kernels.grid_sup_abs_rho(spec[0], spec[1], a.vector, float(g.fiber_shift), m, n)
-        )
+        est = float(_kernels.grid_sup_abs_rho(spec[0], spec[1], avec, shift, m, n))
     else:
         blocks = _grid_images(g.lift, n, m, 0.0)
-        shift, avec = _shift_float(a, g), a.vector
         maxima = [np.max(np.abs(_rho_values(pts, images, avec, shift))) for pts, images in blocks]
         est = float(np.max(maxima))
     if mode == MODE_ESTIMATE:

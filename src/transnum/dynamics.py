@@ -101,6 +101,8 @@ QUADRATURE_POINTS = 128
 # Tensor grids are evaluated in blocks of at most this many points, so a scan
 # of any size holds one block of points and their images at a time.
 GRID_BLOCK = 1 << 14
+# A tensor grid or an orbit measure holds at most this many points.
+POINT_CAP = 1 << 24
 # A measure counts as preserved when its push-forward residual is at most this.
 INVARIANCE_TOLERANCE = 1e-6
 # The tongue test of Arnold maps (`_grid_locks`): a grid of LOCK_GRID + 1
@@ -786,8 +788,8 @@ class InvariantMeasure:
 
     @classmethod
     def dirac_orbit(cls, point, period: int) -> "InvariantMeasure":
-        if period < 1:
-            raise ValidationError("orbit measure needs period >= 1")
+        if not 1 <= period <= POINT_CAP:
+            raise ValidationError(f"orbit measure needs a period from 1 to {POINT_CAP}, got {period}")
         return cls(
             kind="dirac_orbit",
             point=reduce_point(np.atleast_1d(np.asarray(point, dtype=float))),
@@ -797,14 +799,16 @@ class InvariantMeasure:
     @classmethod
     def empirical(cls, samples, weights=None) -> "InvariantMeasure":
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise ValidationError("samples must be finite")
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
             w = np.asarray(weights, dtype=float)
             if w.shape != (pts.shape[0],):
                 raise ValidationError("one weight per sample required")
-            if np.any(w < 0):
-                raise ValidationError("weights must be nonnegative")
+            if not np.all(np.isfinite(w) & (w >= 0)):
+                raise ValidationError("weights must be finite and nonnegative")
             if abs(float(w.sum()) - 1.0) > 1e-12:
                 raise ValidationError("weights must sum to 1 within 1e-12")
         return cls(kind="empirical", samples=reduce_point(pts), weights=w)
@@ -823,15 +827,20 @@ def _grid_blocks(dimension: int, m: int, offset: float):
     head axis and (1, tail points) for a tail axis, which broadcast to the
     block's points. On T^2 these are the block's rows of axis 0 and the whole
     axis 1; on the circle, the block's points as a (k, 1) column."""
-    if m < 1:
-        raise ValidationError("a grid needs at least one point per axis")
-    if m**dimension > 2**24:
-        raise ValidationError(f"grid {m}^{dimension} too large; lower the resolution")
+    _require_grid(dimension, m)
     axis = (np.arange(m) + offset) / m
     tail_dims = dimension - 1
     while m**tail_dims > GRID_BLOCK:
         tail_dims -= 1
     return _fill_blocks(_axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims))
+
+
+def _require_grid(dimension: int, m: int) -> None:
+    """Refuse a grid of m points per axis on T^n that is empty or too large."""
+    if m < 1:
+        raise ValidationError("a grid needs at least one point per axis")
+    if m**dimension > POINT_CAP:
+        raise ValidationError(f"grid {m}^{dimension} too large; lower the resolution")
 
 
 def _axis_grid(axis: np.ndarray, d: int) -> np.ndarray:
@@ -864,11 +873,9 @@ def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
     rather than once per point, and broadcasts the result into one image
     buffer reused by every block; the values are those of
     `lift.evaluate_many` on the points. Any other lift runs `evaluate_many`
-    on each block: affine maps too, whose evaluator `x @ M.T + v` may fuse a
-    multiply and an add on a stack of points where the step rounds twice."""
+    on each block."""
     blocks = _grid_blocks(dimension, m, offset)
-    family = _kernel_family(lift)
-    if family is None or family[0] == _kernels.AFFINE:
+    if _kernel_family(lift) is None:
         for pts, _ in blocks:
             yield pts, lift.evaluate_many(pts)
         return
@@ -883,19 +890,15 @@ def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
         yield pts, images
 
 
-def _grid_map(func: Callable, dimension: int, m: int, offset: float, lift: Optional[LiftedMap] = None):
+def _grid_map(func: Callable, dimension: int, m: int, offset: float, lift: LiftedMap):
     """func of every grid point, run block by block into one (m^n, ...)
-    float array in grid order; the point stack is never built whole. With a
-    lift, func takes each block's points and their images (`_grid_images`)."""
-    if lift is None:
-        blocks = ((pts,) for pts, _ in _grid_blocks(dimension, m, offset))
-    else:
-        blocks = _grid_images(lift, dimension, m, offset)
+    float array in grid order; the point stack is never built whole. func
+    takes each block's points and their images under lift (`_grid_images`)."""
     out = None
     i = 0
-    for block in blocks:
-        vals = func(*block)
-        k = len(block[0])
+    for pts, images in _grid_images(lift, dimension, m, offset):
+        vals = func(pts, images)
+        k = len(pts)
         if out is None:
             out = np.empty((m**dimension,) + np.shape(vals)[1:])
         out[i : i + k] = vals
@@ -903,7 +906,7 @@ def _grid_map(func: Callable, dimension: int, m: int, offset: float, lift: Optio
     return out
 
 
-def _measure_points(mu: InvariantMeasure, dimension: int, base_map: Optional[LiftedMap]):
+def _measure_points(mu: InvariantMeasure, dimension: int, base_map: LiftedMap):
     """(points, weights) that a mean against an orbit or empirical measure
     is read from: the orbit walked under `base_map`, or the samples. weights
     None means equal weights. Lebesgue means never build their points: they
@@ -914,8 +917,6 @@ def _measure_points(mu: InvariantMeasure, dimension: int, base_map: Optional[Lif
             f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
         )
     if mu.kind == "dirac_orbit":
-        if base_map is None:
-            raise ValidationError("orbit measure needs the map that generates the orbit")
         pts = np.empty((mu.period, dimension))
         cur = mu.point.copy()
         for i in range(mu.period):
@@ -932,17 +933,15 @@ def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
 
 
 def _measure_mean(
-    integrand_many: Callable[[np.ndarray], np.ndarray],
+    integrand_many: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mu: InvariantMeasure,
     dimension: int,
     quadrature_points: int,
-    base_map: Optional[LiftedMap] = None,
-    *,
-    with_images: bool = False,
+    base_map: LiftedMap,
 ):
-    """(value, error) of an integrand against mu; orbit measures are walked.
-    With `with_images`, the integrand takes a point stack and its images
-    under `base_map`.
+    """(value, error) of an integrand against mu; orbit measures are walked
+    under `base_map`. The integrand takes a point stack and its images under
+    `base_map`.
 
     A Lebesgue mean is the midpoint rule at m = quadrature_points per axis,
     one pass over the grid: the integrand runs on blocks of at most
@@ -953,10 +952,9 @@ def _measure_mean(
     empirical measure) is exact up to rounding, for which it reports
     8 eps (1 + max |values|)."""
     if mu.kind == "lebesgue":
-        lift = base_map if with_images else None
-        return float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, lift))), None
+        return float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, base_map))), None
     pts, weights = _measure_points(mu, dimension, base_map)
-    vals = integrand_many(pts, base_map.evaluate_many(pts)) if with_images else integrand_many(pts)
+    vals = integrand_many(pts, base_map.evaluate_many(pts))
     value = _average(vals, weights)
     return value, 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
 
@@ -1085,7 +1083,7 @@ def measure_invariance_residual(
         moved = reduce_point(_grid_map(lambda p, y: y, n, m, 0.5, base_map))
         weights = None
         aliased = m <= max(abs(j) for k in _probe_frequencies(n) for j in k)
-        pts = _grid_map(np.asarray, n, m, 0.5) if aliased else None
+        pts = _grid_map(lambda p, y: p, n, m, 0.5, base_map) if aliased else None
     else:
         pts, weights = _measure_points(mu, n, base_map)
         moved = reduce_point(base_map.evaluate_many(pts))
@@ -1141,7 +1139,6 @@ def mean_translation_number(
         a.dimension,
         quadrature_points,
         base_map=g.lift,
-        with_images=True,
     )
     if mu.kind == "lebesgue":
         err = _lebesgue_bound(a, g.lift, shift, quadrature_points)

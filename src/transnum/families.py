@@ -2,10 +2,10 @@
 
 Each constructor returns a LiftedMap whose kernel spec (code, params) runs
 the family's step in the orbit kernel, and whose numpy evaluator runs the
-same step (`_kernels.np_step`) over point stacks; rigid and affine maps keep
-the data form x @ M.T + v, which is the same map in every dimension. The
-evaluators accept complex points, so derivatives come from the complex step
-rather than from hand-written Jacobians. Each map also carries Lipschitz
+same step (`_kernels.np_step`) over point stacks; rigid maps keep x + v and
+affine maps of dimension 3 or more, which the step cannot take, x @ M.T + v.
+The evaluators accept complex points, so derivatives come from the complex
+step rather than from hand-written Jacobians. Each map also carries Lipschitz
 constants for itself and its displacement field, and an inverse factory.
 Everything here is a lift to R^n of a torus homeomorphism; equivariance is
 by construction but `check_equivariance` will happily re-verify.
@@ -188,8 +188,11 @@ def torus_affine(matrix, vector) -> LiftedMap:
         raise ValidationError("failed to invert matrix exactly")
     params = np.concatenate([m.astype(float).ravel(), v])
     mf = m.astype(float)
+    evaluator = _StepEvaluator(_kernels.AFFINE, params)
+    if n > 2:  # the kernel step takes pairs only
+        evaluator = lambda x, _m=mf, _v=v: np.asarray(x) @ _m.T + _v
     return LiftedMap(
-        evaluator=lambda x, _m=mf, _v=v: np.asarray(x) @ _m.T + _v,
+        evaluator=evaluator,
         matrix=m,
         label="affine",
         lipschitz_bound=float(np.linalg.norm(mf, 2)),

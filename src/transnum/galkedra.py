@@ -77,13 +77,14 @@ def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.nd
     """Vectorized G over an (N, n) stack of base points."""
     require_preserves_class(a, g)
     require_preserves_class(a, h)
-    return _gal_kedra_values(a.vector, g, h, np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    return _gal_kedra_values(a.vector, g, h, pts, g.evaluate_many(pts))
 
 
-def _gal_kedra_values(av: np.ndarray, g: LiftedMap, h: LiftedMap, pts: np.ndarray) -> np.ndarray:
-    """G over an (N, n) float stack, for lifts already checked to fix the class."""
+def _gal_kedra_values(av: np.ndarray, g: LiftedMap, h: LiftedMap, pts: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """G over an (N, n) float stack and its images gx under g, for lifts fixing a."""
     hx = h.evaluate_many(pts)
-    return (g.evaluate_many(hx) - g.evaluate_many(pts)) @ av - (hx - pts) @ av
+    return (g.evaluate_many(hx) - gx) @ av - (hx - pts) @ av
 
 
 # complex-step size: a power of two, so h v and Im(.)/h round nowhere
@@ -241,7 +242,6 @@ def splitting_check(
             a.dimension,
             quadrature_points,
             base_map=g.lift,
-            with_images=True,
         )
         return value
 
@@ -254,7 +254,7 @@ def splitting_check(
         worst_add = max(worst_add, abs(fgh - fg - fh))
         # mean_of has checked that both words fix the class
         mean_g, _ = _measure_mean(
-            lambda pts: _gal_kedra_values(a.vector, gw.lift, hw.lift, pts),
+            lambda pts, gx: _gal_kedra_values(a.vector, gw.lift, hw.lift, pts, gx),
             mu,
             a.dimension,
             quadrature_points,

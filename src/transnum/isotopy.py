@@ -156,7 +156,6 @@ def mean_homological_translation(
         a.dimension,
         quadrature_points,
         base_map=iso.terminal,
-        with_images=True,
     )
     if mu.kind == "lebesgue":
         err = _lebesgue_bound(a, iso.terminal, 0.0, quadrature_points)

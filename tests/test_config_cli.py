@@ -600,6 +600,26 @@ def test_gk_check_is_byte_deterministic(tmp_path):
     assert rec["provenance"]["seed"] == 3
 
 
+def test_a_dirac_orbit_past_the_point_cap_exits_2(tmp_path, capsys):
+    # a period of 10^12 would ask for a (10^12, 1) array of orbit points
+    text = """
+[class]
+kind = integer
+entries = 1
+
+[map]
+family = rigid
+vector = 0.3
+
+[measure]
+kind = dirac-orbit
+point = 0.1
+period = 1000000000000
+"""
+    assert cli.main(["rot-mean", "--config", write(tmp_path, "orbit.ini", text)]) == 2
+    assert "period" in capsys.readouterr().err
+
+
 def test_rot_mean_on_the_skew_family(tmp_path):
     rec = run_record(tmp_path, ["rot-mean", "--config", write(tmp_path, "m.ini", SKEW_TEXT)])
     headline = rec["results"]["headline"]

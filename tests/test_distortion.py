@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from transnum import distortion
+from transnum import _kernels, distortion
 from transnum import (
     BundleAutomorphism,
     CertificateUnavailable,
@@ -18,6 +18,7 @@ from transnum import (
     LiftedMap,
     MODE_CERTIFIED,
     MODE_ESTIMATE,
+    PreconditionError,
     SearchBudgetExceeded,
     ValidationError,
     ball_norms,
@@ -84,6 +85,27 @@ def test_seminorm_validates_its_inputs():
         seminorm(A1, g, grid_resolution=0)
     with pytest.raises(ValidationError):
         seminorm(A1, g, mode="exact")
+
+
+@pytest.fixture
+def compiled_scan(monkeypatch):
+    """The seminorm's compiled-scan branch, with a grid kernel that must not run."""
+
+    def refuse(*args):
+        raise AssertionError("the grid kernel ran on input the seminorm refuses")
+
+    monkeypatch.setattr(_kernels, "JIT_ENABLED", True)
+    monkeypatch.setattr(_kernels, "grid_sup_abs_rho", refuse)
+
+
+def test_compiled_seminorm_refuses_a_fractional_shift_on_an_integer_class(compiled_scan):
+    with pytest.raises(PreconditionError, match="non-integer"):
+        seminorm(A10, auto(rigid_rotation([0.3, 0.1]), 0.5))
+
+
+def test_compiled_seminorm_refuses_a_grid_past_the_point_cap(compiled_scan):
+    with pytest.raises(ValidationError, match="too large"):
+        seminorm(A10, auto(rigid_rotation([0.3, 0.1])), grid_resolution=4097)
 
 
 def test_seminorm_symmetry_and_subadditivity():

@@ -40,7 +40,7 @@ from transnum import (
     torus_affine,
 )
 from transnum import dynamics
-from transnum.dynamics import _default_test_functions, _measure_mean
+from transnum.dynamics import POINT_CAP, _default_test_functions, _measure_mean
 from transnum.torus import reduce_point
 
 A1 = CohomologyClass([1])
@@ -409,8 +409,14 @@ def test_empirical_weights_are_validated():
         InvariantMeasure.empirical([[0.1], [0.2]], [0.7, 0.7])
     with pytest.raises(ValidationError):
         InvariantMeasure.empirical([[0.1], [0.2]], [1.5, -0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        InvariantMeasure.empirical([[0.1, 0.2], [0.3, 0.4]], [float("nan"), 0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        InvariantMeasure.empirical([[0.1, float("nan")], [0.3, 0.4]])
     with pytest.raises(ValidationError):
         InvariantMeasure.dirac_orbit([0.1], 0)
+    with pytest.raises(ValidationError, match="period"):
+        InvariantMeasure.dirac_orbit([0.1], POINT_CAP + 1)
 
 
 def test_lebesgue_invariance_residual_vanishes_for_rotations():
@@ -444,8 +450,8 @@ BUMPY = LiftedMap(
 def test_invariance_residual_is_the_per_probe_difference_of_measure_means(mu):
     expected = 0.0
     for f in _default_test_functions(2):
-        pushed, _ = _measure_mean(lambda p, _f=f: _f(reduce_point(BUMPY.evaluate_many(p))), mu, 2, 64, BUMPY)
-        plain, _ = _measure_mean(f, mu, 2, 64, BUMPY)
+        pushed, _ = _measure_mean(lambda p, y, _f=f: _f(reduce_point(y)), mu, 2, 64, BUMPY)
+        plain, _ = _measure_mean(lambda p, y, _f=f: _f(p), mu, 2, 64, BUMPY)
         if mu.kind == "lebesgue":
             # a nonconstant degree-1 character sums to exactly 0 over the
             # 64^2 midpoint grid: the residual takes that 0, not its rounding

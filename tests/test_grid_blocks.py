@@ -27,6 +27,7 @@ from transnum import (
 )
 from transnum import dynamics
 from transnum.dynamics import GRID_BLOCK, _default_test_functions, _grid_blocks, _grid_images, _measure_mean
+from transnum.galkedra import _gal_kedra_values
 from transnum.torus import LiftedMap, reduce_point
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -94,8 +95,7 @@ CASES = [
 ]
 
 # The built-in families of dimension 1 and 2, each with a class it fixes (the
-# cat map fixes only 0); all but the affine maps image grid blocks from their
-# axis columns.
+# cat map fixes only 0); each images grid blocks from its axis columns.
 SKEW3 = skew_translation(0.3, TrigPolynomial(-0.2, (0.05, -0.03, 0.02), (0.1, 0.04, -0.01)))
 KERNEL_FAMILIES = [
     ("rigid", CohomologyClass([1, 0]), BundleAutomorphism(rigid_rotation([0.3, 0.61]), 1)),
@@ -192,11 +192,12 @@ def test_seminorm_matches_the_whole_grid_bit_for_bit(name, a, g, m, monkeypatch)
 def test_gal_kedra_mean_matches_the_whole_grid_bit_for_bit():
     a, h = CohomologyClass([0, 1]), rigid_rotation([0.23, 0.41])
 
-    def integrand(pts):
-        return gal_kedra_many(a, SKEW, h, pts)
+    def integrand(pts, images):
+        return _gal_kedra_values(a.vector, SKEW, h, pts, images)
 
     # the error of a Lebesgue mean depends on the integrand: the caller bounds it
-    assert _measure_mean(integrand, LEBESGUE, 2, 300) == (reference_mean(integrand, 2, 300), None)
+    want = reference_mean(lambda pts: gal_kedra_many(a, SKEW, h, pts), 2, 300)
+    assert _measure_mean(integrand, LEBESGUE, 2, 300, SKEW) == (want, None)
 
 
 def reference_residual(lift, m):
@@ -259,16 +260,17 @@ def counted_evaluate_many(monkeypatch):
     return calls
 
 
-def test_kernel_family_grids_make_no_evaluate_many_call(monkeypatch):
+@pytest.mark.parametrize("name", ["skew", "affine"])
+def test_kernel_family_grids_make_no_evaluate_many_call(name, monkeypatch):
     monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
     calls = counted_evaluate_many(monkeypatch)
-    a, g = CohomologyClass([0, 1]), BundleAutomorphism(SKEW)
+    _, a, g, _ = next(c for c in CASES if c[0] == name)
     mean_translation_number(a, g, LEBESGUE, 1024)  # with its invariance residual
     seminorm(a, g, 1024, "certified")
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["composed", "affine T^3", "affine"])
+@pytest.mark.parametrize("name", ["composed", "affine T^3"])
 def test_other_lifts_image_every_block_with_evaluate_many(name, monkeypatch):
     monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
     _, a, g, m = next(c for c in CASES if c[0] == name)

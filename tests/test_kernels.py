@@ -168,6 +168,17 @@ def test_numpy_evaluator_runs_the_kernel_step(case):
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))), lift.label
 
 
+def test_affine_evaluator_gives_every_stack_the_step_bits():
+    # a matmul may fuse the multiply-adds of a long stack, which the step never does
+    lift = torus_affine([[1, -3], [0, 1]], [0.7, 0.45])
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, size=(1 << 14, 2))
+    code, params = _params(lift)
+    stacked = lift.evaluator(pts)
+    alone = np.array([lift.evaluator(p) for p in pts])
+    step = np.array([_kernels._step_impl(code, params, *p) for p in pts])
+    assert stacked.tobytes() == alone.tobytes() == step.tobytes()
+
+
 @pytest.mark.parametrize("k", [1.0, -1.5, math.inf, math.nan])
 def test_arnold_rejects_noninvertible_and_nonfinite_k(k):
     with pytest.raises(ValidationError):
