@@ -15,6 +15,11 @@ This script times
   - the push-forward check of `rot-mean`, `measure_invariance_residual`
     against Lebesgue measure at m = 128 per axis on T^2 (skew map), in
     milliseconds per call;
+  - the Gal-Kedra checks of `gk-check` and `split-check`: each seeded
+    residual suite in microseconds per draw, and a 12-pair
+    `splitting_check` on two T^2 generators against Lebesgue measure at
+    m = 64 per axis in milliseconds per pair (its two invariance checks
+    included);
   - the grid scans of each family, at 1024^2 points of T^2 (2048 points of
     the circle for the Arnold family): a Lebesgue mean (one
     midpoint grid, no push-forward check) and a certified seminorm, each in
@@ -65,11 +70,14 @@ from transnum import (  # noqa: E402
     _kernels,
     ball_norms,
     cli,
+    coboundary_residual_suite,
+    cocycle_residual_suite,
     skew_isotopy,
     gal_kedra_quadrature,
     mean_translation_number,
     measure_invariance_residual,
     seminorm,
+    splitting_check,
     translation_length_estimate,
 )
 from transnum import dynamics  # noqa: E402
@@ -88,6 +96,8 @@ SIDE = 1024  # evaluator grids have SIDE^2 points, as a 1024 seminorm grid on T^
 SEGMENTS = 10_000  # the gk-eval default
 RESIDUAL_M = 128  # the rot-mean default grid
 GRID_SIDES = {2: 1024, 1: 2048}  # points per axis of the grid-scan table, by dimension
+SUITE_DRAWS = 200  # draws per timed residual suite
+SPLIT_PAIRS, SPLIT_M = 12, 64  # pairs and points per axis of the timed split-check
 
 CASES = [
     ("rigid T^2", rigid_rotation([0.3, 0.61]), (1.0, 0.0)),
@@ -284,6 +294,32 @@ def ms_per_residual(lift, repeat, calls=10):
     return best * 1e3
 
 
+def us_per_draw(suite, repeat):
+    """Best-of-`repeat` cost of a seeded residual suite of SUITE_DRAWS draws
+    (T^1 and T^2 in turn), per draw."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        suite(1, SUITE_DRAWS)
+        best = min(best, time.perf_counter() - start)
+    return best / SUITE_DRAWS * 1e6
+
+
+def ms_per_split_pair(repeat):
+    """Best-of-`repeat` cost of a SPLIT_PAIRS-pair splitting_check of the
+    golden skew and the sine shear against Lebesgue measure at SPLIT_M
+    points per axis, per pair."""
+    a = CohomologyClass([0, 1])
+    gens = [BundleAutomorphism(CASES[-1][1]), BundleAutomorphism(sinusoidal_shear(0.1), 1)]
+    mu = InvariantMeasure.lebesgue()
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        splitting_check(a, gens, mu, pairs=SPLIT_PAIRS, quadrature_points=SPLIT_M, seed=1)
+        best = min(best, time.perf_counter() - start)
+    return best / SPLIT_PAIRS * 1e3
+
+
 def grid_scan_costs(scan, repeat):
     """(best-of-`repeat` ms per call, tracemalloc peak in MiB of one more
     call) of `scan()`; the traced call is not timed."""
@@ -347,6 +383,16 @@ def main():
     print(f"invariance residual (Lebesgue, m = {RESIDUAL_M} per axis on T^2), best of {args.repeat}")
     label, lift, _ = CASES[-1]
     print_table([("case", "ms/call"), (label, f"{ms_per_residual(lift, args.repeat):.3f}")])
+
+    print()
+    print(f"Gal-Kedra checks (gk-check suites, split-check pairs at m = {SPLIT_M}), best of {args.repeat}")
+    rows = [("case", "cost", "unit")]
+    rows += [
+        (f"{name} suite, {SUITE_DRAWS} draws", f"{us_per_draw(suite, args.repeat):.1f}", "us/draw")
+        for name, suite in (("coboundary", coboundary_residual_suite), ("cocycle", cocycle_residual_suite))
+    ]
+    rows.append((f"split-check, {SPLIT_PAIRS} pairs", f"{ms_per_split_pair(args.repeat):.3f}", "ms/pair"))
+    print_table(rows)
 
     print()
     print(f"grid scans (Lebesgue mean, certified seminorm), best of {args.repeat}; peak of one call under tracemalloc")

@@ -270,6 +270,8 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
     named = build_bundle_generators(cfg)
     mu = build_measure(cfg)
     seed = res.seed if res.seed is not None else 0
+    if cfg.get("check", "dimensions") is not None:
+        raise ValidationError("[check] dimensions is for gk-check; split-check draws its words on the class's torus")
     pairs, _ = _check_sizes(cfg)
     rep = splitting_check(
         a, [g for _, g in named], mu, pairs=pairs, seed=seed, **_given(quadrature_points=res.grid)

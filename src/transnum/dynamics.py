@@ -184,7 +184,11 @@ def fiber_translation(dimension: int, r) -> BundleAutomorphism:
 
 def _shift_float(a: CohomologyClass, g: BundleAutomorphism) -> float:
     """Validate the fiber shift against the fiber group and return it as float."""
-    c = g.fiber_shift
+    return _checked_shift(a, g.fiber_shift)
+
+
+def _checked_shift(a: CohomologyClass, c) -> float:
+    """Validate a fiber shift c against the fiber group and return it as float."""
     if a.is_integral():
         if isinstance(c, float) and not c.is_integer():
             raise PreconditionError(
@@ -928,8 +932,21 @@ def _measure_points(mu: InvariantMeasure, dimension: int, base_map: LiftedMap):
     raise ValidationError(f"unknown measure kind {mu.kind!r}")
 
 
+def _measure_images(mu: InvariantMeasure, dimension: int, base_map: LiftedMap):
+    """(points, images under base_map, weights) of an orbit or empirical
+    measure (`_measure_points`): the one read of its points that a mean and
+    its push-forward residual share."""
+    pts, weights = _measure_points(mu, dimension, base_map)
+    return pts, base_map.evaluate_many(pts), weights
+
+
 def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
     return float(np.mean(values)) if weights is None else float(np.dot(weights, values))
+
+
+def _finite_mean(values: np.ndarray, weights: Optional[np.ndarray]) -> tuple:
+    """(value, error) of a finite sum: its rounding, 8 eps (1 + max |values|)."""
+    return _average(values, weights), 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(values))))
 
 
 def _measure_mean(
@@ -953,10 +970,8 @@ def _measure_mean(
     8 eps (1 + max |values|)."""
     if mu.kind == "lebesgue":
         return float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, base_map))), None
-    pts, weights = _measure_points(mu, dimension, base_map)
-    vals = integrand_many(pts, base_map.evaluate_many(pts))
-    value = _average(vals, weights)
-    return value, 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(vals))))
+    pts, images, weights = _measure_images(mu, dimension, base_map)
+    return _finite_mean(integrand_many(pts, images), weights)
 
 
 def _displacement_lipschitz(lift: LiftedMap) -> Optional[float]:
@@ -1075,20 +1090,23 @@ def measure_invariance_residual(
     unless m divides every k_j. So once m exceeds every |k_j| (m >= 2 on
     T^n for n >= 2, m >= 3 on the circle, whose probes reach degree 2), each
     unmoved mean is exactly 0 and only the moved means are computed; below
-    that the unmoved grid's means are computed too (pts None marks the
-    means that are 0)."""
+    that the unmoved grid's means are computed too."""
     n = base_map.dimension
-    if mu.kind == "lebesgue":
-        m = quadrature_points
-        moved = reduce_point(_grid_map(lambda p, y: y, n, m, 0.5, base_map))
-        weights = None
-        aliased = m <= max(abs(j) for k in _probe_frequencies(n) for j in k)
-        pts = _grid_map(lambda p, y: p, n, m, 0.5, base_map) if aliased else None
-    else:
-        pts, weights = _measure_points(mu, n, base_map)
-        moved = reduce_point(base_map.evaluate_many(pts))
+    if mu.kind != "lebesgue":
+        return _probe_residual(*_measure_images(mu, n, base_map))
+    m = quadrature_points
+    images = _grid_map(lambda p, y: y, n, m, 0.5, base_map)
+    aliased = m <= max(abs(j) for k in _probe_frequencies(n) for j in k)
+    pts = _grid_map(lambda p, y: p, n, m, 0.5, base_map) if aliased else None
+    return _probe_residual(pts, images, None)
+
+
+def _probe_residual(pts: Optional[np.ndarray], images: np.ndarray, weights: Optional[np.ndarray]) -> float:
+    """max_f |mean of f(images) - mean of f(pts)| over the probe functions,
+    the images reduced mod 1 first; pts None marks unmoved means that are 0."""
+    moved = reduce_point(images)
     worst = 0.0
-    for f in _default_test_functions(n):
+    for f in _default_test_functions(moved.shape[1]):
         before = 0.0 if pts is None else _average(f(pts), weights)
         worst = max(worst, abs(_average(f(moved), weights) - before))
     return worst
@@ -1121,9 +1139,11 @@ def mean_translation_number(
 ) -> MeanReport:
     """Integral of rho against mu.
 
-    For orbit measures the mean is the exact cycle average; for Lebesgue it
-    is midpoint quadrature in one pass over the grid. Its error_bound
-    (`_lebesgue_bound`) is a rounding bound when rho is a trigonometric
+    For orbit measures the mean is the exact cycle average, and the
+    push-forward residual reads the same points and images as the mean does
+    (one orbit walk, one evaluation); for Lebesgue it is midpoint quadrature
+    in one pass over the grid, with the residual on its own grid. Its
+    error_bound (`_lebesgue_bound`) is a rounding bound when rho is a trigonometric
     polynomial of known degree d < m (every built-in family: 0 for rigid and
     affine maps, 1 for arnold and sinshear, the degree of c for skew), the
     midpoint Lipschitz bound |a|_1 L sqrt(n/12)/m plus rounding for any
@@ -1133,28 +1153,30 @@ def mean_translation_number(
     require_preserves_class(a, g.lift)
     shift = _shift_float(a, g)
     avec = a.vector
-    value, err = _measure_mean(
-        lambda pts, images: _rho_values(pts, images, avec, shift),
-        mu,
-        a.dimension,
-        quadrature_points,
-        base_map=g.lift,
-    )
-    if mu.kind == "lebesgue":
-        err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
+
+    def integrand(pts, images):
+        return _rho_values(pts, images, avec, shift)
+
     residual = None
-    warning = False
-    if check_invariance:
-        residual = measure_invariance_residual(
-            g.lift, mu, quadrature_points=min(quadrature_points, QUADRATURE_POINTS)
-        )
-        warning = residual > INVARIANCE_TOLERANCE
+    if mu.kind == "lebesgue":
+        value, _ = _measure_mean(integrand, mu, a.dimension, quadrature_points, base_map=g.lift)
+        err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
+        if check_invariance:
+            residual = measure_invariance_residual(
+                g.lift, mu, quadrature_points=min(quadrature_points, QUADRATURE_POINTS)
+            )
+    else:
+        # the residual reads the points and images of the mean
+        pts, images, weights = _measure_images(mu, a.dimension, g.lift)
+        value, err = _finite_mean(integrand(pts, images), weights)
+        if check_invariance:
+            residual = _probe_residual(pts, images, weights)
     return MeanReport(
         value=value,
         error_bound=err,
         measure_kind=mu.kind,
         invariance_residual=residual,
-        invariance_warning=warning,
+        invariance_warning=residual is not None and residual > INVARIANCE_TOLERANCE,
     )
 
 

@@ -18,6 +18,16 @@ F_g(h(x~)) - F_g(x~), which makes two exact identities transparent:
 integral along the straight segment (midpoint rule, with the derivative of
 g along the segment taken by the complex step through g's own evaluator),
 which is the module's independent cross-check.
+
+The residual checks (`coboundary_residual`, `cocycle_residual`,
+`quasimorphism_defect`, `splitting_check`) image each point once under each
+map and read every term from that one set of images: a composed map's image
+is the image of an image, g(h(x)). So a residual measures the rounding noise
+of one computation of the images, not the spread between two computations
+of them; the quadrature above stays the independent route. On Lebesgue and
+empirical measures `splitting_check` holds four value rows of mu's points
+at once, F(g), F(h), F(gh) and G: four m^n floats, 128 KiB on T^2 at the
+default m = 64.
 """
 
 from __future__ import annotations
@@ -31,12 +41,16 @@ from .dynamics import (
     INVARIANCE_TOLERANCE,
     BundleAutomorphism,
     InvariantMeasure,
+    _add_shifts,
+    _average,
+    _checked_shift,
     _cover_of,
+    _grid_images,
+    _measure_images,
     _measure_mean,
     _rho_values,
     _shift_float,
     measure_invariance_residual,
-    rho,
 )
 from .errors import PreconditionError, ValidationError
 from .families import sample_class_entries, sample_fiber_shift, sample_map
@@ -69,8 +83,17 @@ def gal_kedra(a: CohomologyClass, g: LiftedMap, h: LiftedMap, x) -> float:
     require_preserves_class(a, h)
     xt = _cover_of(x, a.dimension)
     hx = h(xt)
-    av = a.vector
-    return float(np.dot(av, g(hx) - g(xt)) - np.dot(av, hx - xt))
+    return _gal_kedra_at(a.vector, xt, hx, g(xt), g(hx))
+
+
+def _gal_kedra_at(av: np.ndarray, x: np.ndarray, hx: np.ndarray, gx: np.ndarray, ghx: np.ndarray) -> float:
+    """G_x(g, h) from a cover point x and its images h(x), g(x), g(h(x))."""
+    return float(np.dot(av, ghx - gx) - np.dot(av, hx - x))
+
+
+def _rho_at(av: np.ndarray, x: np.ndarray, image: np.ndarray, shift: float) -> float:
+    """rho_x from a cover point x and its image, as `dynamics.rho` reads it."""
+    return float(np.dot(av, image - x)) + shift
 
 
 def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.ndarray) -> np.ndarray:
@@ -84,7 +107,12 @@ def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.nd
 def _gal_kedra_values(av: np.ndarray, g: LiftedMap, h: LiftedMap, pts: np.ndarray, gx: np.ndarray) -> np.ndarray:
     """G over an (N, n) float stack and its images gx under g, for lifts fixing a."""
     hx = h.evaluate_many(pts)
-    return (g.evaluate_many(hx) - gx) @ av - (hx - pts) @ av
+    return _gal_kedra_rows(av, pts, hx, gx, g.evaluate_many(hx))
+
+
+def _gal_kedra_rows(av: np.ndarray, pts: np.ndarray, hx: np.ndarray, gx: np.ndarray, ghx: np.ndarray) -> np.ndarray:
+    """G over an (N, n) float stack from its images under h, g and gh."""
+    return (ghx - gx) @ av - (hx - pts) @ av
 
 
 # complex-step size: a power of two, so h v and Im(.)/h round nowhere
@@ -130,25 +158,59 @@ def gal_kedra_quadrature(
     return float(np.mean(integrand))
 
 
+def _pair_shifts(a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphism) -> tuple:
+    """Check that the lifts of g and h fix a and return the float fiber
+    shifts of g, h and gh. The lift of gh fixes a whenever both do, so it
+    is not checked again; its shift is the sum of theirs, checked like
+    every shift."""
+    require_preserves_class(a, g.lift)
+    require_preserves_class(a, h.lift)
+    sg, sh = _shift_float(a, g), _shift_float(a, h)
+    return sg, sh, _checked_shift(a, _add_shifts(g.fiber_shift, h.fiber_shift))
+
+
+def _require_count(count: int, what: str) -> None:
+    if count < 1:
+        raise ValidationError(f"need at least one {what}, got {count}")
+
+
+def _require_suite(count: int, dimensions) -> None:
+    _require_count(count, "draw")
+    if not dimensions:
+        raise ValidationError("need at least one dimension")
+
+
 def coboundary_residual(
     a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphism, x
 ) -> float:
     """|G_x(g, h) - (rho_x(gh) - rho_x(g) - rho_x(h))|; exactly zero in
-    exact arithmetic, so the residual is pure floating-point noise."""
-    value = gal_kedra(a, g.lift, h.lift, x)
-    target = rho(a, g.compose(h), x) - rho(a, g, x) - rho(a, h, x)
+    exact arithmetic, so the residual is pure floating-point noise. Three
+    images are read: h(x), g(x) and gh(x) = g(h(x))."""
+    sg, sh, sgh = _pair_shifts(a, g, h)
+    xt = _cover_of(x, a.dimension)
+    av = a.vector
+    hx, gx = h.lift(xt), g.lift(xt)
+    ghx = g.lift(hx)
+    value = _gal_kedra_at(av, xt, hx, gx, ghx)
+    target = _rho_at(av, xt, ghx, sgh) - _rho_at(av, xt, gx, sg) - _rho_at(av, xt, hx, sh)
     return abs(value - target)
 
 
 def cocycle_residual(a: CohomologyClass, g: LiftedMap, h: LiftedMap, k: LiftedMap, x) -> float:
-    """|G(h,k) - G(gh,k) + G(g,hk) - G(g,h)| at x; identically zero."""
-    gh = g.compose(h)
-    hk = h.compose(k)
+    """|G(h,k) - G(gh,k) + G(g,hk) - G(g,h)| at x; identically zero. Six
+    images are read: k(x), h(x), g(x), h(k(x)), g(h(x)) and g(h(k(x)))."""
+    for f in (g, h, k):
+        require_preserves_class(a, f)
+    xt = _cover_of(x, a.dimension)
+    av = a.vector
+    kx, hx, gx = k(xt), h(xt), g(xt)
+    hkx = h(kx)
+    ghx, ghkx = g(hx), g(hkx)
     return abs(
-        gal_kedra(a, h, k, x)
-        - gal_kedra(a, gh, k, x)
-        + gal_kedra(a, g, hk, x)
-        - gal_kedra(a, g, h, x)
+        _gal_kedra_at(av, xt, kx, hx, hkx)
+        - _gal_kedra_at(av, xt, kx, ghx, ghkx)
+        + _gal_kedra_at(av, xt, hkx, gx, ghkx)
+        - _gal_kedra_at(av, xt, hx, gx, ghx)
     )
 
 
@@ -171,14 +233,21 @@ def quasimorphism_defect(
     """max |rho_x(g) + rho_x(h) - rho_x(gh)| over sampled words in the set.
 
     The defect of rho_x as a quasimorphism on the group the elements
-    generate, probed on random words of up to WORD_LENGTH letters."""
+    generate, probed on random words of up to WORD_LENGTH letters. Each
+    sample reads h(x), g(x) and gh(x) = g(h(x))."""
     if not elements:
         raise ValidationError("need at least one element")
+    _require_count(samples, "sample")
+    xt = _cover_of(x, a.dimension)
+    av = a.vector
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         gw, hw = _random_word(rng, elements), _random_word(rng, elements)
-        defect = abs(rho(a, gw, x) + rho(a, hw, x) - rho(a, gw.compose(hw), x))
+        sg, sh, sgh = _pair_shifts(a, gw, hw)
+        hx, gx = hw.lift(xt), gw.lift(xt)
+        ghx = gw.lift(hx)
+        defect = abs(_rho_at(av, xt, gx, sg) + _rho_at(av, xt, hx, sh) - _rho_at(av, xt, ghx, sgh))
         worst = max(worst, defect)
     return worst
 
@@ -216,9 +285,11 @@ def splitting_check(
 
     Every generator's base map must preserve mu (push-forward residual at
     most INVARIANCE_TOLERANCE), otherwise the premise of additivity fails
-    and the check refuses to run."""
+    and the check refuses to run. Each pair's four means are read from one
+    walk of mu's points (`_pair_means`)."""
     if not generators:
         raise ValidationError("need at least one generator")
+    _require_count(pairs, "pair")
     inv = tuple(
         measure_invariance_residual(g.lift, mu, quadrature_points=quadrature_points)
         for g in generators
@@ -230,36 +301,12 @@ def splitting_check(
                 f"(push-forward residual {r:.3e})"
             )
     rng = np.random.default_rng(seed)
-
-    def mean_of(g: BundleAutomorphism) -> float:
-        """The value of `mean_translation_number` without its error bound,
-        which the residuals never read."""
-        require_preserves_class(a, g.lift)
-        shift, avec = _shift_float(a, g), a.vector
-        value, _ = _measure_mean(
-            lambda pts, images: _rho_values(pts, images, avec, shift),
-            mu,
-            a.dimension,
-            quadrature_points,
-            base_map=g.lift,
-        )
-        return value
-
     worst_add = 0.0
     worst_mean_cocycle = 0.0
     for _ in range(pairs):
         gw, hw = _random_word(rng, generators), _random_word(rng, generators)
-        fg, fh = mean_of(gw), mean_of(hw)
-        fgh = mean_of(gw.compose(hw))
+        fg, fh, fgh, mean_g = _pair_means(a, gw, hw, mu, quadrature_points)
         worst_add = max(worst_add, abs(fgh - fg - fh))
-        # mean_of has checked that both words fix the class
-        mean_g, _ = _measure_mean(
-            lambda pts, gx: _gal_kedra_values(a.vector, gw.lift, hw.lift, pts, gx),
-            mu,
-            a.dimension,
-            quadrature_points,
-            base_map=gw.lift,
-        )
         worst_mean_cocycle = max(worst_mean_cocycle, abs(mean_g - (fgh - fg - fh)))
     return SplittingReport(
         additivity_residual=worst_add,
@@ -268,6 +315,57 @@ def splitting_check(
         generator_invariance=inv,
         measure_kind=mu.kind,
     )
+
+
+def _pair_means(
+    a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphism, mu: InvariantMeasure, m: int
+) -> tuple:
+    """The means of rho for g, h and gh against mu (the values of
+    `mean_translation_number`, without the error bounds the residuals never
+    read) and the mean of G(g, h).
+
+    On Lebesgue and empirical measures mu's points x are read once, with
+    their images under g: one pass over the midpoint grid at m points per
+    axis (`_grid_images`), or the samples. h images x once and g images h(x)
+    once, and the four values are the means of four rows of m^n (or N)
+    floats read from these images, each row's mean taken over that row
+    alone as a 1-D array, as a single mean is. An orbit measure is walked
+    under each mean's own map, so its means keep one walk each."""
+    sg, sh, sgh = _pair_shifts(a, g, h)
+    av, n = a.vector, a.dimension
+
+    def rows(pts, gx):
+        hx = h.lift.evaluate_many(pts)
+        ghx = g.lift.evaluate_many(hx)
+        return (
+            _rho_values(pts, gx, av, sg),
+            _rho_values(pts, hx, av, sh),
+            _rho_values(pts, ghx, av, sgh),
+            _gal_kedra_rows(av, pts, hx, gx, ghx),
+        )
+
+    if mu.kind == "dirac_orbit":
+        def mean(integrand, base_map):
+            return _measure_mean(integrand, mu, n, m, base_map)[0]
+
+        return (
+            mean(lambda pts, y: _rho_values(pts, y, av, sg), g.lift),
+            mean(lambda pts, y: _rho_values(pts, y, av, sh), h.lift),
+            mean(lambda pts, y: _rho_values(pts, y, av, sgh), g.lift.compose(h.lift)),
+            mean(lambda pts, gx: _gal_kedra_values(av, g.lift, h.lift, pts, gx), g.lift),
+        )
+    if mu.kind == "lebesgue":
+        vals, weights, i = None, None, 0
+        for pts, gx in _grid_images(g.lift, n, m, 0.5):
+            if vals is None:  # the grid's size is checked
+                vals = np.empty((4, m**n))
+            for row, v in zip(vals, rows(pts, gx)):
+                row[i : i + len(pts)] = v
+            i += len(pts)
+    else:
+        pts, gx, weights = _measure_images(mu, n, g.lift)
+        vals = rows(pts, gx)
+    return tuple(_average(v, weights) for v in vals)
 
 
 # --------------------------------------------------------------------------
@@ -283,6 +381,7 @@ class ResidualSuite:
 
 def coboundary_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -> ResidualSuite:
     """Random classes, maps, shifts, points; worst coboundary residual."""
+    _require_suite(count, dimensions)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(count):
@@ -298,6 +397,7 @@ def coboundary_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS
 
 def cocycle_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -> ResidualSuite:
     """Random triples of base lifts; worst cocycle residual."""
+    _require_suite(count, dimensions)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(count):

@@ -900,6 +900,13 @@ def test_check_sizes_below_one_exit_2(tmp_path, capsys, command, text, key):
     assert f"[check] {key} must be positive" in capsys.readouterr().err
 
 
+def test_split_check_refuses_the_gk_check_dimensions_with_exit_2(tmp_path, capsys):
+    # split-check draws its words on the class's torus; the key would be ignored
+    text = SPLIT_TEXT.replace("count = 20", "count = 20\ndimensions = 1")
+    assert cli.main(["split-check", "--config", write(tmp_path, "c.ini", text)]) == 2
+    assert "[check] dimensions is for gk-check" in capsys.readouterr().err
+
+
 def test_check_dimensions_split_on_commas_like_every_list(tmp_path):
     def results(dims):
         path = write(tmp_path, "c.ini", f"[check]\ncount = 4\ndimensions = {dims}\n")

@@ -462,6 +462,31 @@ def test_invariance_residual_is_the_per_probe_difference_of_measure_means(mu):
     assert measure_invariance_residual(BUMPY, mu, quadrature_points=64) == expected
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [InvariantMeasure.dirac_orbit([0.1, 0.35], 64), InvariantMeasure.empirical([[0.1, 0.2], [0.6, 0.7]], [0.5, 0.5])],
+    ids=lambda mu: mu.kind,
+)
+def test_a_checked_finite_mean_reads_its_points_once(mu):
+    """The push-forward residual of an orbit or empirical mean reads the
+    mean's points and images: no second walk, no second evaluation."""
+    calls = []
+
+    def evaluator(x):
+        calls.append(np.shape(x))
+        return BUMPY.evaluator(x)
+
+    lift = LiftedMap(evaluator, np.eye(2, dtype=int), label="counted bumpy")
+    g = auto(lift)
+    plain = mean_translation_number(A10, g, mu, check_invariance=False)
+    unchecked = len(calls)
+    rep = mean_translation_number(A10, g, mu)
+    assert len(calls) == 2 * unchecked
+    assert rep.value == plain.value and rep.error_bound == plain.error_bound
+    assert rep.invariance_residual == measure_invariance_residual(lift, mu)
+    assert rep.invariance_residual > 1e-3 and rep.invariance_warning
+
+
 def test_lebesgue_mean_of_a_lift_without_lipschitz_data_is_an_estimate():
     assert BUMPY.displacement_lipschitz is None and BUMPY.lipschitz_bound is None
     rep = mean_translation_number(A10, auto(BUMPY), InvariantMeasure.lebesgue(), 64)

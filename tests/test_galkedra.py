@@ -1,5 +1,8 @@
 """The two-variable displacement cocycle: identities, quadrature, splitting."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,13 +29,16 @@ from transnum import (
     identity_lift,
     mean_translation_number,
     quasimorphism_defect,
+    rho,
     rigid_rotation,
     sinusoidal_shear,
     skew_translation,
     splitting_check,
     torus_affine,
 )
+from transnum.families import sample_class_entries, sample_fiber_shift, sample_map
 from transnum.galkedra import _complex_step
+from transnum.torus import reduce_point
 
 A1 = CohomologyClass([1])
 A10 = CohomologyClass([1, 0])
@@ -235,3 +241,152 @@ def test_splitting_refuses_words_that_move_the_class():
     gens = [BundleAutomorphism(torus_affine([[1, 1], [0, 1]], [0.0, 0.0]))]
     with pytest.raises(ClassNotPreserved):
         splitting_check(A10, gens, InvariantMeasure.lebesgue(), pairs=1)
+
+
+# -- each check images every point once ---------------------------------------
+
+
+def counting(lift, calls, key):
+    """lift with an evaluator that counts its calls in calls[key]; no kernel
+    spec, so grids are imaged through the evaluator too."""
+
+    def evaluator(x, _f=lift.evaluator):
+        calls[key] += 1
+        return _f(x)
+
+    return dataclasses.replace(lift, evaluator=evaluator, kernel_spec=None)
+
+
+def test_a_cocycle_draw_images_six_times():
+    calls = Counter()
+    g, h, k = (counting(f, calls, key) for f, key in ((SHEAR, "g"), (QUARTER_TURN, "h"), (AFFINE, "k")))
+    cocycle_residual(A10, g, h, k, [0.15, 0.55])
+    # k(x); h(x), h(kx); g(x), g(hx), g(hkx)
+    assert calls == {"k": 1, "h": 2, "g": 3}
+
+
+def test_a_coboundary_draw_images_three_times():
+    calls = Counter()
+    g = BundleAutomorphism(counting(SHEAR, calls, "g"), 1)
+    h = BundleAutomorphism(counting(QUARTER_TURN, calls, "h"))
+    coboundary_residual(A10, g, h, [0.15, 0.55])
+    # h(x); g(x), g(hx)
+    assert calls == {"h": 1, "g": 2}
+
+
+def test_a_splitting_pair_walks_the_grid_once():
+    calls = Counter()
+    gens = [
+        BundleAutomorphism(counting(rigid_rotation([0.3, 0.1]), calls, "u"), 1),
+        BundleAutomorphism(counting(sinusoidal_shear(0.2), calls, "v")),
+    ]
+    splitting_check(A10, gens, InvariantMeasure.lebesgue(), pairs=12, quadrature_points=64, seed=3)
+    # 64^2 points are one grid block: one call per letter of gw, hw, gw on
+    # each pair's grid, and one per generator for the invariance checks;
+    # four grid walks per pair made 128
+    assert sum(calls.values()) == 56
+
+
+def residual_corpus(seed, count):
+    """(class, four lifts, point) draws of built-in maps on T^1 and T^2;
+    the fourth lift is the composite of two drawn ones."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        dim = 1 + i % 2
+        entries = sample_class_entries(rng, dim, affine_friendly=True)
+        g, h, k, w = (sample_map(rng, entries) for _ in range(4))
+        yield CohomologyClass(entries), (g, h, k, k.compose(w)), rng.uniform(0.0, 1.0, size=dim)
+
+
+def test_residuals_equal_the_expressions_over_composed_maps_bit_for_bit():
+    for a, (g, h, k, kw), x in residual_corpus(seed=11, count=60):
+        for f1, f2, f3 in ((g, h, k), (kw, g, h), (h, kw, g)):
+            want = abs(
+                gal_kedra(a, f2, f3, x)
+                - gal_kedra(a, f1.compose(f2), f3, x)
+                + gal_kedra(a, f1, f2.compose(f3), x)
+                - gal_kedra(a, f1, f2, x)
+            )
+            assert cocycle_residual(a, f1, f2, f3, x) == want
+        rng = np.random.default_rng(len(a.entries))
+        u, v = (BundleAutomorphism(f, sample_fiber_shift(rng)) for f in (g, kw))
+        for b, c in ((u, v), (v, u)):
+            want = abs(gal_kedra(a, b.lift, c.lift, x) - (rho(a, b.compose(c), x) - rho(a, b, x) - rho(a, c, x)))
+            assert coboundary_residual(a, b, c, x) == want
+
+
+def test_defect_equals_the_expression_over_composed_words_bit_for_bit():
+    for seed, (a, lifts, x) in enumerate(residual_corpus(seed=12, count=20)):
+        els = [BundleAutomorphism(f, s) for f, s in zip(lifts, (0, 1, -2, 3))]
+        rng = np.random.default_rng(seed)
+        want = 0.0
+        for _ in range(16):
+            gw, hw = galkedra._random_word(rng, els), galkedra._random_word(rng, els)
+            want = max(want, abs(rho(a, gw, x) + rho(a, hw, x) - rho(a, gw.compose(hw), x)))
+        assert quasimorphism_defect(a, els, x, samples=16, seed=seed) == want
+
+
+# a rotation of period 10 (up to rounding) and its orbit as an empirical measure
+TENTH = rigid_rotation([0.1, 0.3])
+TENTH_ORBIT = [reduce_point(np.array([0.05 + 0.1 * i, 0.2 + 0.3 * i])) for i in range(10)]
+SPLIT_MEASURES = {
+    "lebesgue": (
+        A01,
+        [
+            BundleAutomorphism(skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))),
+            BundleAutomorphism(sinusoidal_shear(0.1), 1),
+        ],
+        InvariantMeasure.lebesgue(),
+    ),
+    "empirical": (
+        A10,
+        [BundleAutomorphism(TENTH, 1), BundleAutomorphism(TENTH.compose(TENTH))],
+        InvariantMeasure.empirical(TENTH_ORBIT),
+    ),
+    "dirac_orbit": (
+        A10,
+        [BundleAutomorphism(TENTH, 1), BundleAutomorphism(rigid_rotation([0.7, 0.2]))],
+        InvariantMeasure.dirac_orbit([0.05, 0.2], 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPLIT_MEASURES))
+def test_splitting_residuals_equal_the_per_mean_values(kind):
+    """Each pair's four means, each read as its own mean, give the report's
+    residuals bit for bit."""
+    a, gens, mu = SPLIT_MEASURES[kind]
+    rng = np.random.default_rng(5)
+    want_add = want_mean_cocycle = 0.0
+    for _ in range(8):
+        gw, hw = galkedra._random_word(rng, gens), galkedra._random_word(rng, gens)
+        fg, fh, fgh = (
+            mean_translation_number(a, w, mu, quadrature_points=16, check_invariance=False).value
+            for w in (gw, hw, gw.compose(hw))
+        )
+        mean_g, _ = dynamics._measure_mean(
+            lambda pts, gx: galkedra._gal_kedra_values(a.vector, gw.lift, hw.lift, pts, gx),
+            mu, a.dimension, 16, gw.lift,
+        )
+        want_add = max(want_add, abs(fgh - fg - fh))
+        want_mean_cocycle = max(want_mean_cocycle, abs(mean_g - (fgh - fg - fh)))
+    rep = splitting_check(a, gens, mu, pairs=8, quadrature_points=16, seed=5)
+    assert rep.additivity_residual == want_add
+    assert rep.mean_cocycle_residual == want_mean_cocycle
+    assert rep.additivity_residual <= 1e-6
+
+
+COUNT_REFUSALS = {
+    "splitting pairs": lambda: splitting_check(A1, [fiber_translation(1, 2)], InvariantMeasure.lebesgue(), pairs=0),
+    "defect samples": lambda: quasimorphism_defect(A10, [BundleAutomorphism(SHEAR)], [0.0, 0.0], samples=0),
+    "coboundary draws": lambda: coboundary_residual_suite(seed=1, count=0),
+    "cocycle draws": lambda: cocycle_residual_suite(seed=1, count=0),
+    "suite dimensions": lambda: coboundary_residual_suite(seed=1, count=4, dimensions=()),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_REFUSALS))
+def test_a_check_over_no_draws_is_refused(name):
+    # the max over no draws would be a vacuous residual of 0
+    with pytest.raises(ValidationError, match="at least one"):
+        COUNT_REFUSALS[name]()
