@@ -69,7 +69,7 @@ from .errors import (
     ValidationError,
 )
 from .families import torus_affine
-from .torus import CohomologyClass, preserves_class, require_preserves_class
+from .torus import CohomologyClass, _exact_det, _exact_inverse, preserves_class, require_preserves_class
 
 __all__ = [
     "SeminormReport",
@@ -245,43 +245,6 @@ def _int_matrix(rows) -> tuple:
     if any(len(r) != n for r in out):
         raise ValidationError("matrix must be square")
     return tuple(out)
-
-
-def _exact_det(m: tuple) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination: after step k every entry below row k is a k+1 by k+1 minor,
-    so each division by the previous pivot is exact and all work stays in
-    ints."""
-    n = len(m)
-    mat = [list(row) for row in m]
-    sign, prev = 1, 1
-    for i in range(n):
-        piv = next((r for r in range(i, n) if mat[r][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            mat[i], mat[piv] = mat[piv], mat[i]
-            sign = -sign
-        p, top = mat[i][i], mat[i]
-        for row in mat[i + 1:]:
-            f = row[i]
-            for c in range(i + 1, n):
-                row[c] = (row[c] * p - f * top[c]) // prev
-        prev = p
-    return sign * prev
-
-
-def _exact_inverse(m: tuple) -> tuple:
-    """Inverse of a unimodular integer matrix: its adjugate times det = +-1."""
-    n = len(m)
-    det = _exact_det(m)
-
-    def minor(r: int, c: int) -> tuple:
-        return tuple(row[:c] + row[c + 1:] for i, row in enumerate(m) if i != r)
-
-    return tuple(
-        tuple((-1) ** (i + j) * det * _exact_det(minor(j, i)) for j in range(n)) for i in range(n)
-    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ Means over an invariant measure use midpoint tensor quadrature (Lebesgue),
 bounded by the trigonometric degree or the Lipschitz constant of the
 displacement (`_lebesgue_bound`), or exact finite sums (orbit and empirical
 measures), and carry a push-forward invariance residual so a non-invariant
-measure is flagged rather than silently averaged.
+measure is flagged rather than silently averaged. Every mean, residual and
+splitting pair reads mu's points through one walk, `_measure_rows`: the
+only code that knows where a measure's points come from.
 """
 
 from __future__ import annotations
@@ -894,50 +896,44 @@ def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
         yield pts, images
 
 
-def _grid_map(func: Callable, dimension: int, m: int, offset: float, lift: LiftedMap):
-    """func of every grid point, run block by block into one (m^n, ...)
-    float array in grid order; the point stack is never built whole. func
-    takes each block's points and their images under lift (`_grid_images`)."""
-    out = None
-    i = 0
-    for pts, images in _grid_images(lift, dimension, m, offset):
-        vals = func(pts, images)
-        k = len(pts)
-        if out is None:
-            out = np.empty((m**dimension,) + np.shape(vals)[1:])
-        out[i : i + k] = vals
-        i += k
-    return out
+def _measure_rows(func: Callable, mu: InvariantMeasure, dimension: int, m: int, lift: LiftedMap):
+    """(rows, weights) of mu's points, the one walk every mean, residual and
+    splitting pair reads them through. func takes a stack of points and
+    their images under lift and returns a tuple of per-point arrays; rows
+    holds each of them over all of mu's points, weights None meaning equal
+    weights.
 
-
-def _measure_points(mu: InvariantMeasure, dimension: int, base_map: LiftedMap):
-    """(points, weights) that a mean against an orbit or empirical measure
-    is read from: the orbit walked under `base_map`, or the samples. weights
-    None means equal weights. Lebesgue means never build their points: they
-    run block by block over the midpoint grid (`_grid_map`)."""
+    On Lebesgue measure the points are the midpoint grid at m points per
+    axis, run block by block over `_grid_images` into contiguous rows in
+    grid order, so the point stack is never built whole. An orbit measure
+    is walked under lift point by point, and an empirical one reads its
+    samples; their images come from one `evaluate_many`."""
+    if mu.kind == "lebesgue":
+        rows, i = None, 0
+        for pts, images in _grid_images(lift, dimension, m, 0.5):
+            vals = func(pts, images)
+            if rows is None:  # the grid's size is checked
+                rows = tuple(np.empty((m**dimension,) + np.shape(v)[1:]) for v in vals)
+            for row, v in zip(rows, vals):
+                row[i : i + len(pts)] = v
+            i += len(pts)
+        return rows, None
     support = mu.point if mu.kind == "dirac_orbit" else mu.samples
     if support is not None and support.shape[-1] != dimension:
         raise DimensionMismatch(
             f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
         )
     if mu.kind == "dirac_orbit":
-        pts = np.empty((mu.period, dimension))
+        pts, weights = np.empty((mu.period, dimension)), None
         cur = mu.point.copy()
         for i in range(mu.period):
             pts[i] = cur
-            cur = reduce_point(base_map(cur))
-        return pts, None
-    if mu.kind == "empirical":
-        return mu.samples, mu.weights
-    raise ValidationError(f"unknown measure kind {mu.kind!r}")
-
-
-def _measure_images(mu: InvariantMeasure, dimension: int, base_map: LiftedMap):
-    """(points, images under base_map, weights) of an orbit or empirical
-    measure (`_measure_points`): the one read of its points that a mean and
-    its push-forward residual share."""
-    pts, weights = _measure_points(mu, dimension, base_map)
-    return pts, base_map.evaluate_many(pts), weights
+            cur = reduce_point(lift(cur))
+    elif mu.kind == "empirical":
+        pts, weights = mu.samples, mu.weights
+    else:
+        raise ValidationError(f"unknown measure kind {mu.kind!r}")
+    return func(pts, lift.evaluate_many(pts)), weights
 
 
 def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
@@ -956,22 +952,23 @@ def _measure_mean(
     quadrature_points: int,
     base_map: LiftedMap,
 ):
-    """(value, error) of an integrand against mu; orbit measures are walked
-    under `base_map`. The integrand takes a point stack and its images under
+    """(value, error) of an integrand against mu, read from one walk of
+    its points (`_measure_rows`); orbit measures are walked under
+    `base_map`. The integrand takes a point stack and its images under
     `base_map`.
 
     A Lebesgue mean is the midpoint rule at m = quadrature_points per axis,
-    one pass over the grid: the integrand runs on blocks of at most
-    GRID_BLOCK grid points, each block's values going into one array of m^n
-    floats whose mean is the value, so the grid's points are never held all
-    at once. Its error is None here, because it depends on the integrand:
-    the means of rho bound it with `_lebesgue_bound`. A finite sum (orbit or
-    empirical measure) is exact up to rounding, for which it reports
-    8 eps (1 + max |values|)."""
+    one pass over the grid whose values go into one array of m^n floats;
+    its mean is the value. Its error is None here, because it depends on
+    the integrand: the means of rho bound it with `_lebesgue_bound`. A
+    finite sum (orbit or empirical measure) is exact up to rounding, for
+    which it reports 8 eps (1 + max |values|)."""
+    (values,), weights = _measure_rows(
+        lambda pts, images: (integrand_many(pts, images),), mu, dimension, quadrature_points, base_map
+    )
     if mu.kind == "lebesgue":
-        return float(np.mean(_grid_map(integrand_many, dimension, quadrature_points, 0.5, base_map))), None
-    pts, images, weights = _measure_images(mu, dimension, base_map)
-    return _finite_mean(integrand_many(pts, images), weights)
+        return _average(values, None), None
+    return _finite_mean(values, weights)
 
 
 def _displacement_lipschitz(lift: LiftedMap) -> Optional[float]:
@@ -1081,24 +1078,23 @@ def measure_invariance_residual(
     quadrature_points: int = QUADRATURE_POINTS,
 ) -> float:
     """max_f |int f(g x) dmu - int f dmu| over the probe functions, all read
-    from one evaluation of g on mu's points.
+    from one walk of mu's points and one evaluation of g on them
+    (`_measure_rows`).
 
     On Lebesgue measure the points are the midpoint grid at m =
-    quadrature_points per axis, imaged block by block as `_grid_images` gives
-    them. Over that grid the mean of a probe of frequency k is a product of
-    sums of e^(2 pi i k_j (i + 1/2) / m) over each axis, which vanishes
-    unless m divides every k_j. So once m exceeds every |k_j| (m >= 2 on
-    T^n for n >= 2, m >= 3 on the circle, whose probes reach degree 2), each
-    unmoved mean is exactly 0 and only the moved means are computed; below
-    that the unmoved grid's means are computed too."""
+    quadrature_points per axis. Over that grid the mean of a probe of
+    frequency k is a product of sums of e^(2 pi i k_j (i + 1/2) / m) over
+    each axis, which vanishes unless m divides every k_j. So once m exceeds
+    every |k_j| (m >= 2 on T^n for n >= 2, m >= 3 on the circle, whose
+    probes reach degree 2), each unmoved mean is exactly 0 and only the
+    images are kept; below that the same walk keeps the grid's points too."""
     n = base_map.dimension
-    if mu.kind != "lebesgue":
-        return _probe_residual(*_measure_images(mu, n, base_map))
-    m = quadrature_points
-    images = _grid_map(lambda p, y: y, n, m, 0.5, base_map)
-    aliased = m <= max(abs(j) for k in _probe_frequencies(n) for j in k)
-    pts = _grid_map(lambda p, y: p, n, m, 0.5, base_map) if aliased else None
-    return _probe_residual(pts, images, None)
+    aliased = quadrature_points <= max(abs(j) for k in _probe_frequencies(n) for j in k)
+    unmoved = mu.kind != "lebesgue" or aliased
+    rows, weights = _measure_rows(
+        lambda pts, images: (images, pts) if unmoved else (images,), mu, n, quadrature_points, base_map
+    )
+    return _probe_residual(rows[1] if unmoved else None, rows[0], weights)
 
 
 def _probe_residual(pts: Optional[np.ndarray], images: np.ndarray, weights: Optional[np.ndarray]) -> float:
@@ -1167,8 +1163,10 @@ def mean_translation_number(
             )
     else:
         # the residual reads the points and images of the mean
-        pts, images, weights = _measure_images(mu, a.dimension, g.lift)
-        value, err = _finite_mean(integrand(pts, images), weights)
+        (values, images, pts), weights = _measure_rows(
+            lambda p, y: (integrand(p, y), y, p), mu, a.dimension, quadrature_points, g.lift
+        )
+        value, err = _finite_mean(values, weights)
         if check_invariance:
             residual = _probe_residual(pts, images, weights)
     return MeanReport(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .torus import LiftedMap
+from .torus import LiftedMap, _exact_det, _exact_inverse
 
 __all__ = [
     "TrigPolynomial",
@@ -180,12 +180,14 @@ def torus_affine(matrix, vector) -> LiftedMap:
     n = v.shape[0]
     if m.shape != (n, n):
         raise ValidationError("matrix/vector dimensions disagree")
-    det = int(round(float(np.linalg.det(m.astype(float)))))
+    rows = tuple(map(tuple, m.tolist()))
+    det = _exact_det(rows)
     if abs(det) != 1:
         raise ValidationError(f"matrix must be invertible over the integers, det={det}")
-    minv = np.rint(np.linalg.inv(m.astype(float))).astype(np.int64)
-    if not np.array_equal(minv @ m, np.eye(n, dtype=np.int64)):
-        raise ValidationError("failed to invert matrix exactly")
+    try:
+        minv = np.array(_exact_inverse(rows), dtype=np.int64)
+    except OverflowError:
+        raise ValidationError("the inverse matrix has entries beyond int64") from None
     params = np.concatenate([m.astype(float).ravel(), v])
     mf = m.astype(float)
     evaluator = _StepEvaluator(_kernels.AFFINE, params)
@@ -287,14 +289,14 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
 # --- seeded samplers used by the residual suites and the test corpus ------
 
 
-def sample_class_entries(rng, dimension: int, affine_friendly: bool = False):
+def sample_class_entries(rng, dimension: int):
     """Random nonzero integer class entries in [-3, 3].
 
-    affine_friendly pins the last entry to zero so lower-triangular integer
-    shears (which fix exactly those classes) stay available on T^2."""
+    On T^n for n >= 2 the last entry is pinned to zero so lower-triangular
+    integer shears (which fix exactly those classes) stay available."""
     while True:
         ent = [int(e) for e in rng.integers(-3, 4, size=dimension)]
-        if affine_friendly and dimension >= 2:
+        if dimension >= 2:
             ent[-1] = 0
         if any(ent):
             return tuple(ent)
@@ -329,7 +331,6 @@ def sample_map(rng, entries) -> LiftedMap:
     return rigid_rotation(rng.uniform(0.0, 1.0, size=dimension))
 
 
-def sample_fiber_shift(rng, integral: bool = True):
-    if integral:
-        return int(rng.integers(-3, 4))
-    return float(rng.uniform(-1.0, 1.0))
+def sample_fiber_shift(rng) -> int:
+    """Random integer fiber shift in [-3, 3]."""
+    return int(rng.integers(-3, 4))

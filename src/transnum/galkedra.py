@@ -24,10 +24,11 @@ The residual checks (`coboundary_residual`, `cocycle_residual`,
 map and read every term from that one set of images: a composed map's image
 is the image of an image, g(h(x)). So a residual measures the rounding noise
 of one computation of the images, not the spread between two computations
-of them; the quadrature above stays the independent route. On Lebesgue and
-empirical measures `splitting_check` holds four value rows of mu's points
-at once, F(g), F(h), F(gh) and G: four m^n floats, 128 KiB on T^2 at the
-default m = 64.
+of them; the quadrature above stays the independent route. Each pair of
+`splitting_check` reads its four value rows F(g), F(h), F(gh) and G from
+one walk of mu's points under g (`dynamics._measure_rows`): four m^n
+floats, 128 KiB on T^2 at the default m = 64. An orbit measure is the
+orbit of each mean's own map, so there F(h) and F(gh) walk their own.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from .dynamics import (
     _average,
     _checked_shift,
     _cover_of,
-    _grid_images,
-    _measure_images,
-    _measure_mean,
+    _measure_rows,
     _rho_values,
     _shift_float,
     measure_invariance_residual,
@@ -83,17 +82,7 @@ def gal_kedra(a: CohomologyClass, g: LiftedMap, h: LiftedMap, x) -> float:
     require_preserves_class(a, h)
     xt = _cover_of(x, a.dimension)
     hx = h(xt)
-    return _gal_kedra_at(a.vector, xt, hx, g(xt), g(hx))
-
-
-def _gal_kedra_at(av: np.ndarray, x: np.ndarray, hx: np.ndarray, gx: np.ndarray, ghx: np.ndarray) -> float:
-    """G_x(g, h) from a cover point x and its images h(x), g(x), g(h(x))."""
-    return float(np.dot(av, ghx - gx) - np.dot(av, hx - x))
-
-
-def _rho_at(av: np.ndarray, x: np.ndarray, image: np.ndarray, shift: float) -> float:
-    """rho_x from a cover point x and its image, as `dynamics.rho` reads it."""
-    return float(np.dot(av, image - x)) + shift
+    return float(_gal_kedra_rows(a.vector, xt, hx, g(xt), g(hx)))
 
 
 def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.ndarray) -> np.ndarray:
@@ -101,17 +90,13 @@ def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.nd
     require_preserves_class(a, g)
     require_preserves_class(a, h)
     pts = np.asarray(points, dtype=float)
-    return _gal_kedra_values(a.vector, g, h, pts, g.evaluate_many(pts))
-
-
-def _gal_kedra_values(av: np.ndarray, g: LiftedMap, h: LiftedMap, pts: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """G over an (N, n) float stack and its images gx under g, for lifts fixing a."""
-    hx = h.evaluate_many(pts)
-    return _gal_kedra_rows(av, pts, hx, gx, g.evaluate_many(hx))
+    gx, hx = g.evaluate_many(pts), h.evaluate_many(pts)
+    return _gal_kedra_rows(a.vector, pts, hx, gx, g.evaluate_many(hx))
 
 
 def _gal_kedra_rows(av: np.ndarray, pts: np.ndarray, hx: np.ndarray, gx: np.ndarray, ghx: np.ndarray) -> np.ndarray:
-    """G over an (N, n) float stack from its images under h, g and gh."""
+    """G over an (N, n) float stack, or at one point as 1-D arrays, from its
+    images under h, g and gh."""
     return (ghx - gx) @ av - (hx - pts) @ av
 
 
@@ -191,9 +176,9 @@ def coboundary_residual(
     av = a.vector
     hx, gx = h.lift(xt), g.lift(xt)
     ghx = g.lift(hx)
-    value = _gal_kedra_at(av, xt, hx, gx, ghx)
-    target = _rho_at(av, xt, ghx, sgh) - _rho_at(av, xt, gx, sg) - _rho_at(av, xt, hx, sh)
-    return abs(value - target)
+    value = _gal_kedra_rows(av, xt, hx, gx, ghx)
+    target = _rho_values(xt, ghx, av, sgh) - _rho_values(xt, gx, av, sg) - _rho_values(xt, hx, av, sh)
+    return float(abs(value - target))
 
 
 def cocycle_residual(a: CohomologyClass, g: LiftedMap, h: LiftedMap, k: LiftedMap, x) -> float:
@@ -206,12 +191,12 @@ def cocycle_residual(a: CohomologyClass, g: LiftedMap, h: LiftedMap, k: LiftedMa
     kx, hx, gx = k(xt), h(xt), g(xt)
     hkx = h(kx)
     ghx, ghkx = g(hx), g(hkx)
-    return abs(
-        _gal_kedra_at(av, xt, kx, hx, hkx)
-        - _gal_kedra_at(av, xt, kx, ghx, ghkx)
-        + _gal_kedra_at(av, xt, hkx, gx, ghkx)
-        - _gal_kedra_at(av, xt, hx, gx, ghx)
-    )
+    return float(abs(
+        _gal_kedra_rows(av, xt, kx, hx, hkx)
+        - _gal_kedra_rows(av, xt, kx, ghx, ghkx)
+        + _gal_kedra_rows(av, xt, hkx, gx, ghkx)
+        - _gal_kedra_rows(av, xt, hx, gx, ghx)
+    ))
 
 
 def _random_word(rng, elements: Sequence[BundleAutomorphism]) -> BundleAutomorphism:
@@ -247,8 +232,8 @@ def quasimorphism_defect(
         sg, sh, sgh = _pair_shifts(a, gw, hw)
         hx, gx = hw.lift(xt), gw.lift(xt)
         ghx = gw.lift(hx)
-        defect = abs(_rho_at(av, xt, gx, sg) + _rho_at(av, xt, hx, sh) - _rho_at(av, xt, ghx, sgh))
-        worst = max(worst, defect)
+        defect = abs(_rho_values(xt, gx, av, sg) + _rho_values(xt, hx, av, sh) - _rho_values(xt, ghx, av, sgh))
+        worst = max(worst, float(defect))
     return worst
 
 
@@ -324,15 +309,18 @@ def _pair_means(
     `mean_translation_number`, without the error bounds the residuals never
     read) and the mean of G(g, h).
 
-    On Lebesgue and empirical measures mu's points x are read once, with
-    their images under g: one pass over the midpoint grid at m points per
-    axis (`_grid_images`), or the samples. h images x once and g images h(x)
-    once, and the four values are the means of four rows of m^n (or N)
-    floats read from these images, each row's mean taken over that row
-    alone as a 1-D array, as a single mean is. An orbit measure is walked
-    under each mean's own map, so its means keep one walk each."""
+    One walk of mu's points x under g (`_measure_rows`) gives the four rows
+    F(g), F(h), F(gh) and G of m^n (or N) floats: h images x once and g
+    images h(x) once, and each row's mean is taken over that row alone as a
+    1-D array, as a single mean is. An orbit measure is walked under each
+    mean's own map, so F(h) and F(gh) walk the orbits of h and gh, while
+    F(g) and G share g's walk."""
     sg, sh, sgh = _pair_shifts(a, g, h)
     av, n = a.vector, a.dimension
+
+    def means(lift, func):
+        rows, weights = _measure_rows(func, mu, n, m, lift)
+        return [_average(v, weights) for v in rows]
 
     def rows(pts, gx):
         hx = h.lift.evaluate_many(pts)
@@ -344,28 +332,11 @@ def _pair_means(
             _gal_kedra_rows(av, pts, hx, gx, ghx),
         )
 
+    fg, fh, fgh, mean_g = means(g.lift, rows)
     if mu.kind == "dirac_orbit":
-        def mean(integrand, base_map):
-            return _measure_mean(integrand, mu, n, m, base_map)[0]
-
-        return (
-            mean(lambda pts, y: _rho_values(pts, y, av, sg), g.lift),
-            mean(lambda pts, y: _rho_values(pts, y, av, sh), h.lift),
-            mean(lambda pts, y: _rho_values(pts, y, av, sgh), g.lift.compose(h.lift)),
-            mean(lambda pts, gx: _gal_kedra_values(av, g.lift, h.lift, pts, gx), g.lift),
-        )
-    if mu.kind == "lebesgue":
-        vals, weights, i = None, None, 0
-        for pts, gx in _grid_images(g.lift, n, m, 0.5):
-            if vals is None:  # the grid's size is checked
-                vals = np.empty((4, m**n))
-            for row, v in zip(vals, rows(pts, gx)):
-                row[i : i + len(pts)] = v
-            i += len(pts)
-    else:
-        pts, gx, weights = _measure_images(mu, n, g.lift)
-        vals = rows(pts, gx)
-    return tuple(_average(v, weights) for v in vals)
+        (fh,) = means(h.lift, lambda pts, y: (_rho_values(pts, y, av, sh),))
+        (fgh,) = means(g.lift.compose(h.lift), lambda pts, y: (_rho_values(pts, y, av, sgh),))
+    return fg, fh, fgh, mean_g
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +357,7 @@ def coboundary_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS
     worst = 0.0
     for i in range(count):
         dim = dimensions[i % len(dimensions)]
-        entries = sample_class_entries(rng, dim, affine_friendly=True)
+        entries = sample_class_entries(rng, dim)
         a = CohomologyClass(entries)
         g = BundleAutomorphism(sample_map(rng, entries), sample_fiber_shift(rng))
         h = BundleAutomorphism(sample_map(rng, entries), sample_fiber_shift(rng))
@@ -402,7 +373,7 @@ def cocycle_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -
     worst = 0.0
     for i in range(count):
         dim = dimensions[i % len(dimensions)]
-        entries = sample_class_entries(rng, dim, affine_friendly=True)
+        entries = sample_class_entries(rng, dim)
         a = CohomologyClass(entries)
         g = sample_map(rng, entries)
         h = sample_map(rng, entries)

@@ -13,7 +13,9 @@ the winding of the arc against a. Concatenating the arcs at x, g(x),
 g^2(x), ... (g the terminal map) and averaging gives the homological
 translation number at x; it agrees with the local translation number of
 the induced bundle automorphism whose fiber shift is normalized to 0 (the
-lift that follows the isotopy upstairs starting from the identity).
+lift that follows the isotopy upstairs starting from the identity). Its
+mean over a measure is that map's mean translation number, read through
+the one measure walk `dynamics._measure_rows`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .dynamics import (
     WINDOW_TOLERANCE,
     _PythonOrbit,
     _cover_of,
-    _lebesgue_bound,
-    _measure_mean,
     _translation_limits,
+    mean_translation_number,
 )
 from .errors import ValidationError
 from .families import TrigPolynomial, rigid_rotation, sinusoidal_shear, skew_translation
@@ -146,17 +147,8 @@ def mean_homological_translation(
 ) -> MeanReport:
     """Integral of the single-arc winding x -> delta_phi(arc at x) over mu.
 
-    The winding is rho of the induced bundle map, read from the same grid
-    images (`dynamics._grid_images`) and bounded the same way
-    (`_lebesgue_bound`) as in `mean_translation_number`."""
-    require_preserves_class(a, iso.terminal)
-    value, err = _measure_mean(
-        lambda pts, images: (images - pts) @ a.vector,
-        mu,
-        a.dimension,
-        quadrature_points,
-        base_map=iso.terminal,
-    )
-    if mu.kind == "lebesgue":
-        err = _lebesgue_bound(a, iso.terminal, 0.0, quadrature_points)
-    return MeanReport(value=value, error_bound=err, measure_kind=mu.kind)
+    The winding is rho of the induced bundle map, whose fiber shift is 0, so
+    this is its `mean_translation_number`: the same walk of mu's points
+    (`dynamics._measure_rows`), value and bound, without the invariance
+    check."""
+    return mean_translation_number(a, induced_bundle_map(iso), mu, quadrature_points, check_invariance=False)

@@ -179,7 +179,7 @@ def test_06_primitive_independence():
     worst = 0.0
     for i in range(10):
         dim = 1 + i % 2
-        a = CohomologyClass(sample_class_entries(rng, dim, affine_friendly=True))
+        a = CohomologyClass(sample_class_entries(rng, dim))
         g = BundleAutomorphism(sample_map(rng, a.entries), sample_fiber_shift(rng))
         x = rng.uniform(0.0, 1.0, size=dim)
         gap = abs(
@@ -326,7 +326,7 @@ def test_11_quadrature_oracle_agreement():
     worst = 0.0
     for i in range(100):
         dim = 1 + i % 2
-        entries = sample_class_entries(rng, dim, affine_friendly=True)
+        entries = sample_class_entries(rng, dim)
         a = CohomologyClass(entries)
         g = sample_map(rng, entries)
         h = sample_map(rng, entries)

@@ -240,6 +240,25 @@ def test_exact_affine_converts_to_a_working_bundle_automorphism():
     assert rho(a, b, [0.1]) == pytest.approx(0.25 + 1.5, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [((10**9 + 1, 10**9), (10**9, 10**9 - 1)), ((2**26 + 1, 2**26), (2**26, 2**26 - 1))],
+    ids=["1e9", "2^26"],
+)
+def test_a_unimodular_matrix_with_large_entries_converts_and_inverts_exactly(m):
+    # det -1, which a float determinant or a rounded float inverse misses
+    lift = ExactAffineAutomorphism(m, (0, 0)).to_bundle_automorphism().lift
+    inv = lift.invert().matrix.tolist()
+    assert lift.matrix.tolist() == [list(r) for r in m]
+    assert [[sum(r[k] * inv[k][j] for k in range(2)) for j in range(2)] for r in m] == [[1, 0], [0, 1]]
+
+
+def test_an_affine_map_whose_inverse_leaves_int64_is_refused():
+    m = ((1, 2**40, 0), (0, 1, 2**40), (0, 0, 1))  # the inverse has the entry 2^80
+    with pytest.raises(ValidationError):
+        ExactAffineAutomorphism(m, (0, 0, 0)).to_bundle_automorphism()
+
+
 # -- word norms and translation lengths ----------------------------------------
 
 THIRD_TURN = ExactAffineAutomorphism(((1,),), (Fraction(1, 3),))

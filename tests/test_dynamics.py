@@ -25,6 +25,7 @@ from transnum import (
     arnold_circle,
     fiber_translation,
     local_translation_number,
+    mean_homological_translation,
     mean_translation_number,
     measure_invariance_residual,
     periodic_rot,
@@ -34,8 +35,12 @@ from transnum import (
     rho_many,
     rho_power_average,
     rigid_rotation,
+    shear_isotopy,
     sinusoidal_shear,
+    skew_isotopy,
     skew_translation,
+    splitting_check,
+    straight_isotopy,
     theta,
     torus_affine,
 )
@@ -495,6 +500,91 @@ def test_lebesgue_mean_of_a_lift_without_lipschitz_data_is_an_estimate():
     # finite sums keep their rounding bound
     orbit = mean_translation_number(A10, auto(BUMPY), InvariantMeasure.dirac_orbit([0.1, 0.35], 3))
     assert orbit.error_bound is not None
+
+
+CUSP = TrigPolynomial(0.0, (0.2, 0.05), (0.1, 0.0))
+# c of mean 0 and degree below the period: a skew orbit of omega = 1/10 closes
+CLOSING = TrigPolynomial(0.0, (0.2,), (0.1,))
+# two orbits of the quarter-lattice translations, weighted 3/20 and 1/10 per point
+QUARTER_LATTICE = [(i / 2, j / 2) for i in (0, 1) for j in (0, 1)]
+ROUTE_CASES = {
+    # name: (class, mean map, isotopy, splitting generators, measure, m)
+    "lebesgue": (
+        CohomologyClass([1, 2]),
+        auto(skew_translation(0.3, CUSP), 1),
+        shear_isotopy(0.2),
+        [auto(sinusoidal_shear(0.17), 1), auto(skew_translation(0.41, CUSP))],
+        InvariantMeasure.lebesgue(),
+        64,
+    ),
+    "lebesgue-aliased": (
+        CohomologyClass([2]),
+        auto(arnold_circle(0.3, 0.4), 1),
+        straight_isotopy([0.37]),
+        [auto(rigid_rotation([0.5]), 1), auto(rigid_rotation([1.5]))],
+        InvariantMeasure.lebesgue(),
+        2,
+    ),
+    "dirac_orbit": (
+        A10,
+        auto(sinusoidal_shear(0.1), 1),
+        skew_isotopy(0.1, CUSP),
+        [auto(skew_translation(0.1, CLOSING), 1), auto(rigid_rotation([0.7, 0.2]))],
+        InvariantMeasure.dirac_orbit([0.05, 0.2], 10),
+        64,
+    ),
+    "empirical": (
+        CohomologyClass([1, -1]),
+        auto(skew_translation(0.3, CUSP), 2),
+        shear_isotopy(0.2),
+        [auto(rigid_rotation([0.5, 0.0]), 1), auto(rigid_rotation([0.0, 0.5]))],
+        InvariantMeasure.empirical(
+            [(0.1 + u, 0.35 + v) for u, v in QUARTER_LATTICE] + [(0.2 + u, 0.05 + v) for u, v in QUARTER_LATTICE],
+            [0.15] * 4 + [0.1] * 4,
+        ),
+        64,
+    ),
+}
+# float.hex of the mean's value, error bound and residual, the homological
+# mean's value and bound, the invariance residual and the two splitting
+# residuals, as every measure route gave them before the routes shared a walk
+ROUTE_BITS = {
+    "lebesgue": [
+        "0x1.4cccccccccccdp+0", "0x1.97a791655db6ep-44", "0x1.c000000000000p-54", "0x1.0e40000000000p-61",
+        "0x1.ecf15b517f253p-45", "0x1.c000000000000p-54", "0x1.0000000000000p-52", "0x1.2800000000000p-52",
+    ],
+    "lebesgue-aliased": [
+        "0x1.999999999999ap+0", "0x1.6cccccccccccdp-46", "0x1.904b34fed8476p+0", "0x1.7ae147ae147afp-1",
+        "0x1.95851eb851eb9p-47", "0x1.904b34fed8476p+0", "0x0.0p+0", "0x0.0p+0",
+    ],
+    "dirac_orbit": [
+        "0x1.1858d80f69ddap+0", "0x1.0c2c6c07b4eedp-48", "0x1.eff0424826e5cp-6", "0x1.9999999999998p-4",
+        "0x1.199999999999ap-49", "0x1.eff0424826e5cp-6", "0x1.0000000000000p-51", "0x1.099999999999ap-51",
+    ],
+    "empirical": [
+        "0x1.2748d24174cd3p+1", "0x1.c0a8229256ea2p-48", "0x1.26b685dcba49bp-52", "-0x1.2641e0c728e74p-57",
+        "0x1.296bf2928cbaap-49", "0x1.26b685dcba49bp-52", "0x1.8000000000000p-50", "0x1.799999999999ap-50",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_every_measure_route_keeps_its_bits(name):
+    a, g, iso, generators, mu, m = ROUTE_CASES[name]
+    rep = mean_translation_number(a, g, mu, m)
+    hom = mean_homological_translation(a, iso, mu, m)
+    split = splitting_check(a, generators, mu, pairs=6, quadrature_points=m, seed=3)
+    got = [
+        rep.value,
+        rep.error_bound,
+        rep.invariance_residual,
+        hom.value,
+        hom.error_bound,
+        measure_invariance_residual(g.lift, mu, m),
+        split.additivity_residual,
+        split.mean_cocycle_residual,
+    ]
+    assert [float.hex(v) for v in got] == ROUTE_BITS[name]
 
 
 def test_squaring_chart_map_visibly_breaks_lebesgue_invariance():

@@ -293,7 +293,7 @@ def residual_corpus(seed, count):
     rng = np.random.default_rng(seed)
     for i in range(count):
         dim = 1 + i % 2
-        entries = sample_class_entries(rng, dim, affine_friendly=True)
+        entries = sample_class_entries(rng, dim)
         g, h, k, w = (sample_map(rng, entries) for _ in range(4))
         yield CohomologyClass(entries), (g, h, k, k.compose(w)), rng.uniform(0.0, 1.0, size=dim)
 
@@ -364,10 +364,11 @@ def test_splitting_residuals_equal_the_per_mean_values(kind):
             mean_translation_number(a, w, mu, quadrature_points=16, check_invariance=False).value
             for w in (gw, hw, gw.compose(hw))
         )
-        mean_g, _ = dynamics._measure_mean(
-            lambda pts, gx: galkedra._gal_kedra_values(a.vector, gw.lift, hw.lift, pts, gx),
-            mu, a.dimension, 16, gw.lift,
-        )
+        def integrand(pts, gx):
+            hx = hw.lift.evaluate_many(pts)
+            return galkedra._gal_kedra_rows(a.vector, pts, hx, gx, gw.lift.evaluate_many(hx))
+
+        mean_g, _ = dynamics._measure_mean(integrand, mu, a.dimension, 16, gw.lift)
         want_add = max(want_add, abs(fgh - fg - fh))
         want_mean_cocycle = max(want_mean_cocycle, abs(mean_g - (fgh - fg - fh)))
     rep = splitting_check(a, gens, mu, pairs=8, quadrature_points=16, seed=5)

@@ -27,7 +27,7 @@ from transnum import (
 )
 from transnum import dynamics
 from transnum.dynamics import GRID_BLOCK, _default_test_functions, _grid_blocks, _grid_images, _measure_mean
-from transnum.galkedra import _gal_kedra_values
+from transnum.galkedra import _gal_kedra_rows
 from transnum.torus import LiftedMap, reduce_point
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -193,7 +193,8 @@ def test_gal_kedra_mean_matches_the_whole_grid_bit_for_bit():
     a, h = CohomologyClass([0, 1]), rigid_rotation([0.23, 0.41])
 
     def integrand(pts, images):
-        return _gal_kedra_values(a.vector, SKEW, h, pts, images)
+        hx = h.evaluate_many(pts)
+        return _gal_kedra_rows(a.vector, pts, hx, images, SKEW.evaluate_many(hx))
 
     # the error of a Lebesgue mean depends on the integrand: the caller bounds it
     want = reference_mean(lambda pts: gal_kedra_many(a, SKEW, h, pts), 2, 300)
