@@ -302,14 +302,45 @@ class _PythonOrbit:
                 self.count, steps, self.s, self.first_return, self.s_return, RETURN_TOLERANCE,
             )
             self.x = np.array(point[: self.x0.size])
-            self.count += steps
-            return
+        elif self.x.ndim == 1:
+            self._advance_one(steps)
+        else:
+            self._advance_stack(steps)
+        self.count += steps
+
+    def _advance_one(self, steps: int) -> None:
+        """The generic step of one orbit: the evaluator maps one (n,) array
+        per step, and the point, the sums and the return search stay Python
+        floats, reduced and compared with the kernel chunk's arithmetic."""
+        evaluator, avec, shift = self._evaluator, self._avec, self._shift
+        x, home = self.x.tolist(), self.x0.tolist()
+        s, first, s_return = self.s, self.first_return, self.s_return
+        for i in range(steps):
+            y = np.asarray(evaluator(np.array(x))).tolist()
+            inc = shift
+            d = 0.0
+            for j, y_j in enumerate(y):
+                inc = inc + avec[j] * (y_j - x[j])
+                x_j = y_j % 1.0
+                if x_j >= 1.0:  # -tiny % 1.0 rounds to 1.0
+                    x_j = 0.0
+                x[j] = x_j
+                d_j = abs(x_j - home[j])
+                if d_j > 0.5:
+                    d_j = 1.0 - d_j
+                if d_j > d:
+                    d = d_j
+            s = s + inc
+            if first < 0 and d <= RETURN_TOLERANCE:
+                first, s_return = self.count + i + 1, s
+        self.x, self.s, self.first_return, self.s_return = np.array(x), s, first, s_return
+
+    def _advance_stack(self, steps: int) -> None:
+        """The generic step of a (B, n) stack: one evaluator call per step
+        on the whole stack, whose sums and returns are (B,) arrays."""
         evaluator, avec, shift, home = self._evaluator, self._avec, self._shift, self.x0
         x, s, first, s_return = self.x, self.s, self.first_return, self.s_return
         searching = bool(np.any(first < 0))
-        gap_to_home, some = (_gap_one, bool) if x.ndim == 1 else (_gap_stack, np.count_nonzero)
-        # Coordinates are read as columns (.T[j]): numpy scalars for one
-        # orbit, whose arithmetic is cheaper than that of 0-d arrays.
         for i in range(steps):
             y = np.asarray(evaluator(x))
             inc = shift
@@ -319,29 +350,14 @@ class _PythonOrbit:
             x = np.mod(y, 1.0)
             x[x >= 1.0] = 0.0  # np.mod(-tiny, 1.0) rounds to 1.0
             if searching:
-                hit = gap_to_home(x, home) <= RETURN_TOLERANCE
-                if some(hit):
+                gap = np.abs(x - home)
+                hit = np.minimum(gap, 1.0 - gap).max(axis=-1) <= RETURN_TOLERANCE
+                if np.count_nonzero(hit):
                     hit = hit & (first < 0)
                     first = np.where(hit, self.count + i + 1, first)
                     s_return = np.where(hit, s, s_return)
                     searching = bool(np.any(first < 0))
-        if x.ndim == 1:  # one orbit keeps plain Python numbers
-            s, first, s_return = float(s), int(first), float(s_return)
         self.x, self.s, self.first_return, self.s_return = x, s, first, s_return
-        self.count += steps
-
-
-def _gap_one(x: np.ndarray, home: np.ndarray):
-    """Torus sup distance from the reduced point x to the reduced home point.
-    Their coordinates iterate as numpy scalars, which the builtins compare
-    faster than numpy's reductions do."""
-    return max(min(gap, 1.0 - gap) for gap in map(abs, x - home))
-
-
-def _gap_stack(x: np.ndarray, home: np.ndarray) -> np.ndarray:
-    """`_gap_one` for each row of a (B, n) stack."""
-    gap = np.abs(x - home)
-    return np.minimum(gap, 1.0 - gap).max(axis=-1)
 
 
 def _orbit_start(a: CohomologyClass, g: BundleAutomorphism, x0) -> tuple:
