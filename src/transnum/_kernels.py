@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import types
-from math import cos, sin
+from math import cos, exp, sin
 
 import numpy as np
 
@@ -99,15 +99,25 @@ def _orbit_chunk_impl(code, params, avec, shift, point, home, start, count, s, f
     The increment per step is <a, g(x)-x> + shift, added to the running sum
     s. The first global step index (1-based) whose point lies within
     return_tol of `home` in the torus sup metric is kept as first_return
-    (-1 while there is none), and s at that step as s_return. Returns
-    (point, s, first_return, s_return); no per-step values are kept.
+    (-1 while there is none), and s at that step as s_return. The chunk's
+    steps also form one block of the weighted Birkhoff average: step i
+    weighs `block_weight(i, count)`, and `block` is sum w inc / sum w over
+    the chunk (nan for an empty one). Returns (point, s, first_return,
+    s_return, block); no per-step values are kept.
     """
     a0, a1 = avec
     x0, x1 = point
     h0, h1 = home
+    ws = 0.0
+    wsum = 0.0
     for i in range(count):
         y0, y1 = _step(code, params, x0, x1)
-        s += shift + a0 * (y0 - x0) + a1 * (y1 - x1)
+        inc = shift + a0 * (y0 - x0) + a1 * (y1 - x1)
+        s += inc
+        t = (i + 0.5) / count  # block_weight(i, count), inlined
+        w = exp(-1.0 / (t * (1.0 - t)))
+        ws += w * inc
+        wsum += w
         x0 = y0 % 1.0
         if x0 >= 1.0:  # -tiny % 1.0 rounds to 1.0
             x0 = 0.0
@@ -129,7 +139,18 @@ def _orbit_chunk_impl(code, params, avec, shift, point, home, start, count, s, f
             if d <= return_tol:
                 first_return = start + i + 1
                 s_return = s
-    return (x0, x1), s, first_return, s_return
+    block = ws / wsum if count > 0 else math.nan
+    return (x0, x1), s, first_return, s_return, block
+
+
+def block_weight(i, count):
+    """The weight of step i (0-based) of a block of `count` steps in the
+    weighted Birkhoff average of Das and Yorke: w(t) = exp(-1/(t(1-t))) at
+    the midpoint t = (i + 1/2)/count. The weighted average sum w f / sum w
+    of a smooth f along a quasi-periodic orbit converges faster than any
+    power of 1/count, where the plain average converges like 1/count."""
+    t = (i + 0.5) / count
+    return exp(-1.0 / (t * (1.0 - t)))
 
 
 def _grid_sup_abs_rho_impl(code, params, avec, shift, m, n):

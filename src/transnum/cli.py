@@ -140,6 +140,7 @@ def _convergence_entry(rep) -> dict:
         rational=rep.rational,
         verdict=rep.verdict,
         iterations=rep.iterations,
+        plain_average=rep.plain_average,
         window=list(rep.window),
         tongue=None if rep.tongue is None else {"period": rep.tongue.period, "grid": rep.tongue.grid},
     )

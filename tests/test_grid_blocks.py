@@ -210,8 +210,9 @@ def reference_residual(lift, m):
     pts = meshgrid_grid(2, m, 0.5)
     moved = reduce_point(lift.evaluate_many(pts))
     return max(
-        abs(float(np.mean(f(moved))) - (float(np.mean(f(pts))) if m == 1 else 0.0))
+        abs(float(np.mean(after)) - (float(np.mean(before)) if m == 1 else 0.0))
         for f in _default_test_functions(2)
+        for after, before in zip(f(moved), f(pts))
     )
 
 
@@ -288,7 +289,7 @@ def test_other_lifts_image_every_block_with_evaluate_many(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
-def test_lebesgue_mean_takes_one_grid_and_its_residual_one(name, a, g, monkeypatch):
+def test_lebesgue_mean_and_its_residual_share_one_grid(name, a, g, monkeypatch):
     shapes = []
     grid_blocks = dynamics._grid_blocks
 
@@ -299,7 +300,11 @@ def test_lebesgue_mean_takes_one_grid_and_its_residual_one(name, a, g, monkeypat
     monkeypatch.setattr(dynamics, "_grid_blocks", counted)
     mean_translation_number(a, g, LEBESGUE)
     m = dynamics.QUADRATURE_POINTS
-    assert shapes == [(a.dimension, m, 0.5), (a.dimension, m, 0.5)]
+    assert shapes == [(a.dimension, m, 0.5)]
+    # a finer mean grid leaves the residual its own grid at the cap
+    shapes.clear()
+    mean_translation_number(a, g, LEBESGUE, 2 * m)
+    assert shapes == [(a.dimension, 2 * m, 0.5), (a.dimension, m, 0.5)]
 
 
 @pytest.mark.parametrize(
@@ -309,9 +314,10 @@ def test_grids_the_probes_alias_on_keep_their_unmoved_means(lift, m):
     # the circle's probes reach degree 2, so m = 2 aliases there too
     pts = meshgrid_grid(lift.dimension, m, 0.5)
     moved = reduce_point(lift.evaluate_many(pts))
-    unmoved = [float(np.mean(f(pts))) for f in _default_test_functions(lift.dimension)]
+    probes = _default_test_functions(lift.dimension)
+    unmoved = [float(np.mean(v)) for f in probes for v in f(pts)]
     assert max(map(abs, unmoved)) == 1.0
-    want = max(abs(float(np.mean(f(moved))) - u) for f, u in zip(_default_test_functions(lift.dimension), unmoved))
+    want = max(abs(float(np.mean(v)) - u) for v, u in zip((v for f in probes for v in f(moved)), unmoved))
     assert measure_invariance_residual(lift, LEBESGUE, quadrature_points=m) == want
 
 

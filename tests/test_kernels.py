@@ -80,7 +80,8 @@ def _reference_step(code, params, x, y):
 
 
 def _reference_orbit(lift, avec, shift, x, steps, return_tol=1e-10):
-    """The orbit loop written array-indexed, as the reference; keeps every sum."""
+    """The orbit loop written array-indexed, as the reference; keeps every
+    sum, and the weighted average of the steps as one block."""
     code, params = lift.kernel_spec
     params = np.asarray(params, dtype=float)
     x = np.array(x, dtype=float)
@@ -89,6 +90,7 @@ def _reference_orbit(lift, avec, shift, x, steps, return_tol=1e-10):
     sums = []
     s = 0.0
     first_return = -1
+    ws = wsum = 0.0
     for i in range(steps):
         _reference_step(code, params, x, y)
         acc = shift
@@ -96,12 +98,16 @@ def _reference_orbit(lift, avec, shift, x, steps, return_tol=1e-10):
             acc += avec[j] * (y[j] - x[j])
         s += acc
         sums.append(s)
+        t = (i + 0.5) / steps
+        w = math.exp(-1.0 / (t * (1.0 - t)))
+        ws += w * acc
+        wsum += w
         x = y % 1.0
         x[x >= 1.0] = 0.0
         d = np.abs(x - home)
         if first_return < 0 and np.max(np.minimum(d, 1.0 - d)) <= return_tol:
             first_return = i + 1
-    return x, s, first_return, sums
+    return x, s, first_return, sums, ws / wsum
 
 
 def _run_orbit(chunk_fn, lift, avec, shift, steps):
@@ -255,9 +261,10 @@ def test_jitted_step_matches_the_interpreted_step(warm_kernels):
 
 def test_orbit_matches_the_reference_loop_bit_for_bit():
     for lift, avec, _ in CASES:
-        point, s, first_return, s_return = _run_orbit(_kernels.orbit_chunk, lift, avec, 0.25, 300)
-        x, ref_s, ref_first, sums = _reference_orbit(lift, avec, 0.25, np.full(lift.dimension, 0.1), 300)
+        point, s, first_return, s_return, block = _run_orbit(_kernels.orbit_chunk, lift, avec, 0.25, 300)
+        x, ref_s, ref_first, sums, ref_block = _reference_orbit(lift, avec, 0.25, np.full(lift.dimension, 0.1), 300)
         assert s == ref_s, lift.label
+        assert block == ref_block, lift.label
         assert list(point[: lift.dimension]) == list(x), lift.label
         assert first_return == ref_first, lift.label
         if first_return > 0:
@@ -314,7 +321,7 @@ def test_grid_sup_matches_a_dense_numpy_scan():
 
 def test_orbit_first_return_detects_rational_rotation():
     lift = rigid_rotation([0.5])
-    _, s, first_return, s_return = _run_orbit(_kernels.orbit_chunk, lift, [1.0], 0.0, 8)
+    _, s, first_return, s_return, _ = _run_orbit(_kernels.orbit_chunk, lift, [1.0], 0.0, 8)
     assert first_return == 2
     assert s_return == 1.0
     assert s == pytest.approx(4.0)  # eight half-steps
@@ -324,7 +331,7 @@ def test_negative_tiny_image_folds_onto_zero():
     # -1e-20 % 1.0 rounds to 1.0; the reduced point must stay in [0, 1)
     assert (-1e-20) % 1.0 == 1.0
     code, params = _params(rigid_rotation([-1e-20, -1e-20]))
-    point, s, first_return, s_return = _kernels.orbit_chunk(
+    point, s, first_return, s_return, _ = _kernels.orbit_chunk(
         code, params, (1.0, 1.0), 0.0, (0.0, 0.0), (0.0, 0.0), 0, 1, 0.0, -1, math.nan, 1e-10
     )
     assert point == (0.0, 0.0)

@@ -27,22 +27,30 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 POLY = TrigPolynomial(0.3, (0.05, -0.02), (0.1, 0.04))
 
 
-def reference_orbit(evaluator, avec, shift, x0, steps):
+def reference_orbit(evaluator, avec, shift, x0, steps, block_start=0):
     """The per-point loop: one point, `reduce_point` and `torus_distance` on
     every step. The increment is summed as the kernel sums it: the shift
-    first, then avec_j (y_j - x_j) for each coordinate in turn."""
+    first, then avec_j (y_j - x_j) for each coordinate in turn. The steps
+    from block_start on form one block of the weighted average, sum w inc /
+    sum w."""
     home = reduce_point(x0)
     x, s, first, s_return = home.copy(), 0.0, -1, math.nan
+    ws = wsum = 0.0
     for i in range(steps):
         y = np.asarray(evaluator(x))
         inc = shift
         for a_j, d_j in zip(avec, (y - x).tolist()):
             inc += a_j * d_j
         s += inc
+        if i >= block_start:
+            t = (i - block_start + 0.5) / (steps - block_start)
+            w = math.exp(-1.0 / (t * (1.0 - t)))
+            ws += w * inc
+            wsum += w
         x = reduce_point(y)
         if first < 0 and torus_distance(x, home) <= RETURN_TOLERANCE:
             first, s_return = i + 1, s
-    return x, s, first, s_return
+    return x, s, first, s_return, ws / wsum
 
 
 # (label, lift, class entries, fiber shift)
@@ -87,9 +95,10 @@ def test_one_orbit_matches_the_per_point_loop_bit_for_bit(label, lift, entries, 
         # two chunks, so the state carried between calls is exercised too
         orbit.run_to(STEPS // 3)
         orbit.run_to(STEPS)
-        x, s, first, s_return = reference_orbit(lift.evaluator, entries, shift, x0, STEPS)
+        x, s, first, s_return, block = reference_orbit(lift.evaluator, entries, shift, x0, STEPS, STEPS // 3)
         assert np.array_equal(orbit.x, x)
         assert type(orbit.s) is float and orbit.s == s
+        assert type(orbit.block) is float and orbit.block == block
         assert type(orbit.first_return) is int and orbit.first_return == first
         assert type(orbit.s_return) is float
         assert orbit.s_return == s_return or (math.isnan(s_return) and math.isnan(orbit.s_return))
@@ -103,9 +112,11 @@ def test_each_row_of_a_stack_matches_its_own_orbit_bit_for_bit(label, lift, entr
     stack.run_to(STEPS // 3)
     stack.run_to(STEPS)
     assert stack.size == len(x0)
-    for (s, first, s_return), x, row, c in zip(stack.rows(), stack.x, x0, shifts):
-        ref_x, ref_s, ref_first, ref_s_return = reference_orbit(lift.evaluator, entries, c, row, STEPS)
-        assert np.array_equal(x, ref_x) and s == ref_s and first == ref_first
+    for (s, first, s_return, block), x, row, c in zip(stack.rows(), stack.x, x0, shifts):
+        ref_x, ref_s, ref_first, ref_s_return, ref_block = reference_orbit(
+            lift.evaluator, entries, c, row, STEPS, STEPS // 3
+        )
+        assert np.array_equal(x, ref_x) and s == ref_s and first == ref_first and block == ref_block
         assert s_return == ref_s_return or (math.isnan(s_return) and math.isnan(ref_s_return))
 
 
@@ -125,7 +136,7 @@ def test_dropping_rows_keeps_the_others_on_their_orbits():
     stack.run_to(50)
     stack.keep([1, 4])
     stack.run_to(STEPS)
-    for (s, _, _), row, c in zip(stack.rows(), x0[[1, 4]], (1.0, 4.0)):
+    for (s, _, _, _), row, c in zip(stack.rows(), x0[[1, 4]], (1.0, 4.0)):
         assert s == reference_orbit(evaluator, (0, 1), c, row, STEPS)[1]
 
 

@@ -127,15 +127,36 @@ def test_a_real_class_gets_no_tongue_test():
     assert rep.verdict != VERDICT_EXACT_LOCKED and rep.tongue is None
 
 
-def test_exact_returns_and_early_windows_keep_priority():
+def test_exact_returns_keep_priority_and_the_tongue_beats_a_settled_window():
     # 0 is a fixed point: the return at step 1 wins over the tongue
     rep = local_translation_number(CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.0, 0.9)), [0.0])
     assert rep.verdict == "exact-periodic" and rep.tongue is None
-    # a window that settles by step 16 is reported as it was
+    # a window that settles by step 16 gives way to the tongue's proof
     rep = local_translation_number(
         CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.0, 0.9)), [0.3], tolerance=1.0
     )
+    assert rep.verdict == VERDICT_EXACT_LOCKED and rep.iterations == dynamics.SCAN_HORIZON
+    # ... and stands where the tongue proves nothing
+    rep = local_translation_number(
+        CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.3, 0.9)), [0.2], tolerance=1.0
+    )
     assert rep.verdict == "converged" and rep.iterations == dynamics.SCAN_HORIZON
+
+
+def test_a_locked_orbit_stays_exact_at_the_default_tolerance():
+    # the orbit settles at the attracting fixed point within a few steps, so
+    # the block averages at the horizon are 7e-9 apart: a converged window at
+    # the default tolerance, which the exact verdict must take precedence over
+    a, g = CohomologyClass([1]), BundleAutomorphism(arnold_circle(0.02, 0.95))
+    orbit = dynamics._make_orbit(a, g, [0.5])
+    blocks = []
+    for n in (1, 2, 4, 8, 16):  # the checkpoints up to the horizon
+        orbit.run_to(n)
+        blocks.append(orbit.block)
+    assert n == dynamics.SCAN_HORIZON and abs(blocks[-1] - blocks[-2]) <= dynamics.WINDOW_TOLERANCE
+    rep = local_translation_number(a, g, [0.5])
+    assert rep.verdict == VERDICT_EXACT_LOCKED and rep.rational == 0
+    assert rep.iterations == dynamics.SCAN_HORIZON
 
 
 def test_the_tongue_test_runs_at_a_cap_below_the_horizon():
