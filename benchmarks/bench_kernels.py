@@ -31,6 +31,15 @@ This script times
     `rot-homovec`) on the skew isotopy's time-1 map, in microseconds per
     orbit step: one orbit on an (n,) point, and stacks of B = 16, 256 and
     4096 orbits stepped together;
+  - the interpreted orbit step that the block sums of the weighted
+    Birkhoff average ride on: the skew and Arnold kernel chunks in
+    nanoseconds per step, and one generic orbit in microseconds per step;
+  - steps to tolerance of the two window rules, plain (S_n/n) against
+    weighted (the block average since the previous checkpoint), on the
+    golden skew from (0.2, 0.7) and on arnold(0.3, 0.9) from 0: the
+    checkpoint where each rule's gap first meets the tolerance, and the
+    error there against the limit (0.3 for the skew map, the weighted
+    value at 2^18 steps for the Arnold map);
   - the command-line front end: in-process `cli.main` on a `seifert-class`
     run, in milliseconds per call;
   - `rot-local` sweeps, whose rows run as stacks, in rows per second, with
@@ -154,6 +163,13 @@ SWEEPS = [
     ),
 ]
 GENERIC_STEPS = [(None, 4096), (16, 4096), (256, 1024), (4096, 256)]  # (stack size B, steps)
+TOLERANCES = (1e-6, 1e-9, 1e-12)
+TOLERANCE_CAP = 2**18  # steps; also the Arnold map's reference
+# (label, class, lift, start, limit or None for the weighted value at the cap)
+TOLERANCE_CASES = [
+    ("skew golden from (0.2, 0.7)", (0, 1), CASES[-1][1], [0.2, 0.7], 0.3),
+    ("arnold(0.3, 0.9) from 0", (1,), CASES[2][1], [0.0], None),
+]
 LOCK_CAPS = (1, 8, 16, 64)
 VERDICTS = ("exact-locked", "exact-periodic", "converged", "not-converged")
 
@@ -226,6 +242,30 @@ def us_per_generic_step(rows, steps, repeat):
         orbit.run_to(steps)
         best = min(best, time.perf_counter() - start)
     return best / (steps * (rows or 1)) * 1e6
+
+
+def steps_to_tolerance(entries, lift, x0, limit):
+    """Rows (tolerance, plain steps, plain error, weighted steps, weighted
+    error) of one orbit, run through the doubling checkpoints up to
+    TOLERANCE_CAP as the window rule runs it. A rule stops at the first
+    checkpoint n >= SCAN_HORIZON whose estimate is within the tolerance of
+    the previous checkpoint's; '-' when none does."""
+    orbit = dynamics._make_orbit(CohomologyClass(entries), BundleAutomorphism(lift), x0)
+    points, n = [], 1
+    while n <= TOLERANCE_CAP:
+        orbit.run_to(n)
+        points.append((n, orbit.s / n, orbit.block))
+        n *= 2
+    if limit is None:
+        limit = points[-1][2]
+
+    def stop(column, tol):
+        for (_, *prev), (n, *est) in zip(points, points[1:]):
+            if n >= dynamics.SCAN_HORIZON and abs(est[column] - prev[column]) <= tol:
+                return str(n), f"{abs(est[column] - limit):.1e}"
+        return "-", "-"
+
+    return [(f"{tol:.0e}", *stop(0, tol), *stop(1, tol)) for tol in TOLERANCES]
 
 
 def us_per_element(a, gens, radius, repeat):
@@ -424,6 +464,24 @@ def main():
         ("one, (n,) point" if b is None else f"B = {b}", str(steps), f"{us_per_generic_step(b, steps, args.repeat):.3f}")
         for b, steps in GENERIC_STEPS
     ]
+    print_table(rows)
+
+    print()
+    print(f"interpreted orbit step under the block sums, best of {args.repeat}")
+    skew, arnold = CASES[-1], CASES[2]
+    rows = [("case", "steps", "cost", "unit")]
+    rows += [
+        (f"{label} kernel chunk", str(args.steps), f"{us_per_step(lift, avec, args.steps, args.repeat) * 1e3:.0f}", "ns/step")
+        for label, lift, avec in (skew, arnold)
+    ]
+    rows.append(("generic step, one orbit", "4096", f"{us_per_generic_step(None, 4096, args.repeat):.2f}", "us/step"))
+    print_table(rows)
+
+    print()
+    print(f"steps to tolerance, plain against weighted window (cap {TOLERANCE_CAP} steps)")
+    rows = [("case", "tolerance", "plain steps", "plain error", "weighted steps", "weighted error")]
+    for label, entries, lift, x0, limit in TOLERANCE_CASES:
+        rows += [(label, *row) for row in steps_to_tolerance(entries, lift, x0, limit)]
     print_table(rows)
 
     print()

@@ -111,7 +111,7 @@ INVARIANCE_TOLERANCE = 1e-6
 # points is iterated for periods q = 1 .. LOCK_PERIODS. The cap comes from
 # the period table of `benchmarks/bench_kernels.py` (2-vCPU Xeon, no numba).
 # On a 10,000-row sweep of arnold(omega, 0.9), caps of 1, 8, 16 and 64
-# prove 2866, 4674, 4954 and 5114 rows. A map the test cannot settle costs
+# prove 2866, 4676, 4956 and 5116 rows. A map the test cannot settle costs
 # 0.08, 0.42, 0.56 and 2.0 ms per orbit.
 LOCK_PERIODS = 8
 LOCK_GRID = 256
@@ -431,12 +431,12 @@ class ConvergenceReport:
     error_bound: float
     iterations: int
     verdict: str
+    plain_average: float
     rational: Optional[Fraction] = None
     window: tuple = ()
     periodic_base: Optional[tuple] = None
     height_average: Optional[float] = None
     tongue: Optional["TongueProof"] = None
-    plain_average: Optional[float] = None
 
     @property
     def converged(self) -> bool:
