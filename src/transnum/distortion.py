@@ -54,7 +54,7 @@ from .dynamics import (
     BundleAutomorphism,
     ConvergenceReport,
     _displacement_lipschitz,
-    _grid_images,
+    _grid_columns,
     _power,
     _require_grid,
     _rho_values,
@@ -113,9 +113,11 @@ def seminorm(
     """sup_x |rho(x)| by grid scan; certified mode adds the cell bound.
 
     The numpy scan runs over the corner grid in blocks of at most
-    GRID_BLOCK points, imaged as `dynamics._grid_images` gives them, and
-    keeps only each block's max |rho|, so it holds O(GRID_BLOCK) points and
-    values at a time whatever the resolution."""
+    GRID_BLOCK points, read as `dynamics._grid_columns` gives them: a
+    built-in family's rho is computed from the block's axis columns and
+    their images, so no point or image stack is built. It keeps only each
+    block's max |rho|, so it holds O(GRID_BLOCK) values at a time whatever
+    the resolution."""
     if mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError(f"mode must be {MODE_ESTIMATE!r} or {MODE_CERTIFIED!r}")
     require_preserves_class(a, g.lift)
@@ -127,8 +129,8 @@ def seminorm(
     if spec is not None and _kernels.JIT_ENABLED and n <= 2:
         est = float(_kernels.grid_sup_abs_rho(spec[0], spec[1], avec, shift, m, n))
     else:
-        blocks = _grid_images(g.lift, n, m, 0.0)
-        maxima = [np.max(np.abs(_rho_values(pts, images, avec, shift))) for pts, images in blocks]
+        blocks = _grid_columns(g.lift, n, m, 0.0)
+        maxima = [np.max(np.abs(_rho_values(xs, ys, avec, shift))) for xs, ys in blocks]
         est = float(np.max(maxima))
     if mode == MODE_ESTIMATE:
         return SeminormReport(est, None, None, mode, m, rigorous=False)

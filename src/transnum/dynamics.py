@@ -227,13 +227,23 @@ def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> n
     """Vectorized rho over an (N, n) stack of base points."""
     require_preserves_class(a, g.lift)
     pts = np.asarray(points, dtype=float)
-    return _rho_values(pts, g.lift.evaluate_many(pts), a.vector, _shift_float(a, g))
+    return _rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, _shift_float(a, g))
 
 
-def _rho_values(pts: np.ndarray, images: np.ndarray, avec: np.ndarray, shift: float) -> np.ndarray:
-    """rho over an (N, n) float stack and its images under a lift whose class
-    and fiber shift are checked."""
-    return (images - pts) @ avec + shift
+def _rho_values(xs, ys, avec, shift: float):
+    """rho from the coordinates x_j of points and y_j of their images under
+    a lift whose class and fiber shift are checked: sum_j a_j (y_j - x_j)
+    in axis order, then + shift. xs and ys hold one entry per axis, and the
+    entries broadcast together: the coordinates of one point, the columns
+    of an (N, n) stack (`stack.T`), or a grid block's axis columns and
+    their images (`_grid_columns`). Each value takes the same roundings
+    whichever form holds it; a matrix product would leave their order (and
+    any fused multiply-add) to the BLAS library."""
+    total = None
+    for a_j, x_j, y_j in zip(avec, xs, ys):
+        term = a_j * (y_j - x_j)
+        total = term if total is None else total + term
+    return total + shift
 
 
 # --------------------------------------------------------------------------
@@ -872,25 +882,24 @@ class InvariantMeasure:
         return cls(kind="empirical", samples=reduce_point(pts), weights=w)
 
 
-def _grid_blocks(dimension: int, m: int, offset: float):
+def _grid_blocks(dimension: int, m: int, offset: float) -> "_GridBlocks":
     """The (m^n, n) grid of points ((i_1 + offset)/m, ..., (i_n + offset)/m)
-    in row-major order, as (k, n) blocks of at most GRID_BLOCK points: offset
-    0 gives the corner grid, 0.5 the midpoint grid.
+    in row-major order, as blocks of at most GRID_BLOCK points
+    (`_GridBlocks`): offset 0 gives the corner grid, 0.5 the midpoint grid.
 
     The trailing axes whose grid fits in a block (at most n - 1 of them) form
-    the tail grid, written into a (rows, tail points, n) buffer once; each
-    block then only fills in the coordinates of its rows of the head grid.
-    Every block is a view of that buffer, overwritten by the next one, and
-    comes with its axis columns: one array per coordinate, (rows, 1) for a
-    head axis and (1, tail points) for a tail axis, which broadcast to the
-    block's points. On T^2 these are the block's rows of axis 0 and the whole
-    axis 1; on the circle, the block's points as a (k, 1) column."""
+    the tail grid; each block takes whole rows of the head grid by the whole
+    tail grid, and comes with its axis columns: one array per coordinate,
+    (rows, 1) for a head axis and (1, tail points) for a tail axis, which
+    broadcast to the block's points. On T^2 these are the block's rows of
+    axis 0 and the whole axis 1; on the circle, the block's points as a
+    (k, 1) column."""
     _require_grid(dimension, m)
     axis = (np.arange(m) + offset) / m
     tail_dims = dimension - 1
     while m**tail_dims > GRID_BLOCK:
         tail_dims -= 1
-    return _fill_blocks(_axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims))
+    return _GridBlocks(_axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims))
 
 
 def _require_grid(dimension: int, m: int) -> None:
@@ -907,31 +916,44 @@ def _axis_grid(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([c.ravel() for c in mesh], axis=-1) if d else np.empty((1, 0))
 
 
-def _fill_blocks(head: np.ndarray, tail: np.ndarray):
-    """(points, axis columns) of the blocks of the grid head x tail, whole
-    rows of head at a time."""
-    h, t = head.shape[1], len(tail)
-    n = h + tail.shape[1]
-    rows = min(len(head), GRID_BLOCK // t)
-    buf = np.empty((rows, t, n))
-    buf[:, :, h:] = tail
-    tail_cols = tuple(tail[None, :, j] for j in range(tail.shape[1]))
-    for i in range(0, len(head), rows):
-        r = min(rows, len(head) - i)
-        buf[:r, :, :h] = head[i : i + r, None, :]
-        head_cols = tuple(head[i : i + r, j : j + 1] for j in range(h))
-        yield buf[:r].reshape(r * t, n), head_cols + tail_cols
+class _GridBlocks:
+    """The blocks of the grid head x tail (`_grid_blocks`), whole rows of
+    head at a time. Iterating gives each block's (points, axis columns),
+    the points a (k, n) view of one buffer that the next block overwrites:
+    the tail coordinates are written into it once, and each block fills in
+    its head coordinates. `columns()` gives the axis columns alone and
+    writes no point."""
+
+    def __init__(self, head: np.ndarray, tail: np.ndarray):
+        self.head, self.tail = head, tail
+        self.rows = min(len(head), GRID_BLOCK // len(tail))
+
+    def columns(self):
+        head, rows = self.head, self.rows
+        tail_cols = tuple(self.tail[None, :, j] for j in range(self.tail.shape[1]))
+        for i in range(0, len(head), rows):
+            yield tuple(head[i : i + rows, j : j + 1] for j in range(head.shape[1])) + tail_cols
+
+    def __iter__(self):
+        h, t = self.head.shape[1], len(self.tail)
+        n = h + self.tail.shape[1]
+        buf = np.empty((self.rows, t, n))
+        buf[:, :, h:] = self.tail
+        for cols in self.columns():
+            r = len(cols[0])
+            for j in range(h):
+                buf[:r, :, j] = cols[j]
+            yield buf[:r].reshape(r * t, n), cols
 
 
 def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
     """(points, images under lift) of each block of the grid `_grid_blocks`
-    gives. A built-in family in dimension 1 or 2 (`_kernel_family`) whose
-    evaluator is its numpy step images a block by running that step on the
-    block's axis columns, so each sin and cos runs once per grid coordinate
-    rather than once per point, and broadcasts the result into one image
-    buffer reused by every block; the values are those of
-    `lift.evaluate_many` on the points. Any other lift runs `evaluate_many`
-    on each block."""
+    gives, as (k, n) stacks: the walk of the consumers that read stacks. A
+    built-in family in dimension 1 or 2 (`_kernel_family`) images the
+    block's axis columns with its numpy step (`_StepEvaluator.image`) and
+    broadcasts them into one image buffer reused by every block; the values
+    are those of `lift.evaluate_many` on the points. Any other lift runs
+    `evaluate_many` on each block."""
     blocks = _grid_blocks(dimension, m, offset)
     if _kernel_family(lift) is None:
         for pts, _ in blocks:
@@ -944,31 +966,80 @@ def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
             buf = np.empty(pts.shape)
         images = buf[: len(pts)]
         # coordinate j of the block's images as a (rows, tail points) view
-        step.image(cols, images.reshape(len(cols[0]), -1, dimension).transpose(2, 0, 1))
+        for out, y in zip(images.reshape(len(cols[0]), -1, dimension).transpose(2, 0, 1), step.image(cols)):
+            out[...] = y
         yield pts, images
+
+
+def _grid_columns(lift: LiftedMap, dimension: int, m: int, offset: float):
+    """(xs, ys) of each block of the grid `_grid_blocks` gives: the
+    coordinates of its points and of their images under lift, one array per
+    axis, which broadcast together to the block. A built-in family in
+    dimension 1 or 2 (`_kernel_family`) runs its numpy step
+    (`_StepEvaluator.image`) on the block's axis columns, so no point or
+    image stack is built and each sin and cos runs once per grid
+    coordinate; an image coordinate that depends on one axis stays a column
+    (x_0 + omega of a skew map). The values are those of
+    `lift.evaluate_many` on the points. Any other lift runs `evaluate_many`
+    on the block's point stack (`_grid_images`), and xs and ys are the
+    columns of the two stacks."""
+    if _kernel_family(lift) is None:
+        for pts, images in _grid_images(lift, dimension, m, offset):
+            yield pts.T, images.T
+        return
+    step = _StepEvaluator(*lift.kernel_spec)
+    for cols in _grid_blocks(dimension, m, offset).columns():
+        yield cols, step.image(cols)
+
+
+class _OnCoordinates:
+    """A function of a stack of points and their images that reads only
+    their coordinates: `_OnCoordinates(f)(pts, images)` is f(pts.T,
+    images.T), each argument one array per axis. On Lebesgue measure
+    `_measure_rows` hands f each block of `_grid_columns` instead, so on a
+    kernel family's grid no point or image stack is built."""
+
+    __slots__ = ("func",)
+
+    def __init__(self, func: Callable):
+        self.func = func
+
+    def __call__(self, pts: np.ndarray, images: np.ndarray):
+        return self.func(pts.T, images.T)
 
 
 def _measure_rows(func: Callable, mu: InvariantMeasure, dimension: int, m: int, lift: LiftedMap):
     """(rows, weights) of mu's points, the one walk every mean, residual and
     splitting pair reads them through. func takes a stack of points and
-    their images under lift and returns a tuple of per-point arrays; rows
-    holds each of them over all of mu's points, weights None meaning equal
-    weights.
+    their images under lift and returns a tuple of arrays of one value per
+    point; rows holds each of them over all of mu's points, weights None
+    meaning equal weights.
 
     On Lebesgue measure the points are the midpoint grid at m points per
-    axis, run block by block over `_grid_images` into contiguous rows in
-    grid order, so the point stack is never built whole. An orbit measure
-    is walked under lift point by point, and an empirical one reads its
-    samples; their images come from one `evaluate_many`."""
+    axis, run block by block, and rows is one (values, m^n) array filled in
+    grid order, so the grid is never built whole. A function that reads
+    coordinates only (`_OnCoordinates`) walks the blocks of
+    `_grid_columns`, and each of its values, which broadcast to the block,
+    is written once, straight into the block's slice of its row. Any other
+    function walks the stacks of `_grid_images`. An orbit measure is walked
+    under lift point by point, and an empirical one reads its samples;
+    their images come from one `evaluate_many`."""
     if mu.kind == "lebesgue":
+        if isinstance(func, _OnCoordinates):
+            blocks = (
+                (func.func(xs, ys), np.broadcast_shapes(*(np.shape(x) for x in xs)))
+                for xs, ys in _grid_columns(lift, dimension, m, 0.5)
+            )
+        else:
+            blocks = ((func(pts, images), (len(pts),)) for pts, images in _grid_images(lift, dimension, m, 0.5))
         rows, i = None, 0
-        for pts, images in _grid_images(lift, dimension, m, 0.5):
-            vals = func(pts, images)
+        for vals, shape in blocks:
             if rows is None:  # the grid's size is checked
-                rows = tuple(np.empty((m**dimension,) + np.shape(v)[1:]) for v in vals)
+                rows = np.empty((len(vals), m**dimension))
+            size = math.prod(shape)
             for row, v in zip(rows, vals):
-                row[i : i + len(pts)] = v
-            i += len(pts)
+                row[i : i + size].reshape(shape)[...] = v
+            i += size
         return rows, None
     support = mu.point if mu.kind == "dirac_orbit" else mu.samples
     if support is not None and support.shape[-1] != dimension:
@@ -1007,7 +1078,8 @@ def _measure_mean(
     """(value, error) of an integrand against mu, read from one walk of
     its points (`_measure_rows`); orbit measures are walked under
     `base_map`. The integrand takes a point stack and its images under
-    `base_map`.
+    `base_map`; one that reads their coordinates only (`_OnCoordinates`),
+    as rho does, takes a kernel family's grid as axis columns.
 
     A Lebesgue mean is the midpoint rule at m = quadrature_points per axis,
     one pass over the grid whose values go into one array of m^n floats;
@@ -1015,9 +1087,11 @@ def _measure_mean(
     the integrand: the means of rho bound it with `_lebesgue_bound`. A
     finite sum (orbit or empirical measure) is exact up to rounding, for
     which it reports 8 eps (1 + max |values|)."""
-    (values,), weights = _measure_rows(
-        lambda pts, images: (integrand_many(pts, images),), mu, dimension, quadrature_points, base_map
-    )
+    if isinstance(integrand_many, _OnCoordinates):
+        func = _OnCoordinates(lambda xs, ys: (integrand_many.func(xs, ys),))
+    else:
+        func = lambda pts, images: (integrand_many(pts, images),)  # noqa: E731
+    (values,), weights = _measure_rows(func, mu, dimension, quadrature_points, base_map)
     if mu.kind == "lebesgue":
         return _average(values, None), None
     return _finite_mean(values, weights)
@@ -1150,15 +1224,31 @@ def measure_invariance_residual(
     n = base_map.dimension
     unmoved = mu.kind != "lebesgue" or _aliased(n, quadrature_points)
     rows, weights = _measure_rows(
-        lambda pts, images: (images, pts) if unmoved else (images,), mu, n, quadrature_points, base_map
+        _OnCoordinates(lambda xs, ys: (*_moved(ys), *xs) if unmoved else _moved(ys)),
+        mu, n, quadrature_points, base_map,
     )
-    return _probe_residual(rows[1] if unmoved else None, rows[0], weights)
+    return _probe_residual(_stacked(rows[n:]) if unmoved else None, _stacked(rows[:n]), weights)
 
 
-def _probe_residual(pts: Optional[np.ndarray], images: np.ndarray, weights: Optional[np.ndarray]) -> float:
-    """max_f |mean of f(images) - mean of f(pts)| over the probe functions,
-    the images reduced mod 1 first; pts None marks unmoved means that are 0."""
-    moved = reduce_point(images)
+def _moved(ys) -> tuple:
+    """Image coordinates reduced mod 1, each in the shape it comes in: a
+    grid block's image column is reduced once per grid coordinate."""
+    return tuple(reduce_point(y) for y in ys)
+
+
+def _stacked(rows) -> np.ndarray:
+    """The (N, n) stack whose columns are n coordinate rows: a view when
+    they are rows of one array, as `_measure_rows` gives on Lebesgue measure."""
+    return np.asarray(rows).T
+
+
+def _probe_residual(pts: Optional[np.ndarray], moved: np.ndarray, weights: Optional[np.ndarray]) -> float:
+    """max_f |mean of f(moved) - mean of f(pts)| over the probe functions,
+    with moved the images reduced mod 1 (`_moved`); pts None marks unmoved
+    means that are 0.
+    On T^1 and T^2 a probe's phase 2 pi k.x takes at most one rounding in
+    k.x, whose entries are -1, 0, 1 or 2, so it is the same whether a stack
+    is held by rows or by columns (`_stacked`)."""
     worst = 0.0
     for probe in _default_test_functions(moved.shape[1]):
         before = (0.0, 0.0) if pts is None else [_average(v, weights) for v in probe(pts)]
@@ -1208,31 +1298,33 @@ def mean_translation_number(
     warning flag."""
     require_preserves_class(a, g.lift)
     shift = _shift_float(a, g)
-    avec = a.vector
+    avec, n = a.vector, a.dimension
 
-    def integrand(pts, images):
-        return _rho_values(pts, images, avec, shift)
+    def rho_of(xs, ys):
+        return _rho_values(xs, ys, avec, shift)
 
     residual = None
     lebesgue = mu.kind == "lebesgue"
     if lebesgue and not (check_invariance and quadrature_points <= QUADRATURE_POINTS):
-        value, _ = _measure_mean(integrand, mu, a.dimension, quadrature_points, base_map=g.lift)
+        value, _ = _measure_mean(_OnCoordinates(rho_of), mu, n, quadrature_points, base_map=g.lift)
         err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
         if check_invariance:
             residual = measure_invariance_residual(g.lift, mu, quadrature_points=QUADRATURE_POINTS)
     else:
-        # the residual reads the points and images of the mean
-        unmoved = not lebesgue or _aliased(a.dimension, quadrature_points)
-        rows, weights = _measure_rows(
-            lambda p, y: (integrand(p, y), y, p) if unmoved else (integrand(p, y), y),
-            mu, a.dimension, quadrature_points, g.lift,
-        )
+        # the residual reads the coordinates of the mean's points and images
+        unmoved = not lebesgue or _aliased(n, quadrature_points)
+
+        def rows_of(xs, ys):
+            return (rho_of(xs, ys), *_moved(ys), *xs) if unmoved else (rho_of(xs, ys), *_moved(ys))
+
+        rows, weights = _measure_rows(_OnCoordinates(rows_of), mu, n, quadrature_points, g.lift)
         if lebesgue:
             value, err = _average(rows[0], None), _lebesgue_bound(a, g.lift, shift, quadrature_points)
         else:
             value, err = _finite_mean(rows[0], weights)
         if check_invariance:
-            residual = _probe_residual(rows[2] if unmoved else None, rows[1], weights)
+            moved, pts = _stacked(rows[1 : 1 + n]), _stacked(rows[1 + n :]) if unmoved else None
+            residual = _probe_residual(pts, moved, weights)
     return MeanReport(
         value=value,
         error_bound=err,

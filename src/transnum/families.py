@@ -141,17 +141,19 @@ class _StepEvaluator:
         out = x.astype(complex if x.dtype.kind == "c" else float)
         # .T[j] is coordinate j of every point: a scalar for one point, which
         # numpy steps faster than the 0-d array that x[..., j] would give
-        self.image(x.T, out.T)
+        out_cols = out.T
+        for j, y in enumerate(self.image(x.T)):
+            out_cols[j] = y
         return out
 
-    def image(self, cols, out_cols) -> None:
-        """Write the image of the coordinates `cols` (one array per axis,
-        broadcasting against each other) into `out_cols[0]`, `out_cols[1]`."""
+    def image(self, cols) -> tuple:
+        """The image of the coordinates `cols` (one array per axis,
+        broadcasting against each other), one array per axis. An image
+        coordinate keeps the shape of what it depends on: the rigid image of
+        a grid block's axis columns is two columns again."""
         torus = len(cols) > 1  # on the circle the step's second entry is 0.0
         y0, y1 = _kernels.np_step(self.code, self.params, cols[0], cols[1] if torus else 0.0)
-        out_cols[0] = y0
-        if torus:
-            out_cols[1] = y1
+        return (y0, y1) if torus else (y0,)
 
     def take(self, rows) -> "_StepEvaluator":
         return _StepEvaluator(

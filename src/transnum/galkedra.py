@@ -326,16 +326,16 @@ def _pair_means(
         hx = h.lift.evaluate_many(pts)
         ghx = g.lift.evaluate_many(hx)
         return (
-            _rho_values(pts, gx, av, sg),
-            _rho_values(pts, hx, av, sh),
-            _rho_values(pts, ghx, av, sgh),
+            _rho_values(pts.T, gx.T, av, sg),
+            _rho_values(pts.T, hx.T, av, sh),
+            _rho_values(pts.T, ghx.T, av, sgh),
             _gal_kedra_rows(av, pts, hx, gx, ghx),
         )
 
     fg, fh, fgh, mean_g = means(g.lift, rows)
     if mu.kind == "dirac_orbit":
-        (fh,) = means(h.lift, lambda pts, y: (_rho_values(pts, y, av, sh),))
-        (fgh,) = means(g.lift.compose(h.lift), lambda pts, y: (_rho_values(pts, y, av, sgh),))
+        (fh,) = means(h.lift, lambda pts, y: (_rho_values(pts.T, y.T, av, sh),))
+        (fgh,) = means(g.lift.compose(h.lift), lambda pts, y: (_rho_values(pts.T, y.T, av, sgh),))
     return fg, fh, fgh, mean_g
 
 

@@ -119,6 +119,14 @@ CASES += [
     for m in SIDES[a.dimension]
     if (name, m) not in {(c[0], c[3]) for c in CASES}
 ]
+# a real class whose entries are both non-integer: a_j (y_j - x_j) rounds, so
+# a matrix product that fused a multiply and an add would change the last bit
+REAL = CohomologyClass([0.3, 0.7], coefficients="real")
+CASES += [
+    ("rigid-real-class", REAL, BundleAutomorphism(rigid_rotation([0.3, 0.61]), 0.25), 300),
+    ("sinshear-real-class", REAL, BundleAutomorphism(sinusoidal_shear(0.1), -0.4), 300),
+    ("skew-real-class", REAL, BundleAutomorphism(SKEW3, 0.1), 300),
+]
 TORUS_FAMILIES = [(name, g.lift) for name, a, g in KERNEL_FAMILIES if a.dimension == 2]
 
 
@@ -270,6 +278,29 @@ def test_kernel_family_grids_make_no_evaluate_many_call(name, monkeypatch):
     mean_translation_number(a, g, LEBESGUE, 1024)  # with its invariance residual
     seminorm(a, g, 1024, "certified")
     assert calls == []
+
+
+@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
+def test_kernel_family_grids_build_no_point_or_image_stack(name, a, g, monkeypatch):
+    # the stack walks are the point buffer of the grid blocks and the image
+    # stacks of _grid_images; a mean past the residual's grid, its residual
+    # and a seminorm scan read the blocks' axis columns instead
+    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
+    stacks = []
+
+    def no_stack(what):
+        def record(*args, **kwargs):
+            stacks.append(what)
+            raise AssertionError(f"{what} builds a stack")
+
+        return record
+
+    monkeypatch.setattr(dynamics._GridBlocks, "__iter__", no_stack("grid points"))
+    monkeypatch.setattr(dynamics, "_grid_images", no_stack("grid images"))
+    m = 2 * dynamics.QUADRATURE_POINTS
+    rep = mean_translation_number(a, g, LEBESGUE, m)
+    sup = seminorm(a, g, m, "certified")
+    assert stacks == [] and rep.invariance_residual is not None and sup.rigorous
 
 
 @pytest.mark.parametrize("name", ["composed", "affine T^3"])
