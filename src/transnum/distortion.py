@@ -51,6 +51,8 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
+    VERDICT_EXACT_LOCKED,
+    VERDICT_EXACT_PERIODIC,
     BundleAutomorphism,
     ConvergenceReport,
     _displacement_lipschitz,
@@ -147,7 +149,10 @@ class UndistortionCertificate:
     """Verdict plus everything needed to re-check it by hand.
 
     tau_lower_bound > 0 with rigorous bounds is the certificate; the
-    verdict never claims distortion, only the absence of a certificate."""
+    verdict never claims distortion, only the absence of a certificate.
+    `rigorous` needs both sides: a certified seminorm for every generator
+    and an exact rot (exact-periodic or exact-locked), since the window gap
+    of any other verdict is a heuristic, not a bound."""
 
     verdict: str
     rigorous: bool
@@ -179,7 +184,8 @@ def undistortion_certificate(
 
     generating_set entries are BundleAutomorphisms or (label, automorphism)
     pairs. Bounds degrade to non-rigorous grid estimates when a generator
-    has no Lipschitz data; the verdict is then still emitted but flagged."""
+    has no Lipschitz data, and rot to a heuristic when its verdict is a
+    window estimate; the verdict is then still emitted but flagged."""
     if not generating_set:
         raise ValidationError("generating set must be nonempty")
     labeled = []
@@ -201,6 +207,7 @@ def undistortion_certificate(
     constant = max(b for _, b, _r in bounds)
     rot = local_translation_number(a, g, x, **(rot_kwargs or {}))
     usable = rot.converged
+    exact_rot = rot.verdict in (VERDICT_EXACT_PERIODIC, VERDICT_EXACT_LOCKED)
     if constant > 0.0 and usable:
         tau_lb = max(0.0, (abs(rot.value) - rot.error_bound) / constant)
     else:
@@ -208,7 +215,7 @@ def undistortion_certificate(
     verdict = VERDICT_CERTIFIED if tau_lb > 0.0 else VERDICT_NONE
     return UndistortionCertificate(
         verdict=verdict,
-        rigorous=all_rigorous and verdict == VERDICT_CERTIFIED,
+        rigorous=all_rigorous and exact_rot and verdict == VERDICT_CERTIFIED,
         tau_lower_bound=tau_lb,
         seminorm_constant=constant,
         rot_value=rot.value,

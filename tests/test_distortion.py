@@ -26,7 +26,9 @@ from transnum import (
     rho,
     rigid_rotation,
     seminorm,
+    TrigPolynomial,
     sinusoidal_shear,
+    skew_translation,
     translation_length_estimate,
     undistortion_certificate,
     word_norm_bfs,
@@ -150,6 +152,16 @@ def test_irrational_rotation_certificate_is_essentially_sharp():
     assert cert.verdict == "undistorted-certified"
     assert 1.0 - 1e-9 <= cert.tau_lower_bound <= 1.0 + 1e-12
     assert cert.generator_bounds[0][0] == "s1"
+
+
+def test_a_window_estimate_of_rot_makes_no_rigorous_certificate():
+    # the skew orbit converges by its window gap, a heuristic: the seminorm
+    # side is rigorous, the rot side is not, and neither is the certificate
+    a = CohomologyClass([1, 1])
+    g = BundleAutomorphism(skew_translation(0.5254244115515501, TrigPolynomial(-0.2156875910881545, (0.1,), (0.05,))), 1)
+    cert = undistortion_certificate(a, g, [("s", g)], [0.2, 0.7])
+    assert cert.rot_verdict == "converged" and cert.verdict == "undistorted-certified"
+    assert cert.generator_bounds[0][2] and not cert.rigorous
 
 
 def test_zero_rotation_number_yields_no_certificate():
