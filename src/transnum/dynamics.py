@@ -1064,8 +1064,28 @@ def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
 
 
 def _finite_mean(values: np.ndarray, weights: Optional[np.ndarray]) -> tuple:
-    """(value, error) of a finite sum: its rounding, 8 eps (1 + max |values|)."""
-    return _average(values, weights), 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(values))))
+    """(value, error) of the mean of N values (`_average`). With u =
+    UNIT_ROUNDOFF and V = max |values|, the error adds the rounding of the
+    sum that runs, which grows with N, to 16 u (1 + V), an allowance for the
+    rounding of each value that is not derived here:
+      - equal weights: numpy's pairwise mean takes each value through at
+        most 25 + ceil(log2 N) roundings of the sum (counted as in
+        `_lebesgue_bound`) and one of the division by N, so it is off by at
+        most (26 + ceil(log2 N)) u V to first order; one u V more covers the
+        second-order terms;
+      - weights w (nonnegative, summing to 1 within 1e-12, as
+        `InvariantMeasure.empirical` checks): np.dot leaves the order of its
+        products and adds to the BLAS library, and in any order a product
+        takes at most N roundings, so the dot product is off by at most
+        gamma_N sum_i w_i |v_i| <= N u V / (1 - N u) (1 + 1e-12); one u V
+        more covers the 1e-12 and the rounding of the bound."""
+    count, top = len(values), float(np.max(np.abs(values)))
+    u = UNIT_ROUNDOFF
+    if weights is None:
+        rounding = (27 + math.ceil(math.log2(count))) * u * top
+    else:
+        rounding = (count * u / (1.0 - count * u) + u) * top
+    return _average(values, weights), rounding + 16.0 * u * (1.0 + top)
 
 
 def _measure_mean(
@@ -1085,8 +1105,8 @@ def _measure_mean(
     one pass over the grid whose values go into one array of m^n floats;
     its mean is the value. Its error is None here, because it depends on
     the integrand: the means of rho bound it with `_lebesgue_bound`. A
-    finite sum (orbit or empirical measure) is exact up to rounding, for
-    which it reports 8 eps (1 + max |values|)."""
+    finite sum (orbit or empirical measure) is exact up to rounding, which
+    `_finite_mean` bounds."""
     if isinstance(integrand_many, _OnCoordinates):
         func = _OnCoordinates(lambda xs, ys: (integrand_many.func(xs, ys),))
     else:
@@ -1262,7 +1282,8 @@ class MeanReport:
     """A mean translation number and a bound on |value - mean|.
 
     error_bound is the rounding of the finite sum for orbit and empirical
-    measures. For Lebesgue means (`_lebesgue_bound`) it has three sources:
+    measures (`_finite_mean`), which grows with the number of points. For
+    Lebesgue means (`_lebesgue_bound`) it has three sources:
     the exact degree (rho a trigonometric polynomial of degree below the
     grid, so only rounding is left), the midpoint Lipschitz bound plus
     rounding, or None, for a lift without Lipschitz data, which marks the

@@ -1,5 +1,6 @@
 """Pointwise displacement, orbit limits, exact periodic detection, means."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ from transnum import (
     torus_affine,
 )
 from transnum import dynamics
-from transnum.dynamics import POINT_CAP, _default_test_functions, _measure_mean
+from transnum.dynamics import POINT_CAP, _default_test_functions, _finite_mean, _measure_mean
 from transnum.torus import reduce_point
 
 A1 = CohomologyClass([1])
@@ -513,6 +514,41 @@ def test_a_checked_finite_mean_reads_its_points_once(mu):
     assert rep.invariance_residual > 1e-3 and rep.invariance_warning
 
 
+def exact_dot(w, v):
+    """sum_i w_i v_i, rounded once: each product split exactly into two
+    floats (Dekker), then one math.fsum."""
+    split = 2.0**27 + 1.0
+
+    def halves(x):
+        c = split * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    p = w * v
+    (wh, wl), (vh, vl) = halves(w), halves(v)
+    err = ((wh * vh - p) + wh * vl + wl * vh) + wl * vl
+    return math.fsum(np.concatenate([p, err]))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["pairwise", "dot"])
+def test_finite_mean_bounds_the_sum_that_runs(weighted):
+    rng = np.random.default_rng(11)
+    n = 2**20
+    values = rng.uniform(-1.0, 3.0, n)
+    values[0] = 3.0
+    weights = rng.uniform(0.0, 1.0, n) if weighted else None
+    if weighted:
+        weights /= math.fsum(weights)
+        truth = exact_dot(weights, values)
+    else:
+        truth = math.fsum(values) / n
+    value, err = _finite_mean(values, weights)
+    assert abs(value - truth) <= err
+    # the rounding of the sum grows with the number of values
+    few = _finite_mean(values[:16], None if weights is None else np.full(16, 1 / 16))
+    assert few[1] < err
+
+
 def test_lebesgue_mean_of_a_lift_without_lipschitz_data_is_an_estimate():
     assert BUMPY.displacement_lipschitz is None and BUMPY.lipschitz_bound is None
     rep = mean_translation_number(A10, auto(BUMPY), InvariantMeasure.lebesgue(), 64)
@@ -568,7 +604,9 @@ ROUTE_CASES = {
 }
 # float.hex of the mean's value, error bound and residual, the homological
 # mean's value and bound, the invariance residual and the two splitting
-# residuals, as every measure route gave them before the routes shared a walk
+# residuals, as every measure route gave them before the routes shared a walk;
+# the bounds of the orbit and empirical means are those of `_finite_mean`,
+# whose rounding of the sum grows with the number of points
 ROUTE_BITS = {
     "lebesgue": [
         "0x1.4cccccccccccdp+0", "0x1.97a791655db6ep-44", "0x1.c000000000000p-54", "0x1.0e40000000000p-61",
@@ -579,12 +617,12 @@ ROUTE_BITS = {
         "0x1.95851eb851eb9p-47", "0x1.904b34fed8476p+0", "0x0.0p+0", "0x0.0p+0",
     ],
     "dirac_orbit": [
-        "0x1.1858d80f69ddap+0", "0x1.0c2c6c07b4eedp-48", "0x1.eff0424826e5cp-6", "0x1.9999999999998p-4",
-        "0x1.199999999999ap-49", "0x1.eff0424826e5cp-6", "0x1.0000000000000p-51", "0x1.099999999999ap-51",
+        "0x1.1858d80f69ddap+0", "0x1.0de13eab51becp-47", "0x1.eff0424826e5cp-6", "0x1.9999999999998p-4",
+        "0x1.4b33333333334p-49", "0x1.eff0424826e5cp-6", "0x1.0000000000000p-51", "0x1.099999999999ap-51",
     ],
     "empirical": [
-        "0x1.2748d24174cd3p+1", "0x1.c0a8229256ea2p-48", "0x1.26b685dcba49bp-52", "-0x1.2641e0c728e74p-57",
-        "0x1.296bf2928cbaap-49", "0x1.26b685dcba49bp-52", "0x1.8000000000000p-50", "0x1.799999999999ap-50",
+        "0x1.2748d24174cd3p+1", "0x1.3a835b0253e70p-47", "0x1.26b685dcba49bp-52", "-0x1.2641e0c728e74p-57",
+        "0x1.40b8ab04fbe3ap-49", "0x1.26b685dcba49bp-52", "0x1.8000000000000p-50", "0x1.799999999999ap-50",
     ],
 }
 
