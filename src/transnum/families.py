@@ -13,6 +13,7 @@ by construction but `check_equivariance` will happily re-verify.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,11 +42,11 @@ TRANSLATION_LIMIT = 2.0**52
 
 
 def _translation(value, what: str):
-    """`value` (a float or an array of them) when every entry is finite and
+    """`value` (a float or a list of them) when every entry is finite and
     at most TRANSLATION_LIMIT in size."""
-    if not np.all(np.abs(value) <= TRANSLATION_LIMIT):
-        got = np.asarray(value).tolist()
-        raise ValidationError(f"{what} must be finite and at most 2^52 in size, got {got}")
+    for t in value if isinstance(value, list) else (value,):
+        if not abs(t) <= TRANSLATION_LIMIT:  # also refuses NaN
+            raise ValidationError(f"{what} must be finite and at most 2^52 in size, got {value}")
     return value
 
 
@@ -65,7 +66,7 @@ class TrigPolynomial:
             ca = ca + (0.0,) * (d - len(ca))
             sa = sa + (0.0,) * (d - len(sa))
         constant = float(self.constant)
-        _translation(np.array((constant,) + ca + sa), "trig polynomial coefficients")
+        _translation([constant, *ca, *sa], "trig polynomial coefficients")
         object.__setattr__(self, "cos_coeffs", ca)
         object.__setattr__(self, "sin_coeffs", sa)
         object.__setattr__(self, "constant", constant)
@@ -115,11 +116,11 @@ class TrigPolynomial:
     def __neg__(self) -> "TrigPolynomial":
         return self.scaled(-1.0)
 
-    def kernel_params(self) -> np.ndarray:
+    def kernel_params(self) -> list:
         out = [self.constant]
         for a, b in zip(self.cos_coeffs, self.sin_coeffs):
             out.extend((a, b))
-        return np.asarray(out, dtype=float)
+        return out
 
 
 class _StepEvaluator:
@@ -163,26 +164,26 @@ class _StepEvaluator:
 
 def rigid_rotation(vector) -> LiftedMap:
     """x -> x + v. Displacement is constant, so its Lipschitz constant is 0."""
-    v = _translation(np.atleast_1d(np.asarray(vector, dtype=float)), "rigid vector")
+    v = np.array(vector, dtype=float, ndmin=1)
+    entries = _translation(v.tolist(), "rigid vector")
     return LiftedMap(
         evaluator=lambda x, _v=v: np.asarray(x) + _v,
-        matrix=np.eye(v.shape[0], dtype=np.int64),
-        label=f"rigid{tuple(float(round(t, 6)) for t in v)}",
+        matrix=np.eye(len(entries), dtype=np.int64),
+        label=f"rigid{tuple(round(t, 6) for t in entries)}",
         lipschitz_bound=1.0,
         displacement_lipschitz=0.0,
-        kernel_spec=(_kernels.RIGID, v.copy()),
+        kernel_spec=(_kernels.RIGID, v),
         inverse_factory=lambda _v=v: rigid_rotation(-_v),
     )
 
 
-def torus_affine(matrix, vector) -> LiftedMap:
-    """x -> M x + v with M an integer matrix, |det M| = 1."""
-    m = np.asarray(matrix, dtype=np.int64)
-    v = _translation(np.atleast_1d(np.asarray(vector, dtype=float)), "affine vector")
-    n = v.shape[0]
-    if m.shape != (n, n):
-        raise ValidationError("matrix/vector dimensions disagree")
-    rows = tuple(map(tuple, m.tolist()))
+@functools.lru_cache(maxsize=256)
+def _unimodular(rows: tuple) -> tuple:
+    """(inverse, float matrix, Lip, displacement Lip) of the integer matrix
+    with these rows, after refusing |det| != 1 and an inverse beyond int64.
+
+    Computed once per distinct matrix, so the arrays are read-only; a
+    refusal raises, and is never stored."""
     det = _exact_det(rows)
     if abs(det) != 1:
         raise ValidationError(f"matrix must be invertible over the integers, det={det}")
@@ -190,21 +191,35 @@ def torus_affine(matrix, vector) -> LiftedMap:
         minv = np.array(_exact_inverse(rows), dtype=np.int64)
     except OverflowError:
         raise ValidationError("the inverse matrix has entries beyond int64") from None
-    params = np.concatenate([m.astype(float).ravel(), v])
-    mf = m.astype(float)
-    evaluator = _StepEvaluator(_kernels.AFFINE, params)
+    mf = np.array(rows, dtype=float)
+    # the largest singular value, which is what np.linalg.norm(., 2) returns
+    lip = float(np.linalg.svd(mf, compute_uv=False)[0])
+    disp = float(np.linalg.svd(mf - np.eye(len(rows)), compute_uv=False)[0])
+    minv.flags.writeable = mf.flags.writeable = False
+    return minv, mf, lip, disp
+
+
+def torus_affine(matrix, vector) -> LiftedMap:
+    """x -> M x + v with M an integer matrix, |det M| = 1."""
+    m = np.asarray(matrix, dtype=np.int64)
+    v = np.array(vector, dtype=float, ndmin=1)
+    n = len(_translation(v.tolist(), "affine vector"))
+    if m.shape != (n, n):
+        raise ValidationError("matrix/vector dimensions disagree")
+    minv, mf, lip, disp = _unimodular(tuple(map(tuple, m.tolist())))
+    params = np.concatenate((mf.ravel(), v))
     if n > 2:  # the kernel step takes pairs only
         evaluator = lambda x, _m=mf, _v=v: np.asarray(x) @ _m.T + _v
+    else:
+        evaluator = _StepEvaluator(_kernels.AFFINE, params.tolist())
     return LiftedMap(
         evaluator=evaluator,
         matrix=m,
         label="affine",
-        lipschitz_bound=float(np.linalg.norm(mf, 2)),
-        displacement_lipschitz=float(np.linalg.norm(mf - np.eye(n), 2)),
+        lipschitz_bound=lip,
+        displacement_lipschitz=disp,
         kernel_spec=(_kernels.AFFINE, params),
-        inverse_factory=lambda _mi=minv, _m=mf, _v=v: torus_affine(
-            _mi, -(_mi.astype(float) @ _v)
-        ),
+        inverse_factory=lambda _mi=minv, _v=v: torus_affine(_mi, -(_mi.astype(float) @ _v)),
     )
 
 
@@ -213,8 +228,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
     omega, k = _translation(float(omega), "arnold omega"), float(k)
     if not abs(k) < 1.0:
         raise ValidationError(f"|k| must be < 1 for an invertible circle map, got {k}")
-    params = np.array([omega, k])
-    forward = _StepEvaluator(_kernels.CIRCLE_SINE, params)
+    forward = _StepEvaluator(_kernels.CIRCLE_SINE, (omega, k))
 
     def inverse(_o=omega, _k=k):
         def ev_inv(y):
@@ -247,7 +261,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
         label=f"circle+sine({omega},{k})",
         lipschitz_bound=1.0 + abs(k),
         displacement_lipschitz=abs(k),
-        kernel_spec=(_kernels.CIRCLE_SINE, params),
+        kernel_spec=(_kernels.CIRCLE_SINE, np.array([omega, k])),
         inverse_factory=inverse,
     )
 
@@ -255,14 +269,13 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
 def sinusoidal_shear(epsilon: float) -> LiftedMap:
     """(x, y) -> (x + eps sin(2 pi y), y); inverse is the shear with -eps."""
     eps = _translation(float(epsilon), "sinshear epsilon")
-    params = np.array([eps])
     return LiftedMap(
-        evaluator=_StepEvaluator(_kernels.SINE_SHEAR, params),
+        evaluator=_StepEvaluator(_kernels.SINE_SHEAR, (eps,)),
         matrix=np.eye(2, dtype=np.int64),
         label=f"sineshear({eps})",
         lipschitz_bound=1.0 + TWO_PI * abs(eps),
         displacement_lipschitz=TWO_PI * abs(eps),
-        kernel_spec=(_kernels.SINE_SHEAR, params),
+        kernel_spec=(_kernels.SINE_SHEAR, np.array([eps])),
         inverse_factory=lambda _e=eps: sinusoidal_shear(-_e),
     )
 
@@ -272,16 +285,15 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
     omega = _translation(float(omega), "skew omega")
     if not isinstance(poly, TrigPolynomial):
         raise ValidationError("skew translation needs a TrigPolynomial second-axis speed")
-    params = np.concatenate(
-        [np.array([omega, float(poly.degree)]), poly.kernel_params()]
-    )
+    params = [omega, float(poly.degree), *poly.kernel_params()]
+    slope = poly.derivative_bound
     return LiftedMap(
         evaluator=_StepEvaluator(_kernels.SKEW, params),
         matrix=np.eye(2, dtype=np.int64),
         label=f"skew({omega})",
-        lipschitz_bound=1.0 + poly.derivative_bound,
-        displacement_lipschitz=poly.derivative_bound,
-        kernel_spec=(_kernels.SKEW, params),
+        lipschitz_bound=1.0 + slope,
+        displacement_lipschitz=slope,
+        kernel_spec=(_kernels.SKEW, np.array(params)),
         inverse_factory=lambda _o=omega, _c=poly: skew_translation(
             -_o, -(_c.shifted(-_o))
         ),
@@ -307,16 +319,16 @@ def sample_class_entries(rng, dimension: int):
 def sample_map(rng, entries) -> LiftedMap:
     """Random built-in map whose matrix part fixes the given integer class."""
     dimension = len(entries)
+    # a family is drawn by its index: rng.integers(n) reads the stream as
+    # rng.choice of an n-entry list does, at about a fifth of the cost
     if dimension == 1:
-        kind = rng.choice(["rigid", "arnold"])
+        kind = ("rigid", "arnold")[rng.integers(2)]
         if kind == "rigid":
             return rigid_rotation([float(rng.uniform(0.0, 1.0))])
         return arnold_circle(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.9, 0.9)))
     if dimension == 2:
-        choices = ["rigid", "sinshear", "skew"]
-        if entries[1] == 0:
-            choices.append("affine")
-        kind = rng.choice(choices)
+        choices = ("rigid", "sinshear", "skew", "affine")[: 4 if entries[1] == 0 else 3]
+        kind = choices[rng.integers(len(choices))]
         if kind == "rigid":
             return rigid_rotation(rng.uniform(0.0, 1.0, size=2))
         if kind == "sinshear":
