@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .torus import LiftedMap, _exact_det, _exact_inverse
+from .torus import LiftedMap, _exact_det, _exact_inverse, _int64_matrix
 
 __all__ = [
     "TrigPolynomial",
@@ -201,7 +201,7 @@ def _unimodular(rows: tuple) -> tuple:
 
 def torus_affine(matrix, vector) -> LiftedMap:
     """x -> M x + v with M an integer matrix, |det M| = 1."""
-    m = np.asarray(matrix, dtype=np.int64)
+    m = _int64_matrix(matrix, "affine matrix")
     v = np.array(vector, dtype=float, ndmin=1)
     n = len(_translation(v.tolist(), "affine vector"))
     if m.shape != (n, n):

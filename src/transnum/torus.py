@@ -102,6 +102,23 @@ class CohomologyClass:
         return self.coefficients is Coefficients.INTEGER
 
 
+def _int64_matrix(matrix, what: str) -> np.ndarray:
+    """`matrix` as a new int64 array. An array of an integer dtype passes
+    as is; any other must hold integer values inside the int64 range, which
+    a cast would otherwise truncate or wrap without a word. The test reads
+    the caller's own entries, so a big int is named as it was given."""
+    m = np.asarray(matrix)
+    if m.dtype.kind == "i":
+        return m.astype(np.int64)
+    entries = np.asarray(matrix, dtype=object)
+    for entry in entries.ravel().tolist():
+        if entry % 1:  # also NaN for NaN and +-inf
+            raise ValidationError(f"{what} must have integer entries, got {entry}")
+        if not -(2**63) <= entry < 2**63:
+            raise ValidationError(f"{what} entry {entry} is outside the int64 range")
+    return entries.astype(np.int64)
+
+
 def reduce_point(x) -> np.ndarray:
     """Canonical representative of a torus point: coordinates in [0,1)."""
     arr = np.asarray(x, dtype=float)

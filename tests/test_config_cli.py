@@ -542,6 +542,41 @@ def test_translation_parameters_past_2_52_exit_2(tmp_path, capsys, key, value):
     assert "at most 2^52" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["18446744073709551616", "9223372036854775808", "-9223372036854775809"])
+def test_an_affine_matrix_entry_past_int64_exits_2(tmp_path, capsys, entry):
+    text = TRANSLATION_MAPS["affine vector"].format(v="0.1").replace("matrix = 1 0 ; 1 1", f"matrix = 1 0 ; {entry} 1")
+    assert cli.main(["rot-local", "--config", write(tmp_path, "a.ini", text)]) == 2
+    assert f"affine matrix entry {entry} is outside the int64 range" in capsys.readouterr().err
+
+
+SHEAR_WORD_TEXT = """
+[class]
+entries = 1 0
+[affine.t]
+matrix = 1 0 ; 0 1
+translation = 0 0
+shift = 1
+[affine.r]
+matrix = 1 0 ; {c} 1
+translation = 0 0
+[affine.w]
+matrix = 1 0 ; {c2} 1
+translation = 0 0
+shift = 1
+[generators]
+affine = t r
+target = w
+"""
+
+
+@pytest.mark.parametrize("c", [1, 2**64], ids=["small", "past-int64"])
+def test_exact_affine_generators_keep_entries_past_int64(tmp_path, c):
+    # [affine.NAME] matrices stay Python ints: w = r^2 t has norm 3 for any shear c
+    text = SHEAR_WORD_TEXT.format(c=c, c2=2 * c)
+    rec = run_record(tmp_path, ["word-norm", "--config", write(tmp_path, "w.ini", text)])
+    assert rec["results"]["headline"] == {"value": 3, "exact": True, "verdict": "ok"}
+
+
 def test_translation_parameters_up_to_2_52_are_kept(tmp_path):
     path = write(tmp_path, "b.ini", TRANSLATION_MAPS["rigid vector"].format(v="4503599627370496"))
     rec = run_record(tmp_path, ["rot-local", "--config", path])
