@@ -220,10 +220,7 @@ class LiftedMap:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("matrix part must be square")
-        # an integer dtype holds integers: only other dtypes need the rounding test
-        if m.dtype.kind != "i" and not np.all(m == np.round(m)):
-            raise ValidationError("matrix part must have integer entries")
-        object.__setattr__(self, "matrix", m.astype(np.int64))
+        object.__setattr__(self, "matrix", _int64_matrix(m, "matrix part"))
 
     @property
     def dimension(self) -> int:

@@ -205,6 +205,31 @@ def test_inverse_round_trip():
     assert np.allclose(f(finv(x)), x, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1e30, 0], [0, 1.0]], "outside the int64 range"),
+        ([[2.0**63, 0], [0, 1.0]], "outside the int64 range"),
+        ([[1, 0], [0, 2**64]], "outside the int64 range"),
+        ([[np.inf, 0], [0, 1.0]], "integer entries"),
+        ([[np.nan, 0], [0, 1.0]], "integer entries"),
+        ([[0.5, 0], [0, 1.0]], "integer entries"),
+    ],
+    ids=["1e30", "2^63", "2^64-int", "inf", "nan", "half"],
+)
+def test_lifted_map_refuses_a_matrix_the_int64_cast_would_change(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        LiftedMap(evaluator=np.asarray, matrix=matrix)
+
+
+def test_lifted_map_keeps_integer_valued_floats_and_the_int64_ends():
+    lift = LiftedMap(evaluator=np.asarray, matrix=np.array([[-(2.0**63), 0], [3.0, 1]]))
+    assert lift.matrix.dtype == np.int64
+    assert lift.matrix.tolist() == [[-(2**63), 0], [3, 1]]
+    big = 2**63 - 1
+    assert LiftedMap(evaluator=np.asarray, matrix=[[big, 0], [0, 1]]).matrix[0, 0] == big
+
+
 def test_evaluate_many_agrees_with_scalar_calls():
     g = torus_affine([[1, 0], [3, 1]], [0.2, 0.1])
     pts = np.random.default_rng(0).uniform(-2, 2, size=(17, 2))
