@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from transnum import ValidationError, _kernels
+from transnum import ValidationError, _kernels, families
 from transnum.families import (
     TrigPolynomial,
     arnold_circle,
     rigid_rotation,
+    sample_map,
     sinusoidal_shear,
     skew_translation,
     torus_affine,
@@ -191,14 +192,19 @@ def test_arnold_rejects_noninvertible_and_nonfinite_k(k):
         arnold_circle(0.3, k)
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 1e308, -(2.0**53)])
+# NaN, the infinities and the first floats past 2^52 in size: every
+# translation check refuses them, whatever the type of the value it reads
+REFUSED_TRANSLATIONS = [math.nan, math.inf, -math.inf, 2.0**53, -(2.0**53), 1e308]
+
+
+@pytest.mark.parametrize("epsilon", REFUSED_TRANSLATIONS)
 def test_sinshear_rejects_nonfinite_and_huge_epsilon(epsilon):
     with pytest.raises(ValidationError, match="at most 2\\^52"):
         sinusoidal_shear(epsilon)
 
 
 @pytest.mark.parametrize("slot", ["constant", "cos", "sin"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("value", REFUSED_TRANSLATIONS)
 def test_trig_polynomial_rejects_nonfinite_and_huge_coefficients(slot, value):
     coeffs = {"constant": 0.3, "cos": (0.05,), "sin": (0.1,)}
     coeffs[slot] = value if slot == "constant" else (0.05, value)
@@ -206,9 +212,108 @@ def test_trig_polynomial_rejects_nonfinite_and_huge_coefficients(slot, value):
         TrigPolynomial(coeffs["constant"], coeffs["cos"], coeffs["sin"])
 
 
+POLY = TrigPolynomial(0.3, (0.05,), (0.1,))
+# every other translation slot of a constructor, as a function of its value
+TRANSLATION_SLOTS = {
+    "rigid vector, first": lambda t: rigid_rotation([t, 0.3]),
+    "rigid vector, last": lambda t: rigid_rotation([0.3, t]),
+    "rigid vector, circle": lambda t: rigid_rotation(t),
+    "rigid vector, array": lambda t: rigid_rotation(np.array([0.3, t])),
+    "affine vector, first": lambda t: torus_affine([[1, 0], [2, 1]], [t, 0.2]),
+    "affine vector, last": lambda t: torus_affine([[1, 0], [2, 1]], np.array([0.2, t])),
+    "affine vector, T^3": lambda t: torus_affine(np.eye(3, dtype=int), [0.1, 0.2, t]),
+    "arnold omega": lambda t: arnold_circle(t, 0.5),
+    "arnold omega, numpy": lambda t: arnold_circle(np.float64(t), 0.5),
+    "skew omega": lambda t: skew_translation(t, POLY),
+    "skew coefficient": lambda t: skew_translation(0.3, TrigPolynomial(0.3, (0.05, t), (0.1, 0.2))),
+}
+
+
+@pytest.mark.parametrize("value", REFUSED_TRANSLATIONS)
+@pytest.mark.parametrize("slot", sorted(TRANSLATION_SLOTS))
+def test_every_translation_slot_refuses_nonfinite_and_huge_values(slot, value):
+    with pytest.raises(ValidationError, match="at most 2\\^52"):
+        TRANSLATION_SLOTS[slot](value)
+
+
 def test_range_checks_keep_the_largest_allowed_values():
     assert sinusoidal_shear(-(2.0**52)).kernel_spec[1][0] == -(2.0**52)
     assert TrigPolynomial(2.0**52, (-(2.0**52),), ()).cos_coeffs == (-(2.0**52),)
+    for slot, build in TRANSLATION_SLOTS.items():
+        assert -(2.0**52) in build(-(2.0**52)).kernel_spec[1], slot
+
+
+def test_affine_matrix_of_integer_valued_floats_is_accepted_and_a_fraction_refused():
+    f = torus_affine(np.array([[1.0, 0.0], [2.0, 1.0]]), [0.25, 0.0])
+    assert f.matrix.dtype == np.int64 and f.matrix.tolist() == [[1, 0], [2, 1]]
+    with pytest.raises(ValidationError, match="integer entries"):
+        torus_affine(np.array([[1.0, 0.0], [2.5, 1.0]]), [0.25, 0.0])
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [([[1, 1], [0, 2]], "det=2"), ([[1, 0], [-(2**63), 1]], "inverse matrix has entries beyond int64")],
+    ids=["det 2", "inverse past int64"],
+)
+def test_affine_refusals_are_never_memoized(matrix, message):
+    # a refusal raises inside the memo, so the second call checks again
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=message):
+            torus_affine(matrix, [0.1, 0.2])
+
+
+def test_the_affine_memo_shares_only_read_only_arrays():
+    f = torus_affine([[1, 0], [2, 1]], [0.25, 0.5])
+    g = torus_affine([[1, 0], [2, 1]], [0.25, 0.5])
+    assert f.matrix is not g.matrix and f.matrix.flags.writeable
+    for array in families._unimodular(((1, 0), (2, 1)))[:2]:
+        assert not array.flags.writeable
+    assert f.invert().matrix.tolist() == [[1, 0], [-2, 1]]
+    x = np.array([0.3, 0.7])
+    assert np.allclose(f.invert()(f(x)), x, atol=1e-12)
+
+
+# (seed, class entries, family label, kernel params as float.hex): four
+# sample_map draws per class from one stream per seed, recorded when the
+# family was still drawn with rng.choice, so the gk-check suites and the
+# acceptance corpora keep their maps bit for bit
+SAMPLE_STREAM = [
+    (3, (1,), "circle+sine", ("0x1.e4fce8296f7e8p-3", "0x1.15a79066a7255p-1")),
+    (3, (1,), "rigid", ("0x1.2a112473bd0c0p-1",)),
+    (3, (1,), "rigid", ("0x1.bb85a0ed542cap-2",)),
+    (3, (1,), "rigid", ("0x1.ea8c6c6a7c232p-2",)),
+    (3, (1, 0), "sineshear", ("0x1.203f9761b8034p-3",)),
+    (3, (1, 0), "rigid", ("0x1.d199c08085e40p-4", "0x1.909e1f6dcefa4p-2")),
+    (3, (1, 0), "affine", ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x1.b8f68d41ae326p-2", "0x1.2c70dcc35529cp-1")),
+    (3, (1, 0), "rigid", ("0x1.e99bdc9383739p-1", "0x1.2305a13f2511ap-2")),
+    (3, (0, 1), "skew", ("0x1.31901717c6896p-2", "0x1.0000000000000p+1", "0x1.303984a28f560p-3", "0x1.e2386e530b218p-4", "-0x1.3248d48358d36p-2", "-0x1.fd68d427a7b72p-4", "0x1.22e4dcb695a85p-2")),
+    (3, (0, 1), "rigid", ("0x1.c88e5a7a16118p-1", "0x1.2b9a7a135348bp-1")),
+    (3, (0, 1), "rigid", ("0x1.e29f0038fa8c4p-2", "0x1.8beaf6d66174ap-1")),
+    (3, (0, 1), "sineshear", ("0x1.fca32de5a4730p-4",)),
+    (14, (1,), "rigid", ("0x1.719c00c69d052p-2",)),
+    (14, (1,), "circle+sine", ("0x1.67cd723e2d66fp-1", "0x1.4be2ae68da677p-1")),
+    (14, (1,), "rigid", ("0x1.18c310005d984p-1",)),
+    (14, (1,), "circle+sine", ("0x1.864df1e625883p-1", "0x1.8eb5ee7978f66p-2")),
+    (14, (1, 0), "affine", ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x1.25195683983eep-1", "0x1.7e1df6e1bb3f9p-1")),
+    (14, (1, 0), "affine", ("0x1.0000000000000p+0", "0x0.0p+0", "-0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x1.4b33563000434p-1", "0x1.78dc7b5972e73p-1")),
+    (14, (1, 0), "affine", ("0x1.0000000000000p+0", "0x0.0p+0", "-0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.03ad6db9ac0e9p-1", "0x1.d46b7b0152a58p-3")),
+    (14, (1, 0), "affine", ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f14c2bcbb8fe5p-1", "0x1.31e1d7c71e7f8p-2")),
+    (14, (0, 1), "sineshear", ("0x1.e13714bfa7766p-3",)),
+    (14, (0, 1), "sineshear", ("0x1.f94a8b0bf9540p-6",)),
+    (14, (0, 1), "rigid", ("0x1.562a3462de002p-1", "0x1.f8f56b7b9f740p-6")),
+    (14, (0, 1), "sineshear", ("-0x1.a96a3aee1a480p-3",)),
+]
+
+
+def test_sample_map_draws_the_recorded_stream():
+    got = []
+    for seed in (3, 14):
+        rng = np.random.default_rng(seed)
+        for entries in ((1,), (1, 0), (0, 1)):
+            for _ in range(4):
+                f = sample_map(rng, entries)
+                got.append((seed, entries, f.label.split("(")[0], tuple(float(p).hex() for p in f.kernel_spec[1])))
+    assert got == SAMPLE_STREAM
 
 
 def test_rigid_label_prints_plain_rounded_floats():
