@@ -15,11 +15,14 @@ This script times
   - the push-forward check of `rot-mean`, `measure_invariance_residual`
     against Lebesgue measure at m = 128 per axis on T^2 (skew map), in
     milliseconds per call;
-  - the Gal-Kedra checks of `gk-check` and `split-check`: each seeded
-    residual suite in microseconds per draw, and a 12-pair
-    `splitting_check` on two T^2 generators against Lebesgue measure at
-    m = 64 per axis in milliseconds per pair (its two invariance checks
-    included);
+  - map builds: each family constructor, `sample_map` in dimensions 1 and
+    2 and `config.build_bundle_map` of a rigid sweep row, in microseconds
+    per build (the affine map once with its matrix memoized and once with
+    the memo cleared before each build), next to the seeded residual
+    suites of `gk-check` that build them, in microseconds per draw;
+  - the Gal-Kedra check of `split-check`: a 12-pair `splitting_check` on
+    two T^2 generators against Lebesgue measure at m = 64 per axis in
+    milliseconds per pair (its two invariance checks included);
   - the grid scans of each family, at 1024^2 points of T^2 (2048 points of
     the circle for the Arnold family): a Lebesgue mean (one
     midpoint grid, no push-forward check) and a certified seminorm, each in
@@ -89,12 +92,13 @@ from transnum import (  # noqa: E402
     splitting_check,
     translation_length_estimate,
 )
-from transnum import dynamics  # noqa: E402
+from transnum import config, dynamics, families  # noqa: E402
 from transnum.dynamics import _PythonOrbit  # noqa: E402
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
     arnold_circle,
     rigid_rotation,
+    sample_map,
     sinusoidal_shear,
     skew_translation,
     torus_affine,
@@ -107,6 +111,29 @@ RESIDUAL_M = 128  # the rot-mean default grid
 GRID_SIDES = {2: 1024, 1: 2048}  # points per axis of the grid-scan table, by dimension
 SUITE_DRAWS = 200  # draws per timed residual suite
 SPLIT_PAIRS, SPLIT_M = 12, 64  # pairs and points per axis of the timed split-check
+BUILDS = 2000  # builds per timed map build
+
+
+def _affine_unmemoized():
+    families._unimodular.cache_clear()
+    return torus_affine([[1, 0], [2, 1]], [0.25, 0.0])
+
+
+def _build_cases():
+    """(case, build) of each timed map build."""
+    rng = np.random.default_rng(1)
+    row = config.config_from_text("[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.5\n")
+    return [
+        ("rigid_rotation, T^2", lambda: rigid_rotation([0.3, 0.61])),
+        ("torus_affine, memoized matrix", lambda: torus_affine([[1, 0], [2, 1]], [0.25, 0.0])),
+        ("torus_affine, memo cleared", _affine_unmemoized),
+        ("arnold_circle", lambda: arnold_circle(0.3, 0.9)),
+        ("sinusoidal_shear", lambda: sinusoidal_shear(0.1)),
+        ("skew_translation, degree 1", lambda: skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))),
+        ("sample_map, dimension 1", lambda: sample_map(rng, (1,))),
+        ("sample_map, dimension 2", lambda: sample_map(rng, (1, 0))),
+        ("config.build_bundle_map, rigid sweep row", lambda: config.build_bundle_map(row)),
+    ]
 
 CASES = [
     ("rigid T^2", rigid_rotation([0.3, 0.61]), (1.0, 0.0)),
@@ -345,6 +372,17 @@ def us_per_draw(suite, repeat):
     return best / SUITE_DRAWS * 1e6
 
 
+def us_per_build(build, repeat):
+    """Best-of-`repeat` mean cost of BUILDS calls of `build()`, per call."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(BUILDS):
+            build()
+        best = min(best, (time.perf_counter() - start) / BUILDS)
+    return best * 1e6
+
+
 def ms_per_split_pair(repeat):
     """Best-of-`repeat` cost of a SPLIT_PAIRS-pair splitting_check of the
     golden skew and the sine shear against Lebesgue measure at SPLIT_M
@@ -425,14 +463,18 @@ def main():
     print_table([("case", "ms/call"), (label, f"{ms_per_residual(lift, args.repeat):.3f}")])
 
     print()
-    print(f"Gal-Kedra checks (gk-check suites, split-check pairs at m = {SPLIT_M}), best of {args.repeat}")
+    print(f"map builds and the gk-check suites that draw them, best of {args.repeat}")
     rows = [("case", "cost", "unit")]
+    rows += [(label, f"{us_per_build(build, args.repeat):.2f}", "us/build") for label, build in _build_cases()]
     rows += [
         (f"{name} suite, {SUITE_DRAWS} draws", f"{us_per_draw(suite, args.repeat):.1f}", "us/draw")
         for name, suite in (("coboundary", coboundary_residual_suite), ("cocycle", cocycle_residual_suite))
     ]
-    rows.append((f"split-check, {SPLIT_PAIRS} pairs", f"{ms_per_split_pair(args.repeat):.3f}", "ms/pair"))
     print_table(rows)
+
+    print()
+    print(f"Gal-Kedra split-check at m = {SPLIT_M}, best of {args.repeat}")
+    print_table([("case", "ms/pair"), (f"split-check, {SPLIT_PAIRS} pairs", f"{ms_per_split_pair(args.repeat):.3f}")])
 
     print()
     print(f"grid scans (Lebesgue mean, certified seminorm), best of {args.repeat}; peak of one call under tracemalloc")
