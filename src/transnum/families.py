@@ -50,6 +50,15 @@ def _translation(value, what: str):
     return value
 
 
+def _vector(vector, what: str) -> tuple:
+    """(v, entries): `vector` as a new 1-D float array and as a list of
+    floats, after the translation check."""
+    v = np.array(vector, dtype=float, ndmin=1)
+    if v.ndim != 1:
+        raise ValidationError(f"{what} must be a flat list of numbers, got shape {v.shape}")
+    return v, _translation(v.tolist(), what)
+
+
 @dataclass(frozen=True)
 class TrigPolynomial:
     """c(x) = constant + sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x)."""
@@ -164,8 +173,7 @@ class _StepEvaluator:
 
 def rigid_rotation(vector) -> LiftedMap:
     """x -> x + v. Displacement is constant, so its Lipschitz constant is 0."""
-    v = np.array(vector, dtype=float, ndmin=1)
-    entries = _translation(v.tolist(), "rigid vector")
+    v, entries = _vector(vector, "rigid vector")
     return LiftedMap(
         evaluator=lambda x, _v=v: np.asarray(x) + _v,
         matrix=np.eye(len(entries), dtype=np.int64),
@@ -202,8 +210,8 @@ def _unimodular(rows: tuple) -> tuple:
 def torus_affine(matrix, vector) -> LiftedMap:
     """x -> M x + v with M an integer matrix, |det M| = 1."""
     m = _int64_matrix(matrix, "affine matrix")
-    v = np.array(vector, dtype=float, ndmin=1)
-    n = len(_translation(v.tolist(), "affine vector"))
+    v, entries = _vector(vector, "affine vector")
+    n = len(entries)
     if m.shape != (n, n):
         raise ValidationError("matrix/vector dimensions disagree")
     minv, mf, lip, disp = _unimodular(tuple(map(tuple, m.tolist())))

@@ -243,6 +243,17 @@ def test_range_checks_keep_the_largest_allowed_values():
         assert -(2.0**52) in build(-(2.0**52)).kernel_spec[1], slot
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda v: rigid_rotation(v), lambda v: torus_affine([[1, 0], [2, 1]], v)],
+    ids=["rigid", "affine"],
+)
+@pytest.mark.parametrize("vector", [[[0.1, 0.2]], [[0.1], [0.2]], [[0.1, 0.2], [0.3, 0.4]]])
+def test_a_nested_vector_is_refused(build, vector):
+    with pytest.raises(ValidationError, match="flat list"):
+        build(vector)
+
+
 def test_affine_matrix_of_integer_valued_floats_is_accepted_and_a_fraction_refused():
     f = torus_affine(np.array([[1.0, 0.0], [2.0, 1.0]]), [0.25, 0.0])
     assert f.matrix.dtype == np.int64 and f.matrix.tolist() == [[1, 0], [2, 1]]
