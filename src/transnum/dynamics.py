@@ -23,7 +23,11 @@ displacement (`_lebesgue_bound`), or exact finite sums (orbit and empirical
 measures), and carry a push-forward invariance residual so a non-invariant
 measure is flagged rather than silently averaged. Every mean, residual and
 splitting pair reads mu's points through one walk, `_measure_rows`: the
-only code that knows where a measure's points come from.
+only code that knows where a measure's points come from. Each of them reads
+coordinates, one array per axis: a grid block's axis columns, or the
+columns of an orbit's or a sample's point stack. `_column_image` maps
+coordinates to those of their images, so a built-in family images a grid
+block without stacking a point.
 """
 
 from __future__ import annotations
@@ -882,24 +886,30 @@ class InvariantMeasure:
         return cls(kind="empirical", samples=reduce_point(pts), weights=w)
 
 
-def _grid_blocks(dimension: int, m: int, offset: float) -> "_GridBlocks":
+def _grid_blocks(dimension: int, m: int, offset: float):
     """The (m^n, n) grid of points ((i_1 + offset)/m, ..., (i_n + offset)/m)
-    in row-major order, as blocks of at most GRID_BLOCK points
-    (`_GridBlocks`): offset 0 gives the corner grid, 0.5 the midpoint grid.
+    in row-major order, as blocks of at most GRID_BLOCK points, each given
+    by its axis columns: offset 0 gives the corner grid, 0.5 the midpoint
+    grid. The grid is checked before the first block is asked for.
 
     The trailing axes whose grid fits in a block (at most n - 1 of them) form
     the tail grid; each block takes whole rows of the head grid by the whole
-    tail grid, and comes with its axis columns: one array per coordinate,
-    (rows, 1) for a head axis and (1, tail points) for a tail axis, which
-    broadcast to the block's points. On T^2 these are the block's rows of
-    axis 0 and the whole axis 1; on the circle, the block's points as a
-    (k, 1) column."""
+    tail grid. Its axis columns are one array per coordinate, (rows, 1) for
+    a head axis and (1, tail points) for a tail axis, which broadcast to the
+    block's points. On T^2 these are the block's rows of axis 0 and the
+    whole axis 1; on the circle, the block's points as a (k, 1) column."""
     _require_grid(dimension, m)
     axis = (np.arange(m) + offset) / m
     tail_dims = dimension - 1
     while m**tail_dims > GRID_BLOCK:
         tail_dims -= 1
-    return _GridBlocks(_axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims))
+    head, tail = _axis_grid(axis, dimension - tail_dims), _axis_grid(axis, tail_dims)
+    rows = min(len(head), GRID_BLOCK // len(tail))
+    tail_cols = tuple(tail[None, :, j] for j in range(tail_dims))
+    return (
+        tuple(head[i : i + rows, j : j + 1] for j in range(dimension - tail_dims)) + tail_cols
+        for i in range(0, len(head), rows)
+    )
 
 
 def _require_grid(dimension: int, m: int) -> None:
@@ -912,130 +922,63 @@ def _require_grid(dimension: int, m: int) -> None:
 
 def _axis_grid(axis: np.ndarray, d: int) -> np.ndarray:
     """The (m^d, d) row-major tensor grid of `axis` in d coordinates."""
-    mesh = np.meshgrid(*[axis] * d, indexing="ij")
-    return np.stack([c.ravel() for c in mesh], axis=-1) if d else np.empty((1, 0))
+    m = len(axis)
+    return axis[np.indices((m,) * d).reshape(d, m**d).T]
 
 
-class _GridBlocks:
-    """The blocks of the grid head x tail (`_grid_blocks`), whole rows of
-    head at a time. Iterating gives each block's (points, axis columns),
-    the points a (k, n) view of one buffer that the next block overwrites:
-    the tail coordinates are written into it once, and each block fills in
-    its head coordinates. `columns()` gives the axis columns alone and
-    writes no point."""
+def _column_image(lift: LiftedMap) -> Callable:
+    """The map from the coordinates xs of points (one array per axis, which
+    broadcast together) to those of their images under lift, one array per
+    axis, with the values of `lift.evaluate_many` on the points. A built-in
+    family in dimension 1 or 2 (`_kernel_family`) runs its numpy step
+    (`_StepEvaluator.image`) on xs, so no point or image stack is built, each
+    sin and cos of a grid block runs once per grid coordinate, and an image
+    coordinate that depends on one axis stays a column (x_0 + omega of a
+    skew map). Any other lift stacks the broadcast points once and runs
+    `evaluate_many` on the stack."""
+    if _kernel_family(lift) is not None:
+        return _StepEvaluator(*lift.kernel_spec).image
 
-    def __init__(self, head: np.ndarray, tail: np.ndarray):
-        self.head, self.tail = head, tail
-        self.rows = min(len(head), GRID_BLOCK // len(tail))
+    def image(xs) -> tuple:
+        shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+        pts = np.empty((*shape, len(xs)))
+        for j, x in enumerate(xs):
+            pts[..., j] = x
+        return tuple(lift.evaluate_many(pts.reshape(-1, len(xs))).T.reshape(len(xs), *shape))
 
-    def columns(self):
-        head, rows = self.head, self.rows
-        tail_cols = tuple(self.tail[None, :, j] for j in range(self.tail.shape[1]))
-        for i in range(0, len(head), rows):
-            yield tuple(head[i : i + rows, j : j + 1] for j in range(head.shape[1])) + tail_cols
-
-    def __iter__(self):
-        h, t = self.head.shape[1], len(self.tail)
-        n = h + self.tail.shape[1]
-        buf = np.empty((self.rows, t, n))
-        buf[:, :, h:] = self.tail
-        for cols in self.columns():
-            r = len(cols[0])
-            for j in range(h):
-                buf[:r, :, j] = cols[j]
-            yield buf[:r].reshape(r * t, n), cols
-
-
-def _grid_images(lift: LiftedMap, dimension: int, m: int, offset: float):
-    """(points, images under lift) of each block of the grid `_grid_blocks`
-    gives, as (k, n) stacks: the walk of the consumers that read stacks. A
-    built-in family in dimension 1 or 2 (`_kernel_family`) images the
-    block's axis columns with its numpy step (`_StepEvaluator.image`) and
-    broadcasts them into one image buffer reused by every block; the values
-    are those of `lift.evaluate_many` on the points. Any other lift runs
-    `evaluate_many` on each block."""
-    blocks = _grid_blocks(dimension, m, offset)
-    if _kernel_family(lift) is None:
-        for pts, _ in blocks:
-            yield pts, lift.evaluate_many(pts)
-        return
-    step = _StepEvaluator(*lift.kernel_spec)
-    buf = None
-    for pts, cols in blocks:
-        if buf is None:  # the first block is the largest
-            buf = np.empty(pts.shape)
-        images = buf[: len(pts)]
-        # coordinate j of the block's images as a (rows, tail points) view
-        for out, y in zip(images.reshape(len(cols[0]), -1, dimension).transpose(2, 0, 1), step.image(cols)):
-            out[...] = y
-        yield pts, images
+    return image
 
 
 def _grid_columns(lift: LiftedMap, dimension: int, m: int, offset: float):
-    """(xs, ys) of each block of the grid `_grid_blocks` gives: the
-    coordinates of its points and of their images under lift, one array per
-    axis, which broadcast together to the block. A built-in family in
-    dimension 1 or 2 (`_kernel_family`) runs its numpy step
-    (`_StepEvaluator.image`) on the block's axis columns, so no point or
-    image stack is built and each sin and cos runs once per grid
-    coordinate; an image coordinate that depends on one axis stays a column
-    (x_0 + omega of a skew map). The values are those of
-    `lift.evaluate_many` on the points. Any other lift runs `evaluate_many`
-    on the block's point stack (`_grid_images`), and xs and ys are the
-    columns of the two stacks."""
-    if _kernel_family(lift) is None:
-        for pts, images in _grid_images(lift, dimension, m, offset):
-            yield pts.T, images.T
-        return
-    step = _StepEvaluator(*lift.kernel_spec)
-    for cols in _grid_blocks(dimension, m, offset).columns():
-        yield cols, step.image(cols)
-
-
-class _OnCoordinates:
-    """A function of a stack of points and their images that reads only
-    their coordinates: `_OnCoordinates(f)(pts, images)` is f(pts.T,
-    images.T), each argument one array per axis. On Lebesgue measure
-    `_measure_rows` hands f each block of `_grid_columns` instead, so on a
-    kernel family's grid no point or image stack is built."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func: Callable):
-        self.func = func
-
-    def __call__(self, pts: np.ndarray, images: np.ndarray):
-        return self.func(pts.T, images.T)
+    """(xs, ys) of each block of the grid `_grid_blocks` gives: its axis
+    columns and their images under lift (`_column_image`), which broadcast
+    together to the block."""
+    image = _column_image(lift)
+    return ((xs, image(xs)) for xs in _grid_blocks(dimension, m, offset))
 
 
 def _measure_rows(func: Callable, mu: InvariantMeasure, dimension: int, m: int, lift: LiftedMap):
     """(rows, weights) of mu's points, the one walk every mean, residual and
-    splitting pair reads them through. func takes a stack of points and
-    their images under lift and returns a tuple of arrays of one value per
-    point; rows holds each of them over all of mu's points, weights None
-    meaning equal weights.
+    splitting pair reads them through. func takes the coordinates xs of
+    points and ys of their images under lift, one array per axis, and
+    returns a tuple of values that broadcast to the points; rows holds each
+    of them over all of mu's points, weights None meaning equal weights.
 
     On Lebesgue measure the points are the midpoint grid at m points per
-    axis, run block by block, and rows is one (values, m^n) array filled in
-    grid order, so the grid is never built whole. A function that reads
-    coordinates only (`_OnCoordinates`) walks the blocks of
-    `_grid_columns`, and each of its values, which broadcast to the block,
-    is written once, straight into the block's slice of its row. Any other
-    function walks the stacks of `_grid_images`. An orbit measure is walked
-    under lift point by point, and an empirical one reads its samples;
-    their images come from one `evaluate_many`."""
+    axis, walked block by block as axis columns (`_grid_columns`), and rows
+    is one (values, m^n) array filled in grid order: each value is written
+    once, straight into the block's slice of its row, so the grid is never
+    built whole. An orbit measure is walked under lift point by point, and
+    an empirical one reads its samples; xs and ys are then the columns of
+    the stack of points and of its images, which come from one
+    `evaluate_many`."""
     if mu.kind == "lebesgue":
-        if isinstance(func, _OnCoordinates):
-            blocks = (
-                (func.func(xs, ys), np.broadcast_shapes(*(np.shape(x) for x in xs)))
-                for xs, ys in _grid_columns(lift, dimension, m, 0.5)
-            )
-        else:
-            blocks = ((func(pts, images), (len(pts),)) for pts, images in _grid_images(lift, dimension, m, 0.5))
         rows, i = None, 0
-        for vals, shape in blocks:
+        for xs, ys in _grid_columns(lift, dimension, m, 0.5):
+            vals = func(xs, ys)
             if rows is None:  # the grid's size is checked
                 rows = np.empty((len(vals), m**dimension))
+            shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
             size = math.prod(shape)
             for row, v in zip(rows, vals):
                 row[i : i + size].reshape(shape)[...] = v
@@ -1056,7 +999,7 @@ def _measure_rows(func: Callable, mu: InvariantMeasure, dimension: int, m: int, 
         pts, weights = mu.samples, mu.weights
     else:
         raise ValidationError(f"unknown measure kind {mu.kind!r}")
-    return func(pts, lift.evaluate_many(pts)), weights
+    return func(pts.T, lift.evaluate_many(pts).T), weights
 
 
 def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
@@ -1089,7 +1032,7 @@ def _finite_mean(values: np.ndarray, weights: Optional[np.ndarray]) -> tuple:
 
 
 def _measure_mean(
-    integrand_many: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    integrand_many: Callable,
     mu: InvariantMeasure,
     dimension: int,
     quadrature_points: int,
@@ -1097,9 +1040,9 @@ def _measure_mean(
 ):
     """(value, error) of an integrand against mu, read from one walk of
     its points (`_measure_rows`); orbit measures are walked under
-    `base_map`. The integrand takes a point stack and its images under
-    `base_map`; one that reads their coordinates only (`_OnCoordinates`),
-    as rho does, takes a kernel family's grid as axis columns.
+    `base_map`. The integrand takes the coordinates of the points and of
+    their images under `base_map`, one array per axis, as rho does
+    (`_rho_values`), and returns values that broadcast to the points.
 
     A Lebesgue mean is the midpoint rule at m = quadrature_points per axis,
     one pass over the grid whose values go into one array of m^n floats;
@@ -1107,11 +1050,9 @@ def _measure_mean(
     the integrand: the means of rho bound it with `_lebesgue_bound`. A
     finite sum (orbit or empirical measure) is exact up to rounding, which
     `_finite_mean` bounds."""
-    if isinstance(integrand_many, _OnCoordinates):
-        func = _OnCoordinates(lambda xs, ys: (integrand_many.func(xs, ys),))
-    else:
-        func = lambda pts, images: (integrand_many(pts, images),)  # noqa: E731
-    (values,), weights = _measure_rows(func, mu, dimension, quadrature_points, base_map)
+    (values,), weights = _measure_rows(
+        lambda xs, ys: (integrand_many(xs, ys),), mu, dimension, quadrature_points, base_map
+    )
     if mu.kind == "lebesgue":
         return _average(values, None), None
     return _finite_mean(values, weights)
@@ -1209,14 +1150,22 @@ def _probe_frequencies(dimension: int) -> list:
 
 def _default_test_functions(dimension: int):
     """Low-degree trigonometric probes for the push-forward test, one per
-    frequency k of `_probe_frequencies`: each maps a point stack to the pair
-    (cos 2 pi k.x, sin 2 pi k.x), computing the phase 2 pi k.x once."""
+    frequency k of `_probe_frequencies`: each maps the coordinates xs of
+    points (one array per axis) to the pair (cos 2 pi k.x, sin 2 pi k.x),
+    computing the phase 2 pi k.x once. k.x sums k_j x_j over the nonzero
+    k_j in axis order; on T^1 and T^2 it takes at most one rounding, since
+    the entries of k are -1, 0, 1 or 2."""
 
-    def probe(p, _k):
-        phase = 2.0 * np.pi * (np.asarray(p) @ _k)
+    def probe(xs, _k):
+        dot = None
+        for k_j, x_j in zip(_k, xs):
+            if k_j:
+                term = x_j if k_j == 1 else k_j * x_j
+                dot = term if dot is None else dot + term
+        phase = 2.0 * np.pi * dot
         return np.cos(phase), np.sin(phase)
 
-    return [lambda p, _k=np.asarray(k, dtype=float): probe(p, _k) for k in _probe_frequencies(dimension)]
+    return [lambda xs, _k=k: probe(xs, _k) for k in _probe_frequencies(dimension)]
 
 
 def _aliased(dimension: int, m: int) -> bool:
@@ -1244,10 +1193,9 @@ def measure_invariance_residual(
     n = base_map.dimension
     unmoved = mu.kind != "lebesgue" or _aliased(n, quadrature_points)
     rows, weights = _measure_rows(
-        _OnCoordinates(lambda xs, ys: (*_moved(ys), *xs) if unmoved else _moved(ys)),
-        mu, n, quadrature_points, base_map,
+        lambda xs, ys: (*_moved(ys), *xs) if unmoved else _moved(ys), mu, n, quadrature_points, base_map
     )
-    return _probe_residual(_stacked(rows[n:]) if unmoved else None, _stacked(rows[:n]), weights)
+    return _probe_residual(rows[n:] if unmoved else None, rows[:n], weights)
 
 
 def _moved(ys) -> tuple:
@@ -1256,22 +1204,14 @@ def _moved(ys) -> tuple:
     return tuple(reduce_point(y) for y in ys)
 
 
-def _stacked(rows) -> np.ndarray:
-    """The (N, n) stack whose columns are n coordinate rows: a view when
-    they are rows of one array, as `_measure_rows` gives on Lebesgue measure."""
-    return np.asarray(rows).T
-
-
-def _probe_residual(pts: Optional[np.ndarray], moved: np.ndarray, weights: Optional[np.ndarray]) -> float:
-    """max_f |mean of f(moved) - mean of f(pts)| over the probe functions,
-    with moved the images reduced mod 1 (`_moved`); pts None marks unmoved
-    means that are 0.
-    On T^1 and T^2 a probe's phase 2 pi k.x takes at most one rounding in
-    k.x, whose entries are -1, 0, 1 or 2, so it is the same whether a stack
-    is held by rows or by columns (`_stacked`)."""
+def _probe_residual(xs, moved, weights: Optional[np.ndarray]) -> float:
+    """max_f |mean of f(moved) - mean of f(xs)| over the probe functions,
+    read from coordinate rows as `_measure_rows` gives them: xs those of the
+    points, moved those of their images reduced mod 1 (`_moved`); xs None
+    marks unmoved means that are 0."""
     worst = 0.0
-    for probe in _default_test_functions(moved.shape[1]):
-        before = (0.0, 0.0) if pts is None else [_average(v, weights) for v in probe(pts)]
+    for probe in _default_test_functions(len(moved)):
+        before = (0.0, 0.0) if xs is None else [_average(v, weights) for v in probe(xs)]
         for v, u in zip(probe(moved), before):
             worst = max(worst, abs(_average(v, weights) - u))
     return worst
@@ -1327,7 +1267,7 @@ def mean_translation_number(
     residual = None
     lebesgue = mu.kind == "lebesgue"
     if lebesgue and not (check_invariance and quadrature_points <= QUADRATURE_POINTS):
-        value, _ = _measure_mean(_OnCoordinates(rho_of), mu, n, quadrature_points, base_map=g.lift)
+        value, _ = _measure_mean(rho_of, mu, n, quadrature_points, base_map=g.lift)
         err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
         if check_invariance:
             residual = measure_invariance_residual(g.lift, mu, quadrature_points=QUADRATURE_POINTS)
@@ -1338,14 +1278,13 @@ def mean_translation_number(
         def rows_of(xs, ys):
             return (rho_of(xs, ys), *_moved(ys), *xs) if unmoved else (rho_of(xs, ys), *_moved(ys))
 
-        rows, weights = _measure_rows(_OnCoordinates(rows_of), mu, n, quadrature_points, g.lift)
+        rows, weights = _measure_rows(rows_of, mu, n, quadrature_points, g.lift)
         if lebesgue:
             value, err = _average(rows[0], None), _lebesgue_bound(a, g.lift, shift, quadrature_points)
         else:
             value, err = _finite_mean(rows[0], weights)
         if check_invariance:
-            moved, pts = _stacked(rows[1 : 1 + n]), _stacked(rows[1 + n :]) if unmoved else None
-            residual = _probe_residual(pts, moved, weights)
+            residual = _probe_residual(rows[1 + n :] if unmoved else None, rows[1 : 1 + n], weights)
     return MeanReport(
         value=value,
         error_bound=err,

@@ -171,12 +171,21 @@ class _StepEvaluator:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The n x n int64 identity, shared read-only: `LiftedMap` stores its
+    own copy of a matrix part (`_int64_matrix`)."""
+    eye = np.eye(n, dtype=np.int64)
+    eye.flags.writeable = False
+    return eye
+
+
 def rigid_rotation(vector) -> LiftedMap:
     """x -> x + v. Displacement is constant, so its Lipschitz constant is 0."""
     v, entries = _vector(vector, "rigid vector")
     return LiftedMap(
         evaluator=lambda x, _v=v: np.asarray(x) + _v,
-        matrix=np.eye(len(entries), dtype=np.int64),
+        matrix=_identity(len(entries)),
         label=f"rigid{tuple(round(t, 6) for t in entries)}",
         lipschitz_bound=1.0,
         displacement_lipschitz=0.0,
@@ -255,7 +264,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
 
         return LiftedMap(
             evaluator=ev_inv,
-            matrix=np.array([[1]], dtype=np.int64),
+            matrix=_identity(1),
             label=f"circle+sine({_o},{_k})^-1",
             lipschitz_bound=1.0 / (1.0 - abs(_k)),
             displacement_lipschitz=abs(_k) / (1.0 - abs(_k)),
@@ -265,7 +274,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
 
     return LiftedMap(
         evaluator=forward,
-        matrix=np.array([[1]], dtype=np.int64),
+        matrix=_identity(1),
         label=f"circle+sine({omega},{k})",
         lipschitz_bound=1.0 + abs(k),
         displacement_lipschitz=abs(k),
@@ -279,7 +288,7 @@ def sinusoidal_shear(epsilon: float) -> LiftedMap:
     eps = _translation(float(epsilon), "sinshear epsilon")
     return LiftedMap(
         evaluator=_StepEvaluator(_kernels.SINE_SHEAR, (eps,)),
-        matrix=np.eye(2, dtype=np.int64),
+        matrix=_identity(2),
         label=f"sineshear({eps})",
         lipschitz_bound=1.0 + TWO_PI * abs(eps),
         displacement_lipschitz=TWO_PI * abs(eps),
@@ -297,7 +306,7 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
     slope = poly.derivative_bound
     return LiftedMap(
         evaluator=_StepEvaluator(_kernels.SKEW, params),
-        matrix=np.eye(2, dtype=np.int64),
+        matrix=_identity(2),
         label=f"skew({omega})",
         lipschitz_bound=1.0 + slope,
         displacement_lipschitz=slope,

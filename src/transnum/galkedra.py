@@ -27,8 +27,11 @@ of one computation of the images, not the spread between two computations
 of them; the quadrature above stays the independent route. Each pair of
 `splitting_check` reads its four value rows F(g), F(h), F(gh) and G from
 one walk of mu's points under g (`dynamics._measure_rows`): four m^n
-floats, 128 KiB on T^2 at the default m = 64. An orbit measure is the
-orbit of each mean's own map, so there F(h) and F(gh) walk their own.
+floats, 128 KiB on T^2 at the default m = 64. Every row is computed from
+coordinates, one array per axis, with h(x) and g(h(x)) from
+`dynamics._column_image`, so on a grid a pair of one-letter words of
+built-in maps images axis columns and stacks no point. An orbit measure is
+the orbit of each mean's own map, so there F(h) and F(gh) walk their own.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .dynamics import (
     _add_shifts,
     _average,
     _checked_shift,
+    _column_image,
     _cover_of,
     _measure_rows,
     _rho_values,
@@ -91,13 +95,16 @@ def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.nd
     require_preserves_class(a, h)
     pts = np.asarray(points, dtype=float)
     gx, hx = g.evaluate_many(pts), h.evaluate_many(pts)
-    return _gal_kedra_rows(a.vector, pts, hx, gx, g.evaluate_many(hx))
+    return _gal_kedra_rows(a.vector, pts.T, hx.T, gx.T, g.evaluate_many(hx).T)
 
 
-def _gal_kedra_rows(av: np.ndarray, pts: np.ndarray, hx: np.ndarray, gx: np.ndarray, ghx: np.ndarray) -> np.ndarray:
-    """G over an (N, n) float stack, or at one point as 1-D arrays, from its
-    images under h, g and gh."""
-    return (ghx - gx) @ av - (hx - pts) @ av
+def _gal_kedra_rows(av: np.ndarray, xs, hx, gx, ghx):
+    """G from the coordinates of points and of their images under h, g and
+    gh, one entry per axis as `_rho_values` takes them: the coordinates of
+    one point, the columns of a stack or a grid block's axis columns. Both
+    pairings sum in `_rho_values`' axis order, and its shift 0.0 changes no
+    nonzero value."""
+    return _rho_values(gx, ghx, av, 0.0) - _rho_values(xs, hx, av, 0.0)
 
 
 # complex-step size: a power of two, so h v and Im(.)/h round nowhere
@@ -310,32 +317,34 @@ def _pair_means(
     read) and the mean of G(g, h).
 
     One walk of mu's points x under g (`_measure_rows`) gives the four rows
-    F(g), F(h), F(gh) and G of m^n (or N) floats: h images x once and g
-    images h(x) once, and each row's mean is taken over that row alone as a
-    1-D array, as a single mean is. An orbit measure is walked under each
-    mean's own map, so F(h) and F(gh) walk the orbits of h and gh, while
-    F(g) and G share g's walk."""
+    F(g), F(h), F(gh) and G of m^n (or N) floats, all read from coordinates:
+    h images x once and g images h(x) once (`_column_image`, so on a grid a
+    one-letter kernel-family word images axis columns), and each row's mean
+    is taken over that row alone as a 1-D array, as a single mean is. An
+    orbit measure is walked under each mean's own map, so F(h) and F(gh)
+    walk the orbits of h and gh, while F(g) and G share g's walk."""
     sg, sh, sgh = _pair_shifts(a, g, h)
     av, n = a.vector, a.dimension
+    h_image, g_image = _column_image(h.lift), _column_image(g.lift)
 
     def means(lift, func):
         rows, weights = _measure_rows(func, mu, n, m, lift)
         return [_average(v, weights) for v in rows]
 
-    def rows(pts, gx):
-        hx = h.lift.evaluate_many(pts)
-        ghx = g.lift.evaluate_many(hx)
+    def rows(xs, gx):
+        hx = h_image(xs)
+        ghx = g_image(hx)
         return (
-            _rho_values(pts.T, gx.T, av, sg),
-            _rho_values(pts.T, hx.T, av, sh),
-            _rho_values(pts.T, ghx.T, av, sgh),
-            _gal_kedra_rows(av, pts, hx, gx, ghx),
+            _rho_values(xs, gx, av, sg),
+            _rho_values(xs, hx, av, sh),
+            _rho_values(xs, ghx, av, sgh),
+            _gal_kedra_rows(av, xs, hx, gx, ghx),
         )
 
     fg, fh, fgh, mean_g = means(g.lift, rows)
     if mu.kind == "dirac_orbit":
-        (fh,) = means(h.lift, lambda pts, y: (_rho_values(pts.T, y.T, av, sh),))
-        (fgh,) = means(g.lift.compose(h.lift), lambda pts, y: (_rho_values(pts.T, y.T, av, sgh),))
+        (fh,) = means(h.lift, lambda xs, ys: (_rho_values(xs, ys, av, sh),))
+        (fgh,) = means(g.lift.compose(h.lift), lambda xs, ys: (_rho_values(xs, ys, av, sgh),))
     return fg, fh, fgh, mean_g
 
 

@@ -241,7 +241,9 @@ class LiftedMap:
         return out
 
     def compose(self, other: "LiftedMap") -> "LiftedMap":
-        """self after other; matrices multiply, Lipschitz data propagates."""
+        """self after other; matrices multiply, Lipschitz data propagates.
+        The matrix product is formed in Python ints, so an entry outside
+        int64 is refused (`_int64_matrix`) rather than wrapped."""
         if self.dimension != other.dimension:
             raise DimensionMismatch("cannot compose lifts of different dimensions")
         f, g = self, other
@@ -261,7 +263,7 @@ class LiftedMap:
             inv = lambda _f=f, _g=g: _g.invert().compose(_f.invert())
         return LiftedMap(
             evaluator=lambda x, _f=f.evaluator, _g=g.evaluator: _f(_g(x)),
-            matrix=f.matrix @ g.matrix,
+            matrix=[[sum(map(mul, row, col)) for col in zip(*g.matrix.tolist())] for row in f.matrix.tolist()],
             label=f"{f.label}*{g.label}",
             lipschitz_bound=lip,
             displacement_lipschitz=disp,

@@ -477,8 +477,8 @@ BUMPY = LiftedMap(
 def test_invariance_residual_is_the_per_probe_difference_of_measure_means(mu):
     expected = 0.0
     for f, j in ((f, j) for f in _default_test_functions(2) for j in (0, 1)):  # cos, then sin
-        pushed, _ = _measure_mean(lambda p, y, _f=f, _j=j: _f(reduce_point(y))[_j], mu, 2, 64, BUMPY)
-        plain, _ = _measure_mean(lambda p, y, _f=f, _j=j: _f(p)[_j], mu, 2, 64, BUMPY)
+        pushed, _ = _measure_mean(lambda xs, ys, _f=f, _j=j: _f([reduce_point(y) for y in ys])[_j], mu, 2, 64, BUMPY)
+        plain, _ = _measure_mean(lambda xs, ys, _f=f, _j=j: _f(xs)[_j], mu, 2, 64, BUMPY)
         if mu.kind == "lebesgue":
             # a nonconstant degree-1 character sums to exactly 0 over the
             # 64^2 midpoint grid: the residual takes that 0, not its rounding

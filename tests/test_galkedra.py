@@ -364,9 +364,10 @@ def test_splitting_residuals_equal_the_per_mean_values(kind):
             mean_translation_number(a, w, mu, quadrature_points=16, check_invariance=False).value
             for w in (gw, hw, gw.compose(hw))
         )
-        def integrand(pts, gx):
-            hx = hw.lift.evaluate_many(pts)
-            return galkedra._gal_kedra_rows(a.vector, pts, hx, gx, gw.lift.evaluate_many(hx))
+        def integrand(xs, gx):
+            # G of the stacked points, in the shape the coordinates broadcast to
+            pts = np.stack(np.broadcast_arrays(*xs), axis=-1)
+            return gal_kedra_many(a, gw.lift, hw.lift, pts.reshape(-1, a.dimension)).reshape(pts.shape[:-1])
 
         mean_g, _ = dynamics._measure_mean(integrand, mu, a.dimension, 16, gw.lift)
         want_add = max(want_add, abs(fgh - fg - fh))

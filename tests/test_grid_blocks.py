@@ -25,8 +25,15 @@ from transnum import (
     skew_translation,
     torus_affine,
 )
-from transnum import dynamics
-from transnum.dynamics import GRID_BLOCK, _default_test_functions, _grid_blocks, _grid_images, _measure_mean
+from transnum import dynamics, galkedra
+from transnum.dynamics import (
+    GRID_BLOCK,
+    _column_image,
+    _default_test_functions,
+    _grid_blocks,
+    _grid_columns,
+    _measure_mean,
+)
 from transnum.galkedra import _gal_kedra_rows
 from transnum.torus import LiftedMap, reduce_point
 
@@ -41,9 +48,14 @@ def meshgrid_grid(n, m, offset):
     return np.stack([ax.ravel() for ax in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
+def stacked(cols):
+    """The (k, n) row-major point stack that coordinates broadcast to."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, len(cols))
+
+
 def concatenated(n, m, offset):
-    blocks = [blk.copy() for blk, _ in _grid_blocks(n, m, offset)]
-    assert all(blk.ndim == 2 and blk.shape[1] == n and 0 < len(blk) <= GRID_BLOCK for blk in blocks)
+    blocks = [stacked(cols) for cols in _grid_blocks(n, m, offset)]
+    assert all(blk.shape[1] == n and 0 < len(blk) <= GRID_BLOCK for blk in blocks)
     return np.concatenate(blocks)
 
 
@@ -200,9 +212,9 @@ def test_seminorm_matches_the_whole_grid_bit_for_bit(name, a, g, m, monkeypatch)
 def test_gal_kedra_mean_matches_the_whole_grid_bit_for_bit():
     a, h = CohomologyClass([0, 1]), rigid_rotation([0.23, 0.41])
 
-    def integrand(pts, images):
-        hx = h.evaluate_many(pts)
-        return _gal_kedra_rows(a.vector, pts, hx, images, SKEW.evaluate_many(hx))
+    def integrand(xs, gx):  # the column images of h, then of SKEW after h
+        hx = _column_image(h)(xs)
+        return _gal_kedra_rows(a.vector, xs, hx, gx, _column_image(SKEW)(hx))
 
     # the error of a Lebesgue mean depends on the integrand: the caller bounds it
     want = reference_mean(lambda pts: gal_kedra_many(a, SKEW, h, pts), 2, 300)
@@ -220,7 +232,7 @@ def reference_residual(lift, m):
     return max(
         abs(float(np.mean(after)) - (float(np.mean(before)) if m == 1 else 0.0))
         for f in _default_test_functions(2)
-        for after, before in zip(f(moved), f(pts))
+        for after, before in zip(f(moved.T), f(pts.T))
     )
 
 
@@ -240,21 +252,23 @@ def test_invariance_residual_of_each_torus_family_matches_the_whole_grid_bit_for
 def test_column_images_equal_evaluate_many_on_every_block(name, a, g, offset):
     m = SIDES[a.dimension][-2]  # several blocks, the last one short
     blocks = 0
-    for pts, images in _grid_images(g.lift, a.dimension, m, offset):  # views, reused by the next block
-        assert images.tobytes() == g.lift.evaluate_many(pts).tobytes()
+    for xs, ys in _grid_columns(g.lift, a.dimension, m, offset):
+        images = stacked(np.broadcast_arrays(*xs, *ys)[a.dimension :])  # ys broadcast to the block
+        assert len(ys) == a.dimension and images.tobytes() == g.lift.evaluate_many(stacked(xs)).tobytes()
         blocks += 1
     assert blocks > 1
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (1, 20_000), (2, 3), (2, 300), (3, 40), (3, 200)])
 def test_axis_columns_broadcast_to_the_block(n, m):
-    for pts, cols in _grid_blocks(n, m, 0.5):
+    blocks = list(_grid_blocks(n, m, 0.5))
+    for cols in blocks:
         assert len(cols) == n and all(c.ndim == 2 for c in cols)
         rows = len(cols[0])
-        grid = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n)
-        assert len(pts) % rows == 0 and grid.tobytes() == pts.tobytes()
         if n <= 2:  # the kernel families' blocks: rows of axis 0 by the whole of axis 1
             assert cols[0].shape == (rows, 1) and (n == 1 or cols[1].shape == (1, m))
+    grid = np.concatenate([stacked(cols) for cols in blocks])
+    assert grid.tobytes() == meshgrid_grid(n, m, 0.5).tobytes()
 
 
 def counted_evaluate_many(monkeypatch):
@@ -270,37 +284,30 @@ def counted_evaluate_many(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["skew", "affine"])
-def test_kernel_family_grids_make_no_evaluate_many_call(name, monkeypatch):
+@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
+def test_kernel_family_grids_make_no_evaluate_many_call(name, a, g, monkeypatch):
+    # a lift's only stack route is `evaluate_many` on its stacked points
+    # (`_column_image`); a mean past the residual's grid, its residual and a
+    # seminorm scan of a built-in family read the blocks' axis columns
     monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
     calls = counted_evaluate_many(monkeypatch)
-    _, a, g, _ = next(c for c in CASES if c[0] == name)
-    mean_translation_number(a, g, LEBESGUE, 1024)  # with its invariance residual
-    seminorm(a, g, 1024, "certified")
-    assert calls == []
-
-
-@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
-def test_kernel_family_grids_build_no_point_or_image_stack(name, a, g, monkeypatch):
-    # the stack walks are the point buffer of the grid blocks and the image
-    # stacks of _grid_images; a mean past the residual's grid, its residual
-    # and a seminorm scan read the blocks' axis columns instead
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
-    stacks = []
-
-    def no_stack(what):
-        def record(*args, **kwargs):
-            stacks.append(what)
-            raise AssertionError(f"{what} builds a stack")
-
-        return record
-
-    monkeypatch.setattr(dynamics._GridBlocks, "__iter__", no_stack("grid points"))
-    monkeypatch.setattr(dynamics, "_grid_images", no_stack("grid images"))
     m = 2 * dynamics.QUADRATURE_POINTS
     rep = mean_translation_number(a, g, LEBESGUE, m)
     sup = seminorm(a, g, m, "certified")
-    assert stacks == [] and rep.invariance_residual is not None and sup.rigorous
+    assert calls == [] and rep.invariance_residual is not None and sup.rigorous
+
+
+# the circle map of the Arnold family does not preserve Lebesgue measure
+SPLIT_FAMILIES = [c for c in KERNEL_FAMILIES if c[0] != "arnold"]
+
+
+@pytest.mark.parametrize("name, a, g", SPLIT_FAMILIES, ids=[c[0] for c in SPLIT_FAMILIES])
+def test_one_letter_split_pairs_make_no_evaluate_many_call(name, a, g, monkeypatch):
+    monkeypatch.setattr(galkedra, "WORD_LENGTH", 1)
+    calls = counted_evaluate_many(monkeypatch)
+    rigid = BundleAutomorphism(rigid_rotation([0.1] * a.dimension), 1)
+    rep = galkedra.splitting_check(a, [g, rigid], LEBESGUE, pairs=6, quadrature_points=200)
+    assert calls == [] and rep.additivity_residual <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["composed", "affine T^3"])
@@ -346,9 +353,9 @@ def test_grids_the_probes_alias_on_keep_their_unmoved_means(lift, m):
     pts = meshgrid_grid(lift.dimension, m, 0.5)
     moved = reduce_point(lift.evaluate_many(pts))
     probes = _default_test_functions(lift.dimension)
-    unmoved = [float(np.mean(v)) for f in probes for v in f(pts)]
+    unmoved = [float(np.mean(v)) for f in probes for v in f(pts.T)]
     assert max(map(abs, unmoved)) == 1.0
-    want = max(abs(float(np.mean(v)) - u) for v, u in zip((v for f in probes for v in f(moved)), unmoved))
+    want = max(abs(float(np.mean(v)) - u) for v, u in zip((v for f in probes for v in f(moved.T)), unmoved))
     assert measure_invariance_residual(lift, LEBESGUE, quadrature_points=m) == want
 
 

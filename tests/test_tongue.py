@@ -3,6 +3,7 @@ Arnold circle map is mode-locked at p/q. The tests check the rounding bound
 and the proofs themselves against 50-digit arithmetic."""
 
 import json
+import math
 import os
 import re
 import sys
@@ -204,3 +205,28 @@ def test_perfbench_locked_slots_are_exact_locked_at_their_shift(tmp_path):
         rot = json.loads(out.read_text())["results"]["rot"]
         shift = int(re.search(r"^shift = (-?\d+)$", job["config"], re.M).group(1))
         assert rot["verdict"] == "exact-locked" and Fraction(rot["rational"]) == shift, job["config"]
+
+
+def test_sin_and_cos_stay_within_sin_ulps_of_their_200_bit_values():
+    """The rounding budget's assumption about the host's sin and cos
+    (`dynamics.SIN_ULPS`): numpy's float64 sin and cos on arrays of several
+    lengths, contiguous and strided, so that the vector loops and their tails
+    run, and math.sin and math.cos on scalars (the interpreted kernel
+    step). The arguments cover the phases 2 pi y of the grid orbits."""
+    rng = np.random.default_rng(7)
+    reach = 2.0 * math.pi * REACH
+    worst = 0.0
+    with mpmath.workprec(200):
+
+        def ulps(got, x, exact_fn):
+            exact = exact_fn(mpmath.mpf(float(x)))
+            return float(abs(mpmath.mpf(float(got)) - exact) / mpmath.mpf(math.ulp(float(exact))))
+
+        for size in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 256):
+            x = rng.uniform(-reach, reach, size=2 * size)
+            for np_fn, exact_fn in ((np.sin, mpmath.sin), (np.cos, mpmath.cos)):
+                for xs in (x[:size], x[::2]):
+                    worst = max(worst, *(ulps(r, t, exact_fn) for r, t in zip(np_fn(xs), xs)))
+        for t in rng.uniform(-reach, reach, size=100):
+            worst = max(worst, ulps(math.sin(t), t, mpmath.sin), ulps(math.cos(t), t, mpmath.cos))
+    assert worst <= dynamics.SIN_ULPS

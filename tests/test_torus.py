@@ -222,6 +222,17 @@ def test_lifted_map_refuses_a_matrix_the_int64_cast_would_change(matrix, message
         LiftedMap(evaluator=np.asarray, matrix=matrix)
 
 
+@pytest.mark.parametrize("corner", [2**62, -(2**62) - 1], ids=["2^63", "-2^63-2"])
+def test_compose_refuses_a_matrix_product_outside_int64(corner):
+    # the square's corner is 2 * corner: int64 arithmetic would wrap it silently
+    f = torus_affine([[1, 0], [corner, 1]], [0.1, 0.2])
+    with pytest.raises(ValidationError, match="outside the int64 range"):
+        f.compose(f)
+    # the ends of the range are kept exactly
+    end = torus_affine([[1, 0], [-(2**62), 1]], [0.1, 0.2])
+    assert end.compose(end).matrix.tolist() == [[1, 0], [-(2**63), 1]]
+
+
 def test_lifted_map_keeps_integer_valued_floats_and_the_int64_ends():
     lift = LiftedMap(evaluator=np.asarray, matrix=np.array([[-(2.0**63), 0], [3.0, 1]]))
     assert lift.matrix.dtype == np.int64
