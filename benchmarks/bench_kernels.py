@@ -32,8 +32,10 @@ This script times
     1, 2 and 3, in microseconds per ball element;
   - the generic orbit step (composed maps and the isotopy route of
     `rot-homovec`) on the skew isotopy's time-1 map, in microseconds per
-    orbit step: one orbit on an (n,) point, and stacks of B = 16, 256 and
-    4096 orbits stepped together;
+    orbit step: one orbit, which runs the kernel chunk's loop with the
+    map's numpy evaluator as its step, stacks of B = 16, 256 and 4096
+    orbits stepped together, and one orbit of an affine map of T^3, which
+    runs as a one-row stack;
   - the interpreted orbit step that the block sums of the weighted
     Birkhoff average ride on: the skew and Arnold kernel chunks in
     nanoseconds per step, and one generic orbit in microseconds per step;
@@ -190,6 +192,7 @@ SWEEPS = [
     ),
 ]
 GENERIC_STEPS = [(None, 4096), (16, 4096), (256, 1024), (4096, 256)]  # (stack size B, steps)
+T3_AFFINE = torus_affine([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [0.1, 0.2, 0.3])  # preserves the class (0, 1, 0)
 TOLERANCES = (1e-6, 1e-9, 1e-12)
 TOLERANCE_CAP = 2**18  # steps; also the Arnold map's reference
 # (label, class, lift, start, limit or None for the weighted value at the cap)
@@ -252,19 +255,22 @@ def ms_per_unsettled(omegas, k, repeat):
     return best(one, 20), best(many, 1) / len(open_rows)
 
 
-def us_per_generic_step(rows, steps, repeat):
-    """Best-of-`repeat` cost of one orbit step of the generic step on the
-    skew isotopy's time-1 map: one orbit on an (n,) point when `rows` is
-    None, else a (rows, n) stack, whose step cost is split over its rows.
-    The starts are irrational, so the return check runs on every step."""
-    lift = skew_isotopy(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,))).terminal
+def us_per_generic_step(rows, steps, repeat, lift=None):
+    """Best-of-`repeat` cost of one orbit step of a lift stepped by its
+    numpy evaluator, by default the skew isotopy's time-1 map: one orbit on
+    an (n,) point when `rows` is None (on T^1 and T^2 the kernel chunk's
+    loop, on T^3 a one-row stack), else a (rows, n) stack, whose step cost
+    is split over its rows. The starts are irrational, so the return check
+    runs on every step."""
+    lift = lift or skew_isotopy(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,))).terminal
+    n = lift.dimension
     if rows is None:
-        x0 = np.array([0.1, 0.2])
+        x0 = np.array([0.1, 0.2, 0.3][:n])
     else:
-        x0 = (np.arange(rows)[:, None] * np.array([GOLDEN, GOLDEN**2]) + 0.1) % 1.0
+        x0 = (np.arange(rows)[:, None] * np.array([GOLDEN, GOLDEN**2, GOLDEN**3][:n]) + 0.1) % 1.0
     best = math.inf
     for _ in range(repeat):
-        orbit = _PythonOrbit(x0, evaluator=lift.evaluator, avec=(0, 1))
+        orbit = _PythonOrbit(x0, evaluator=lift.evaluator, avec=(0, 1, 0)[:n])
         start = time.perf_counter()
         orbit.run_to(steps)
         best = min(best, time.perf_counter() - start)
@@ -500,12 +506,14 @@ def main():
     print_table(rows)
 
     print()
-    print(f"generic orbit step (skew isotopy, time-1 map), best of {args.repeat}")
+    print(f"generic orbit step (skew isotopy, time-1 map; an affine map of T^3), best of {args.repeat}")
     rows = [("orbits", "steps", "us per orbit step")]
     rows += [
-        ("one, (n,) point" if b is None else f"B = {b}", str(steps), f"{us_per_generic_step(b, steps, args.repeat):.3f}")
+        ("one, kernel chunk loop" if b is None else f"B = {b}", str(steps), f"{us_per_generic_step(b, steps, args.repeat):.3f}")
         for b, steps in GENERIC_STEPS
     ]
+    cost = us_per_generic_step(None, 4096, args.repeat, T3_AFFINE)
+    rows.append(("one on T^3, one-row stack", "4096", f"{cost:.3f}"))
     print_table(rows)
 
     print()

@@ -12,6 +12,12 @@ the same code object with numpy's sin and cos, so it maps whole coordinate
 arrays (real or complex) at once; `families` builds the numpy evaluators
 from it, and complex input gives the complex-step derivative.
 
+`_orbit_chunk_impl` is the only loop that steps one orbit of T^1 or T^2.
+`orbit_chunk` runs it with the family step, compiled when numba is there;
+`lift_chunk` runs the same code object, always interpreted, with a step
+that calls any lift's numpy evaluator on the (n,) point: composed maps,
+inverses and the time-1 maps of isotopies.
+
 Built-in map families of dimension 1 and 2 are encoded as (code, params)
 pairs so the kernels stay monomorphic:
 
@@ -169,10 +175,22 @@ def _grid_sup_abs_rho_impl(code, params, avec, shift, m, n):
     return best
 
 
+def _lift_step(evaluator, dimension, x0, x1):
+    """The step of any lift in `_step`'s form: `evaluator` maps the (n,)
+    point (x0,) or (x0, x1); on the circle the second entry stays x1 = 0.0."""
+    if dimension == 1:
+        return np.asarray(evaluator(np.array((x0,)))).item(), x1
+    y0, y1 = np.asarray(evaluator(np.array((x0, x1)))).tolist()
+    return y0, y1
+
+
 _step = _maybe_jit(_step_impl)
 # the step on coordinate arrays: same code, numpy's elementwise sin and cos
 np_step = types.FunctionType(_step_impl.__code__, {**globals(), "sin": np.sin, "cos": np.cos}, "np_step")
 _orbit_chunk = _maybe_jit(_orbit_chunk_impl)
+# the orbit loop of any lift on T^1 or T^2: the same code, interpreted, whose
+# step calls the lift's evaluator; `code` is the evaluator, `params` the dimension
+lift_chunk = types.FunctionType(_orbit_chunk_impl.__code__, {**globals(), "_step": _lift_step}, "lift_chunk")
 _grid_sup_abs_rho = _maybe_jit(_grid_sup_abs_rho_impl)
 
 

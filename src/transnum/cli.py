@@ -203,7 +203,7 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
         "endpoint_local": _convergence_entry(loc),
         "difference": value_entry(
             abs(hom.value - loc.value),
-            error_bound=hom.error_bound + loc.error_bound,
+            error_bound=None if None in (hom.error_bound, loc.error_bound) else hom.error_bound + loc.error_bound,
         ),
         "headline": _convergence_headline(hom),
     }

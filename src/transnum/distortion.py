@@ -55,12 +55,12 @@ from .dynamics import (
     VERDICT_EXACT_PERIODIC,
     BundleAutomorphism,
     ConvergenceReport,
+    _checked_shift,
     _displacement_lipschitz,
     _grid_columns,
     _power,
     _require_grid,
     _rho_values,
-    _shift_float,
     local_translation_number,
 )
 from .errors import (
@@ -126,7 +126,7 @@ def seminorm(
     n = a.dimension
     m = int(grid_resolution)
     _require_grid(n, m)
-    shift, avec = _shift_float(a, g), a.vector
+    shift, avec = _checked_shift(a, g.fiber_shift), a.vector
     spec = g.lift.kernel_spec
     if spec is not None and _kernels.JIT_ENABLED and n <= 2:
         est = float(_kernels.grid_sup_abs_rho(spec[0], spec[1], avec, shift, m, n))
@@ -159,7 +159,7 @@ class UndistortionCertificate:
     tau_lower_bound: float
     seminorm_constant: float
     rot_value: float
-    rot_error: float
+    rot_error: Optional[float]
     rot_verdict: str
     generator_bounds: tuple
     generating_set_label: str

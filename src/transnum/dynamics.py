@@ -188,11 +188,6 @@ def fiber_translation(dimension: int, r) -> BundleAutomorphism:
     return BundleAutomorphism(identity_lift(dimension), r, label=f"T[{r}]")
 
 
-def _shift_float(a: CohomologyClass, g: BundleAutomorphism) -> float:
-    """Validate the fiber shift against the fiber group and return it as float."""
-    return _checked_shift(a, g.fiber_shift)
-
-
 def _checked_shift(a: CohomologyClass, c) -> float:
     """Validate a fiber shift c against the fiber group and return it as float."""
     if a.is_integral():
@@ -222,7 +217,7 @@ def _cover_of(x, dimension: int) -> np.ndarray:
 def rho(a: CohomologyClass, g: BundleAutomorphism, x) -> float:
     """Fiber displacement <a, lift(x~) - x~> + shift at a single point."""
     require_preserves_class(a, g.lift)
-    c = _shift_float(a, g)
+    c = _checked_shift(a, g.fiber_shift)
     cover = _cover_of(x, a.dimension)
     return float(np.dot(a.vector, g.lift(cover) - cover)) + c
 
@@ -231,7 +226,7 @@ def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> n
     """Vectorized rho over an (N, n) stack of base points."""
     require_preserves_class(a, g.lift)
     pts = np.asarray(points, dtype=float)
-    return _rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, _shift_float(a, g))
+    return _rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, _checked_shift(a, g.fiber_shift))
 
 
 def _rho_values(xs, ys, avec, shift: float):
@@ -261,22 +256,26 @@ class _PythonOrbit:
     Keeps the reduced base point, the running sum, the first step index at
     which the orbit re-enters the RETURN_TOLERANCE ball around its start
     (-1 before that), and the running sum at that step: the only partial sum
-    the limit reads. A `kernel` (code, params, avec pair, shift) runs the
-    built-in family step of `_kernels` on one orbit. Otherwise the generic
-    step calls `evaluator` once per step, on an (n,) point for one orbit or
-    on a (B, n) stack for B orbits; a stack keeps its sums, return indices
-    and return sums as (B,) arrays, and its `shift` may be a (B,) column.
-    Each step adds shift + sum_j avec_j (y_j - x_j) in the kernel's order.
+    the limit reads. One orbit on T^1 or T^2 runs `_kernels._orbit_chunk_impl`:
+    a `kernel` (code, params) runs it as `_kernels.orbit_chunk`, with the
+    built-in family step; any other `evaluator` runs it as
+    `_kernels.lift_chunk`, which calls the evaluator once per step on the
+    (n,) point. A stack of B orbits, a (B, n) array of starts, calls
+    `evaluator` once per step on the whole stack and keeps its sums, return
+    indices and return sums as (B,) arrays; its `shift` may be a (B,)
+    column. One orbit on T^n, n >= 3, runs as a one-row stack. Each step
+    adds shift + sum_j avec_j (y_j - x_j) in the kernel's order; `rows()`
+    reads every form the same way.
 
     Each `run_to` advances one block of steps, whose weighted Birkhoff
     average sum w inc / sum w, with w = `_kernels.block_weight`, is kept as
     `block` (nan before the first block); the weights need the block's
     length, which `run_to` knows before the block starts."""
 
-    def __init__(
-        self, x0: np.ndarray, *, kernel: Optional[tuple] = None, evaluator=None, avec=(), shift=0.0
-    ):
+    def __init__(self, x0: np.ndarray, *, avec, shift=0.0, kernel: Optional[tuple] = None, evaluator=None):
         self.x0 = reduce_point(x0)
+        if self.x0.ndim == 1 and self.x0.size > 2:
+            self.x0 = self.x0[None]  # the chunk's point is a pair: T^3 and up run as a stack
         self.x = self.x0.copy()
         stack = self.x0.shape[:-1]
         self.s = np.zeros(stack) if stack else 0.0
@@ -286,7 +285,7 @@ class _PythonOrbit:
         self.block = np.full(stack, math.nan) if stack else math.nan
         self._kernel = kernel
         self._evaluator = evaluator
-        self._avec = [float(t) for t in avec]
+        self._avec = _kernels.pair(avec) if self.x0.ndim == 1 else [float(t) for t in avec]
         self._shift = shift
 
     @property
@@ -315,50 +314,19 @@ class _PythonOrbit:
             self._advance(n - self.count)
 
     def _advance(self, steps: int) -> None:
-        if self._kernel is not None:
-            code, params, avec, shift = self._kernel
-            point, self.s, self.first_return, self.s_return, self.block = _kernels.orbit_chunk(
-                code, params, avec, shift, _kernels.pair(self.x), _kernels.pair(self.x0),
+        if self.x.ndim == 1:
+            if self._kernel is None:
+                chunk, (code, params) = _kernels.lift_chunk, (self._evaluator, self.x0.size)
+            else:
+                chunk, (code, params) = _kernels.orbit_chunk, self._kernel
+            point, self.s, self.first_return, self.s_return, self.block = chunk(
+                code, params, self._avec, self._shift, _kernels.pair(self.x), _kernels.pair(self.x0),
                 self.count, steps, self.s, self.first_return, self.s_return, RETURN_TOLERANCE,
             )
             self.x = np.array(point[: self.x0.size])
-        elif self.x.ndim == 1:
-            self._advance_one(steps)
         else:
             self._advance_stack(steps)
         self.count += steps
-
-    def _advance_one(self, steps: int) -> None:
-        """The generic step of one orbit: the evaluator maps one (n,) array
-        per step, and the point, the sums and the return search stay Python
-        floats, reduced and compared with the kernel chunk's arithmetic."""
-        evaluator, avec, shift, weight = self._evaluator, self._avec, self._shift, _kernels.block_weight
-        x, home = self.x.tolist(), self.x0.tolist()
-        s, first, s_return = self.s, self.first_return, self.s_return
-        ws = wsum = 0.0
-        for i in range(steps):
-            y = np.asarray(evaluator(np.array(x))).tolist()
-            inc = shift
-            d = 0.0
-            for j, y_j in enumerate(y):
-                inc = inc + avec[j] * (y_j - x[j])
-                x_j = y_j % 1.0
-                if x_j >= 1.0:  # -tiny % 1.0 rounds to 1.0
-                    x_j = 0.0
-                x[j] = x_j
-                d_j = abs(x_j - home[j])
-                if d_j > 0.5:
-                    d_j = 1.0 - d_j
-                if d_j > d:
-                    d = d_j
-            s = s + inc
-            w = weight(i, steps)
-            ws = ws + w * inc
-            wsum = wsum + w
-            if first < 0 and d <= RETURN_TOLERANCE:
-                first, s_return = self.count + i + 1, s
-        self.x, self.s, self.first_return, self.s_return = np.array(x), s, first, s_return
-        self.block = ws / wsum
 
     def _advance_stack(self, steps: int) -> None:
         """The generic step of a (B, n) stack: one evaluator call per step
@@ -396,7 +364,7 @@ def _orbit_start(a: CohomologyClass, g: BundleAutomorphism, x0) -> tuple:
     after the checks every orbit needs: g preserves the class, its shift
     lies in the fiber group and x0 lies on the class's torus."""
     require_preserves_class(a, g.lift)
-    c = _shift_float(a, g)
+    c = _checked_shift(a, g.fiber_shift)
     return c, _cover_of(x0, a.dimension)
 
 
@@ -412,16 +380,36 @@ def _kernel_family(lift: LiftedMap) -> Optional[tuple]:
 
 
 def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0) -> _PythonOrbit:
-    return _start_orbit(a, g, _orbit_start(a, g, x0))
+    orbit, _ = _group_orbit(a, [g], [_orbit_start(a, g, x0)])
+    return orbit
 
 
-def _start_orbit(a: CohomologyClass, g: BundleAutomorphism, start: tuple) -> _PythonOrbit:
-    """The orbit of g from a checked `_orbit_start`."""
-    c, cover = start
-    if _kernel_family(g.lift) is not None:
+def _group_orbit(a: CohomologyClass, maps: list, starts: list) -> tuple:
+    """(orbit, tongue prover) of a group of rows whose maps share one
+    `_kernel_family`, from their checked `_orbit_start`s. One row runs
+    alone: the kernel step for a built-in family in dimension 1 or 2, else
+    its lift's evaluator. More rows, of one such family, run as one stack:
+    one `np_step` call per step on their stacked parameters. The prover is
+    `_tongue_prover`'s for the rows' family, None for any other lift."""
+    family = _kernel_family(maps[0].lift)
+    if len(maps) == 1:
+        (g,), ((c, cover),) = maps, starts
+        if family is None:
+            return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c), None
         code, params = g.lift.kernel_spec
-        return _PythonOrbit(cover, kernel=(code, params, _kernels.pair(a.vector), c))
-    return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c)
+        return _PythonOrbit(cover, kernel=(code, params), avec=a.entries, shift=c), _tongue_prover(a, code, params, c)
+    code, degree = family
+    columns = list(np.array([g.lift.kernel_spec[1] for g in maps], dtype=float).T.copy())
+    if degree is not None:
+        columns[1] = degree  # np_step loops over one skew degree
+    shifts = np.array([c for c, _ in starts])
+    orbit = _PythonOrbit(
+        np.stack([cover for _, cover in starts]),
+        evaluator=_StepEvaluator(code, columns),
+        avec=a.entries,
+        shift=shifts,
+    )
+    return orbit, _tongue_prover(a, code, columns, shifts)
 
 
 @dataclass(frozen=True)
@@ -432,6 +420,8 @@ class ConvergenceReport:
     average of the last block of steps, and its gap to the previous block's
     (0 for the exact verdicts, exact-periodic and exact-locked, where
     `rational` holds the exact value); the gap is a heuristic, not a bound.
+    A limit stopped after its first block has no previous block, and its
+    error_bound is None: no bound is claimed.
     `window` keeps the final two block estimates so a not-converged outcome
     stays inspectable. `plain_average` is the plain Birkhoff average
     rho_x(g^n)/n at n = iterations, the independent route to the same
@@ -442,7 +432,7 @@ class ConvergenceReport:
     it depends on the chosen height and base fiber."""
 
     value: float
-    error_bound: float
+    error_bound: Optional[float]
     iterations: int
     verdict: str
     plain_average: float
@@ -606,7 +596,8 @@ def _translation_limits(
     which converges faster than any power of 1/n on quasi-periodic orbits
     (Das, Saiki, Sander and Yorke, Nonlinearity 30, 2017; Das and Yorke,
     Nonlinearity 31, 2018), and the window gap is its distance to the
-    previous block's: a heuristic, reported as `error_bound`. The plain
+    previous block's: a heuristic, reported as `error_bound` (None after
+    the first block, which has no previous one). The plain
     average rho_x(g^n)/n is reported alongside as `plain_average`. The
     doubling verdict is withheld until min(SCAN_HORIZON, max_iterations)
     steps have been scanned so short exact periods are not shadowed by an
@@ -639,8 +630,8 @@ def _translation_limits(
                     plain_average=s_q / q,
                 )
             state[1] = periodic_seen = (q, s_q)
-        diff = abs(est - est_prev) if est_prev is not None else math.inf
-        if est_prev is not None and diff <= tolerance and n >= horizon:
+        diff = None if est_prev is None else abs(est - est_prev)  # one block has no gap
+        if diff is not None and diff <= tolerance and n >= horizon:
             return ConvergenceReport(
                 value=est,
                 error_bound=diff,
@@ -721,32 +712,15 @@ def local_translation_number(
     max_iterations: int = MAX_ITERATIONS,
     diagnostics: bool = False,
 ) -> ConvergenceReport:
-    """Limit of rho_x(g^n)/n at the point x.
-
-    Defaults: tolerance 1e-9 for the affine-exact families, WINDOW_TOLERANCE
-    otherwise; orbit returns detected within RETURN_TOLERANCE. The window
-    check is a heuristic stopping rule, not a certificate. Two verdicts are
-    exact, with `error_bound` 0 and the value in `rational`: exact-periodic
-    (the orbit returns to x) and, for Arnold maps on an integer class,
-    exact-locked (`_grid_locks` proves the rotation number)."""
-    report = _local_limit(a, g, _orbit_start(a, g, x), tolerance, max_iterations)
+    """Limit of rho_x(g^n)/n at the point x: `local_translation_numbers` of
+    the one pair (g, x). With `diagnostics`, the report also carries the
+    height average (`ConvergenceReport.height_average`)."""
+    (report,) = local_translation_numbers(a, [g], [x], tolerance=tolerance, max_iterations=max_iterations)
     if diagnostics:
         fiber = x.fiber if isinstance(x, BundlePoint) else 0
         start = BundlePoint(_cover_of(x, a.dimension), fiber)
         height_avg = report.plain_average + theta(a, start) / report.iterations
         report = dataclasses.replace(report, height_average=height_avg)
-    return report
-
-
-def _local_limit(
-    a: CohomologyClass, g: BundleAutomorphism, start: tuple, tolerance: Optional[float], max_iterations: int
-) -> ConvergenceReport:
-    """`local_translation_number` from a checked `_orbit_start`."""
-    if tolerance is None:
-        tolerance = _default_tolerance(g)
-    spec = g.lift.kernel_spec
-    tongue = None if spec is None else _tongue_prover(a, *spec, start[0])
-    (report,) = _translation_limits(_start_orbit(a, g, start), tolerance, max_iterations, a.is_integral(), tongue)
     return report
 
 
@@ -759,50 +733,45 @@ def local_translation_numbers(
     max_iterations: int = MAX_ITERATIONS,
     starts: Optional[list] = None,
 ) -> list:
-    """`local_translation_number(a, g, x)` for each map g and point x, in order.
+    """The limit of rho_x(g^n)/n for each map g and point x, in order.
+
+    Defaults: tolerance 1e-9 for the affine-exact families, WINDOW_TOLERANCE
+    otherwise; orbit returns detected within RETURN_TOLERANCE. The window
+    check is a heuristic stopping rule, not a certificate. Two verdicts are
+    exact, with `error_bound` 0 and the value in `rational`: exact-periodic
+    (the orbit returns to x) and, for Arnold maps on an integer class,
+    exact-locked (`_grid_locks` proves the rotation number).
 
     Every pair is checked first, in order, unless `starts` holds what
     `_orbit_start` gave for each pair: a caller that has checked the pairs
     passes those on. The orbits of the maps that the kernel step would run
     (built-in families in dimensions 1 and 2) and that share a family (and,
     for skew maps, a degree) are then stepped together when there are at
-    least STACK_MIN_ROWS of them: one `np_step` call per step on their
-    stacked parameters, each orbit leaving the stack at the checkpoint
-    where its limit stops. The tongue test of Arnold maps runs the stack's
-    open orbits as one grid stack. The other orbits run one by one.
+    least STACK_MIN_ROWS of them (`_group_orbit`), each orbit leaving the
+    stack at the checkpoint where its limit stops. The tongue test of Arnold
+    maps runs the stack's open orbits as one grid stack. The other orbits
+    run one by one, and every one of them on T^1 or T^2 runs the one loop
+    `_kernels._orbit_chunk_impl`.
 
-    Each report is the separate call's: bit for bit for rigid and affine
-    maps, whose stacked step does the kernel's arithmetic; the sine families
-    take numpy's sin and cos where the kernel takes math's, and the two need
-    not agree to the last bit on every platform."""
+    Each report is the one the pair gets alone: bit for bit for rigid and
+    affine maps, whose stacked step does the kernel's arithmetic; the sine
+    families take numpy's sin and cos where the kernel takes math's, and
+    the two need not agree to the last bit on every platform."""
     if len(maps) != len(points):
         raise ValidationError(f"{len(maps)} maps but {len(points)} points")
     if starts is None:
         starts = [_orbit_start(a, g, x) for g, x in zip(maps, points)]
     reports = [None] * len(maps)
-    stacks = {}
+    groups = {}
     for i, g in enumerate(maps):
-        stacks.setdefault(_kernel_family(g.lift), []).append(i)
-    for family, rows in stacks.items():
-        if family is None or len(rows) < STACK_MIN_ROWS:
-            for i in rows:
-                reports[i] = _local_limit(a, maps[i], starts[i], tolerance, max_iterations)
-            continue
-        code, degree = family
-        columns = list(np.array([maps[i].lift.kernel_spec[1] for i in rows], dtype=float).T.copy())
-        if degree is not None:
-            columns[1] = degree  # np_step loops over one skew degree
-        shifts = np.array([starts[i][0] for i in rows])
-        orbit = _PythonOrbit(
-            np.stack([starts[i][1] for i in rows]),
-            evaluator=_StepEvaluator(code, columns),
-            avec=a.entries,
-            shift=shifts,
-        )
-        tol = _default_tolerance(maps[rows[0]]) if tolerance is None else tolerance
-        tongue = _tongue_prover(a, code, columns, shifts)
-        for i, report in zip(rows, _translation_limits(orbit, tol, max_iterations, a.is_integral(), tongue)):
-            reports[i] = report
+        groups.setdefault(_kernel_family(g.lift), []).append(i)
+    for family, rows in groups.items():
+        stacked = family is not None and len(rows) >= STACK_MIN_ROWS
+        for group in [rows] if stacked else [[i] for i in rows]:
+            orbit, tongue = _group_orbit(a, [maps[i] for i in group], [starts[i] for i in group])
+            tol = _default_tolerance(maps[group[0]]) if tolerance is None else tolerance
+            for i, report in zip(group, _translation_limits(orbit, tol, max_iterations, a.is_integral(), tongue)):
+                reports[i] = report
     return reports
 
 
@@ -812,7 +781,8 @@ def rho_power_average(a: CohomologyClass, g: BundleAutomorphism, x, n: int) -> f
         raise ValidationError("need n >= 1")
     orbit = _make_orbit(a, g, x)
     orbit.run_to(n)
-    return orbit.s / n
+    ((s, *_),) = orbit.rows()
+    return s / n
 
 
 def periodic_rot(a: CohomologyClass, g: BundleAutomorphism, x, period: int) -> Fraction:
@@ -832,10 +802,11 @@ def periodic_rot(a: CohomologyClass, g: BundleAutomorphism, x, period: int) -> F
         raise NotPeriodicError(
             f"point is not {period}-periodic: distance {dist:.3e} after {period} steps"
         )
-    p = _integer_cycle(orbit.s)
+    ((s, *_),) = orbit.rows()
+    p = _integer_cycle(s)
     if p is None:
         raise NonIntegerFiberError(
-            f"fiber displacement {orbit.s!r} over the cycle is not an integer"
+            f"fiber displacement {s!r} over the cycle is not an integer"
         )
     return Fraction(p, period)
 
@@ -1258,7 +1229,7 @@ def mean_translation_number(
     without. A push-forward residual above INVARIANCE_TOLERANCE sets the
     warning flag."""
     require_preserves_class(a, g.lift)
-    shift = _shift_float(a, g)
+    shift = _checked_shift(a, g.fiber_shift)
     avec, n = a.vector, a.dimension
 
     def rho_of(xs, ys):
@@ -1354,7 +1325,7 @@ def perturbed_rho_power_average(
     if n < 1:
         raise ValidationError("need n >= 1")
     require_preserves_class(a, g.lift)
-    c = _shift_float(a, g)
+    c = _checked_shift(a, g.fiber_shift)
     avec = a.vector
     cur = reduce_point(_cover_of(x, a.dimension))
     s = 0.0

@@ -52,7 +52,6 @@ from .dynamics import (
     _cover_of,
     _measure_rows,
     _rho_values,
-    _shift_float,
     measure_invariance_residual,
 )
 from .errors import PreconditionError, ValidationError
@@ -157,7 +156,7 @@ def _pair_shifts(a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphis
     every shift."""
     require_preserves_class(a, g.lift)
     require_preserves_class(a, h.lift)
-    sg, sh = _shift_float(a, g), _shift_float(a, h)
+    sg, sh = _checked_shift(a, g.fiber_shift), _checked_shift(a, h.fiber_shift)
     return sg, sh, _checked_shift(a, _add_shifts(g.fiber_shift, h.fiber_shift))
 
 

@@ -128,10 +128,11 @@ def homological_translation(
 ) -> ConvergenceReport:
     """Average winding (1/n) sum delta_phi(arc at g^i x) as n grows.
 
-    Runs the same window-doubling driver as the local translation number,
-    but steps the time-1 map with its numpy evaluator (the generic step),
-    while the endpoint route runs the orbit kernel: the agreement between
-    the two is a check of one engine against the other."""
+    Runs the same window-doubling driver and, on T^1 and T^2, the same
+    orbit loop as the local translation number, but steps the time-1 map
+    with its numpy evaluator (`_kernels.lift_chunk`), while the endpoint
+    route steps it with the kernel's family step: the agreement between the
+    two is a check of one evaluation of the map against the other."""
     require_preserves_class(a, iso.terminal)
     x = _cover_of(x, a.dimension)
     orbit = _PythonOrbit(x, evaluator=iso.terminal.evaluator, avec=a.entries)

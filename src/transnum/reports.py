@@ -86,11 +86,11 @@ class Report:
         }
 
     def to_record(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.payload(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def digest_of(data) -> str:
-    blob = json.dumps(jsonable(data), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(jsonable(data), sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

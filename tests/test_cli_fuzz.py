@@ -56,7 +56,7 @@ VALID = {
     ("options", "seed"): ["0", "7"],
     ("options", "tolerance"): ["1e-6", "1e-3"],
     # a word-norm BFS of radius 4096 can take seconds; 256 keeps it near 0.2 s
-    ("options", "max-iterations"): ["16", "256"],
+    ("options", "max-iterations"): ["1", "16", "256"],
     ("options", "grid"): ["8", "64"],
     ("sweep", "command"): list(cli._HANDLERS),
     ("sweep", "parameter"): ["map.omega", "map.vector", "map.k", "map.h.epsilon", "options.grid", "point.x", "check.count"],
@@ -116,6 +116,8 @@ def fuzz_dir(tmp_path_factory):
 @example(command="rot-mean", text="[class]\nentries = 0 1\n[map]\nfamily = skew\nomega = 0.3\ncoeffs = 0.3 1e308 0.1\n", fmt="record")
 @example(command="rot-homovec", text="[class]\nentries = 0 1\n[isotopy]\nkind = skew\nomega = 0.3\ncoeffs = ,\n", fmt="record")
 @example(command="rot-homovec", text="[class]\nentries = 1 0\n[isotopy]\nkind = shear\nepsilon = 0.1\nvector = 0.3 0.4\n",
+         fmt="record")
+@example(command="rot-local", text="[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.3\n[options]\nmax-iterations = 1\n",
          fmt="record")
 def test_front_end_exits_are_0_2_3_or_4(fuzz_dir, command, text, fmt):
     try:

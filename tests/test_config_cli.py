@@ -789,6 +789,44 @@ def test_sweep_csv_has_fixed_columns(tmp_path):
     assert first[0] == "0.25" and first[2] == "" and first[4] == "True"
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# one case per record that carries a limit: rot-local and distortion-cert
+# move the point off its start, so one block is all the run sees
+ONE_BLOCK_CASES = [
+    ("rot-local", ROT_TEXT, 3, ["rot", "headline"]),
+    ("rot-homovec", HOMOVEC_TEXT, 3, ["homological", "endpoint_local", "difference", "headline"]),
+    ("distortion-cert", CERT_TEXT.replace("vector = 0\nshift = 1\n\n[map.t]", "vector = 0.3\nshift = 1\n\n[map.t]"), 0, ["rot"]),
+]
+
+
+@pytest.mark.parametrize("command, text, expect, entries", ONE_BLOCK_CASES, ids=[c[0] for c in ONE_BLOCK_CASES])
+def test_a_limit_stopped_after_one_block_claims_no_bound_in_strict_json(tmp_path, command, text, expect, entries):
+    path = write(tmp_path, "one.ini", text)
+    out = tmp_path / "record.json"
+    assert cli.main([command, "--config", path, "--max-iterations", "1", "--format", "record", "--out", str(out)]) == expect
+    results = json.loads(out.read_text(), parse_constant=refuse_constant)["results"]
+    for key in entries:
+        assert results[key]["error_bound"] is None, key
+
+
+def test_a_sweep_row_stopped_after_one_block_has_an_empty_bound(tmp_path):
+    path = write(tmp_path, "sw.ini", ROT_TEXT + "\n[sweep]\ncommand = rot-local\nparameter = map.vector\nvalues = 0.3\n")
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", path, "--max-iterations", "1", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[2] == ""
+
+
+def test_a_non_finite_float_never_reaches_a_record():
+    report = reports.make_report("rot-local", {}, {"headline": reports.value_entry(math.inf)}, 0)
+    with pytest.raises(ValueError):
+        report.to_record()
+    with pytest.raises(ValueError):
+        reports.digest_of({"x": math.nan})
+
+
 def test_two_axis_sweep_is_row_major_in_declared_order(tmp_path):
     path = write(
         tmp_path,

@@ -1,17 +1,26 @@
-"""The generic orbit step: one orbit on (n,) state or B orbits on a (B, n)
-stack, checked against the per-point loop it replaced."""
+"""The orbit engine: one orbit on (n,) state, run by the one loop of the
+kernels, or B orbits on a (B, n) stack, checked against the per-point loop
+they replaced."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from transnum import (
+    BundleAutomorphism,
     CohomologyClass,
     Coefficients,
     TrigPolynomial,
+    _kernels,
     arnold_circle,
+    dynamics,
+    homological_translation,
+    local_translation_number,
+    periodic_rot,
+    rho_power_average,
     rigid_rotation,
     shear_isotopy,
     sinusoidal_shear,
@@ -68,6 +77,7 @@ CASES = [
         (1, 0),
         0.25,
     ),
+    ("inverse arnold", arnold_circle(0.3, 0.9).invert(), (1,), 0.5),
     ("affine on T^3", torus_affine([[1, 0, 0], [1, 1, 0], [0, 0, 1]], [0.1, 0.2, 0.3]), (1, 0, 2), 2.0),
     ("straight isotopy", straight_isotopy([GOLDEN, 0.37]).terminal, (1, 1), 0.0),
     ("shear isotopy", shear_isotopy(0.2).terminal, (1, 0), 0.0),
@@ -78,6 +88,9 @@ CASES = [
     ("tiny backward turn", rigid_rotation([-1e-20, 0.25]).compose(rigid_rotation([0.0, 0.0])), (1, 1), 0.0),
 ]
 STEPS = 301  # odd, so a point left at 1.0 by a missing fold still shows
+# Newton's method in the inverse's evaluator runs until every point of the
+# call has converged, so a row of a stack need not get its lone orbit's bits
+STACK_CASES = [case for case in CASES if case[0] != "inverse arnold"]
 
 
 def starts(dimension, count=6, seed=7):
@@ -96,15 +109,17 @@ def test_one_orbit_matches_the_per_point_loop_bit_for_bit(label, lift, entries, 
         orbit.run_to(STEPS // 3)
         orbit.run_to(STEPS)
         x, s, first, s_return, block = reference_orbit(lift.evaluator, entries, shift, x0, STEPS, STEPS // 3)
-        assert np.array_equal(orbit.x, x)
-        assert type(orbit.s) is float and orbit.s == s
-        assert type(orbit.block) is float and orbit.block == block
-        assert type(orbit.first_return) is int and orbit.first_return == first
-        assert type(orbit.s_return) is float
-        assert orbit.s_return == s_return or (math.isnan(s_return) and math.isnan(orbit.s_return))
+        # on T^3 the orbit is a one-row stack, so its state is read through rows()
+        ((o_s, o_first, o_s_return, o_block),) = orbit.rows()
+        assert np.array_equal(orbit.x.reshape(x.shape), x)
+        assert type(o_s) is float and o_s == s
+        assert type(o_block) is float and o_block == block
+        assert type(o_first) is int and o_first == first
+        assert type(o_s_return) is float
+        assert o_s_return == s_return or (math.isnan(s_return) and math.isnan(o_s_return))
 
 
-@pytest.mark.parametrize("label, lift, entries, shift", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("label, lift, entries, shift", STACK_CASES, ids=[c[0] for c in STACK_CASES])
 def test_each_row_of_a_stack_matches_its_own_orbit_bit_for_bit(label, lift, entries, shift):
     x0 = starts(lift.dimension)
     shifts = shift + np.arange(len(x0), dtype=float)
@@ -172,3 +187,59 @@ def test_a_real_class_steps_with_float_entries():
     orbit = _PythonOrbit(x0, evaluator=lift.evaluator, avec=a.entries, shift=0.125)
     orbit.run_to(STEPS)
     assert orbit.s == reference_orbit(lift.evaluator, a.entries, 0.125, x0, STEPS)[1]
+
+
+def test_every_single_orbit_loop_is_the_kernel_chunk():
+    assert _kernels.lift_chunk.__code__ is _kernels._orbit_chunk_impl.__code__
+    assert _kernels.lift_chunk is not _kernels._orbit_chunk_impl
+
+
+def test_the_limits_step_single_orbits_of_t1_and_t2_through_the_chunk(monkeypatch):
+    """A built-in family runs `orbit_chunk`, any other lift `lift_chunk`,
+    and no single orbit of T^1 or T^2 takes the stack's step."""
+    calls = []
+
+    def counting(name):
+        chunk = getattr(_kernels, name)
+
+        def run(*args):
+            calls.append(name)
+            return chunk(*args)
+
+        return run
+
+    for name in ("orbit_chunk", "lift_chunk"):
+        monkeypatch.setattr(_kernels, name, counting(name))
+
+    def no_stack(self, steps):
+        raise AssertionError("a single orbit took the stack step")
+
+    monkeypatch.setattr(_PythonOrbit, "_advance_stack", no_stack)
+    composed = BundleAutomorphism(rigid_rotation([0.25]).compose(rigid_rotation([0.5])), 3)
+    a1, a2 = CohomologyClass((1,)), CohomologyClass((1, 0))
+    runs = [
+        ("orbit_chunk", lambda: local_translation_number(a1, BundleAutomorphism(arnold_circle(0.3, 0.5)), [0.1])),
+        ("lift_chunk", lambda: local_translation_number(a1, composed, [0.1])),
+        ("lift_chunk", lambda: dynamics.local_translation_numbers(a1, [composed], [[0.1]])),
+        ("lift_chunk", lambda: rho_power_average(a1, composed, [0.1], 50)),
+        ("lift_chunk", lambda: periodic_rot(a1, composed, [0.1], 4)),
+        # the isotopy route steps the time-1 map with its numpy evaluator
+        ("lift_chunk", lambda: homological_translation(a2, shear_isotopy(0.2), [0.1, 0.3], max_iterations=64)),
+    ]
+    for name, run in runs:
+        calls.clear()
+        run()
+        assert calls and set(calls) == {name}
+
+
+def test_a_single_orbit_of_t3_runs_as_a_one_row_stack():
+    a = CohomologyClass((1, 0, 2))
+    # a period-4 map: rho is the constant <a, v> + 1 = 0.25 + 2 * 0.75 + 1
+    g = BundleAutomorphism(torus_affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0.25, 0.5, 0.75]), 1)
+    x = [0.1, 0.2, 0.3]
+    orbit = dynamics._make_orbit(a, g, x)
+    assert orbit.x0.shape == (1, 3) and orbit.size == 1
+    average = rho_power_average(a, g, x, 8)
+    assert type(average) is float and average == 2.75
+    rational = periodic_rot(a, g, x, 4)
+    assert type(rational) is Fraction and rational == Fraction(11, 4)
