@@ -46,7 +46,10 @@ This script times
     error there against the limit (0.3 for the skew map, the weighted
     value at 2^18 steps for the Arnold map);
   - the command-line front end: in-process `cli.main` on a `seifert-class`
-    run, in milliseconds per call;
+    run, in milliseconds per call, and, over the seed-1 pass-0 jobs of
+    each perfbench deck, `config.config_from_text` of each job's config in
+    microseconds per job and `reports.render(report, "record")` of each
+    report those jobs make in microseconds per record;
   - `rot-local` sweeps, whose rows run as stacks, in rows per second, with
     the count of each verdict: 200 rigid rows, and 10,000 rows of
     arnold(omega, 0.9) at --max-iterations 4096;
@@ -55,13 +58,16 @@ This script times
     sweep's rows/s and verdict counts, and the cost of the test on a map it
     cannot settle, in ms per orbit alone and per row of a stack of all the
     sweep's unsettled rows.
-It imports the package from the checkout's src/ directory:
+It imports the package from the checkout's src/ directory, and the decks
+from its perfbench/jobs.py:
 
     python3 benchmarks/bench_kernels.py --steps 100000
 """
 
 import argparse
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -72,7 +78,9 @@ import time
 import tracemalloc
 from fractions import Fraction
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
 
@@ -94,7 +102,8 @@ from transnum import (  # noqa: E402
     splitting_check,
     translation_length_estimate,
 )
-from transnum import config, dynamics, families  # noqa: E402
+import jobs  # noqa: E402
+from transnum import config, dynamics, families, reports  # noqa: E402
 from transnum.dynamics import _PythonOrbit  # noqa: E402
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
@@ -223,6 +232,44 @@ def s_per_call(command, text, repeat, calls, extra=()):
         with open(out, encoding="utf-8") as fh:
             results = json.load(fh)["results"]
     return best, results
+
+
+def deck_front_end(workload, repeat, calls=20):
+    """(us per config read, us per record render), best of `repeat` rounds
+    of `calls` passes, over the seed-1 pass-0 jobs of a perfbench deck: the
+    config texts of its jobs, and the reports its jobs make (each job runs
+    once, in process, to make them)."""
+    deck = jobs.deck(workload, 1, 0)
+    texts = [job["config"] for job in deck if job["config"] is not None]
+    made = []
+    render = cli.render
+    cli.render = lambda report, fmt: (made.append(report), render(report, fmt))[1]
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            path = os.path.join(tmp, "job.ini")
+            for job in deck:
+                if job["config"] is not None:
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(job["config"])
+                try:
+                    cli.main([a.replace("{config}", path) for a in job["argv"]])
+                except SystemExit:  # argparse refuses bad argv this way
+                    pass
+    finally:
+        cli.render = render
+
+    def best(work, count):
+        cost = math.inf
+        for _ in range(repeat):
+            start = time.perf_counter()
+            for _ in range(calls):
+                work()
+            cost = min(cost, (time.perf_counter() - start) / calls)
+        return cost / count * 1e6
+
+    read = best(lambda: [config.config_from_text(text) for text in texts], len(texts))
+    write = best(lambda: [reports.render(report, "record") for report in made], len(made))
+    return read, write
 
 
 def sweep_row(text, n, extra, calls, repeat):
@@ -538,6 +585,13 @@ def main():
     print(f"command-line front end (in-process cli.main), best of {args.repeat}")
     cost = s_per_call("seifert-class", SEIFERT_TEXT, args.repeat, 20)[0] * 1e3
     print_table([("case", "ms/call"), ("seifert-class", f"{cost:.3f}")])
+    print()
+    print(f"config read and record render over each perfbench deck's seed-1 pass-0 jobs, best of {args.repeat}")
+    costs = {workload: deck_front_end(workload, args.repeat) for workload in jobs.WORKLOADS}
+    rows = [("case", *jobs.WORKLOADS, "unit")]
+    rows.append(("config read", *(f"{costs[w][0]:.1f}" for w in jobs.WORKLOADS), "us/job"))
+    rows.append(("record render", *(f"{costs[w][1]:.1f}" for w in jobs.WORKLOADS), "us/record"))
+    print_table(rows)
 
     print()
     print(f"rot-local sweeps (in-process cli.main), best of {args.repeat}")

@@ -20,11 +20,26 @@ The schema is deliberately small (see README for the full reference):
 Unknown sections, unknown keys and empty values are rejected outright rather
 than ignored: a typo that silently falls back to a default is worse than an
 error.
+
+The text is read line by line, split at newline characters only (a form
+feed or a Unicode line separator stays inside its line; `load_config` reads
+its file with universal newlines, so there `\r\n` and a lone `\r` end a
+line too):
+  - a line whose first non-blank character is `#` or `;` is a comment; a `#`
+    at the start of a line or after whitespace starts an inline comment
+    (`;` never does: it separates matrix rows and sample points in values);
+  - `[NAME]` opens a section; any text after the `]` other than an inline
+    comment is refused, and so are a second `[NAME]` with the same name,
+    keys under `[DEFAULT]` and any line before the first header;
+  - `key = value` splits at the first `=`; the key is stripped and
+    lower-cased, the value stripped, and a key given twice in a section or
+    a line with no `=` (or nothing before it) is refused;
+  - a line indented deeper than its key's line continues the value, joined
+    to it with a newline; a blank or comment line ends the value.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 from fractions import Fraction
@@ -90,23 +105,61 @@ class RunConfig:
         return {s: dict(self.sections[s]) for s in sorted(self.sections)}
 
 
-def _read(read, source: str, where: str) -> RunConfig:
-    """Parse with `read(parser)`, validate every section, key and nonempty
-    value once, and keep the content as plain dicts."""
-    # '#' only: ';' separates matrix rows and sample points inside values
-    parser = configparser.ConfigParser(
-        interpolation=None,
-        delimiters=("=",),
-        inline_comment_prefixes=("#",),
-        empty_lines_in_values=False,
-    )
-    try:
-        read(parser)
-    except configparser.Error as exc:
-        raise ValidationError(f"malformed config{where}: {exc}") from exc
-    if parser.defaults():
+def _sections(text: str, where: str) -> dict:
+    """`{section: {key: value}}` of INI text, read in one pass over its
+    lines by the grammar of the module docstring."""
+    sections, defaults = {}, {}
+    current = key = None  # the open section's keys; the key a continuation extends
+    indent = 0  # the indentation of that key's line
+
+    def refuse(number: int, why: str):
+        raise ValidationError(f"malformed config{where}: line {number}: {why}")
+
+    for number, line in enumerate(text.split("\n"), 1):
+        start = line.find("#")
+        while start > 0 and not line[start - 1].isspace():
+            start = line.find("#", start + 1)
+        value = (line if start < 0 else line[:start]).strip()
+        if not value or value[0] == ";":
+            key = None  # a blank or comment line ends a value
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            current[key] += "\n" + value
+            continue
+        indent = depth
+        end = value.rfind("]")
+        if value[0] == "[" and end > 1:
+            if end < len(value) - 1:
+                refuse(number, f"text after the section header: {value!r}")
+            name = value[1:end]
+            if name in sections:
+                refuse(number, f"duplicate section [{name}]")
+            if name == "DEFAULT":
+                current = defaults
+            else:
+                current = sections[name] = {}
+            key = None
+            continue
+        if current is None:
+            refuse(number, f"{value!r} comes before the first section header")
+        eq = value.find("=")
+        key = value[:eq].rstrip().lower()
+        if eq < 0 or not key:
+            refuse(number, f"expected 'key = value', got {value!r}")
+        if key in current:
+            refuse(number, f"duplicate key {key!r}")
+        current[key] = value[eq + 1 :].lstrip()
+    if defaults:
         raise ValidationError("[DEFAULT] is not supported; put keys in their own sections")
-    for section in parser.sections():
+    return sections
+
+
+def _read(text: str, source: str, where: str) -> RunConfig:
+    """Read the sections of `text`, validate every section, key and
+    nonempty value once, and keep the content as plain dicts."""
+    sections = _sections(text, where)
+    for section, keys in sections.items():
         base = _base_section(section)
         if base not in _SECTION_KEYS:
             raise ValidationError(f"unknown config section [{section}]")
@@ -115,27 +168,28 @@ def _read(read, source: str, where: str) -> RunConfig:
                 f"section [{section}] cannot be qualified; only map.* and affine.*"
             )
         allowed = _SECTION_KEYS[base]
-        for key, value in parser[section].items():
+        for key, value in keys.items():
             if key not in allowed:
                 raise ValidationError(
                     f"unknown key {key!r} in [{section}] "
                     f"(allowed: {', '.join(sorted(allowed))})"
                 )
-            if not value.strip():
+            if not value:
                 raise ValidationError(f"empty value for {key!r} in [{section}]")
-    return RunConfig({s: dict(parser[s]) for s in parser.sections()}, source)
+    return RunConfig(sections, source)
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read(lambda parser: parser.read_file(fh), path, f" {path}")
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    return _read(text, path, f" {path}")
 
 
 def config_from_text(text: str, source: str = "<inline>") -> RunConfig:
-    return _read(lambda parser: parser.read_string(text), source, "")
+    return _read(text, source, "")
 
 
 # -- scalar parsers ----------------------------------------------------------

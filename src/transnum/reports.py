@@ -15,7 +15,9 @@ import enum
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 import numpy as np
@@ -24,8 +26,18 @@ from . import __version__
 from .errors import ValidationError
 
 
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonable(value):
     """Coerce the numeric zoo (numpy scalars, fractions, arrays) to JSON."""
+    kind = type(value)  # exact types first: they are most of every report
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in value]
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, enum.Enum):
@@ -80,18 +92,73 @@ class Report:
         return {
             "command": self.command,
             "inputs": inputs,
-            "inputs_digest": digest_of(inputs),
+            "inputs_digest": _digest(inputs),
             "results": jsonable(self.results),
             "provenance": jsonable(self.provenance),
         }
 
     def to_record(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        out: list = []
+        _write_json(self.payload(), "\n", out)
+        out.append("\n")
+        return "".join(out)
 
 
 def digest_of(data) -> str:
-    blob = json.dumps(jsonable(data), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _digest(jsonable(data))
+
+
+def _digest(tree) -> str:
+    """sha256 of the compact sorted JSON of an already `jsonable` tree."""
+    blob = json.dumps(tree, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the text of `json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)` to `out`, for a `jsonable` tree (string keys only).
+    `newline` is the line break plus the indentation of `value`'s line.
+    The stdlib's C encoder is skipped whenever an indent is asked for."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write_json(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key in sorted(value):
+            out.append(inner)
+            out.append(_quote(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def make_report(command: str, inputs: dict, results: dict, seed) -> Report:

@@ -119,6 +119,7 @@ def fuzz_dir(tmp_path_factory):
          fmt="record")
 @example(command="rot-local", text="[class]\nentries = 1\n[map]\nfamily = rigid\nvector = 0.3\n[options]\nmax-iterations = 1\n",
          fmt="record")
+@example(command="rot-local", text="[class] trailing\nentries = 1\n[map]\nfamily = rigid\nvector = 0.3\n", fmt="record")
 def test_front_end_exits_are_0_2_3_or_4(fuzz_dir, command, text, fmt):
     try:
         config_from_text(text)

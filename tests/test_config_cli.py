@@ -400,6 +400,14 @@ def test_bad_config_exits_with_validation_code(tmp_path, capsys):
     assert "vectro" in capsys.readouterr().err
 
 
+def test_text_after_a_section_header_exits_2_naming_the_line(tmp_path, capsys):
+    path = write(tmp_path, "t.ini", ROT_TEXT.replace("[map]", "[map] trailing"))
+    assert cli.main(["rot-local", "--config", path]) == 2
+    assert "line 6: text after the section header: '[map] trailing'" in capsys.readouterr().err
+    commented = write(tmp_path, "c.ini", ROT_TEXT.replace("[map]", "[map]  # the rotation"))
+    assert cli.main(["rot-local", "--config", commented]) == 0
+
+
 EMPTY_CASES = sorted((s, k) for s, keys in tcfg._SECTION_KEYS.items() for k in keys)
 
 
