@@ -51,8 +51,9 @@ This script times
     microseconds per job and `reports.render(report, "record")` of each
     report those jobs make in microseconds per record;
   - `rot-local` sweeps, whose rows run as stacks, in rows per second, with
-    the count of each verdict: 200 rigid rows, and 10,000 rows of
-    arnold(omega, 0.9) at --max-iterations 4096;
+    the count of each verdict: 200 rigid rows over the map's vector, the
+    same 200 over the point, and 10,000 rows of arnold(omega, 0.9) at
+    --max-iterations 4096;
   - the period cap of the tongue test (`dynamics.LOCK_PERIODS`, set here
     for the run only): for caps 1, 8, 16 and 64, the 10,000-row Arnold
     sweep's rows/s and verdict counts, and the cost of the test on a map it
@@ -182,19 +183,21 @@ SEIFERT_TEXT = "[seifert]\ngenus = 1\npairs = (2,1) (3,1) (2,-1) (3,-1)\n"
 
 
 def _sweep_text(map_keys, parameter, rows):
-    """A circle map's rot-local sweep over `parameter` in [0, 1)."""
+    """A circle map's rot-local sweep over `parameter` (section.key) in [0, 1)."""
     return (
         f"[class]\nentries = 1\n[map]\n{map_keys}[point]\nx = 0.3\n[sweep]\ncommand = rot-local\n"
-        f"parameter = map.{parameter}\nvalues = linspace:0:1:{rows}\n"
+        f"parameter = {parameter}\nvalues = linspace:0:1:{rows}\n"
     )
 
 
+RIGID_KEYS = "family = rigid\nvector = 0.5\n"
 SWEEPS = [
     # (case, config, rows, extra flags, calls per timing)
-    ("200 rigid rows", _sweep_text("family = rigid\nvector = 0.5\n", "vector", 200), 200, [], 20),
+    ("200 rigid rows", _sweep_text(RIGID_KEYS, "map.vector", 200), 200, [], 20),
+    ("200 rigid rows over point.x", _sweep_text(RIGID_KEYS, "point.x", 200), 200, [], 20),
     (
         "10,000 arnold(omega, 0.9) rows, 4096 steps",
-        _sweep_text("family = arnold\nomega = 0\nk = 0.9\n", "omega", 10_000),
+        _sweep_text("family = arnold\nomega = 0\nk = 0.9\n", "map.omega", 10_000),
         10_000,
         ["--max-iterations", "4096"],
         1,

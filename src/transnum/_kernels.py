@@ -16,7 +16,11 @@ from it, and complex input gives the complex-step derivative.
 `orbit_chunk` runs it with the family step, compiled when numba is there;
 `lift_chunk` runs the same code object, always interpreted, with a step
 that calls any lift's numpy evaluator on the (n,) point: composed maps,
-inverses and the time-1 maps of isotopies.
+inverses and the time-1 maps of isotopies. The loop's orbit has returned
+at the first step whose reduced point is within the return tolerance of its
+start in the torus sup metric, where a coordinate distance d counts as
+min(d, 1 - d); it tests x0 first and x1 only when x0 is back. A NaN
+coordinate fails every comparison, so it is never a return.
 
 Built-in map families of dimension 1 and 2 are encoded as (code, params)
 pairs so the kernels stay monomorphic:
@@ -105,7 +109,12 @@ def _orbit_chunk_impl(code, params, avec, shift, point, home, start, count, s, f
     The increment per step is <a, g(x)-x> + shift, added to the running sum
     s. The first global step index (1-based) whose point lies within
     return_tol of `home` in the torus sup metric is kept as first_return
-    (-1 while there is none), and s at that step as s_return. The chunk's
+    (-1 while there is none), and s at that step as s_return: coordinate j
+    is back when its distance d_j = |x_j - home_j| has d_j <= return_tol or
+    d_j > 1/2 and 1 - d_j <= return_tol, tested for x1 only once x0 is
+    back. For finite points and return_tol >= 0 this is max_j min(d_j,
+    1 - d_j) <= return_tol, with the same float operations; a NaN
+    coordinate is never a return. The chunk's
     steps also form one block of the weighted Birkhoff average: step i
     weighs `block_weight(i, count)`, and `block` is sum w inc / sum w over
     the chunk (nan for an empty one). Returns (point, s, first_return,
@@ -131,20 +140,12 @@ def _orbit_chunk_impl(code, params, avec, shift, point, home, start, count, s, f
         if x1 >= 1.0:
             x1 = 0.0
         if first_return < 0:
-            d = 0.0
             d0 = abs(x0 - h0)
-            if d0 > 0.5:
-                d0 = 1.0 - d0
-            if d0 > d:
-                d = d0
-            d1 = abs(x1 - h1)
-            if d1 > 0.5:
-                d1 = 1.0 - d1
-            if d1 > d:
-                d = d1
-            if d <= return_tol:
-                first_return = start + i + 1
-                s_return = s
+            if d0 <= return_tol or (d0 > 0.5 and 1.0 - d0 <= return_tol):
+                d1 = abs(x1 - h1)
+                if d1 <= return_tol or (d1 > 0.5 and 1.0 - d1 <= return_tol):
+                    first_return = start + i + 1
+                    s_return = s
     block = ws / wsum if count > 0 else math.nan
     return (x0, x1), s, first_return, s_return, block
 

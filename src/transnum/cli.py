@@ -158,14 +158,10 @@ def _convergence_headline(rep) -> dict:
     )
 
 
-def _rot_local_inputs(cfg: RunConfig) -> tuple:
+def _cmd_rot_local(cfg: RunConfig, res: Resolved) -> Report:
     a = build_class(cfg)
     g = build_bundle_map(cfg, "map")
-    return a, g, build_point(cfg, a.dimension)
-
-
-def _cmd_rot_local(cfg: RunConfig, res: Resolved) -> Report:
-    a, g, x = _rot_local_inputs(cfg)
+    x = build_point(cfg, a.dimension)
     rep = local_translation_number(
         a, g, x, **_given(tolerance=res.tolerance, max_iterations=res.max_iterations)
     )
@@ -425,12 +421,26 @@ def _rot_local_headlines(configs, res: Resolved) -> list:
     Each row is built and checked in turn, so the first bad row is the one
     reported; the limits of the rows that share a class and options are
     then computed together by `local_translation_numbers`, from the checked
-    starts."""
+    starts. A row's options, class, map and point are built only when the
+    section each one reads differs from every earlier row's, so a section
+    the sweep leaves alone is built once."""
+    built = {}
+
+    def once(sub, section, build, *extra):
+        """build(), or what it gave for an earlier row whose `section` (and
+        `extra`) read the same; a build that raises stores nothing."""
+        key = (section, *extra, tuple(sub.sections.get(section, {}).items()))
+        if key not in built:
+            built[key] = build()
+        return built[key]
+
     batches = {}
     heads = []
     for sub in configs:
-        row_res = res.rebind(sub)
-        a, g, x = _rot_local_inputs(sub)
+        row_res = once(sub, "options", lambda: res.rebind(sub))
+        a = once(sub, "class", lambda: build_class(sub))
+        g = once(sub, "map", lambda: build_bundle_map(sub, "map"))
+        x = once(sub, "point", lambda: build_point(sub, a.dimension), a.dimension)
         start = _orbit_start(a, g, x)  # the checks of the orbit, in row order
         options = _given(tolerance=row_res.tolerance, max_iterations=row_res.max_iterations)
         rows, maps, points, starts = batches.setdefault((a, tuple(sorted(options.items()))), ([], [], [], []))

@@ -251,14 +251,18 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
         def ev_inv(y):
             # Newton's method on the forward map; its derivative is 1 + k cos(2 pi x).
             # The step is measured against max(1, |y|): float spacing near a
-            # large y is far above any absolute tolerance.
+            # large y is far above any absolute tolerance. Each point stops
+            # at its own convergence, so its image does not depend on the
+            # other points of the call.
             y = np.asarray(y)
             scale = np.maximum(1.0, np.abs(y))
             x = y - _o
+            live = np.ones(y.shape, dtype=bool)
             for _ in range(60):
                 step = (forward(x) - y) / (1.0 + _k * np.cos(TWO_PI * x))
-                x = x - step
-                if np.all(np.abs(step) < 1e-15 * scale):
+                x = np.where(live, x - step, x)
+                live &= ~(np.abs(step) < 1e-15 * scale)
+                if not live.any():
                     break
             return x
 

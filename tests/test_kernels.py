@@ -339,6 +339,16 @@ def test_arnold_inverse_round_trip_is_within_a_few_ulps(y):
     assert abs(f.evaluator(x)[0, 0] - y) <= 4 * np.spacing(max(1.0, abs(y)))
 
 
+def test_arnold_inverse_of_many_points_is_each_point_alone():
+    """Newton's method stops each point at its own convergence, so a point's
+    image does not depend on the points evaluated with it."""
+    inverse = arnold_circle(0.3, 0.9).invert()
+    ys = np.random.default_rng(24).uniform(-50.0, 50.0, size=(256, 1))
+    many = inverse.evaluate_many(ys)
+    alone = np.array([inverse.evaluate_many(y[None])[0] for y in ys])
+    assert np.array_equal(many, alone)
+
+
 def test_arnold_inverse_stops_well_before_its_cap(monkeypatch):
     # Newton's loop runs one forward step per iteration and is capped at 60
     calls = []

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from transnum import (
     BundleAutomorphism,
@@ -88,9 +89,6 @@ CASES = [
     ("tiny backward turn", rigid_rotation([-1e-20, 0.25]).compose(rigid_rotation([0.0, 0.0])), (1, 1), 0.0),
 ]
 STEPS = 301  # odd, so a point left at 1.0 by a missing fold still shows
-# Newton's method in the inverse's evaluator runs until every point of the
-# call has converged, so a row of a stack need not get its lone orbit's bits
-STACK_CASES = [case for case in CASES if case[0] != "inverse arnold"]
 
 
 def starts(dimension, count=6, seed=7):
@@ -119,7 +117,7 @@ def test_one_orbit_matches_the_per_point_loop_bit_for_bit(label, lift, entries, 
         assert o_s_return == s_return or (math.isnan(s_return) and math.isnan(o_s_return))
 
 
-@pytest.mark.parametrize("label, lift, entries, shift", STACK_CASES, ids=[c[0] for c in STACK_CASES])
+@pytest.mark.parametrize("label, lift, entries, shift", CASES, ids=[c[0] for c in CASES])
 def test_each_row_of_a_stack_matches_its_own_orbit_bit_for_bit(label, lift, entries, shift):
     x0 = starts(lift.dimension)
     shifts = shift + np.arange(len(x0), dtype=float)
@@ -192,6 +190,124 @@ def test_a_real_class_steps_with_float_entries():
 def test_every_single_orbit_loop_is_the_kernel_chunk():
     assert _kernels.lift_chunk.__code__ is _kernels._orbit_chunk_impl.__code__
     assert _kernels.lift_chunk is not _kernels._orbit_chunk_impl
+
+
+RETURN_TOLS = (0.0, 1e-10, 0.5, 0.75)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def max_distance_chunk(step, avec, shift, point, home, count, tol):
+    """(first_return, s_return) of `count` steps by the return rule the chunk
+    loop had before it tested one coordinate at a time: with d_j' = d_j if
+    d_j <= 1/2 else 1 - d_j, the orbit is back when max(0, d_0', d_1') <= tol.
+    The sums and the folds are the chunk's."""
+    (a0, a1), (x0, x1), (h0, h1) = avec, point, home
+    s, first, s_return = 0.0, -1, math.nan
+    for i in range(count):
+        y0, y1 = step(x0, x1)
+        s += shift + a0 * (y0 - x0) + a1 * (y1 - x1)
+        x0, x1 = y0 % 1.0, y1 % 1.0
+        x0, x1 = 0.0 if x0 >= 1.0 else x0, 0.0 if x1 >= 1.0 else x1
+        if first < 0:
+            d = 0.0
+            for gap in (abs(x0 - h0), abs(x1 - h1)):
+                gap = 1.0 - gap if gap > 0.5 else gap
+                d = max(d, gap)
+            if d <= tol:
+                first, s_return = i + 1, s
+    return first, s_return
+
+
+def same_return(got, want):
+    (first, s_return), (w_first, w_s_return) = got, want
+    return first == w_first and (s_return == w_s_return or math.isnan(s_return) and math.isnan(w_s_return))
+
+
+@st.composite
+def near_home(draw, home, tol):
+    """A coordinate in [0, 1) at home, anywhere, or a few ulps from where
+    its distance to home, or (across 0 = 1) one minus it, crosses tol."""
+    kind = draw(st.sampled_from(("home", "any", "edge")))
+    if kind == "home":
+        return home
+    if kind == "any":
+        return draw(st.floats(0.0, 1.0, exclude_max=True))
+    x = home + draw(st.sampled_from((tol, -tol, 1.0 - tol, tol - 1.0)))
+    for _ in range(draw(st.integers(0, 2))):
+        x = math.nextafter(x, draw(st.sampled_from((-math.inf, math.inf))))
+    return x if 0.0 <= x < 1.0 else home
+
+
+@st.composite
+def visits(draw):
+    """(dimension, home, tol, points): a walk through points of [0, 1)^2 near
+    a home; on the circle the second coordinate stays 0.0."""
+    dimension = draw(st.sampled_from((1, 2)))
+    tol = draw(st.sampled_from(RETURN_TOLS))
+    homes = st.sampled_from((0.0, 1e-11, 0.25, 0.5, 1.0 - 1e-11, BELOW_ONE)) | st.floats(0.0, 1.0, exclude_max=True)
+    home = (draw(homes), draw(homes) if dimension == 2 else 0.0)
+    points = draw(
+        st.lists(
+            st.tuples(near_home(home[0], tol), near_home(home[1], tol) if dimension == 2 else st.just(0.0)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return dimension, home, tol, points
+
+
+@given(visits())
+def test_the_chunk_return_rule_is_the_max_distance_rule(visit):
+    """One coordinate at a time gives the max-distance rule's first return
+    and its sum, bit for bit, distances at tol and one ulp past it, across
+    0 = 1 and on the circle included."""
+    dimension, home, tol, points = visit
+    walk = iter(points)
+    step = lambda x0, x1: next(walk)  # noqa: E731
+    want = max_distance_chunk(step, (1.0, -0.5), 0.25, home, home, len(points), tol)
+    walk = iter(points)
+    evaluator = lambda x: np.array(next(walk)[:dimension])  # noqa: E731
+    _, _, first, s_return, _ = _kernels.lift_chunk(
+        evaluator, dimension, (1.0, -0.5), 0.25, home, home, 0, len(points), 0.0, -1, math.nan, tol
+    )
+    assert same_return((first, s_return), want)
+
+
+@given(
+    st.sampled_from(RETURN_TOLS),
+    st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)),
+    st.lists(
+        st.sampled_from((0.0, 0.25, 0.5, 1.0 / 3.0, 1e-10, -1e-10, 0.75, GOLDEN)) | st.floats(-2.0, 2.0),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_the_family_kernel_return_rule_is_the_max_distance_rule(tol, home, vector):
+    """The same through `orbit_chunk` (compiled when numba is there), on
+    rigid maps of the circle and of T^2."""
+    if len(vector) == 1:
+        home = (home[0], 0.0)
+    v0, v1 = _kernels.pair(vector)
+    want = max_distance_chunk(lambda x0, x1: (x0 + v0, x1 + v1), (1.0, 2.0), 0.5, home, home, 40, tol)
+    _, _, first, s_return, _ = _kernels.orbit_chunk(
+        _kernels.RIGID, vector, (1.0, 2.0), 0.5, home, home, 0, 40, 0.0, -1, math.nan, tol
+    )
+    assert same_return((first, s_return), want)
+
+
+def test_a_nan_point_is_never_a_return():
+    """Not in the family kernel (x0 NaN while x1 is home again at step 2),
+    not in the loop of any other lift (a NaN image at step 1), and not in
+    the stack step."""
+    origin, tail = (0.0, 0.0), (0, 8, 0.0, -1, math.nan, RETURN_TOLERANCE)
+    _, _, first, _, _ = _kernels.orbit_chunk(_kernels.RIGID, (math.nan, 0.5), (1.0, 0.0), 0.0, origin, origin, *tail)
+    assert first == -1
+    to_nan = lambda x: np.full_like(x, math.nan)  # noqa: E731
+    _, _, first, _, _ = _kernels.lift_chunk(to_nan, 1, (1.0, 0.0), 0.0, origin, origin, *tail)
+    assert first == -1
+    stack = _PythonOrbit(np.zeros((3, 1)), evaluator=to_nan, avec=(1,), shift=0.0)
+    stack.run_to(8)
+    assert [first for _, first, _, _ in stack.rows()] == [-1, -1, -1]
 
 
 def test_the_limits_step_single_orbits_of_t1_and_t2_through_the_chunk(monkeypatch):

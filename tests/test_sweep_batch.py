@@ -1,6 +1,7 @@
 """`rot-local` sweeps run their rows as stacks; each row must equal a
 separate `rot-local` run of that row's config."""
 
+import collections
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from transnum import (
     skew_translation,
     torus_affine,
 )
-from transnum.config import config_from_text, parse_sweep
+from transnum.config import config_from_text, load_config, parse_sweep
 from transnum import dynamics
 from transnum.dynamics import STACK_MIN_ROWS, BundleAutomorphism
 
@@ -380,3 +381,30 @@ def test_the_first_bad_row_is_the_last_row_checked(tmp_path, capsys, monkeypatch
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.txt")]) == 4
     assert "non-integer 1/2" in capsys.readouterr().err
     assert len(calls) == 3
+
+
+
+@pytest.mark.parametrize("parameter, maps, points", [("map.vector", 200, 1), ("point.x", 1, 200)])
+def test_a_sweep_builds_each_section_it_leaves_alone_once(tmp_path, monkeypatch, parameter, maps, points):
+    """Options, class, map and point are built again only for a section the
+    sweep changes; `_resolve` is how a row's options are bound."""
+    calls = collections.Counter()
+
+    def counting(name):
+        build = getattr(cli, name)
+
+        def run(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return run
+
+    base = {"class": {"entries": "1"}, "map": {"family": "rigid", "vector": "0.5"}, "point": {"x": "0.3"}}
+    path = tmp_path / "sweep.ini"
+    path.write_text(ini({**base, "sweep": {"command": "rot-local", "parameter": parameter, "values": "linspace:0:1:200"}}))
+    cfg = load_config(str(path))
+    res = cli._resolve(cli._PARSER.parse_args(["sweep", "--config", str(path), "--max-iterations", "64"]), cfg)
+    for name in ("_resolve", "build_class", "build_bundle_map", "build_point"):
+        monkeypatch.setattr(cli, name, counting(name))
+    assert len(cli._cmd_sweep(cfg, res).results["rows"]) == 200
+    assert calls == {"_resolve": 1, "build_class": 1, "build_bundle_map": maps, "build_point": points}
