@@ -44,7 +44,8 @@ from .distortion import (
 )
 from .dynamics import (
     VERDICT_NOT_CONVERGED,
-    _orbit_start,
+    _cover_of,
+    _map_shift,
     local_translation_number,
     local_translation_numbers,
     mean_translation_number,
@@ -423,13 +424,18 @@ def _rot_local_headlines(configs, res: Resolved) -> list:
     then computed together by `local_translation_numbers`, from the checked
     starts. A row's options, class, map and point are built only when the
     section each one reads differs from every earlier row's, so a section
-    the sweep leaves alone is built once."""
+    the sweep leaves alone is built once; the checks of a class and a map
+    (`_map_shift`) run once per distinct pair of sections, and each row's
+    point gets its own cover."""
     built = {}
+
+    def items(sub, section):
+        return tuple(sub.sections.get(section, {}).items())
 
     def once(sub, section, build, *extra):
         """build(), or what it gave for an earlier row whose `section` (and
         `extra`) read the same; a build that raises stores nothing."""
-        key = (section, *extra, tuple(sub.sections.get(section, {}).items()))
+        key = (section, *extra, items(sub, section))
         if key not in built:
             built[key] = build()
         return built[key]
@@ -441,7 +447,8 @@ def _rot_local_headlines(configs, res: Resolved) -> list:
         a = once(sub, "class", lambda: build_class(sub))
         g = once(sub, "map", lambda: build_bundle_map(sub, "map"))
         x = once(sub, "point", lambda: build_point(sub, a.dimension), a.dimension)
-        start = _orbit_start(a, g, x)  # the checks of the orbit, in row order
+        shift = once(sub, "map", lambda: _map_shift(a, g), items(sub, "class"))
+        start = (shift, _cover_of(x, a.dimension))  # the checks of the orbit, in row order
         options = _given(tolerance=row_res.tolerance, max_iterations=row_res.max_iterations)
         rows, maps, points, starts = batches.setdefault((a, tuple(sorted(options.items()))), ([], [], [], []))
         rows.append(len(heads))

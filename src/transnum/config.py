@@ -472,6 +472,8 @@ def _expand_values(text: str, what: str) -> list:
         count = int(m.group(3))
         if count < 1:
             raise ValidationError(f"{what}: linspace needs at least one point")
+        if count > SWEEP_ROW_CAP:  # refused before any value is made
+            raise ValidationError(f"{what}: linspace of {count} points; the cap is {SWEEP_ROW_CAP} rows")
         return [repr(float(v)) for v in np.linspace(lo, hi, count)]
     values = _tokens(text)
     if not values:

@@ -216,17 +216,15 @@ def _cover_of(x, dimension: int) -> np.ndarray:
 
 def rho(a: CohomologyClass, g: BundleAutomorphism, x) -> float:
     """Fiber displacement <a, lift(x~) - x~> + shift at a single point."""
-    require_preserves_class(a, g.lift)
-    c = _checked_shift(a, g.fiber_shift)
-    cover = _cover_of(x, a.dimension)
+    c, cover = _orbit_start(a, g, x)
     return float(np.dot(a.vector, g.lift(cover) - cover)) + c
 
 
 def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> np.ndarray:
     """Vectorized rho over an (N, n) stack of base points."""
-    require_preserves_class(a, g.lift)
+    c = _map_shift(a, g)
     pts = np.asarray(points, dtype=float)
-    return _rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, _checked_shift(a, g.fiber_shift))
+    return _rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, c)
 
 
 def _rho_values(xs, ys, avec, shift: float):
@@ -251,21 +249,23 @@ def _rho_values(xs, ys, avec, shift: float):
 
 class _PythonOrbit:
     """Running rho-sums along one base orbit, or along a stack of B orbits,
-    in memory that does not grow with the number of steps.
+    in memory that does not grow with the number of steps: the only record
+    of the rows it steps, which `_translation_limits` reads.
 
     Keeps the reduced base point, the running sum, the first step index at
     which the orbit re-enters the RETURN_TOLERANCE ball around its start
     (-1 before that), and the running sum at that step: the only partial sum
-    the limit reads. One orbit on T^1 or T^2 runs `_kernels._orbit_chunk_impl`:
-    a `kernel` (code, params) runs it as `_kernels.orbit_chunk`, with the
-    built-in family step; any other `evaluator` runs it as
-    `_kernels.lift_chunk`, which calls the evaluator once per step on the
-    (n,) point. A stack of B orbits, a (B, n) array of starts, calls
-    `evaluator` once per step on the whole stack and keeps its sums, return
-    indices and return sums as (B,) arrays; its `shift` may be a (B,)
-    column. One orbit on T^n, n >= 3, runs as a one-row stack. Each step
-    adds shift + sum_j avec_j (y_j - x_j) in the kernel's order; `rows()`
-    reads every form the same way.
+    the limit reads. An orbit of a built-in family has a `kernel` (code,
+    params); one orbit on T^1 or T^2 runs `_kernels._orbit_chunk_impl`, as
+    `_kernels.orbit_chunk` with the kernel's family step, or, for any other
+    `evaluator`, as `_kernels.lift_chunk`, which calls the evaluator once
+    per step on the (n,) point. A stack of B orbits, a (B, n) array of
+    starts, calls its evaluator once per step on the whole stack and keeps
+    its sums, return indices and return sums as (B,) arrays; its `shift`
+    may be a (B,) column, and so may each parameter of its `kernel`, from
+    which the stack builds its `_StepEvaluator`. One orbit on T^n, n >= 3,
+    runs as a one-row stack. Each step adds shift + sum_j avec_j (y_j - x_j)
+    in the kernel's order; `rows()` reads every form the same way.
 
     Each `run_to` advances one block of steps, whose weighted Birkhoff
     average sum w inc / sum w, with w = `_kernels.block_weight`, is kept as
@@ -283,10 +283,10 @@ class _PythonOrbit:
         self.first_return = np.full(stack, -1) if stack else -1
         self.s_return = np.full(stack, math.nan) if stack else math.nan
         self.block = np.full(stack, math.nan) if stack else math.nan
-        self._kernel = kernel
-        self._evaluator = evaluator
+        self.kernel = kernel
+        self._evaluator = _StepEvaluator(*kernel) if kernel is not None and stack else evaluator
         self._avec = _kernels.pair(avec) if self.x0.ndim == 1 else [float(t) for t in avec]
-        self._shift = shift
+        self.shift = shift
 
     @property
     def size(self) -> int:
@@ -300,14 +300,18 @@ class _PythonOrbit:
         return list(zip(self.s.tolist(), self.first_return.tolist(), self.s_return.tolist(), self.block.tolist()))
 
     def keep(self, rows) -> None:
-        """Drop every orbit of a stack but `rows` (indices, in order); the
-        evaluator of a stack must offer `take(rows)` for its parameters."""
+        """Drop every orbit of a stack but `rows` (indices, in order), with
+        their kernel's parameter columns; a stack given only an evaluator
+        keeps it, its parameters shared by all rows."""
         rows = np.asarray(rows)
         self.x0, self.x, self.s = self.x0[rows], self.x[rows], self.s[rows]
         self.first_return, self.s_return, self.block = self.first_return[rows], self.s_return[rows], self.block[rows]
-        self._evaluator = self._evaluator.take(rows)
-        if isinstance(self._shift, np.ndarray):
-            self._shift = self._shift[rows]
+        if self.kernel is not None:
+            code, params = self.kernel
+            self.kernel = (code, [t[rows] if isinstance(t, np.ndarray) else t for t in params])
+            self._evaluator = _StepEvaluator(*self.kernel)
+        if isinstance(self.shift, np.ndarray):
+            self.shift = self.shift[rows]
 
     def run_to(self, n: int) -> None:
         if n > self.count:
@@ -315,12 +319,12 @@ class _PythonOrbit:
 
     def _advance(self, steps: int) -> None:
         if self.x.ndim == 1:
-            if self._kernel is None:
+            if self.kernel is None:
                 chunk, (code, params) = _kernels.lift_chunk, (self._evaluator, self.x0.size)
             else:
-                chunk, (code, params) = _kernels.orbit_chunk, self._kernel
+                chunk, (code, params) = _kernels.orbit_chunk, self.kernel
             point, self.s, self.first_return, self.s_return, self.block = chunk(
-                code, params, self._avec, self._shift, _kernels.pair(self.x), _kernels.pair(self.x0),
+                code, params, self._avec, self.shift, _kernels.pair(self.x), _kernels.pair(self.x0),
                 self.count, steps, self.s, self.first_return, self.s_return, RETURN_TOLERANCE,
             )
             self.x = np.array(point[: self.x0.size])
@@ -331,7 +335,7 @@ class _PythonOrbit:
     def _advance_stack(self, steps: int) -> None:
         """The generic step of a (B, n) stack: one evaluator call per step
         on the whole stack, whose sums and returns are (B,) arrays."""
-        evaluator, avec, shift, home = self._evaluator, self._avec, self._shift, self.x0
+        evaluator, avec, shift, home = self._evaluator, self._avec, self.shift, self.x0
         weight = _kernels.block_weight
         x, s, first, s_return = self.x, self.s, self.first_return, self.s_return
         searching = bool(np.any(first < 0))
@@ -359,13 +363,19 @@ class _PythonOrbit:
         self.block = ws / wsum
 
 
+def _map_shift(a: CohomologyClass, g: BundleAutomorphism) -> float:
+    """g's fiber shift as a float, after the checks that depend only on the
+    class and the map: g preserves the class and its shift lies in the
+    fiber group."""
+    require_preserves_class(a, g.lift)
+    return _checked_shift(a, g.fiber_shift)
+
+
 def _orbit_start(a: CohomologyClass, g: BundleAutomorphism, x0) -> tuple:
     """(fiber shift as a float, cover point) of the orbit of x0 under g,
-    after the checks every orbit needs: g preserves the class, its shift
-    lies in the fiber group and x0 lies on the class's torus."""
-    require_preserves_class(a, g.lift)
-    c = _checked_shift(a, g.fiber_shift)
-    return c, _cover_of(x0, a.dimension)
+    after the checks every orbit needs: `_map_shift`'s, and x0 lies on the
+    class's torus."""
+    return _map_shift(a, g), _cover_of(x0, a.dimension)
 
 
 def _kernel_family(lift: LiftedMap) -> Optional[tuple]:
@@ -380,36 +390,28 @@ def _kernel_family(lift: LiftedMap) -> Optional[tuple]:
 
 
 def _make_orbit(a: CohomologyClass, g: BundleAutomorphism, x0) -> _PythonOrbit:
-    orbit, _ = _group_orbit(a, [g], [_orbit_start(a, g, x0)])
-    return orbit
+    return _group_orbit(a, [g], [_orbit_start(a, g, x0)])
 
 
-def _group_orbit(a: CohomologyClass, maps: list, starts: list) -> tuple:
-    """(orbit, tongue prover) of a group of rows whose maps share one
-    `_kernel_family`, from their checked `_orbit_start`s. One row runs
-    alone: the kernel step for a built-in family in dimension 1 or 2, else
-    its lift's evaluator. More rows, of one such family, run as one stack:
-    one `np_step` call per step on their stacked parameters. The prover is
-    `_tongue_prover`'s for the rows' family, None for any other lift."""
+def _group_orbit(a: CohomologyClass, maps: list, starts: list) -> _PythonOrbit:
+    """The orbit of a group of rows whose maps share one `_kernel_family`,
+    from their checked `_orbit_start`s. One row runs alone: with its
+    lift's kernel for a built-in family in dimension 1 or 2, else with its
+    lift's evaluator. More rows, of one such family, run as one stack whose
+    kernel holds their stacked parameter columns: one `np_step` call per
+    step."""
     family = _kernel_family(maps[0].lift)
     if len(maps) == 1:
         (g,), ((c, cover),) = maps, starts
         if family is None:
-            return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c), None
-        code, params = g.lift.kernel_spec
-        return _PythonOrbit(cover, kernel=(code, params), avec=a.entries, shift=c), _tongue_prover(a, code, params, c)
+            return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c)
+        return _PythonOrbit(cover, kernel=g.lift.kernel_spec, avec=a.entries, shift=c)
     code, degree = family
     columns = list(np.array([g.lift.kernel_spec[1] for g in maps], dtype=float).T.copy())
     if degree is not None:
         columns[1] = degree  # np_step loops over one skew degree
     shifts = np.array([c for c, _ in starts])
-    orbit = _PythonOrbit(
-        np.stack([cover for _, cover in starts]),
-        evaluator=_StepEvaluator(code, columns),
-        avec=a.entries,
-        shift=shifts,
-    )
-    return orbit, _tongue_prover(a, code, columns, shifts)
+    return _PythonOrbit(np.stack([cover for _, cover in starts]), kernel=(code, columns), avec=a.entries, shift=shifts)
 
 
 @dataclass(frozen=True)
@@ -553,44 +555,52 @@ def _block_locks(turns, omega, k, y) -> list:
     return locks
 
 
-def _tongue_prover(a: CohomologyClass, code: int, params, shift) -> Optional[Callable]:
-    """The tongue test of the orbits of Arnold maps on an integer class:
-    a function from a list of orbit indices to, for each, (rational,
-    TongueProof) when `_grid_locks` proves the map's rotation number rho(F),
-    else None; the rational is a rho(F) + shift. `params` holds the
-    family's parameters and `shift` the fiber shift, each a float for one
-    orbit or a (B,) column for a stack. None for every other family or
-    class."""
-    if code != _kernels.CIRCLE_SINE or not a.is_integral():
-        return None
-    omega, k = (np.atleast_1d(np.asarray(t, dtype=float)) for t in params[:2])
-    shifts = np.broadcast_to(np.asarray(shift, dtype=float), omega.shape)
+def _tongue_locks(a: CohomologyClass, orbit: _PythonOrbit, positions: list) -> list:
+    """The tongue test of the orbits of Arnold maps on an integer class: for
+    each position of `orbit`'s current rows, (rational, TongueProof) when
+    `_grid_locks` proves the map's rotation number rho(F), else None; the
+    rational is a rho(F) + shift. The map's omega and k and the fiber shift
+    are read from the orbit's kernel and shift at those positions. None for
+    every row of any other family or class."""
+    if orbit.kernel is None or orbit.kernel[0] != _kernels.CIRCLE_SINE or not a.is_integral():
+        return [None] * len(positions)
+    omega, k, shift = (
+        np.broadcast_to(np.asarray(t, dtype=float), (orbit.size,))[positions]
+        for t in (*orbit.kernel[1][:2], orbit.shift)
+    )
     (entry,) = a.entries
-
-    def prove(rows):
-        locks = _grid_locks(omega[rows], k[rows])
-        return [
-            None if lock is None else (entry * lock.rotation + Fraction(float(shifts[r])), lock)
-            for r, lock in zip(rows, locks)
-        ]
-
-    return prove
+    return [
+        None if lock is None else (entry * lock.rotation + Fraction(float(c)), lock)
+        for c, lock in zip(shift, _grid_locks(omega, k))
+    ]
 
 
-def _translation_limits(
-    orbit: _PythonOrbit,
-    tolerance: float,
-    max_iterations: int,
-    integer_eligible: bool,
-    tongue: Optional[Callable] = None,
-) -> list:
+def _exact_report(verdict: str, rational: Fraction, iterations: int, s: float, q: int, s_q: float, tongue=None):
+    """The report of an exact verdict, exact-periodic or exact-locked, after
+    `iterations` steps whose running sum is s, on an orbit whose periodic
+    base is its first return (q, s_q) when q > 0."""
+    return ConvergenceReport(
+        value=float(rational),
+        error_bound=0.0,
+        iterations=iterations,
+        verdict=verdict,
+        rational=rational,
+        window=(float(rational), float(rational)),
+        periodic_base=(q, s_q) if q > 0 else None,
+        plain_average=s / iterations,
+        tongue=tongue,
+    )
+
+
+def _translation_limits(orbit: _PythonOrbit, a: CohomologyClass, tolerance: float, max_iterations: int) -> list:
     """Window-doubling limit with exact-return preemption, one report per
-    orbit of `orbit`.
+    orbit of `orbit`, read from the orbit's rows.
 
-    Checkpoints double (1, 2, 4, ...) up to max_iterations. At each
-    checkpoint a detected first return q is inspected once: if the fiber
-    displacement over the q-cycle is within INTEGER_FIBER_TOLERANCE of an
-    integer p (and the fiber group is Z), the limit is exactly p/q.
+    Checkpoints double (1, 2, 4, ...) up to max_iterations. An orbit whose
+    first return q has been detected (`_PythonOrbit.rows`) has the periodic
+    base (q, s_q), which never changes once set: if the fiber displacement
+    s_q over the q-cycle is within INTEGER_FIBER_TOLERANCE of an integer p
+    (and the fiber group of `a` is Z), the limit is exactly p/q.
     Otherwise the estimate at a checkpoint is the weighted Birkhoff average
     over the block of steps since the previous one (`_PythonOrbit.block`),
     which converges faster than any power of 1/n on quasi-periodic orbits
@@ -601,99 +611,63 @@ def _translation_limits(
     average rho_x(g^n)/n is reported alongside as `plain_average`. The
     doubling verdict is withheld until min(SCAN_HORIZON, max_iterations)
     steps have been scanned so short exact periods are not shadowed by an
-    early stable window. At that first checkpoint, every orbit that no
-    exact rule stopped, converged or not, is handed to `tongue`
-    (`_tongue_prover`), once: an orbit it proves stops there as
-    exact-locked. An orbit of a stack leaves it at the checkpoint where its
-    limit stops."""
+    early stable window. At the first checkpoint that reaches it, every
+    orbit that no exact rule stopped, converged or not, goes through
+    `_tongue_locks` once: an orbit it proves stops there as exact-locked.
+    An orbit of a stack leaves it at the checkpoint where its limit stops;
+    the only state kept here of a live orbit is its previous block
+    estimate."""
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
     horizon = min(SCAN_HORIZON, max_iterations)
+    integral = a.is_integral()
 
-    def verdict(n, s, q, s_q, est, state):
-        """The report at checkpoint n, whose block estimate is est, or None
-        while the orbit runs on; `state` is [previous estimate, periodic
-        base seen]."""
-        est_prev, periodic_seen = state
-        if q > 0 and periodic_seen is None:
-            p = _integer_cycle(s_q) if integer_eligible else None
-            if p is not None:
-                frac = Fraction(p, q)
-                return ConvergenceReport(
-                    value=float(frac),
-                    error_bound=0.0,
-                    iterations=q,
-                    verdict=VERDICT_EXACT_PERIODIC,
-                    rational=frac,
-                    window=(float(frac), float(frac)),
-                    periodic_base=(q, s_q),
-                    plain_average=s_q / q,
-                )
-            state[1] = periodic_seen = (q, s_q)
+    def report(n, s, q, s_q, est, est_prev):
+        """The report at checkpoint n of an orbit whose block estimates are
+        est and, before it, est_prev; None while the orbit runs on."""
+        p = _integer_cycle(s_q) if q > 0 and integral else None
+        if p is not None:
+            return _exact_report(VERDICT_EXACT_PERIODIC, Fraction(p, q), q, s_q, q, s_q)
         diff = None if est_prev is None else abs(est - est_prev)  # one block has no gap
-        if diff is not None and diff <= tolerance and n >= horizon:
-            return ConvergenceReport(
-                value=est,
-                error_bound=diff,
-                iterations=n,
-                verdict=VERDICT_CONVERGED,
-                window=(est_prev, est),
-                periodic_base=periodic_seen,
-                plain_average=s / n,
-            )
-        if n >= max_iterations:
-            return ConvergenceReport(
-                value=est,
-                error_bound=diff,
-                iterations=n,
-                verdict=VERDICT_NOT_CONVERGED,
-                window=(est_prev, est) if est_prev is not None else (est,),
-                periodic_base=periodic_seen,
-                plain_average=s / n,
-            )
-        state[0] = est
-        return None
-
-    def locked(n, s, rational, proof, state):
+        converged = diff is not None and diff <= tolerance and n >= horizon
+        if not converged and n < max_iterations:
+            return None
         return ConvergenceReport(
-            value=float(rational),
-            error_bound=0.0,
+            value=est,
+            error_bound=diff,
             iterations=n,
-            verdict=VERDICT_EXACT_LOCKED,
-            rational=rational,
-            window=(float(rational), float(rational)),
-            periodic_base=state[1],
+            verdict=VERDICT_CONVERGED if converged else VERDICT_NOT_CONVERGED,
+            window=(est,) if est_prev is None else (est_prev, est),
+            periodic_base=(q, s_q) if q > 0 else None,
             plain_average=s / n,
-            tongue=proof,
         )
 
-    states = [[None, None] for _ in range(orbit.size)]
     reports = [None] * orbit.size
-    live = list(range(orbit.size))
-    n = 1
+    live = list(range(orbit.size))  # the index in `reports` of each row of the orbit
+    previous = [None] * orbit.size  # each row's previous block estimate
+    last, n = 0, 1
     while True:
         orbit.run_to(n)
         rows = orbit.rows()
-        found = [verdict(n, *row_state, states[row]) for row, row_state in zip(live, rows)]
-        if tongue is not None and n >= horizon:
+        found = [report(n, *row, est_prev) for row, est_prev in zip(rows, previous)]
+        if last < horizon <= n:
             # an exact verdict takes precedence over a converged window
             open_rows = [k for k, rep in enumerate(found) if rep is None or rep.rational is None]
-            for k, proof in zip(open_rows, tongue([live[k] for k in open_rows])):
-                if proof is not None:
-                    found[k] = locked(n, rows[k][0], *proof, states[live[k]])
-            tongue = None  # tried once, at the first checkpoint past the horizon
-        stay = []
-        for k, (row, report) in enumerate(zip(live, found)):
-            if report is None:
-                stay.append(k)
-            else:
-                reports[row] = report
+            for k, lock in zip(open_rows, _tongue_locks(a, orbit, open_rows)):
+                if lock is not None:
+                    rational, proof = lock
+                    found[k] = _exact_report(VERDICT_EXACT_LOCKED, rational, n, *rows[k][:3], proof)
+        stay = [k for k, rep in enumerate(found) if rep is None]
+        for row, rep in zip(live, found):
+            if rep is not None:
+                reports[row] = rep
         if not stay:
             return reports
         if len(stay) < len(live):
             orbit.keep(stay)
             live = [live[k] for k in stay]
-        n = min(2 * n, max_iterations)
+        previous = [rows[k][3] for k in stay]
+        last, n = n, min(2 * n, max_iterations)
 
 
 def _default_tolerance(g: BundleAutomorphism) -> float:
@@ -768,9 +742,9 @@ def local_translation_numbers(
     for family, rows in groups.items():
         stacked = family is not None and len(rows) >= STACK_MIN_ROWS
         for group in [rows] if stacked else [[i] for i in rows]:
-            orbit, tongue = _group_orbit(a, [maps[i] for i in group], [starts[i] for i in group])
+            orbit = _group_orbit(a, [maps[i] for i in group], [starts[i] for i in group])
             tol = _default_tolerance(maps[group[0]]) if tolerance is None else tolerance
-            for i, report in zip(group, _translation_limits(orbit, tol, max_iterations, a.is_integral(), tongue)):
+            for i, report in zip(group, _translation_limits(orbit, a, tol, max_iterations)):
                 reports[i] = report
     return reports
 
@@ -1228,8 +1202,7 @@ def mean_translation_number(
     other lift with Lipschitz data, and None, an estimate, for a lift
     without. A push-forward residual above INVARIANCE_TOLERANCE sets the
     warning flag."""
-    require_preserves_class(a, g.lift)
-    shift = _checked_shift(a, g.fiber_shift)
+    shift = _map_shift(a, g)
     avec, n = a.vector, a.dimension
 
     def rho_of(xs, ys):
@@ -1324,10 +1297,9 @@ def perturbed_rho_power_average(
     definition and keeps float cancellation visible."""
     if n < 1:
         raise ValidationError("need n >= 1")
-    require_preserves_class(a, g.lift)
-    c = _checked_shift(a, g.fiber_shift)
+    c, cover = _orbit_start(a, g, x)
     avec = a.vector
-    cur = reduce_point(_cover_of(x, a.dimension))
+    cur = reduce_point(cover)
     s = 0.0
     b_cur = pert.value(cur)
     for _ in range(n):

@@ -137,8 +137,7 @@ class _StepEvaluator:
     coordinate columns of a (..., n) stack, real or complex.
 
     A parameter is a float, or a (B,) column giving row i of a (B, n) stack
-    its own value (the skew degree stays one float); `take(rows)` keeps the
-    columns of those rows."""
+    its own value (the skew degree stays one float)."""
 
     __slots__ = ("code", "params")
 
@@ -164,11 +163,6 @@ class _StepEvaluator:
         torus = len(cols) > 1  # on the circle the step's second entry is 0.0
         y0, y1 = _kernels.np_step(self.code, self.params, cols[0], cols[1] if torus else 0.0)
         return (y0, y1) if torus else (y0,)
-
-    def take(self, rows) -> "_StepEvaluator":
-        return _StepEvaluator(
-            self.code, [t[rows] if isinstance(t, np.ndarray) else t for t in self.params]
-        )
 
 
 @functools.lru_cache(maxsize=8)

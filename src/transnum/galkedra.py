@@ -43,6 +43,7 @@ import numpy as np
 
 from .dynamics import (
     INVARIANCE_TOLERANCE,
+    POINT_CAP,
     BundleAutomorphism,
     InvariantMeasure,
     _add_shifts,
@@ -136,8 +137,8 @@ def gal_kedra_quadrature(
     accurate to rounding, and exact for linear maps because h is a power of
     two. g's evaluator must therefore accept complex points; one that
     returns real values would give a silent zero derivative and is refused."""
-    if segments < 1:
-        raise ValidationError("need at least one segment")
+    if not 1 <= segments <= POINT_CAP:
+        raise ValidationError(f"need from 1 to {POINT_CAP} segments, got {segments}")
     require_preserves_class(a, g)
     require_preserves_class(a, h)
     xt = _cover_of(x, a.dimension)

@@ -136,7 +136,7 @@ def homological_translation(
     require_preserves_class(a, iso.terminal)
     x = _cover_of(x, a.dimension)
     orbit = _PythonOrbit(x, evaluator=iso.terminal.evaluator, avec=a.entries)
-    (report,) = _translation_limits(orbit, tolerance, max_iterations, a.is_integral())
+    (report,) = _translation_limits(orbit, a, tolerance, max_iterations)
     return report
 
 

@@ -81,6 +81,10 @@ def value_entry(value, *, error_bound=None, exact: bool = False, **extra) -> dic
 
 @dataclasses.dataclass
 class Report:
+    """A run's report. Its `results` hold plain JSON as built (`value_entry`
+    coerces each number), so no rendering walks them again; `inputs` and
+    `provenance` are coerced by `jsonable` in the payload."""
+
     command: str
     inputs: dict
     results: dict
@@ -93,7 +97,7 @@ class Report:
             "command": self.command,
             "inputs": inputs,
             "inputs_digest": _digest(inputs),
-            "results": jsonable(self.results),
+            "results": self.results,
             "provenance": jsonable(self.provenance),
         }
 
@@ -197,7 +201,7 @@ def _cell(value) -> str:
 def render_table(report: Report) -> str:
     """Aligned key/value lines; sweeps render their rows as a real table."""
     lines = [f"transnum {report.command}"]
-    results = jsonable(report.results)
+    results = report.results
     if "rows" in results and "columns" in results:
         cols = results["columns"]
         cells = [[_cell(v) for v in row] for row in results["rows"]]
@@ -226,7 +230,7 @@ def render_csv(report: Report) -> str:
     """Sweeps: fixed documented column order. Other commands: key,value rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    results = jsonable(report.results)
+    results = report.results
     if "rows" in results and "columns" in results:
         writer.writerow(results["columns"])
         for row in results["rows"]:

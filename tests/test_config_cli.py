@@ -598,6 +598,24 @@ def test_sweep_values_past_2_52_exit_2(tmp_path, values):
     assert cli.main(["sweep", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("count", [tcfg.SWEEP_ROW_CAP + 1, 10**12])
+def test_an_oversized_linspace_exits_2_before_making_its_values(tmp_path, capsys, monkeypatch, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linspace values were made")
+
+    monkeypatch.setattr(tcfg.np, "linspace", refuse)
+    text = TRANSLATION_MAPS["arnold omega"].format(v="0.3")
+    path = write(tmp_path, "s.ini", text + f"[sweep]\ncommand = rot-local\nparameter = map.omega\nvalues = linspace:0:1:{count}\n")
+    assert cli.main(["sweep", "--config", path]) == 2
+    assert str(tcfg.SWEEP_ROW_CAP) in capsys.readouterr().err
+
+
+def test_gk_eval_segments_above_the_point_cap_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "g.ini", GK_TEXT)
+    assert cli.main(["gk-eval", "--config", path, "--grid", str(10**12)]) == 2
+    assert str(dynamics.POINT_CAP) in capsys.readouterr().err
+
+
 def test_not_converged_headline_exits_3(tmp_path):
     # rot = 0.2759 lies between the Farey neighbours 1/4 and 2/7, so no
     # period below 11 can prove it locked, and 100 steps settle no window

@@ -113,6 +113,8 @@ def test_quadrature_refuses_a_real_only_evaluator():
 def test_quadrature_validates_segments():
     with pytest.raises(ValidationError):
         gal_kedra_quadrature(A10, SHEAR, QUARTER_TURN, [0.0, 0.0], segments=0)
+    with pytest.raises(ValidationError, match=str(dynamics.POINT_CAP)):
+        gal_kedra_quadrature(A10, SHEAR, QUARTER_TURN, [0.0, 0.0], segments=10**12)
 
 
 def test_value_does_not_depend_on_the_chosen_lifts():

@@ -58,3 +58,55 @@ def test_every_probe_installs_and_every_kind_of_job_runs_traced(tmp_path, monkey
     assert {"cli.main", "dynamics.measure_mean"} <= {span[0] for span in tracer.spans}
     assert not hasattr(cli.main, "__wrapped__")  # uninstalled
 
+
+
+GK_SWEEP = """[class]
+entries = 1 0
+[map]
+family = sinshear
+epsilon = 0.1
+[map.h]
+family = rigid
+vector = 0 0.25
+[point]
+x = 0 0
+[sweep]
+command = gk-eval
+parameter = map.epsilon
+values = linspace:0:0.2:3
+"""
+
+
+def _plain(tree):
+    """Whether tree is made only of exact dict (str keys), list, str, int,
+    float, bool and None."""
+    kind = type(tree)
+    if kind is dict:
+        return all(type(key) is str and _plain(value) for key, value in tree.items())
+    if kind is list:
+        return all(_plain(value) for value in tree)
+    return kind in (str, int, float, bool, type(None))
+
+
+def test_every_command_builds_its_results_as_plain_json(tmp_path, monkeypatch):
+    """No rendering walks a report's results again (`reports.Report`), so
+    every command must build them from exact JSON types: the first job of
+    each kind of the three decks, and a sweep of a command other than
+    rot-local."""
+    jobs = _load("jobs")
+    monkeypatch.chdir(tmp_path)
+    built = []
+    make = cli.make_report
+
+    def recording(command, inputs, results, seed):
+        built.append((command, results))
+        return make(command, inputs, results, seed)
+
+    monkeypatch.setattr(cli, "make_report", recording)
+    for job in _first_of_each_kind(jobs).values():
+        _run(job)
+    Path(CONFIG).write_text(GK_SWEEP, encoding="utf-8")
+    assert cli.main(["sweep", "--config", CONFIG, "--format", "table", "--out", "sweep.txt"]) == 0
+    assert {command for command, _ in built} == set(cli._HANDLERS)
+    assert built[-1][1]["swept_command"] == "gk-eval"
+    assert [command for command, results in built if not _plain(results)] == []

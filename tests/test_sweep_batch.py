@@ -342,17 +342,18 @@ def test_locked_and_unlocked_arnold_rows_stack_as_they_run_alone(monkeypatch):
 
 @pytest.mark.parametrize("threshold", [1, STACK_MIN_ROWS])
 def test_a_sweep_checks_each_row_once(tmp_path, monkeypatch, threshold):
-    """One `_orbit_start` per row, whether the rows run stacked or alone."""
+    """One class-and-map check (`_map_shift`) per row whose map differs,
+    whether the rows run stacked or alone."""
     monkeypatch.setattr(dynamics, "STACK_MIN_ROWS", threshold)
     calls = []
-    check = dynamics._orbit_start
+    check = dynamics._map_shift
 
-    def counting(a, g, x0):
-        calls.append(x0)
-        return check(a, g, x0)
+    def counting(a, g):
+        calls.append(g)
+        return check(a, g)
 
-    monkeypatch.setattr(dynamics, "_orbit_start", counting)
-    monkeypatch.setattr(cli, "_orbit_start", counting)
+    monkeypatch.setattr(dynamics, "_map_shift", counting)
+    monkeypatch.setattr(cli, "_map_shift", counting)
     base = {"class": {"entries": "1"}, "map": {"family": "arnold", "omega": "0.3", "k": "0.9"}, "point": {"x": "0"}}
     path = tmp_path / "sweep.ini"
     path.write_text(ini({**base, "sweep": {"command": "rot-local", "parameter": "map.omega", "values": "linspace:0:1:6"}}))
@@ -362,14 +363,14 @@ def test_a_sweep_checks_each_row_once(tmp_path, monkeypatch, threshold):
 
 def test_the_first_bad_row_is_the_last_row_checked(tmp_path, capsys, monkeypatch):
     calls = []
-    check = dynamics._orbit_start
+    check = dynamics._map_shift
 
-    def counting(a, g, x0):
+    def counting(a, g):
         calls.append(g.fiber_shift)
-        return check(a, g, x0)
+        return check(a, g)
 
-    monkeypatch.setattr(dynamics, "_orbit_start", counting)
-    monkeypatch.setattr(cli, "_orbit_start", counting)
+    monkeypatch.setattr(dynamics, "_map_shift", counting)
+    monkeypatch.setattr(cli, "_map_shift", counting)
     base = {
         "class": {"entries": "1"},
         "map": {"family": "affine", "matrix": "1", "vector": "0.3"},
@@ -387,7 +388,8 @@ def test_the_first_bad_row_is_the_last_row_checked(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("parameter, maps, points", [("map.vector", 200, 1), ("point.x", 1, 200)])
 def test_a_sweep_builds_each_section_it_leaves_alone_once(tmp_path, monkeypatch, parameter, maps, points):
     """Options, class, map and point are built again only for a section the
-    sweep changes; `_resolve` is how a row's options are bound."""
+    sweep changes, and a class and map are checked again (`_map_shift`) only
+    when one of them changes; `_resolve` is how a row's options are bound."""
     calls = collections.Counter()
 
     def counting(name):
@@ -404,7 +406,7 @@ def test_a_sweep_builds_each_section_it_leaves_alone_once(tmp_path, monkeypatch,
     path.write_text(ini({**base, "sweep": {"command": "rot-local", "parameter": parameter, "values": "linspace:0:1:200"}}))
     cfg = load_config(str(path))
     res = cli._resolve(cli._PARSER.parse_args(["sweep", "--config", str(path), "--max-iterations", "64"]), cfg)
-    for name in ("_resolve", "build_class", "build_bundle_map", "build_point"):
+    for name in ("_resolve", "build_class", "build_bundle_map", "build_point", "_map_shift"):
         monkeypatch.setattr(cli, name, counting(name))
     assert len(cli._cmd_sweep(cfg, res).results["rows"]) == 200
-    assert calls == {"_resolve": 1, "build_class": 1, "build_bundle_map": maps, "build_point": points}
+    assert calls == {"_resolve": 1, "build_class": 1, "build_bundle_map": maps, "build_point": points, "_map_shift": maps}

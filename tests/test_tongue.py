@@ -167,6 +167,55 @@ def test_the_tongue_test_runs_at_a_cap_below_the_horizon():
     assert rep.verdict == VERDICT_EXACT_LOCKED and rep.iterations == 5
 
 
+def test_the_tongue_test_runs_once_when_the_cap_is_past_the_horizon(tmp_path, monkeypatch):
+    """With --max-iterations 20 the checkpoints are 1, 2, 4, 8, 16 and 20;
+    only 16, the first to reach the horizon, runs the tongue test."""
+    calls = []
+    locks = dynamics._grid_locks
+
+    def counting(omega, k):
+        calls.append(len(omega))
+        return locks(omega, k)
+
+    monkeypatch.setattr(dynamics, "_grid_locks", counting)
+    path = tmp_path / "slow.ini"
+    path.write_text("[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0.3\nk = 0.9\n[point]\nx = 0.2\n")
+    out = tmp_path / "out.json"
+    argv = ["rot-local", "--config", str(path), "--tolerance", "1e-12", "--max-iterations", "20"]
+    assert cli.main(argv + ["--format", "record", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["results"]["rot"]["iterations"] == 20
+    assert calls == [1]
+
+
+def test_a_stack_whose_rows_leave_early_gets_each_rows_lone_report():
+    """The tongue test reads each open row's omega, k and shift at its
+    current position in the stack: every fourth row (k = 0, omega in 1/4,
+    1/2 and 1/8) returns and leaves before the horizon, and the rows after
+    it move up. Other rows lie in tongues or are random."""
+    rng = np.random.default_rng(25)
+    a = CohomologyClass([-2])
+    rows = 2 * dynamics.STACK_MIN_ROWS
+    params = []
+    for i in range(rows):
+        if i % 4 == 0:
+            params.append(((0.25, 0.5, 0.125)[i // 4 % 3], 0.0))
+        elif i % 4 == 1:
+            params.append(((0.05, 0.5, 2.05, -0.98)[i // 4 % 4], 0.9))
+        else:
+            params.append((rng.uniform(-1.5, 1.5), rng.uniform(-0.95, 0.95)))
+    maps = [BundleAutomorphism(arnold_circle(o, k), int(rng.integers(-2, 3))) for o, k in params]
+    points = [[x] for x in rng.uniform(0.0, 1.0, rows)]
+    stacked = local_translation_numbers(a, maps, points, max_iterations=256)
+    fields = ("verdict", "rational", "tongue", "iterations", "periodic_base")
+    for i, (g, x, rep) in enumerate(zip(maps, points, stacked)):
+        lone = local_translation_number(a, g, x, max_iterations=256)
+        assert [getattr(rep, f) for f in fields] == [getattr(lone, f) for f in fields], i
+        if i % 4 == 0:
+            assert rep.verdict == "exact-periodic" and rep.iterations < dynamics.SCAN_HORIZON
+        elif i % 4 == 1:
+            assert rep.verdict == VERDICT_EXACT_LOCKED
+
+
 def test_the_record_names_the_period_and_the_grid(tmp_path):
     path = tmp_path / "locked.ini"
     path.write_text("[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0.5\nk = 0.9\nshift = 1\n[point]\nx = 0.1\n")
