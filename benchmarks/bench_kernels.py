@@ -24,9 +24,12 @@ This script times
     two T^2 generators against Lebesgue measure at m = 64 per axis in
     milliseconds per pair (its two invariance checks included);
   - the grid scans of each family, at 1024^2 points of T^2 (2048 points of
-    the circle for the Arnold family): a Lebesgue mean (one
-    midpoint grid, no push-forward check) and a certified seminorm, each in
-    milliseconds per call and in the tracemalloc peak of one call;
+    the circle for the Arnold family): a Lebesgue mean (one midpoint grid,
+    no push-forward check) and a certified seminorm, each in milliseconds
+    per call and in the tracemalloc peak of one call, by the grid routes
+    (`dynamics._walked_mean`, `distortion._grid_seminorm`), which the
+    benchmark decks no longer run on a built-in family, and next to them by
+    the coefficient routes that `rot-mean` and `seminorm` take;
   - the word-norm BFS of `translation_length_estimate` (one ball, then the
     powers looked up in it) on rational affine generating sets in dimensions
     1, 2 and 3, in microseconds per ball element;
@@ -105,7 +108,8 @@ from transnum import (  # noqa: E402
 )
 import jobs  # noqa: E402
 from transnum import config, dynamics, families, reports  # noqa: E402
-from transnum.dynamics import _PythonOrbit  # noqa: E402
+from transnum.distortion import _grid_seminorm  # noqa: E402
+from transnum.dynamics import _PythonOrbit, _walked_mean  # noqa: E402
 from transnum.families import (  # noqa: E402
     TrigPolynomial,
     arnold_circle,
@@ -535,16 +539,19 @@ def main():
     print()
     print(f"grid scans (Lebesgue mean, certified seminorm), best of {args.repeat}; peak of one call under tracemalloc")
     mu = InvariantMeasure.lebesgue()
-    rows = [("case", "grid", "mean ms/call", "mean peak MiB", "seminorm ms/call", "seminorm peak MiB")]
+    rows = [("case", "route", "grid", "mean ms/call", "mean peak MiB", "seminorm ms/call", "seminorm peak MiB")]
     for label, lift, avec in CASES:
         a, g = CohomologyClass([int(e) for e in avec[: lift.dimension]]), BundleAutomorphism(lift)
         m = GRID_SIDES[lift.dimension]
-        mean = grid_scan_costs(
-            lambda: mean_translation_number(a, g, mu, m, check_invariance=False), args.repeat
-        )
-        sup = grid_scan_costs(lambda: seminorm(a, g, m, "certified"), args.repeat)
         grid = f"{m}^{lift.dimension}" if lift.dimension > 1 else str(m)
-        rows.append((label, grid, *(f"{v:.1f}" for v in mean + sup)))
+        routes = (
+            ("grid", _walked_mean, _grid_seminorm),
+            ("coefficients", mean_translation_number, seminorm),
+        )
+        for route, mean_of, sup_of in routes:
+            mean = grid_scan_costs(lambda: mean_of(a, g, mu, m, check_invariance=False), args.repeat)
+            sup = grid_scan_costs(lambda: sup_of(a, g, m, "certified"), args.repeat)
+            rows.append((label, route, grid, *(f"{v:.3f}" for v in mean + sup)))
     print_table(rows)
 
     print()

@@ -175,14 +175,19 @@ def _cmd_rot_mean(cfg: RunConfig, res: Resolved) -> Report:
     g = build_bundle_map(cfg, "map")
     mu = build_measure(cfg)
     rep = mean_translation_number(a, g, mu, **_given(quadrature_points=res.grid))
+    exact = rep.rational is not None
+    error_bound = None if exact else rep.error_bound
+    measure = {
+        "kind": rep.measure_kind,
+        "invariance_residual": rep.invariance_residual,
+        "invariance_warning": rep.invariance_warning,
+    }
+    if rep.invariance_source is not None:
+        measure["invariance_source"] = rep.invariance_source
     results = {
-        "mean": value_entry(rep.value, error_bound=rep.error_bound),
-        "measure": {
-            "kind": rep.measure_kind,
-            "invariance_residual": rep.invariance_residual,
-            "invariance_warning": rep.invariance_warning,
-        },
-        "headline": _headline(rep.value, error_bound=rep.error_bound),
+        "mean": value_entry(rep.value, error_bound=error_bound, exact=exact, rational=rep.rational),
+        "measure": measure,
+        "headline": _headline(rep.value, error_bound=error_bound, exact=exact),
     }
     return make_report("rot-mean", cfg.echo(), results, res.seed)
 
@@ -301,9 +306,11 @@ def _cmd_seminorm(cfg: RunConfig, res: Resolved) -> Report:
     elif mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError("[seminorm] mode must be auto, estimate or certified")
     rep = seminorm(a, g, mode=mode, **_given(grid_resolution=res.grid))
+    # the way up to the certified side; None in estimate mode: no upper bound claimed
+    gap = None if rep.certified_upper is None else rep.certified_upper - rep.estimate
     entry = value_entry(
         rep.estimate,
-        error_bound=rep.cell_term,  # None in estimate mode: no upper bound claimed
+        error_bound=gap,
         mode=rep.mode,
         grid_resolution=rep.grid_resolution,
         upper_bound=rep.certified_upper,
@@ -311,7 +318,7 @@ def _cmd_seminorm(cfg: RunConfig, res: Resolved) -> Report:
     )
     results = {
         "seminorm": entry,
-        "headline": _headline(rep.estimate, error_bound=rep.cell_term),
+        "headline": _headline(rep.estimate, error_bound=gap),
     }
     return make_report("seminorm", cfg.echo(), results, res.seed)
 

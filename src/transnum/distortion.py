@@ -1,8 +1,16 @@
 """Seminorms from the displacement cocycle and undistortion certificates.
 
-The seminorm of a bundle automorphism is sup_x |rho(x)|. A grid maximum is
-always a lower bound (Estimate mode); Certified mode adds a per-cell
-increment bound so the result is a true upper bound:
+The seminorm of a bundle automorphism is sup_x |rho(x)|. A maximum over a
+corner grid is a lower bound (Estimate mode); Certified mode adds a true
+upper bound. The rho of a built-in map is a trigonometric polynomial in
+one coordinate, so its seminorm is read from its coefficients
+(`_coefficient_seminorm`): the estimate scans the m corner points of that
+axis, and the upper bound is the exact constant at degree 0, the crest
+|c_0| + hypot(a_1, b_1) at degree 1, and the scan's maximum over
+cos(pi d / m) at degree d > 1 once m > 2d (Bernstein-Szego), with a cell
+term only below that, each rounded outward. Any other lift scans the m^n
+corner grid (`_grid_seminorm`), and its upper bound adds a per-cell
+increment bound:
 
     sup |rho| <= max_grid |rho| + |a|_1 * L * (cell diameter) / 2,
 
@@ -10,7 +18,7 @@ where L is a Lipschitz constant for the displacement field g - id when the
 lift carries one, else (1 + Lip(g)) as a fallback. On the torus every point
 lies within half a cell diagonal of a corner-grid node, which is what makes
 the /2 radius valid; corner grids also nest under doubling, so Estimate
-mode is monotone under refinement.
+mode is monotone under refinement on both routes.
 
 The certificate combines a translation-number lower bound with seminorm
 upper bounds over a finite symmetric generating set S: subadditivity along
@@ -49,18 +57,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import RIGID, TWO_PI
 from .dynamics import (
+    GRID_BLOCK,
+    SIN_ULPS,
+    UNIT_ROUNDOFF,
     VERDICT_EXACT_LOCKED,
     VERDICT_EXACT_PERIODIC,
     BundleAutomorphism,
     ConvergenceReport,
     _checked_shift,
+    _displacement_coefficients,
     _displacement_lipschitz,
     _grid_columns,
     _power,
     _require_grid,
     _rho_values,
+    _rounding_scale,
     local_translation_number,
 )
 from .errors import (
@@ -98,6 +111,10 @@ BFS_CAP = 200_000
 
 @dataclass(frozen=True)
 class SeminormReport:
+    """estimate is a maximum of |rho| over corner points; in certified mode
+    certified_upper bounds sup |rho|, and cell_term is the Lipschitz cell
+    term it includes (0.0 where none is needed)."""
+
     estimate: float
     certified_upper: Optional[float]
     cell_term: Optional[float]
@@ -112,36 +129,143 @@ def seminorm(
     grid_resolution: int = GRID_RESOLUTION,
     mode: str = MODE_ESTIMATE,
 ) -> SeminormReport:
-    """sup_x |rho(x)| by grid scan; certified mode adds the cell bound.
+    """sup_x |rho(x)|: from the coefficients of a lift with a kernel spec
+    (`_coefficient_seminorm`), by a scan of the m^n corner grid for any
+    other lift (`_grid_seminorm`). Both check the grid of m =
+    grid_resolution points per axis, m >= 1 and m^n <= POINT_CAP."""
+    if g.lift.kernel_spec is None:
+        return _grid_seminorm(a, g, grid_resolution, mode)
+    m, shift = _seminorm_inputs(a, g, grid_resolution, mode)
+    return _coefficient_seminorm(a, g, m, mode, shift)
 
-    The numpy scan runs over the corner grid in blocks of at most
-    GRID_BLOCK points, read as `dynamics._grid_columns` gives them: a
-    built-in family's rho is computed from the block's axis columns and
-    their images, so no point or image stack is built. It keeps only each
-    block's max |rho|, so it holds O(GRID_BLOCK) values at a time whatever
-    the resolution."""
+
+def _seminorm_inputs(a: CohomologyClass, g: BundleAutomorphism, grid_resolution, mode: str) -> tuple:
+    """(m, fiber shift as a float) after the checks of every seminorm
+    route: the mode, g preserves a, the grid and the shift."""
     if mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError(f"mode must be {MODE_ESTIMATE!r} or {MODE_CERTIFIED!r}")
     require_preserves_class(a, g.lift)
-    n = a.dimension
     m = int(grid_resolution)
-    _require_grid(n, m)
-    shift, avec = _checked_shift(a, g.fiber_shift), a.vector
-    spec = g.lift.kernel_spec
-    if spec is not None and _kernels.JIT_ENABLED and n <= 2:
-        est = float(_kernels.grid_sup_abs_rho(spec[0], spec[1], avec, shift, m, n))
-    else:
-        blocks = _grid_columns(g.lift, n, m, 0.0)
-        maxima = [np.max(np.abs(_rho_values(xs, ys, avec, shift))) for xs, ys in blocks]
-        est = float(np.max(maxima))
+    _require_grid(a.dimension, m)
+    return m, _checked_shift(a, g.fiber_shift)
+
+
+def _grid_seminorm(
+    a: CohomologyClass,
+    g: BundleAutomorphism,
+    grid_resolution: int = GRID_RESOLUTION,
+    mode: str = MODE_ESTIMATE,
+) -> SeminormReport:
+    """sup |rho| by a scan of the m^n corner grid; certified mode adds the
+    cell bound |a|_1 L sqrt(n) / (2m), L = `_displacement_lipschitz`.
+
+    The scan runs over the corner grid in blocks of at most GRID_BLOCK
+    points, read as `dynamics._grid_columns` gives them: a built-in
+    family's rho is computed from the block's axis columns and their
+    images, so no point or image stack is built. It keeps only each block's
+    max |rho|, so it holds O(GRID_BLOCK) values at a time whatever the
+    resolution."""
+    m, shift = _seminorm_inputs(a, g, grid_resolution, mode)
+    n, avec = a.dimension, a.vector
+    blocks = _grid_columns(g.lift, n, m, 0.0)
+    est = float(np.max([np.max(np.abs(_rho_values(xs, ys, avec, shift))) for xs, ys in blocks]))
     if mode == MODE_ESTIMATE:
         return SeminormReport(est, None, None, mode, m, rigorous=False)
     disp_lip = _displacement_lipschitz(g.lift)
     if disp_lip is None:
         raise CertificateUnavailable(f"certified seminorm for {g.label!r} needs a Lipschitz bound")
-    cell_diameter = math.sqrt(n) / m
-    cell_term = a.one_norm * disp_lip * cell_diameter / 2.0
+    cell_term = a.one_norm * disp_lip * (math.sqrt(n) / m) / 2.0
     return SeminormReport(est, est + cell_term, cell_term, mode, m, rigorous=True)
+
+
+def _coefficient_seminorm(a: CohomologyClass, g: BundleAutomorphism, m: int, mode: str, shift: float) -> SeminormReport:
+    """sup |rho| of a lift with a kernel spec, read from its coefficients
+    (`dynamics._displacement_coefficients`): rho(x) = T(x_axis), with
+    T(t) = C + sum_{k <= d} A_k cos(2 pi k t) + B_k sin(2 pi k t).
+
+    The estimate is max |T| over the m corner points t_j = j/m of the one
+    axis, the corner grid's projection, each T(t_j) evaluated from the
+    coefficients; at degree 0 it is |C|. Corner points nest under doubling,
+    so the estimate is monotone under refinement. With u = UNIT_ROUNDOFF
+    and S = |C| + sum_k |A_k| + |B_k|, which bounds |T| and each of its
+    partial sums, each computed T(t_j) is within E = (8 pi d + 2 SIN_ULPS +
+    2d + 6) u S of the exact value: the angle 2 pi k t_j takes four
+    relative roundings (t_j, TWO_PI and two products), so it is off by at
+    most 8 pi d u and moves term k by at most that times |A_k| + |B_k|; cos
+    and sin are within SIN_ULPS ulps of values at most 1 in size (2 SIN_ULPS
+    u each); each product and each of the 2d adds rounds once; C is rounded
+    once and each A_k, B_k within 3 u (a product, and for arnold a division
+    by TWO_PI, which is within u of 2 pi); one u S more covers the
+    second-order terms.
+
+    The certified side bounds M = sup |T|:
+      - degree 0: M = |C|, rounded up to a float;
+      - degree 1: M = |C| + hypot(A_1, B_1), the crest of one phase-shifted
+        sinusoid; the float C, pair and hypot (within 1 ulp) leave it
+        within 8 u S;
+      - degree d > 1 and m > 2d: M <= (max_j |T(t_j)| + E) / cos(pi d / m).
+        In theta = 2 pi t the Bernstein-Szego inequality T'^2 + d^2 T^2 <=
+        d^2 M^2 (Borwein and Erdelyi, Polynomials and Polynomial
+        Inequalities, GTM 161) gives |T(theta* + s)| >= M cos(d s) for
+        d |s| <= pi/2 from a maximum theta*, and a corner point lies within
+        pi/m of theta*. The float cosine is lowered by 16 u (its angle
+        within 5 u, its value within 2 SIN_ULPS u);
+      - degree d > 1 and m <= 2d: M <= max_j |T(t_j)| + E + L / (2m), the
+        cell term, with L = sum_k 2 pi k hypot(A_k, B_k) >= |T'|, since
+        every t lies within 1/(2m) of a corner point. The float L is within
+        (d + 4) u of the sum (its d adds, TWO_PI, the product by k and
+        hypot), and the cell term takes (d + 6) u more.
+    The upper bound adds (w + n + 3) u R to M's bound
+    (`dynamics._rounding_scale`), the rounding of any one computed value of
+    rho and one u R for second order, so it bounds every |rho| that a grid
+    scan or an orbit computes too; then it is rounded up by 8 u, which
+    covers the few float operations on nonnegative terms above. A rigid map
+    by the vector 0 takes R = 0: x + 0 - x is 0 to the bit, so every
+    computed rho is the shift, and the bound is |C| exactly."""
+    _, constant, pairs = _displacement_coefficients(a, g.lift, g.fiber_shift)
+    d = len(pairs)
+    est = abs(float(constant)) if d == 0 else _axis_max(float(constant), pairs, m)
+    if mode == MODE_ESTIMATE:
+        return SeminormReport(est, None, None, mode, m, rigorous=False)
+    u = UNIT_ROUNDOFF
+    spread = abs(float(constant)) + sum(abs(ak) + abs(bk) for ak, bk in pairs)  # S
+    cell_term = 0.0
+    if d == 0:
+        top = abs(float(constant))
+        if Fraction(top) < abs(constant):
+            top = math.nextafter(top, math.inf)
+    elif d == 1:
+        top = abs(float(constant)) + math.hypot(*pairs[0]) + 8 * u * spread
+    else:
+        top = est + (8 * math.pi * d + 2 * SIN_ULPS + 2 * d + 6) * u * spread
+        if m > 2 * d:
+            top /= math.cos(math.pi * d / m) - 16 * u
+        else:
+            lip = sum(TWO_PI * k * math.hypot(ak, bk) for k, (ak, bk) in enumerate(pairs, start=1))
+            cell_term = lip / (2 * m) * (1.0 + (d + 6) * u)
+            top += cell_term
+    _, scale, w = _rounding_scale(a, g.lift, shift)
+    code, params = g.lift.kernel_spec
+    if code == RIGID and not np.any(params):
+        scale = 0.0  # x + 0 - x is 0 to the bit, so every computed rho is the shift
+    upper = top + (w + a.dimension + 3) * u * scale
+    if scale:
+        upper *= 1.0 + 8 * u
+    return SeminormReport(est, upper, cell_term, mode, m, rigorous=True)
+
+
+def _axis_max(constant: float, pairs: list, m: int) -> float:
+    """max |constant + sum_k A_k cos(2 pi k t) + B_k sin(2 pi k t)| over the
+    corner points t = j/m, j < m, in blocks of at most GRID_BLOCK points."""
+    best = 0.0
+    for start in range(0, m, GRID_BLOCK):
+        t = np.arange(start, min(start + GRID_BLOCK, m)) / m
+        values = constant
+        for k, (ak, bk) in enumerate(pairs, start=1):
+            angle = TWO_PI * k * t
+            values = values + (ak * np.cos(angle) + bk * np.sin(angle))
+        best = max(best, float(np.max(np.abs(values))))
+    return best
 
 
 @dataclass(frozen=True)

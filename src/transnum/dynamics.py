@@ -17,11 +17,15 @@ map on an integer class get a second exact rule: a grid orbit, rounded
 outward, that proves F^q - p has a fixed point, so the rotation number of F
 is p/q (`exact-locked`). Every other verdict is a window estimate.
 
-Means over an invariant measure use midpoint tensor quadrature (Lebesgue),
-bounded by the trigonometric degree or the Lipschitz constant of the
-displacement (`_lebesgue_bound`), or exact finite sums (orbit and empirical
-measures), and carry a push-forward invariance residual so a non-invariant
-measure is flagged rather than silently averaged. Every mean, residual and
+The displacement of every built-in family is a trigonometric polynomial in
+one coordinate (`_displacement_coefficients`), so its Lebesgue mean is its
+constant term, an exact rational of the float data, and the Jacobian
+proves its Lebesgue invariance except for Arnold maps. Every other mean
+uses midpoint tensor quadrature (Lebesgue), bounded by the trigonometric
+degree or the Lipschitz constant of the displacement (`_lebesgue_bound`),
+or exact finite sums (orbit and empirical measures), and carries a
+push-forward invariance residual so a non-invariant measure is flagged
+rather than silently averaged. Every walked mean, residual and
 splitting pair reads mu's points through one walk, `_measure_rows`: the
 only code that knows where a measure's points come from. Each of them reads
 coordinates, one array per axis: a grid block's axis columns, or the
@@ -189,7 +193,10 @@ def fiber_translation(dimension: int, r) -> BundleAutomorphism:
 
 
 def _checked_shift(a: CohomologyClass, c) -> float:
-    """Validate a fiber shift c against the fiber group and return it as float."""
+    """Validate a fiber shift c against the fiber group and return it as
+    float; a shift that is not finite is refused on every class."""
+    if not math.isfinite(c):
+        raise ValidationError(f"a fiber shift must be finite, got {c}")
     if a.is_integral():
         if isinstance(c, float) and not c.is_integer():
             raise PreconditionError(
@@ -227,7 +234,7 @@ def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> n
     return _rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, c)
 
 
-def _rho_values(xs, ys, avec, shift: float):
+def _rho_values(xs, ys, avec, shift: float, out=None):
     """rho from the coordinates x_j of points and y_j of their images under
     a lift whose class and fiber shift are checked: sum_j a_j (y_j - x_j)
     in axis order, then + shift. xs and ys hold one entry per axis, and the
@@ -235,12 +242,14 @@ def _rho_values(xs, ys, avec, shift: float):
     of an (N, n) stack (`stack.T`), or a grid block's axis columns and
     their images (`_grid_columns`). Each value takes the same roundings
     whichever form holds it; a matrix product would leave their order (and
-    any fused multiply-add) to the BLAS library."""
+    any fused multiply-add) to the BLAS library. Given `out` (a row slice
+    that `_measure_rows` hands out), the shift is added straight into it,
+    so each value is written once."""
     total = None
     for a_j, x_j, y_j in zip(avec, xs, ys):
         term = a_j * (y_j - x_j)
         total = term if total is None else total + term
-    return total + shift
+    return total + shift if out is None else np.add(total, shift, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -902,31 +911,31 @@ def _grid_columns(lift: LiftedMap, dimension: int, m: int, offset: float):
     return ((xs, image(xs)) for xs in _grid_blocks(dimension, m, offset))
 
 
-def _measure_rows(func: Callable, mu: InvariantMeasure, dimension: int, m: int, lift: LiftedMap):
+def _measure_rows(func: Callable, count: int, mu: InvariantMeasure, dimension: int, m: int, lift: LiftedMap):
     """(rows, weights) of mu's points, the one walk every mean, residual and
     splitting pair reads them through. func takes the coordinates xs of
     points and ys of their images under lift, one array per axis, and
-    returns a tuple of values that broadcast to the points; rows holds each
-    of them over all of mu's points, weights None meaning equal weights.
+    `out`, one array per value, and writes each of its `count` values over
+    the points into its array (`_rho_values` with `out`, or `_put`); rows
+    is the (count, points) array they fill, weights None meaning equal
+    weights.
 
     On Lebesgue measure the points are the midpoint grid at m points per
     axis, walked block by block as axis columns (`_grid_columns`), and rows
-    is one (values, m^n) array filled in grid order: each value is written
-    once, straight into the block's slice of its row, so the grid is never
-    built whole. An orbit measure is walked under lift point by point, and
-    an empirical one reads its samples; xs and ys are then the columns of
-    the stack of points and of its images, which come from one
-    `evaluate_many`."""
+    is filled in grid order: `out` holds the block's slice of each row,
+    shaped as the block's columns broadcast, so each value is written once,
+    straight into its row, and the grid is never built whole. An orbit
+    measure is walked under lift point by point, and an empirical one reads
+    its samples; xs and ys are then the columns of the stack of points and
+    of its images, which come from one `evaluate_many`, and `out` the rows
+    themselves."""
     if mu.kind == "lebesgue":
-        rows, i = None, 0
-        for xs, ys in _grid_columns(lift, dimension, m, 0.5):
-            vals = func(xs, ys)
-            if rows is None:  # the grid's size is checked
-                rows = np.empty((len(vals), m**dimension))
+        blocks = _grid_columns(lift, dimension, m, 0.5)  # checks the grid
+        rows, i = np.empty((count, m**dimension)), 0
+        for xs, ys in blocks:
             shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
             size = math.prod(shape)
-            for row, v in zip(rows, vals):
-                row[i : i + size].reshape(shape)[...] = v
+            func(xs, ys, [row[i : i + size].reshape(shape) for row in rows])
             i += size
         return rows, None
     support = mu.point if mu.kind == "dirac_orbit" else mu.samples
@@ -944,7 +953,15 @@ def _measure_rows(func: Callable, mu: InvariantMeasure, dimension: int, m: int, 
         pts, weights = mu.samples, mu.weights
     else:
         raise ValidationError(f"unknown measure kind {mu.kind!r}")
-    return func(pts.T, lift.evaluate_many(pts).T), weights
+    rows = np.empty((count, len(pts)))
+    func(pts.T, lift.evaluate_many(pts).T, rows)
+    return rows, weights
+
+
+def _put(out, values) -> None:
+    """Write each of `values` into its array of `out`, broadcasting."""
+    for o, v in zip(out, values):
+        o[...] = v
 
 
 def _average(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
@@ -987,7 +1004,8 @@ def _measure_mean(
     its points (`_measure_rows`); orbit measures are walked under
     `base_map`. The integrand takes the coordinates of the points and of
     their images under `base_map`, one array per axis, as rho does
-    (`_rho_values`), and returns values that broadcast to the points.
+    (`_rho_values`), and an array of the points' shape, which it fills
+    with its values.
 
     A Lebesgue mean is the midpoint rule at m = quadrature_points per axis,
     one pass over the grid whose values go into one array of m^n floats;
@@ -996,7 +1014,7 @@ def _measure_mean(
     finite sum (orbit or empirical measure) is exact up to rounding, which
     `_finite_mean` bounds."""
     (values,), weights = _measure_rows(
-        lambda xs, ys: (integrand_many(xs, ys),), mu, dimension, quadrature_points, base_map
+        lambda xs, ys, out: integrand_many(xs, ys, out[0]), 1, mu, dimension, quadrature_points, base_map
     )
     if mu.kind == "lebesgue":
         return _average(values, None), None
@@ -1026,6 +1044,65 @@ def _displacement_degree(lift: LiftedMap) -> Optional[int]:
     if code in (_kernels.RIGID, _kernels.AFFINE):
         return 0
     return int(params[1]) if code == _kernels.SKEW else 1
+
+
+def _displacement_coefficients(a: CohomologyClass, lift: LiftedMap, shift) -> Optional[tuple]:
+    """(axis, constant, pairs) of rho = <a, lift(x) - x> + shift as a
+    trigonometric polynomial in the one coordinate t = x_axis,
+
+        rho(x) = constant + sum_k A_k cos(2 pi k t) + B_k sin(2 pi k t),
+
+    read from the kernel spec of a lift that has one (in any dimension),
+    else None. constant is a Fraction of the float parameters, the class
+    entries and the shift, so it is exact; pairs lists the float (A_k,
+    B_k) for k = 1 .. d, d = `_displacement_degree`:
+      - rigid and affine maps: <a, v> + shift, no pairs (M^T a = a cancels
+        the (M - I) x of an affine map);
+      - arnold: a_0 omega + shift and (0, a_0 k / 2 pi), in x_0;
+      - sinshear: shift and (0, a_0 eps), in x_1;
+      - skew: a_0 omega + a_1 c_0 + shift and (a_1 a_k, a_1 b_k), in x_0."""
+    if lift.kernel_spec is None:
+        return None
+    code, params = lift.kernel_spec
+    params = [float(t) for t in params]
+    exact = [Fraction(e) for e in a.entries]
+    a0, constant = float(a.entries[0]), Fraction(shift)
+    if code in (_kernels.RIGID, _kernels.AFFINE):
+        n = lift.dimension
+        v = params[n * n :] if code == _kernels.AFFINE else params
+        return 0, constant + sum(e * Fraction(t) for e, t in zip(exact, v)), []
+    if code == _kernels.CIRCLE_SINE:
+        omega, k = params
+        return 0, constant + exact[0] * Fraction(omega), [(0.0, a0 * k / _kernels.TWO_PI)]
+    if code == _kernels.SINE_SHEAR:
+        return 1, constant, [(0.0, a0 * params[0])]
+    a1, c = float(a.entries[1]), params[2:]
+    pairs = [(a1 * c[2 * k - 1], a1 * c[2 * k]) for k in range(1, int(params[1]) + 1)]
+    return 0, constant + exact[0] * Fraction(params[0]) + exact[1] * Fraction(c[0]), pairs
+
+
+# Kernel families whose Jacobian determinant is 1 in size at every point, so
+# they preserve Lebesgue measure: the identity of a rigid map, an affine
+# map's M with |det M| = 1 (checked when it is built), and the unipotent
+# triangular Jacobians of sinshear and skew maps. An Arnold map's is
+# 1 + k cos(2 pi x).
+_JACOBIAN_ONE = (_kernels.RIGID, _kernels.AFFINE, _kernels.SINE_SHEAR, _kernels.SKEW)
+
+
+def _rounding_scale(a: CohomologyClass, lift: LiftedMap, shift: float) -> Optional[tuple]:
+    """(L, R, w) of the rounding of one computed value of rho (see
+    `_lebesgue_bound`), or None without L = `_displacement_lipschitz`: R
+    bounds |rho| and every computed value, and each image coordinate is
+    taken to be within w u B of the exact image, so each computed value is
+    within (w + n + 2) u R of rho."""
+    lip = _displacement_lipschitz(lift)
+    if lip is None:
+        return None
+    n = lift.dimension
+    center = np.full(n, 0.5)
+    disp = float(np.max(np.abs(lift(center) - center))) + lip * math.sqrt(n) / 2.0
+    scale = a.one_norm * (1.0 + disp + lip) + abs(shift)
+    return lip, scale, 4 + (_displacement_degree(lift) or 0) + (n + 1) * math.sqrt(n)
 
 
 def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -> Optional[float]:
@@ -1070,15 +1147,13 @@ def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -
         sum, that over N in the mean; the division by N rounds by u R.
     Together: u R (w + n + 28 + ceil(log2 N)); the term takes one u R more,
     which covers the second-order terms and the rounding of D and R."""
-    lip = _displacement_lipschitz(lift)
-    if lip is None:
+    rounding = _rounding_scale(a, lift, shift)
+    if rounding is None:
         return None
+    lip, scale, w = rounding
     n = lift.dimension
     degree = _displacement_degree(lift)
-    center = np.full(n, 0.5)
-    disp = float(np.max(np.abs(lift(center) - center))) + lip * math.sqrt(n) / 2.0
-    scale = a.one_norm * (1.0 + disp + lip) + abs(shift)
-    ulps = 4 + (degree or 0) + (n + 1) * math.sqrt(n) + n + 29 + math.ceil(math.log2(m**n))
+    ulps = w + n + 29 + math.ceil(math.log2(m**n))
     bound = ulps * UNIT_ROUNDOFF * scale
     if degree is None or m <= degree:
         bound += a.one_norm * lip * math.sqrt(n / 12.0) / m
@@ -1138,7 +1213,8 @@ def measure_invariance_residual(
     n = base_map.dimension
     unmoved = mu.kind != "lebesgue" or _aliased(n, quadrature_points)
     rows, weights = _measure_rows(
-        lambda xs, ys: (*_moved(ys), *xs) if unmoved else _moved(ys), mu, n, quadrature_points, base_map
+        lambda xs, ys, out: _put(out, (*_moved(ys), *xs) if unmoved else _moved(ys)),
+        2 * n if unmoved else n, mu, n, quadrature_points, base_map,
     )
     return _probe_residual(rows[n:] if unmoved else None, rows[:n], weights)
 
@@ -1166,19 +1242,28 @@ def _probe_residual(xs, moved, weights: Optional[np.ndarray]) -> float:
 class MeanReport:
     """A mean translation number and a bound on |value - mean|.
 
-    error_bound is the rounding of the finite sum for orbit and empirical
-    measures (`_finite_mean`), which grows with the number of points. For
-    Lebesgue means (`_lebesgue_bound`) it has three sources:
-    the exact degree (rho a trigonometric polynomial of degree below the
-    grid, so only rounding is left), the midpoint Lipschitz bound plus
-    rounding, or None, for a lift without Lipschitz data, which marks the
-    value as an estimate."""
+    A Lebesgue mean read from coefficients (`mean_translation_number`) is
+    exact: `rational` holds it, value is its float and error_bound 0.0.
+    Otherwise rational is None, and error_bound is the rounding of the
+    finite sum for orbit and empirical measures (`_finite_mean`), which
+    grows with the number of points. For Lebesgue means on the grid
+    (`_lebesgue_bound`) it has three sources: the exact degree (rho a
+    trigonometric polynomial of degree below the grid, so only rounding is
+    left), the midpoint Lipschitz bound plus rounding, or None, for a lift
+    without Lipschitz data, which marks the value as an estimate.
+
+    invariance_source is "jacobian" when the Jacobian of a
+    Lebesgue-preserving family (`_JACOBIAN_ONE`) proves invariance_residual
+    exactly 0, and None when the residual, if checked, comes from the
+    push-forward probes."""
 
     value: float
     error_bound: Optional[float]
     measure_kind: str
     invariance_residual: Optional[float] = None
     invariance_warning: bool = False
+    rational: Optional[Fraction] = None
+    invariance_source: Optional[str] = None
 
 
 def mean_translation_number(
@@ -1190,8 +1275,49 @@ def mean_translation_number(
 ) -> MeanReport:
     """Integral of rho against mu.
 
+    The Lebesgue mean of a lift with a kernel spec is the constant term of
+    rho (`_displacement_coefficients`), an exact rational of the float data
+    that no grid is read for; quadrature_points is still checked as a grid
+    would be. The Jacobian proves such a map's Lebesgue invariance
+    (`_JACOBIAN_ONE`); an Arnold map keeps the push-forward residual, read
+    at min(quadrature_points, QUADRATURE_POINTS) points per axis. Every
+    other mean is read from one walk of mu's points (`_walked_mean`). A
+    push-forward residual above INVARIANCE_TOLERANCE sets the warning
+    flag."""
+    if mu.kind != "lebesgue" or g.lift.kernel_spec is None:
+        return _walked_mean(a, g, mu, quadrature_points, check_invariance)
+    _map_shift(a, g)
+    _require_grid(a.dimension, quadrature_points)
+    _, rational, _ = _displacement_coefficients(a, g.lift, g.fiber_shift)
+    residual = source = None
+    if check_invariance and g.lift.kernel_spec[0] in _JACOBIAN_ONE:
+        residual, source = 0.0, "jacobian"
+    elif check_invariance:
+        residual = measure_invariance_residual(g.lift, mu, min(quadrature_points, QUADRATURE_POINTS))
+    return MeanReport(
+        value=float(rational),
+        error_bound=0.0,
+        measure_kind=mu.kind,
+        invariance_residual=residual,
+        invariance_warning=residual is not None and residual > INVARIANCE_TOLERANCE,
+        rational=rational,
+        invariance_source=source,
+    )
+
+
+def _walked_mean(
+    a: CohomologyClass,
+    g: BundleAutomorphism,
+    mu: InvariantMeasure,
+    quadrature_points: int = QUADRATURE_POINTS,
+    check_invariance: bool = True,
+) -> MeanReport:
+    """The integral of rho against mu read from a walk of mu's points: the
+    grid route of a Lebesgue mean, and the only route of orbit and
+    empirical means.
+
     For orbit measures the mean is the exact cycle average; for Lebesgue it
-    is midpoint quadrature in one pass over the grid. The push-forward
+    is midpoint quadrature in one pass over the m^n grid. The push-forward
     residual reads the same points and images as the mean does (one walk,
     one evaluation), except on a Lebesgue grid finer than
     QUADRATURE_POINTS per axis, where it takes its own grid at that cap. Its
@@ -1200,18 +1326,17 @@ def mean_translation_number(
     affine maps, 1 for arnold and sinshear, the degree of c for skew), the
     midpoint Lipschitz bound |a|_1 L sqrt(n/12)/m plus rounding for any
     other lift with Lipschitz data, and None, an estimate, for a lift
-    without. A push-forward residual above INVARIANCE_TOLERANCE sets the
-    warning flag."""
+    without."""
     shift = _map_shift(a, g)
     avec, n = a.vector, a.dimension
 
-    def rho_of(xs, ys):
-        return _rho_values(xs, ys, avec, shift)
+    def rho_of(xs, ys, out):
+        _rho_values(xs, ys, avec, shift, out)
 
     residual = None
     lebesgue = mu.kind == "lebesgue"
     if lebesgue and not (check_invariance and quadrature_points <= QUADRATURE_POINTS):
-        value, _ = _measure_mean(rho_of, mu, n, quadrature_points, base_map=g.lift)
+        value, _ = _measure_mean(rho_of, mu, n, quadrature_points, g.lift)
         err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
         if check_invariance:
             residual = measure_invariance_residual(g.lift, mu, quadrature_points=QUADRATURE_POINTS)
@@ -1219,10 +1344,11 @@ def mean_translation_number(
         # the residual reads the coordinates of the mean's points and images
         unmoved = not lebesgue or _aliased(n, quadrature_points)
 
-        def rows_of(xs, ys):
-            return (rho_of(xs, ys), *_moved(ys), *xs) if unmoved else (rho_of(xs, ys), *_moved(ys))
+        def rows_of(xs, ys, out):
+            rho_of(xs, ys, out[0])
+            _put(out[1:], (*_moved(ys), *xs) if unmoved else _moved(ys))
 
-        rows, weights = _measure_rows(rows_of, mu, n, quadrature_points, g.lift)
+        rows, weights = _measure_rows(rows_of, 1 + (2 * n if unmoved else n), mu, n, quadrature_points, g.lift)
         if lebesgue:
             value, err = _average(rows[0], None), _lebesgue_bound(a, g.lift, shift, quadrature_points)
         else:

@@ -312,9 +312,10 @@ def splitting_check(
 def _pair_means(
     a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphism, mu: InvariantMeasure, m: int
 ) -> tuple:
-    """The means of rho for g, h and gh against mu (the values of
-    `mean_translation_number`, without the error bounds the residuals never
-    read) and the mean of G(g, h).
+    """The means of rho for g, h and gh against mu (the values of the walked
+    means, `dynamics._walked_mean`, also for built-in maps, whose exact
+    `mean_translation_number` would read no grid; without the error bounds
+    the residuals never read) and the mean of G(g, h).
 
     One walk of mu's points x under g (`_measure_rows`) gives the four rows
     F(g), F(h), F(gh) and G of m^n (or N) floats, all read from coordinates:
@@ -327,24 +328,22 @@ def _pair_means(
     av, n = a.vector, a.dimension
     h_image, g_image = _column_image(h.lift), _column_image(g.lift)
 
-    def means(lift, func):
-        rows, weights = _measure_rows(func, mu, n, m, lift)
+    def means(lift, func, count):
+        rows, weights = _measure_rows(func, count, mu, n, m, lift)
         return [_average(v, weights) for v in rows]
 
-    def rows(xs, gx):
+    def rows(xs, gx, out):
         hx = h_image(xs)
         ghx = g_image(hx)
-        return (
-            _rho_values(xs, gx, av, sg),
-            _rho_values(xs, hx, av, sh),
-            _rho_values(xs, ghx, av, sgh),
-            _gal_kedra_rows(av, xs, hx, gx, ghx),
-        )
+        _rho_values(xs, gx, av, sg, out[0])
+        _rho_values(xs, hx, av, sh, out[1])
+        _rho_values(xs, ghx, av, sgh, out[2])
+        out[3][...] = _gal_kedra_rows(av, xs, hx, gx, ghx)
 
-    fg, fh, fgh, mean_g = means(g.lift, rows)
+    fg, fh, fgh, mean_g = means(g.lift, rows, 4)
     if mu.kind == "dirac_orbit":
-        (fh,) = means(h.lift, lambda xs, ys: (_rho_values(xs, ys, av, sh),))
-        (fgh,) = means(g.lift.compose(h.lift), lambda xs, ys: (_rho_values(xs, ys, av, sgh),))
+        (fh,) = means(h.lift, lambda xs, ys, out: _rho_values(xs, ys, av, sh, out[0]), 1)
+        (fgh,) = means(g.lift.compose(h.lift), lambda xs, ys, out: _rho_values(xs, ys, av, sgh, out[0]), 1)
     return fg, fh, fgh, mean_g
 
 

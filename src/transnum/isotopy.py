@@ -14,8 +14,9 @@ g^2(x), ... (g the terminal map) and averaging gives the homological
 translation number at x; it agrees with the local translation number of
 the induced bundle automorphism whose fiber shift is normalized to 0 (the
 lift that follows the isotopy upstairs starting from the identity). Its
-mean over a measure is that map's mean translation number, read through
-the one measure walk `dynamics._measure_rows`.
+mean over a measure is that map's mean translation number, always read
+through the one measure walk `dynamics._measure_rows`, also where the
+time-1 map's mean could be read from its coefficients.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .dynamics import (
     _PythonOrbit,
     _cover_of,
     _translation_limits,
-    mean_translation_number,
+    _walked_mean,
 )
 from .errors import ValidationError
 from .families import TrigPolynomial, rigid_rotation, sinusoidal_shear, skew_translation
@@ -149,7 +150,9 @@ def mean_homological_translation(
     """Integral of the single-arc winding x -> delta_phi(arc at x) over mu.
 
     The winding is rho of the induced bundle map, whose fiber shift is 0, so
-    this is its `mean_translation_number`: the same walk of mu's points
-    (`dynamics._measure_rows`), value and bound, without the invariance
-    check."""
-    return mean_translation_number(a, induced_bundle_map(iso), mu, quadrature_points, check_invariance=False)
+    this is the walked mean of `mean_translation_number` (`_walked_mean`):
+    the winding summed over mu's points (`dynamics._measure_rows`), value
+    and bound, without the invariance check. It reads the grid whatever the
+    time-1 map, so on Lebesgue measure it stays a computation apart from
+    the coefficient mean of the endpoint map."""
+    return _walked_mean(a, induced_bundle_map(iso), mu, quadrature_points, check_invariance=False)

@@ -685,8 +685,22 @@ def test_rot_mean_on_the_skew_family(tmp_path):
     rec = run_record(tmp_path, ["rot-mean", "--config", write(tmp_path, "m.ini", SKEW_TEXT)])
     headline = rec["results"]["headline"]
     assert abs(headline["value"] - 0.3) <= 1e-9
-    assert headline["error_bound"] <= 1e-9
-    assert rec["results"]["measure"]["invariance_warning"] is False
+    # the constant term c_0 = 0.3 of the float data, exactly
+    assert headline["exact"] is True and "error_bound" not in headline
+    mean = rec["results"]["mean"]
+    assert Fraction(mean["rational"]) == Fraction(0.3) and mean["value"] == 0.3
+    assert rec["results"]["measure"] == {
+        "kind": "lebesgue", "invariance_residual": 0.0, "invariance_warning": False, "invariance_source": "jacobian"
+    }
+
+
+def test_rot_mean_of_an_arnold_map_keeps_its_probes_and_their_warning(tmp_path):
+    text = "[class]\nentries = 1\n[map]\nfamily = arnold\nomega = 0.25\nk = 0.5\nshift = 1\n[measure]\nkind = lebesgue\n"
+    res = run_record(tmp_path, ["rot-mean", "--config", write(tmp_path, "a.ini", text)])["results"]
+    assert res["mean"] == {"value": 1.25, "exact": True, "rational": "5/4"}
+    measure = res["measure"]
+    assert "invariance_source" not in measure and measure["invariance_warning"] is True
+    assert measure["invariance_residual"] > 1e-3
 
 
 @pytest.mark.parametrize("grid", [1, 2, 3, 4, 128])
@@ -696,14 +710,18 @@ def test_rot_mean_bound_contains_the_mean_on_grids_below_the_degree(tmp_path, gr
     text = SKEW_TEXT.replace(f"omega = {GOLDEN}", "omega = 0.618").replace(
         "coeffs = 0.3 0.05 0.1", "coeffs = 0.3 0.1 0.2 0.05 0.02"
     )
-    rec = run_record(tmp_path, ["rot-mean", "--config", write(tmp_path, "m.ini", text), "--grid", str(grid)])
-    mean = rec["results"]["mean"]
-    error = abs(mean["value"] - 0.3)
-    assert mean["error_bound"] >= error
+    cfg = cfg_of(text)
+    a, g, mu = tcfg.build_class(cfg), tcfg.build_bundle_map(cfg), tcfg.build_measure(cfg)
+    mean = dynamics._walked_mean(a, g, mu, grid)  # the grid route
+    error = abs(mean.value - 0.3)
+    assert mean.error_bound >= error
     if grid <= 2:
         assert error >= 0.04
     else:
-        assert mean["error_bound"] <= 1e-12
+        assert mean.error_bound <= 1e-12
+    # the command reads the constant term instead, on every grid
+    rec = run_record(tmp_path, ["rot-mean", "--config", write(tmp_path, "m.ini", text), "--grid", str(grid)])
+    assert rec["results"]["mean"] == {"value": 0.3, "exact": True, "rational": "5404319552844595/18014398509481984"}
 
 
 def test_gk_eval_closed_form_and_quadrature(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from transnum import _kernels, distortion
+from transnum.distortion import _grid_seminorm
 from transnum import (
     BundleAutomorphism,
     CertificateUnavailable,
@@ -67,16 +68,23 @@ def test_seminorm_of_a_central_translation_is_its_amount():
 
 def test_seminorm_of_the_shear_hits_the_crest():
     g = auto(sinusoidal_shear(0.1))
-    rep = seminorm(A10, g, grid_resolution=256, mode=MODE_CERTIFIED)
+    rep = _grid_seminorm(A10, g, grid_resolution=256, mode=MODE_CERTIFIED)
     # 1/4 lies on the corner grid, so the scan finds the crest exactly
     assert rep.estimate == pytest.approx(0.1, abs=1e-15)
     assert rep.certified_upper >= 0.1
     assert rep.certified_upper <= 0.11
     assert rep.certified_upper == rep.estimate + rep.cell_term
+    # the coefficients give the crest |a_0 eps| itself, with no cell term
+    public = seminorm(A10, g, grid_resolution=256, mode=MODE_CERTIFIED)
+    assert public.estimate == pytest.approx(0.1, abs=1e-15) and public.cell_term == 0.0
+    assert 0.1 <= public.certified_upper <= 0.1 + 1e-14
 
 
 def test_seminorm_estimate_grows_along_nested_grids():
     g = auto(sinusoidal_shear(0.07), 1)
+    values = [_grid_seminorm(A10, g, grid_resolution=m).estimate for m in (64, 128, 256)]
+    assert values[0] <= values[1] <= values[2]
+    # the coefficient scan of the one axis nests the same way
     values = [seminorm(A10, g, grid_resolution=m).estimate for m in (64, 128, 256)]
     assert values[0] <= values[1] <= values[2]
 

@@ -46,7 +46,7 @@ from transnum import (
     torus_affine,
 )
 from transnum import dynamics
-from transnum.dynamics import POINT_CAP, _default_test_functions, _finite_mean, _measure_mean
+from transnum.dynamics import POINT_CAP, _default_test_functions, _finite_mean, _measure_mean, _walked_mean
 from transnum.torus import reduce_point
 
 A1 = CohomologyClass([1])
@@ -431,6 +431,18 @@ def test_non_invariant_empirical_measure_sets_the_warning_flag():
     assert rep.invariance_residual > 1e-3
 
 
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_a_fiber_shift_that_is_not_finite_is_refused_on_a_real_class(shift):
+    # an integer class refuses it as a non-integer; a real class refuses it
+    # before a Lebesgue mean forms its exact constant term
+    a = CohomologyClass([0.5, 0.25], coefficients="real")
+    g = auto(rigid_rotation([0.1, 0.2]), shift)
+    with pytest.raises(ValidationError, match="finite"):
+        mean_translation_number(a, g, InvariantMeasure.lebesgue())
+    with pytest.raises(ValidationError, match="finite"):
+        local_translation_number(a, g, [0.1, 0.2])
+
+
 def test_empirical_weights_are_validated():
     with pytest.raises(ValidationError):
         InvariantMeasure.empirical([[0.1], [0.2]], [0.7, 0.7])
@@ -465,6 +477,11 @@ BUMPY = LiftedMap(
 )
 
 
+def put(out, values):
+    """An integrand's values, written into the array `_measure_mean` hands it."""
+    out[...] = values
+
+
 @pytest.mark.parametrize(
     "mu",
     [
@@ -477,8 +494,8 @@ BUMPY = LiftedMap(
 def test_invariance_residual_is_the_per_probe_difference_of_measure_means(mu):
     expected = 0.0
     for f, j in ((f, j) for f in _default_test_functions(2) for j in (0, 1)):  # cos, then sin
-        pushed, _ = _measure_mean(lambda xs, ys, _f=f, _j=j: _f([reduce_point(y) for y in ys])[_j], mu, 2, 64, BUMPY)
-        plain, _ = _measure_mean(lambda xs, ys, _f=f, _j=j: _f(xs)[_j], mu, 2, 64, BUMPY)
+        pushed, _ = _measure_mean(lambda xs, ys, out, _f=f, _j=j: put(out, _f([reduce_point(y) for y in ys])[_j]), mu, 2, 64, BUMPY)
+        plain, _ = _measure_mean(lambda xs, ys, out, _f=f, _j=j: put(out, _f(xs)[_j]), mu, 2, 64, BUMPY)
         if mu.kind == "lebesgue":
             # a nonconstant degree-1 character sums to exactly 0 over the
             # 64^2 midpoint grid: the residual takes that 0, not its rounding
@@ -630,7 +647,7 @@ ROUTE_BITS = {
 @pytest.mark.parametrize("name", list(ROUTE_CASES))
 def test_every_measure_route_keeps_its_bits(name):
     a, g, iso, generators, mu, m = ROUTE_CASES[name]
-    rep = mean_translation_number(a, g, mu, m)
+    rep = _walked_mean(a, g, mu, m)
     hom = mean_homological_translation(a, iso, mu, m)
     split = splitting_check(a, generators, mu, pairs=6, quadrature_points=m, seed=3)
     got = [
@@ -644,6 +661,15 @@ def test_every_measure_route_keeps_its_bits(name):
         split.mean_cocycle_residual,
     ]
     assert [float.hex(v) for v in got] == ROUTE_BITS[name]
+    public = mean_translation_number(a, g, mu, m)
+    if mu.kind != "lebesgue":
+        assert public == rep
+    else:  # a built-in family: its constant term, inside the grid route's bound
+        assert public.error_bound == 0.0 and public.value == float(public.rational)
+        assert abs(public.rational - Fraction(rep.value)) <= Fraction(rep.error_bound)
+        # a skew map preserves Lebesgue measure by its Jacobian; an Arnold map keeps its probes
+        source, residual = (None, got[5]) if name == "lebesgue-aliased" else ("jacobian", 0.0)
+        assert (public.invariance_source, public.invariance_residual) == (source, residual)
 
 
 def test_squaring_chart_map_visibly_breaks_lebesgue_invariance():

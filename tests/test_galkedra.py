@@ -27,7 +27,6 @@ from transnum import (
     gal_kedra_many,
     gal_kedra_quadrature,
     identity_lift,
-    mean_translation_number,
     quasimorphism_defect,
     rho,
     rigid_rotation,
@@ -217,8 +216,8 @@ def test_splitting_refuses_measure_breaking_generators():
 
 
 def test_splitting_means_skip_the_unread_error_bound(monkeypatch):
-    """The residuals are those of `mean_translation_number` values, bit for
-    bit, and no `_lebesgue_bound` is computed for them."""
+    """The residuals are those of the walked means (`dynamics._walked_mean`),
+    bit for bit, and no `_lebesgue_bound` is computed for them."""
     gens = [
         BundleAutomorphism(skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))),
         BundleAutomorphism(sinusoidal_shear(0.1), 1),
@@ -229,7 +228,7 @@ def test_splitting_means_skip_the_unread_error_bound(monkeypatch):
     for _ in range(6):
         gw, hw = galkedra._random_word(rng, gens), galkedra._random_word(rng, gens)
         fg, fh, fgh = (
-            mean_translation_number(A01, w, mu, quadrature_points=16, check_invariance=False).value
+            dynamics._walked_mean(A01, w, mu, quadrature_points=16, check_invariance=False).value
             for w in (gw, hw, gw.compose(hw))
         )
         want = max(want, abs(fgh - fg - fh))
@@ -363,13 +362,13 @@ def test_splitting_residuals_equal_the_per_mean_values(kind):
     for _ in range(8):
         gw, hw = galkedra._random_word(rng, gens), galkedra._random_word(rng, gens)
         fg, fh, fgh = (
-            mean_translation_number(a, w, mu, quadrature_points=16, check_invariance=False).value
+            dynamics._walked_mean(a, w, mu, quadrature_points=16, check_invariance=False).value
             for w in (gw, hw, gw.compose(hw))
         )
-        def integrand(xs, gx):
+        def integrand(xs, gx, out):
             # G of the stacked points, in the shape the coordinates broadcast to
             pts = np.stack(np.broadcast_arrays(*xs), axis=-1)
-            return gal_kedra_many(a, gw.lift, hw.lift, pts.reshape(-1, a.dimension)).reshape(pts.shape[:-1])
+            out[...] = gal_kedra_many(a, gw.lift, hw.lift, pts.reshape(-1, a.dimension)).reshape(pts.shape[:-1])
 
         mean_g, _ = dynamics._measure_mean(integrand, mu, a.dimension, 16, gw.lift)
         want_add = max(want_add, abs(fgh - fg - fh))

@@ -26,6 +26,7 @@ from transnum import (
     torus_affine,
 )
 from transnum import dynamics, galkedra
+from transnum.distortion import _grid_seminorm
 from transnum.dynamics import (
     GRID_BLOCK,
     _column_image,
@@ -33,6 +34,7 @@ from transnum.dynamics import (
     _grid_blocks,
     _grid_columns,
     _measure_mean,
+    _walked_mean,
 )
 from transnum.galkedra import _gal_kedra_rows
 from transnum.torus import LiftedMap, reduce_point
@@ -150,8 +152,14 @@ def reference_mean(integrand, n, m):
 @pytest.mark.parametrize("name, a, g, m", CASES, ids=[c[0] for c in CASES])
 def test_lebesgue_mean_matches_the_whole_grid_bit_for_bit(name, a, g, m):
     value = reference_mean(lambda pts: rho_many(a, g, pts), a.dimension, m)
-    rep = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
+    rep = _walked_mean(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
     assert rep.value == value
+    # the public mean reads a built-in family's constant term, exactly
+    public = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
+    if g.lift.kernel_spec is None:
+        assert public == rep
+    else:
+        assert public.rational == exact_mean(a, g) and public.value == float(public.rational)
 
 
 def mean_displacement_and_degree(g, n):
@@ -181,8 +189,10 @@ def exact_mean(a, g):
 def test_lebesgue_bound_contains_the_exact_mean(name, a, g):
     _, d = mean_displacement_and_degree(g, a.dimension)
     for m in sorted({1, d, d + 1, 128} - {0}):
-        rep = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
+        rep = _walked_mean(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
         assert abs(Fraction(rep.value) - exact_mean(a, g)) <= Fraction(rep.error_bound), m
+        public = mean_translation_number(a, g, LEBESGUE, quadrature_points=m, check_invariance=False)
+        assert (public.rational, public.error_bound) == (exact_mean(a, g), 0.0), m
         if m > d:  # the rule is exact: the bound is the rounding term alone
             assert rep.error_bound <= 1e-12, m
         else:  # the grid aliases rho: the midpoint Lipschitz bound
@@ -202,19 +212,21 @@ def test_a_composed_word_gets_the_lipschitz_bound():
 
 
 @pytest.mark.parametrize("name, a, g, m", CASES, ids=[c[0] for c in CASES])
-def test_seminorm_matches_the_whole_grid_bit_for_bit(name, a, g, m, monkeypatch):
-    # the numpy scan, also where the compiled grid kernel would take over
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
+def test_seminorm_matches_the_whole_grid_bit_for_bit(name, a, g, m):
     want = float(np.max(np.abs(rho_many(a, g, meshgrid_grid(a.dimension, m, 0.0)))))
-    assert seminorm(a, g, m).estimate == want
+    assert _grid_seminorm(a, g, m).estimate == want
+    # the public seminorm of a built-in family scans the same corners of its
+    # one axis, from the coefficients: the same maximum up to rounding
+    public = seminorm(a, g, m).estimate
+    assert public == want if g.lift.kernel_spec is None else abs(public - want) <= 1e-13
 
 
 def test_gal_kedra_mean_matches_the_whole_grid_bit_for_bit():
     a, h = CohomologyClass([0, 1]), rigid_rotation([0.23, 0.41])
 
-    def integrand(xs, gx):  # the column images of h, then of SKEW after h
+    def integrand(xs, gx, out):  # the column images of h, then of SKEW after h
         hx = _column_image(h)(xs)
-        return _gal_kedra_rows(a.vector, xs, hx, gx, _column_image(SKEW)(hx))
+        out[...] = _gal_kedra_rows(a.vector, xs, hx, gx, _column_image(SKEW)(hx))
 
     # the error of a Lebesgue mean depends on the integrand: the caller bounds it
     want = reference_mean(lambda pts: gal_kedra_many(a, SKEW, h, pts), 2, 300)
@@ -289,9 +301,12 @@ def test_kernel_family_grids_make_no_evaluate_many_call(name, a, g, monkeypatch)
     # a lift's only stack route is `evaluate_many` on its stacked points
     # (`_column_image`); a mean past the residual's grid, its residual and a
     # seminorm scan of a built-in family read the blocks' axis columns
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
     calls = counted_evaluate_many(monkeypatch)
     m = 2 * dynamics.QUADRATURE_POINTS
+    rep = _walked_mean(a, g, LEBESGUE, m)
+    sup = _grid_seminorm(a, g, m, "certified")
+    assert calls == [] and rep.invariance_residual is not None and sup.rigorous
+    # nor do the coefficient routes, nor the probes that an Arnold mean keeps
     rep = mean_translation_number(a, g, LEBESGUE, m)
     sup = seminorm(a, g, m, "certified")
     assert calls == [] and rep.invariance_residual is not None and sup.rigorous
@@ -312,14 +327,13 @@ def test_one_letter_split_pairs_make_no_evaluate_many_call(name, a, g, monkeypat
 
 @pytest.mark.parametrize("name", ["composed", "affine T^3"])
 def test_other_lifts_image_every_block_with_evaluate_many(name, monkeypatch):
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
     _, a, g, m = next(c for c in CASES if c[0] == name)
     n = a.dimension
     calls = counted_evaluate_many(monkeypatch)
-    mean_translation_number(a, g, LEBESGUE, m, check_invariance=False)
+    _walked_mean(a, g, LEBESGUE, m, check_invariance=False)
     assert len(calls) > 1 and sum(calls) == m**n
     calls.clear()
-    seminorm(a, g, m)
+    _grid_seminorm(a, g, m)
     assert len(calls) > 1 and sum(calls) == m**n
     calls.clear()
     measure_invariance_residual(g.lift, LEBESGUE, quadrature_points=m)
@@ -336,13 +350,19 @@ def test_lebesgue_mean_and_its_residual_share_one_grid(name, a, g, monkeypatch):
         return grid_blocks(*args)
 
     monkeypatch.setattr(dynamics, "_grid_blocks", counted)
-    mean_translation_number(a, g, LEBESGUE)
+    _walked_mean(a, g, LEBESGUE)
     m = dynamics.QUADRATURE_POINTS
     assert shapes == [(a.dimension, m, 0.5)]
     # a finer mean grid leaves the residual its own grid at the cap
     shapes.clear()
-    mean_translation_number(a, g, LEBESGUE, 2 * m)
+    _walked_mean(a, g, LEBESGUE, 2 * m)
     assert shapes == [(a.dimension, 2 * m, 0.5), (a.dimension, m, 0.5)]
+    # the coefficient mean reads no grid; an Arnold map's residual reads its own
+    probes = [(a.dimension, m, 0.5)] if name == "arnold" else []
+    for points in (m, 2 * m):
+        shapes.clear()
+        mean_translation_number(a, g, LEBESGUE, points)
+        assert shapes == probes
 
 
 @pytest.mark.parametrize(
@@ -368,17 +388,22 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_seminorm_memory_does_not_grow_with_the_grid(monkeypatch):
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", False)
+def test_seminorm_memory_does_not_grow_with_the_grid():
     g = BundleAutomorphism(SKEW)
-    peak = traced_peak(lambda: seminorm(CohomologyClass([0, 1]), g, 2048, "certified"))
+    peak = traced_peak(lambda: _grid_seminorm(CohomologyClass([0, 1]), g, 2048, "certified"))
     assert peak < 4 * 2**20  # the 2048^2 points alone would take 64 MiB
+    # the coefficient route scans 2048 points of one axis
+    peak = traced_peak(lambda: seminorm(CohomologyClass([0, 1]), g, 2048, "certified"))
+    assert peak < 2**18
 
 
 def test_lebesgue_mean_holds_one_float_per_point():
     g = BundleAutomorphism(SKEW)
     m = 1024
+    peak = traced_peak(lambda: _walked_mean(CohomologyClass([0, 1]), g, LEBESGUE, m, check_invariance=False))
+    assert peak < 8 * m * m + 2 * 2**20
+    # the coefficient mean holds no grid at all
     peak = traced_peak(
         lambda: mean_translation_number(CohomologyClass([0, 1]), g, LEBESGUE, m, check_invariance=False)
     )
-    assert peak < 8 * m * m + 2 * 2**20
+    assert peak < 2**16

@@ -6,8 +6,8 @@ and grid size, for one). A probed name that is renamed or deleted fails the
 tracer's install, and a call that passes those arguments by keyword fails
 the job: either breaks a traced benchmark run. This runs the first job of
 each kind of the three decks under the installed tracer, the way
-`benchmarks/output_digest.py` runs them. The perfbench modules are loaded
-by path and left as they are.
+`benchmarks/output_digest.py` runs them, and one grid mean. The perfbench
+modules are loaded by path and left as they are.
 """
 
 import importlib.util
@@ -43,10 +43,23 @@ def _run(job):
         return exc.code
 
 
+# No deck job reads a grid mean: a built-in family's Lebesgue mean is its
+# constant term. The homological mean of an isotopy always walks the grid,
+# past the residual's cap here, so it reaches `_measure_mean`.
+HOMOVEC_MEAN = {
+    "kind": "rot-homovec/lebesgue-mean",
+    "argv": ["rot-homovec", "--config", "{config}", "--format", "record", "--grid", "256"],
+    "config": "[class]\nentries = 1 2\n[isotopy]\nkind = skew\nomega = 0.3\ncoeffs = 0.1 0.05 0.02\n"
+    "[point]\nx = 0.2 0.7\n[measure]\nkind = lebesgue\n",
+    "expect": [0, 3],
+}
+
+
 def test_every_probe_installs_and_every_kind_of_job_runs_traced(tmp_path, monkeypatch):
     tracing, jobs = _load("tracing"), _load("jobs")
     monkeypatch.chdir(tmp_path)
     todo = _first_of_each_kind(jobs)
+    todo["extra", HOMOVEC_MEAN["kind"]] = HOMOVEC_MEAN
     tracer = tracing.Tracer()
     tracer.install()
     try:
