@@ -20,6 +20,10 @@ This script times
     per build (the affine map once with its matrix memoized and once with
     the memo cleared before each build), next to the seeded residual
     suites of `gk-check` that build them, in microseconds per draw;
+  - the orbit walk of `dynamics._orbit_columns`, which images each point
+    once: a 4096-point orbit mean of the golden skew map with its
+    push-forward check, in milliseconds per call, and a 10^4-step perturbed
+    average of the same map, in microseconds per step;
   - the Gal-Kedra check of `split-check`: a 12-pair `splitting_check` on
     two T^2 generators against Lebesgue measure at m = 64 per axis in
     milliseconds per pair (its two invariance checks included);
@@ -89,6 +93,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import numpy as np  # noqa: E402
 
 from transnum import (  # noqa: E402
+    CochainPerturbation,
     CohomologyClass,
     ExactAffineAutomorphism,
     BundleAutomorphism,
@@ -102,6 +107,7 @@ from transnum import (  # noqa: E402
     gal_kedra_quadrature,
     mean_translation_number,
     measure_invariance_residual,
+    perturbed_rho_power_average,
     seminorm,
     splitting_check,
     translation_length_estimate,
@@ -128,6 +134,7 @@ GRID_SIDES = {2: 1024, 1: 2048}  # points per axis of the grid-scan table, by di
 SUITE_DRAWS = 200  # draws per timed residual suite
 SPLIT_PAIRS, SPLIT_M = 12, 64  # pairs and points per axis of the timed split-check
 BUILDS = 2000  # builds per timed map build
+ORBIT_POINTS, PERTURBED_STEPS = 4096, 10_000  # the timed orbit mean and perturbed average
 
 
 def _affine_unmemoized():
@@ -443,6 +450,23 @@ def us_per_build(build, repeat):
     return best * 1e6
 
 
+def orbit_walk_costs(repeat):
+    """(best-of-`repeat` ms per ORBIT_POINTS-point orbit mean with its
+    push-forward check, best-of-`repeat` us per step of a PERTURBED_STEPS
+    perturbed average) of the golden skew map from (0.2, 0.7)."""
+    a, g, x = CohomologyClass([0, 1]), BundleAutomorphism(CASES[-1][1]), [0.2, 0.7]
+    mu = InvariantMeasure.dirac_orbit(x, ORBIT_POINTS)
+    pert = CochainPerturbation.from_trig(TrigPolynomial(0.0, (0.1,), (0.05,)), axis=1)
+    best_mean = best_avg = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        mean_translation_number(a, g, mu)
+        mid = time.perf_counter()
+        perturbed_rho_power_average(a, g, x, pert, PERTURBED_STEPS)
+        best_mean, best_avg = min(best_mean, mid - start), min(best_avg, time.perf_counter() - mid)
+    return best_mean * 1e3, best_avg / PERTURBED_STEPS * 1e6
+
+
 def ms_per_split_pair(repeat):
     """Best-of-`repeat` cost of a SPLIT_PAIRS-pair splitting_check of the
     golden skew and the sine shear against Lebesgue measure at SPLIT_M
@@ -530,6 +554,14 @@ def main():
         (f"{name} suite, {SUITE_DRAWS} draws", f"{us_per_draw(suite, args.repeat):.1f}", "us/draw")
         for name, suite in (("coboundary", coboundary_residual_suite), ("cocycle", cocycle_residual_suite))
     ]
+    print_table(rows)
+
+    print()
+    print(f"orbit walk (golden skew from (0.2, 0.7), each point imaged once), best of {args.repeat}")
+    mean_ms, avg_us = orbit_walk_costs(args.repeat)
+    rows = [("case", "cost", "unit")]
+    rows.append((f"orbit mean, {ORBIT_POINTS} points, push-forward check", f"{mean_ms:.3f}", "ms/call"))
+    rows.append((f"perturbed average, {PERTURBED_STEPS} steps", f"{avg_us:.2f}", "us/step"))
     print_table(rows)
 
     print()

@@ -27,11 +27,15 @@ or exact finite sums (orbit and empirical measures), and carries a
 push-forward invariance residual so a non-invariant measure is flagged
 rather than silently averaged. Every walked mean, residual and
 splitting pair reads mu's points through one walk, `_measure_rows`: the
-only code that knows where a measure's points come from. Each of them reads
-coordinates, one array per axis: a grid block's axis columns, or the
-columns of an orbit's or a sample's point stack. `_column_image` maps
-coordinates to those of their images, so a built-in family images a grid
-block without stacking a point.
+only code that knows where a measure's points come from. It reads them in
+blocks of at most GRID_BLOCK points, each given by coordinates, one array
+per axis, with those of its images: a grid block's axis columns
+(`_grid_columns`), a block of an orbit's points (`_orbit_columns`), or the
+columns of the sample stack. `_column_image` maps grid coordinates to those
+of their images, so a built-in family images a grid block without stacking
+a point; an orbit images each of its points once, and the next point is
+that image reduced mod 1. The perturbed Birkhoff average reads the same
+orbit blocks.
 """
 
 from __future__ import annotations
@@ -224,7 +228,7 @@ def _cover_of(x, dimension: int) -> np.ndarray:
 def rho(a: CohomologyClass, g: BundleAutomorphism, x) -> float:
     """Fiber displacement <a, lift(x~) - x~> + shift at a single point."""
     c, cover = _orbit_start(a, g, x)
-    return float(np.dot(a.vector, g.lift(cover) - cover)) + c
+    return float(_rho_values(cover, g.lift(cover), a.vector, c))
 
 
 def rho_many(a: CohomologyClass, g: BundleAutomorphism, points: np.ndarray) -> np.ndarray:
@@ -911,6 +915,29 @@ def _grid_columns(lift: LiftedMap, dimension: int, m: int, offset: float):
     return ((xs, image(xs)) for xs in _grid_blocks(dimension, m, offset))
 
 
+def _orbit_columns(lift: LiftedMap, point: np.ndarray, count: int):
+    """(xs, ys) of each block of at most GRID_BLOCK points of the orbit of
+    the reduced `point` under lift, `count` points in all: the columns of
+    the block's point stack and of their images, one row per axis. Each
+    point is imaged once, by one evaluator call on the point (`lift(x)`),
+    and the next point is that image reduced mod 1. An evaluator whose
+    output shape differs from its input's is refused, as `evaluate_many`
+    refuses it."""
+    cur, shape = point, point.shape
+    for start in range(0, count, GRID_BLOCK):
+        images = np.empty((min(GRID_BLOCK, count - start), *shape))
+        pts = np.empty_like(images)
+        pts[0] = cur
+        for i in range(len(images)):
+            image = lift(cur)
+            if image.shape != shape:
+                raise ValidationError(f"evaluator of {lift.label!r} maps a point of shape {shape} to shape {image.shape}")
+            images[i] = image
+            cur = reduce_point(image)
+        pts[1:] = reduce_point(images[:-1])  # as each was reduced in the walk
+        yield pts.T, images.T
+
+
 def _measure_rows(func: Callable, count: int, mu: InvariantMeasure, dimension: int, m: int, lift: LiftedMap):
     """(rows, weights) of mu's points, the one walk every mean, residual and
     splitting pair reads them through. func takes the coordinates xs of
@@ -920,41 +947,35 @@ def _measure_rows(func: Callable, count: int, mu: InvariantMeasure, dimension: i
     is the (count, points) array they fill, weights None meaning equal
     weights.
 
-    On Lebesgue measure the points are the midpoint grid at m points per
-    axis, walked block by block as axis columns (`_grid_columns`), and rows
-    is filled in grid order: `out` holds the block's slice of each row,
-    shaped as the block's columns broadcast, so each value is written once,
-    straight into its row, and the grid is never built whole. An orbit
-    measure is walked under lift point by point, and an empirical one reads
-    its samples; xs and ys are then the columns of the stack of points and
-    of its images, which come from one `evaluate_many`, and `out` the rows
-    themselves."""
+    The points come in blocks, and rows is filled block by block: `out`
+    holds the block's slice of each row, shaped as the block's columns
+    broadcast, so each value is written once, straight into its row. On
+    Lebesgue measure the blocks are those of the midpoint grid at m points
+    per axis, as axis columns (`_grid_columns`), and the grid is never built
+    whole. An orbit measure is walked under lift in blocks of its points
+    (`_orbit_columns`), each imaged once. An empirical measure is one block:
+    the columns of its sample stack and of their images, from one
+    `evaluate_many`."""
     if mu.kind == "lebesgue":
-        blocks = _grid_columns(lift, dimension, m, 0.5)  # checks the grid
-        rows, i = np.empty((count, m**dimension)), 0
-        for xs, ys in blocks:
-            shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
-            size = math.prod(shape)
-            func(xs, ys, [row[i : i + size].reshape(shape) for row in rows])
-            i += size
-        return rows, None
-    support = mu.point if mu.kind == "dirac_orbit" else mu.samples
-    if support is not None and support.shape[-1] != dimension:
-        raise DimensionMismatch(
-            f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
-        )
-    if mu.kind == "dirac_orbit":
-        pts, weights = np.empty((mu.period, dimension)), None
-        cur = mu.point.copy()
-        for i in range(mu.period):
-            pts[i] = cur
-            cur = reduce_point(lift(cur))
-    elif mu.kind == "empirical":
-        pts, weights = mu.samples, mu.weights
+        blocks, size, weights = _grid_columns(lift, dimension, m, 0.5), m**dimension, None  # checks the grid
     else:
-        raise ValidationError(f"unknown measure kind {mu.kind!r}")
-    rows = np.empty((count, len(pts)))
-    func(pts.T, lift.evaluate_many(pts).T, rows)
+        support = mu.point if mu.kind == "dirac_orbit" else mu.samples
+        if support is not None and support.shape[-1] != dimension:
+            raise DimensionMismatch(
+                f"the {mu.kind} measure lives on T^{support.shape[-1]}, the map on T^{dimension}"
+            )
+        if mu.kind == "dirac_orbit":
+            blocks, size, weights = _orbit_columns(lift, mu.point, mu.period), mu.period, None
+        elif mu.kind == "empirical":
+            blocks, size, weights = [(mu.samples.T, lift.evaluate_many(mu.samples).T)], len(mu.samples), mu.weights
+        else:
+            raise ValidationError(f"unknown measure kind {mu.kind!r}")
+    rows, i = np.empty((count, size)), 0
+    for xs, ys in blocks:
+        shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+        k = math.prod(shape)
+        func(xs, ys, [row[i : i + k].reshape(shape) for row in rows])
+        i += k
     return rows, weights
 
 
@@ -1032,20 +1053,6 @@ def _displacement_lipschitz(lift: LiftedMap) -> Optional[float]:
     return None
 
 
-def _displacement_degree(lift: LiftedMap) -> Optional[int]:
-    """The degree of rho = <a, lift(x) - x> + shift as a trigonometric
-    polynomial, for a lift with a kernel spec (in any dimension), else None:
-    0 for rigid and affine maps, whose rho is the constant <a, v> + shift
-    because M^T a = a; 1 for arnold and sinshear maps; the degree of c,
-    params[1], for skew maps."""
-    if lift.kernel_spec is None:
-        return None
-    code, params = lift.kernel_spec
-    if code in (_kernels.RIGID, _kernels.AFFINE):
-        return 0
-    return int(params[1]) if code == _kernels.SKEW else 1
-
-
 def _displacement_coefficients(a: CohomologyClass, lift: LiftedMap, shift) -> Optional[tuple]:
     """(axis, constant, pairs) of rho = <a, lift(x) - x> + shift as a
     trigonometric polynomial in the one coordinate t = x_axis,
@@ -1055,7 +1062,8 @@ def _displacement_coefficients(a: CohomologyClass, lift: LiftedMap, shift) -> Op
     read from the kernel spec of a lift that has one (in any dimension),
     else None. constant is a Fraction of the float parameters, the class
     entries and the shift, so it is exact; pairs lists the float (A_k,
-    B_k) for k = 1 .. d, d = `_displacement_degree`:
+    B_k) for k = 1 .. d, so len(pairs) is the degree d of rho, which
+    `_rounding_scale` and `_lebesgue_bound` read there:
       - rigid and affine maps: <a, v> + shift, no pairs (M^T a = a cancels
         the (M - I) x of an affine map);
       - arnold: a_0 omega + shift and (0, a_0 k / 2 pi), in x_0;
@@ -1102,7 +1110,9 @@ def _rounding_scale(a: CohomologyClass, lift: LiftedMap, shift: float) -> Option
     center = np.full(n, 0.5)
     disp = float(np.max(np.abs(lift(center) - center))) + lip * math.sqrt(n) / 2.0
     scale = a.one_norm * (1.0 + disp + lip) + abs(shift)
-    return lip, scale, 4 + (_displacement_degree(lift) or 0) + (n + 1) * math.sqrt(n)
+    coefficients = _displacement_coefficients(a, lift, shift)
+    degree = 0 if coefficients is None else len(coefficients[2])
+    return lip, scale, 4 + degree + (n + 1) * math.sqrt(n)
 
 
 def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -> Optional[float]:
@@ -1111,10 +1121,10 @@ def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -
     which marks the mean as an estimate. With L = `_displacement_lipschitz`:
 
       - exact degree: when rho is a trigonometric polynomial of degree d
-        (`_displacement_degree`) and m > d, the midpoint rule is exact, since
-        each character e^(2 pi i k.x) with some 0 < |k_j| < m sums to 0 over
-        the grid (Trefethen and Weideman, SIAM Review 56, 2014). The bound is
-        the rounding term alone;
+        (the d pairs of `_displacement_coefficients`) and m > d, the
+        midpoint rule is exact, since each character e^(2 pi i k.x) with
+        some 0 < |k_j| < m sums to 0 over the grid (Trefethen and Weideman,
+        SIAM Review 56, 2014). The bound is the rounding term alone;
       - Lipschitz: otherwise, |rho(x) - rho(c)| <= |a|_1 L |x - c| on a cell
         of side h = 1/m with center c, and the mean of |x - c| over the cell
         is at most sqrt(n h^2 / 12) (Jensen), so the rule is off by at most
@@ -1152,10 +1162,10 @@ def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -
         return None
     lip, scale, w = rounding
     n = lift.dimension
-    degree = _displacement_degree(lift)
+    coefficients = _displacement_coefficients(a, lift, shift)
     ulps = w + n + 29 + math.ceil(math.log2(m**n))
     bound = ulps * UNIT_ROUNDOFF * scale
-    if degree is None or m <= degree:
+    if coefficients is None or m <= len(coefficients[2]):
         bound += a.one_norm * lip * math.sqrt(n / 12.0) / m
     return bound
 
@@ -1209,14 +1219,29 @@ def measure_invariance_residual(
     each axis, which vanishes unless m divides every k_j. So once m exceeds
     every |k_j| (m >= 2 on T^n for n >= 2, m >= 3 on the circle, whose
     probes reach degree 2), each unmoved mean is exactly 0 and only the
-    images are kept; below that the same walk keeps the grid's points too."""
-    n = base_map.dimension
-    unmoved = mu.kind != "lebesgue" or _aliased(n, quadrature_points)
-    rows, weights = _measure_rows(
-        lambda xs, ys, out: _put(out, (*_moved(ys), *xs) if unmoved else _moved(ys)),
-        2 * n if unmoved else n, mu, n, quadrature_points, base_map,
-    )
-    return _probe_residual(rows[n:] if unmoved else None, rows[:n], weights)
+    images are kept; below that the same walk keeps the grid's points too
+    (`_probed_rows`)."""
+    return _probed_rows(lambda xs, ys, out: None, 0, mu, quadrature_points, base_map)[2]
+
+
+def _probed_rows(lead: Callable, count: int, mu: InvariantMeasure, m: int, lift: LiftedMap) -> tuple:
+    """(rows, weights, residual) of one walk of mu's points under lift
+    (`_measure_rows`, at m points per axis on Lebesgue measure): the first
+    `count` rows, which lead(xs, ys, out) writes into out[:count], their
+    weights, and the push-forward residual (`_probe_residual`) read from the
+    probe rows after them. Those hold the image coordinates reduced mod 1
+    (`_moved`), then the points' coordinates unless every unmoved mean is 0
+    (a Lebesgue grid that `_aliased` does not flag)."""
+    n = lift.dimension
+    unmoved = mu.kind != "lebesgue" or _aliased(n, m)
+
+    def rows_of(xs, ys, out):
+        lead(xs, ys, out)
+        _put(out[count:], (*_moved(ys), *xs) if unmoved else _moved(ys))
+
+    rows, weights = _measure_rows(rows_of, count + (2 * n if unmoved else n), mu, n, m, lift)
+    probes = rows[count:]
+    return rows[:count], weights, _probe_residual(probes[n:] if unmoved else None, probes[:n], weights)
 
 
 def _moved(ys) -> tuple:
@@ -1319,7 +1344,7 @@ def _walked_mean(
     For orbit measures the mean is the exact cycle average; for Lebesgue it
     is midpoint quadrature in one pass over the m^n grid. The push-forward
     residual reads the same points and images as the mean does (one walk,
-    one evaluation), except on a Lebesgue grid finer than
+    one evaluation, `_probed_rows`), except on a Lebesgue grid finer than
     QUADRATURE_POINTS per axis, where it takes its own grid at that cap. Its
     error_bound (`_lebesgue_bound`) is a rounding bound when rho is a trigonometric
     polynomial of known degree d < m (every built-in family: 0 for rigid and
@@ -1328,33 +1353,21 @@ def _walked_mean(
     other lift with Lipschitz data, and None, an estimate, for a lift
     without."""
     shift = _map_shift(a, g)
-    avec, n = a.vector, a.dimension
+    lebesgue = mu.kind == "lebesgue"
 
     def rho_of(xs, ys, out):
-        _rho_values(xs, ys, avec, shift, out)
+        _rho_values(xs, ys, a.vector, shift, out)
 
-    residual = None
-    lebesgue = mu.kind == "lebesgue"
-    if lebesgue and not (check_invariance and quadrature_points <= QUADRATURE_POINTS):
-        value, _ = _measure_mean(rho_of, mu, n, quadrature_points, g.lift)
-        err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
-        if check_invariance:
-            residual = measure_invariance_residual(g.lift, mu, quadrature_points=QUADRATURE_POINTS)
+    if check_invariance and not (lebesgue and quadrature_points > QUADRATURE_POINTS):
+        (values,), weights, residual = _probed_rows(
+            lambda xs, ys, out: rho_of(xs, ys, out[0]), 1, mu, quadrature_points, g.lift
+        )
+        value, err = (_average(values, None), None) if lebesgue else _finite_mean(values, weights)
     else:
-        # the residual reads the coordinates of the mean's points and images
-        unmoved = not lebesgue or _aliased(n, quadrature_points)
-
-        def rows_of(xs, ys, out):
-            rho_of(xs, ys, out[0])
-            _put(out[1:], (*_moved(ys), *xs) if unmoved else _moved(ys))
-
-        rows, weights = _measure_rows(rows_of, 1 + (2 * n if unmoved else n), mu, n, quadrature_points, g.lift)
-        if lebesgue:
-            value, err = _average(rows[0], None), _lebesgue_bound(a, g.lift, shift, quadrature_points)
-        else:
-            value, err = _finite_mean(rows[0], weights)
-        if check_invariance:
-            residual = _probe_residual(rows[1 + n :] if unmoved else None, rows[1 : 1 + n], weights)
+        value, err = _measure_mean(rho_of, mu, a.dimension, quadrature_points, g.lift)
+        residual = measure_invariance_residual(g.lift, mu, QUADRATURE_POINTS) if check_invariance else None
+    if lebesgue:
+        err = _lebesgue_bound(a, g.lift, shift, quadrature_points)
     return MeanReport(
         value=value,
         error_bound=err,
@@ -1420,18 +1433,20 @@ def perturbed_rho_power_average(
 
     Telescoping makes this (rho_x(g^n) + beta(g^n x) - beta(x))/n exactly;
     summing the perturbed terms instead keeps the computation honest to the
-    definition and keeps float cancellation visible."""
+    definition and keeps float cancellation visible. The orbit is read in
+    blocks (`_orbit_columns`), so memory does not grow with n: each block's
+    terms rho(x) + beta(g x) - beta(x) are formed together, with one call of
+    beta on the block's points and the point after them, and added to the
+    sum one at a time, in orbit order."""
     if n < 1:
         raise ValidationError("need n >= 1")
     c, cover = _orbit_start(a, g, x)
-    avec = a.vector
-    cur = reduce_point(cover)
     s = 0.0
-    b_cur = pert.value(cur)
-    for _ in range(n):
-        image = g.lift(cur)
-        nxt = reduce_point(image)
-        b_next = pert.value(nxt)
-        s += float(np.dot(avec, image - cur)) + c + b_next - b_cur
-        cur, b_cur = nxt, b_next
+    for xs, ys in _orbit_columns(g.lift, reduce_point(cover), n):
+        beta = np.asarray(pert.func(np.vstack([xs.T, reduce_point(ys[:, -1])])), dtype=float)
+        if beta.shape != (xs.shape[1] + 1,):
+            raise ValidationError(f"beta maps {xs.shape[1] + 1} points to values of shape {beta.shape}")
+        terms = _rho_values(xs, ys, a.vector, c) + beta[1:] - beta[:-1]
+        terms[0] += s
+        s = float(np.cumsum(terms)[-1])  # a running sum: sequential, unlike np.sum
     return s / n

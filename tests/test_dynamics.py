@@ -47,6 +47,7 @@ from transnum import (
 )
 from transnum import dynamics
 from transnum.dynamics import POINT_CAP, _default_test_functions, _finite_mean, _measure_mean, _walked_mean
+from transnum.families import sample_class_entries, sample_fiber_shift, sample_map
 from transnum.torus import reduce_point
 
 A1 = CohomologyClass([1])
@@ -718,6 +719,114 @@ def test_perturbed_average_stays_within_the_sup_bound_window():
     plain = rho_power_average(A1, g, [0.0], n)
     moved = perturbed_rho_power_average(A1, g, [0.0], pert, n)
     assert abs(moved - plain) <= 2.0 * pert.sup_bound / n + 1e-12
+
+
+def per_point_perturbed_average(a, g, x, pert, n):
+    """The perturbed average summed as a per-point loop: each step images
+    the point, reads beta with `pert.value` and pairs with np.dot. The
+    library reads the orbit in blocks; this is the reference it must equal
+    bit for bit."""
+    c = float(g.fiber_shift)
+    cur = reduce_point(np.atleast_1d(np.asarray(x, dtype=float)))
+    s, b_cur = 0.0, pert.value(cur)
+    for _ in range(n):
+        image = g.lift(cur)
+        nxt = reduce_point(image)
+        b_next = pert.value(nxt)
+        s += float(np.dot(a.vector, image - cur)) + c + b_next - b_cur
+        cur, b_cur = nxt, b_next
+    return s / n
+
+
+def stacked_orbit_mean(a, g, x, q):
+    """(value, error) of the q-orbit mean of rho with the orbit walked
+    point by point and its stack imaged again by one `evaluate_many`."""
+    pts, cur = np.empty((q, a.dimension)), reduce_point(np.asarray(x, dtype=float))
+    for i in range(q):
+        pts[i] = cur
+        cur = reduce_point(g.lift(cur))
+    values = dynamics._rho_values(pts.T, g.lift.evaluate_many(pts).T, a.vector, float(g.fiber_shift))
+    return _finite_mean(values, None)
+
+
+def sampled_pairs(count, seed):
+    """(class, map, point) of `count` sampled built-in maps on T^1 and T^2 in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        a = CohomologyClass(sample_class_entries(rng, 1 + i % 2))
+        g = auto(sample_map(rng, a.entries), sample_fiber_shift(rng))
+        yield a, g, rng.uniform(0.0, 1.0, size=a.dimension)
+
+
+@pytest.mark.parametrize("block", [dynamics.GRID_BLOCK, 97], ids=["one-block", "blocks-of-97"])
+def test_block_walks_equal_the_per_point_routes_to_the_bit(block, monkeypatch):
+    monkeypatch.setattr(dynamics, "GRID_BLOCK", block)
+    for i, (a, g, x) in enumerate(sampled_pairs(16, 2718)):
+        pert = CochainPerturbation.from_trig(TrigPolynomial(0.01 * i, (0.1,), (0.2,)), axis=a.dimension - 1)
+        n = 300 + 7 * i
+        assert perturbed_rho_power_average(a, g, x, pert, n) == per_point_perturbed_average(a, g, x, pert, n)
+        rep = _walked_mean(a, g, InvariantMeasure.dirac_orbit(x, 50 + i), check_invariance=False)
+        assert (rep.value, rep.error_bound) == stacked_orbit_mean(a, g, x, 50 + i)
+
+
+def test_perturbed_average_memory_does_not_grow_with_n(monkeypatch):
+    # a smaller block keeps the traced run short: the two n walk 5 and 20
+    # blocks, and the peak holds one block whatever n is
+    monkeypatch.setattr(dynamics, "GRID_BLOCK", 1 << 8)
+    pert = CochainPerturbation.from_trig(TrigPolynomial(0.0, (0.1,), (0.05,)), axis=1)
+    g = auto(skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,))))
+    peaks = []
+    for n in (1250, 5000):
+        tracemalloc.start()
+        try:
+            perturbed_rho_power_average(A01, g, [0.2, 0.7], pert, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 4 * 1024 and peaks[1] < 64 * 1024, peaks
+
+
+def counted(lift, imaged):
+    """lift with an evaluator that appends the number of points of each call to `imaged`."""
+
+    def evaluator(x):
+        imaged.append(np.size(x) // lift.dimension)
+        return lift.evaluator(x)
+
+    return LiftedMap(evaluator, lift.matrix, label=f"counted {lift.label}")
+
+
+def test_an_orbit_measure_images_each_point_once(monkeypatch):
+    monkeypatch.setattr(dynamics, "GRID_BLOCK", 64)  # 300 points walk 5 blocks
+    imaged = []
+    lift = counted(BUMPY, imaged)
+    mu = InvariantMeasure.dirac_orbit([0.1, 0.35], 300)
+    rep = mean_translation_number(A10, auto(lift), mu)  # the mean and its probes read one walk
+    assert imaged == [1] * 300 and rep.invariance_residual > 1e-3
+    imaged.clear()
+    measure_invariance_residual(lift, mu)
+    assert imaged == [1] * 300
+
+
+@pytest.mark.parametrize(
+    "image",
+    [lambda x: np.asarray(x)[..., :1] + 0.3, lambda x: float(np.asarray(x)[0]) + 0.3],
+    ids=["one-coordinate", "scalar"],
+)
+def test_an_evaluator_of_the_wrong_shape_is_refused_on_an_orbit(image):
+    g = auto(LiftedMap(image, np.eye(2, dtype=int), label="short"))
+    pert = CochainPerturbation.from_trig(TrigPolynomial(0.0, (0.1,), (0.05,)))
+    with pytest.raises(ValidationError, match="shape"):
+        mean_translation_number(A10, g, InvariantMeasure.dirac_orbit([0.1, 0.35], 5))
+    with pytest.raises(ValidationError, match="shape"):
+        perturbed_rho_power_average(A10, g, [0.1, 0.35], pert, 5)
+
+
+def test_a_beta_of_the_wrong_shape_is_refused_in_the_perturbed_average():
+    pert = CochainPerturbation(func=lambda pts: 0.1 * np.asarray(pts)[:, :1], sup_bound=0.1)
+    with pytest.raises(ValidationError, match="shape"):
+        perturbed_rho_power_average(A10, auto(rigid_rotation([0.3, 0.1])), [0.1, 0.35], pert, 5)
 
 
 def test_understated_sup_bound_is_rejected():
