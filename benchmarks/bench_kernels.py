@@ -21,12 +21,14 @@ This script times
     the memo cleared before each build), next to the seeded residual
     suites of `gk-check` that build them, in microseconds per draw;
   - the orbit walk of `dynamics._orbit_columns`, which images each point
-    once: a 4096-point orbit mean of the golden skew map with its
+    once, by the map's column step: a 4096-point orbit mean of the golden skew map with its
     push-forward check, in milliseconds per call, and a 10^4-step perturbed
     average of the same map, in microseconds per step;
   - the Gal-Kedra check of `split-check`: a 12-pair `splitting_check` on
     two T^2 generators against Lebesgue measure at m = 64 per axis in
-    milliseconds per pair (its two invariance checks included);
+    milliseconds per pair (its two invariance checks included), once with
+    pairs of one-letter words and once with pairs of two-letter words, which
+    image every grid block letter by letter;
   - the grid scans of each family, at 1024^2 points of T^2 (2048 points of
     the circle for the Arnold family): a Lebesgue mean (one midpoint grid,
     no push-forward check) and a certified seminorm, each in milliseconds
@@ -113,7 +115,7 @@ from transnum import (  # noqa: E402
     translation_length_estimate,
 )
 import jobs  # noqa: E402
-from transnum import config, dynamics, families, reports  # noqa: E402
+from transnum import config, dynamics, families, galkedra, reports  # noqa: E402
 from transnum.distortion import _grid_seminorm  # noqa: E402
 from transnum.dynamics import _PythonOrbit, _walked_mean  # noqa: E402
 from transnum.families import (  # noqa: E402
@@ -467,18 +469,26 @@ def orbit_walk_costs(repeat):
     return best_mean * 1e3, best_avg / PERTURBED_STEPS * 1e6
 
 
-def ms_per_split_pair(repeat):
-    """Best-of-`repeat` cost of a SPLIT_PAIRS-pair splitting_check of the
-    golden skew and the sine shear against Lebesgue measure at SPLIT_M
-    points per axis, per pair."""
+def ms_per_split_pair(repeat, letters):
+    """Best-of-`repeat` cost of a SPLIT_PAIRS-pair splitting_check against
+    Lebesgue measure at SPLIT_M points per axis, per pair, whose pairs are
+    words of `letters` (1 or 2) letters: with galkedra.WORD_LENGTH set to 1
+    for the run, the check draws its generators as they are, the golden
+    skew and the sine shear for one letter, and their two products for two
+    letters."""
     a = CohomologyClass([0, 1])
-    gens = [BundleAutomorphism(CASES[-1][1]), BundleAutomorphism(sinusoidal_shear(0.1), 1)]
+    skew, shear = BundleAutomorphism(CASES[-1][1]), BundleAutomorphism(sinusoidal_shear(0.1), 1)
+    gens = [skew, shear] if letters == 1 else [skew.compose(shear), shear.compose(skew)]
     mu = InvariantMeasure.lebesgue()
     best = math.inf
-    for _ in range(repeat):
-        start = time.perf_counter()
-        splitting_check(a, gens, mu, pairs=SPLIT_PAIRS, quadrature_points=SPLIT_M, seed=1)
-        best = min(best, time.perf_counter() - start)
+    word_length, galkedra.WORD_LENGTH = galkedra.WORD_LENGTH, 1
+    try:
+        for _ in range(repeat):
+            start = time.perf_counter()
+            splitting_check(a, gens, mu, pairs=SPLIT_PAIRS, quadrature_points=SPLIT_M, seed=1)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        galkedra.WORD_LENGTH = word_length
     return best / SPLIT_PAIRS * 1e3
 
 
@@ -566,7 +576,12 @@ def main():
 
     print()
     print(f"Gal-Kedra split-check at m = {SPLIT_M}, best of {args.repeat}")
-    print_table([("case", "ms/pair"), (f"split-check, {SPLIT_PAIRS} pairs", f"{ms_per_split_pair(args.repeat):.3f}")])
+    rows = [("case", "ms/pair")]
+    rows += [
+        (f"split-check, {SPLIT_PAIRS} pairs of {k}-letter words", f"{ms_per_split_pair(args.repeat, k):.3f}")
+        for k in (1, 2)
+    ]
+    print_table(rows)
 
     print()
     print(f"grid scans (Lebesgue mean, certified seminorm), best of {args.repeat}; peak of one call under tracemalloc")

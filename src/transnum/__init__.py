@@ -115,8 +115,6 @@ from .seifert import (
     SeifertData,
     construct_h1_class,
     euler_number,
-    format_seifert_text,
-    parse_seifert_text,
     random_zero_euler_data,
     verify_homomorphism,
 )

@@ -66,10 +66,10 @@ from .dynamics import (
     VERDICT_EXACT_PERIODIC,
     BundleAutomorphism,
     ConvergenceReport,
-    _checked_shift,
     _displacement_coefficients,
     _displacement_lipschitz,
     _grid_columns,
+    _map_shift,
     _power,
     _require_grid,
     _rho_values,
@@ -84,7 +84,7 @@ from .errors import (
     ValidationError,
 )
 from .families import torus_affine
-from .torus import CohomologyClass, _exact_det, _exact_inverse, preserves_class, require_preserves_class
+from .torus import CohomologyClass, _exact_det, _exact_inverse, preserves_class
 
 __all__ = [
     "SeminormReport",
@@ -141,19 +141,20 @@ def seminorm(
 
 def _seminorm_inputs(a: CohomologyClass, g: BundleAutomorphism, grid_resolution, mode: str) -> tuple:
     """(m, fiber shift as a float) after the checks of every seminorm
-    route: the mode, g preserves a, the grid and the shift."""
+    route: the mode, `dynamics._map_shift`'s (g preserves a and its shift
+    lies in the fiber group) and the grid."""
     if mode not in (MODE_ESTIMATE, MODE_CERTIFIED):
         raise ValidationError(f"mode must be {MODE_ESTIMATE!r} or {MODE_CERTIFIED!r}")
-    require_preserves_class(a, g.lift)
+    shift = _map_shift(a, g)
     m = int(grid_resolution)
     _require_grid(a.dimension, m)
-    return m, _checked_shift(a, g.fiber_shift)
+    return m, shift
 
 
 def _grid_seminorm(
     a: CohomologyClass,
     g: BundleAutomorphism,
-    grid_resolution: int = GRID_RESOLUTION,
+    grid_resolution: int,
     mode: str = MODE_ESTIMATE,
 ) -> SeminormReport:
     """sup |rho| by a scan of the m^n corner grid; certified mode adds the

@@ -31,11 +31,12 @@ only code that knows where a measure's points come from. It reads them in
 blocks of at most GRID_BLOCK points, each given by coordinates, one array
 per axis, with those of its images: a grid block's axis columns
 (`_grid_columns`), a block of an orbit's points (`_orbit_columns`), or the
-columns of the sample stack. `_column_image` maps grid coordinates to those
-of their images, so a built-in family images a grid block without stacking
-a point; an orbit images each of its points once, and the next point is
-that image reduced mod 1. The perturbed Birkhoff average reads the same
-orbit blocks.
+columns of the sample stack. Every block is imaged by `_column_image`, the
+lift's column step: a built-in family, or a word of them, images a grid
+block letter by letter without stacking a point, and only a hand-built
+evaluator is given stacks. An orbit images each of its points once, and
+the next point is that image reduced mod 1. The perturbed Birkhoff average
+reads the same orbit blocks.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .families import _StepEvaluator
 from .torus import (
     BundlePoint,
     CohomologyClass,
     LiftedMap,
+    _StepEvaluator,
     identity_lift,
     reduce_point,
     require_preserves_class,
@@ -102,7 +103,8 @@ INTEGER_FIBER_TOLERANCE = 1e-9
 RETURN_TOLERANCE = 1e-10
 # The window verdict waits for this many steps, so short exact periods are seen.
 SCAN_HORIZON = 16
-# Window tolerance of the limits whose maps are not affine-exact.
+# Window tolerances of the limits of rigid and affine maps and of all others.
+EXACT_WINDOW_TOLERANCE = 1e-9
 WINDOW_TOLERANCE = 1e-6
 MAX_ITERATIONS = 10**5
 # Orbits of one family step together once there are this many of them: below
@@ -297,7 +299,7 @@ class _PythonOrbit:
         self.s_return = np.full(stack, math.nan) if stack else math.nan
         self.block = np.full(stack, math.nan) if stack else math.nan
         self.kernel = kernel
-        self._evaluator = _StepEvaluator(*kernel) if kernel is not None and stack else evaluator
+        self._evaluator = _StepEvaluator(kernel) if kernel is not None and stack else evaluator
         self._avec = _kernels.pair(avec) if self.x0.ndim == 1 else [float(t) for t in avec]
         self.shift = shift
 
@@ -322,7 +324,7 @@ class _PythonOrbit:
         if self.kernel is not None:
             code, params = self.kernel
             self.kernel = (code, [t[rows] if isinstance(t, np.ndarray) else t for t in params])
-            self._evaluator = _StepEvaluator(*self.kernel)
+            self._evaluator = _StepEvaluator(self.kernel)
         if isinstance(self.shift, np.ndarray):
             self.shift = self.shift[rows]
 
@@ -410,13 +412,14 @@ def _group_orbit(a: CohomologyClass, maps: list, starts: list) -> _PythonOrbit:
     """The orbit of a group of rows whose maps share one `_kernel_family`,
     from their checked `_orbit_start`s. One row runs alone: with its
     lift's kernel for a built-in family in dimension 1 or 2, else with its
-    lift's evaluator. More rows, of one such family, run as one stack whose
-    kernel holds their stacked parameter columns: one `np_step` call per
-    step."""
+    lift's evaluator, whose shape the lift checks once, on the start. More
+    rows, of one such family, run as one stack whose kernel holds their
+    stacked parameter columns: one `np_step` call per step."""
     family = _kernel_family(maps[0].lift)
     if len(maps) == 1:
         (g,), ((c, cover),) = maps, starts
         if family is None:
+            g.lift(cover)  # the one shape check, once: lift_chunk calls the bare evaluator
             return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c)
         return _PythonOrbit(cover, kernel=g.lift.kernel_spec, avec=a.entries, shift=c)
     code, degree = family
@@ -686,7 +689,7 @@ def _translation_limits(orbit: _PythonOrbit, a: CohomologyClass, tolerance: floa
 def _default_tolerance(g: BundleAutomorphism) -> float:
     spec = g.lift.kernel_spec
     if spec is not None and spec[0] in (_kernels.RIGID, _kernels.AFFINE):
-        return 1e-9
+        return EXACT_WINDOW_TOLERANCE
     return WINDOW_TOLERANCE
 
 
@@ -722,9 +725,10 @@ def local_translation_numbers(
 ) -> list:
     """The limit of rho_x(g^n)/n for each map g and point x, in order.
 
-    Defaults: tolerance 1e-9 for the affine-exact families, WINDOW_TOLERANCE
-    otherwise; orbit returns detected within RETURN_TOLERANCE. The window
-    check is a heuristic stopping rule, not a certificate. Two verdicts are
+    Defaults: tolerance EXACT_WINDOW_TOLERANCE for the affine-exact
+    families, WINDOW_TOLERANCE otherwise; orbit returns detected within
+    RETURN_TOLERANCE. The window check is a heuristic stopping rule, not a
+    certificate. Two verdicts are
     exact, with `error_bound` 0 and the value in `rational`: exact-periodic
     (the orbit returns to x) and, for Arnold maps on an integer class,
     exact-locked (`_grid_locks` proves the rotation number).
@@ -887,22 +891,24 @@ def _axis_grid(axis: np.ndarray, d: int) -> np.ndarray:
 def _column_image(lift: LiftedMap) -> Callable:
     """The map from the coordinates xs of points (one array per axis, which
     broadcast together) to those of their images under lift, one array per
-    axis, with the values of `lift.evaluate_many` on the points. A built-in
-    family in dimension 1 or 2 (`_kernel_family`) runs its numpy step
-    (`_StepEvaluator.image`) on xs, so no point or image stack is built, each
-    sin and cos of a grid block runs once per grid coordinate, and an image
-    coordinate that depends on one axis stays a column (x_0 + omega of a
-    skew map). Any other lift stacks the broadcast points once and runs
-    `evaluate_many` on the stack."""
-    if _kernel_family(lift) is not None:
-        return _StepEvaluator(*lift.kernel_spec).image
+    axis, with the values of `lift.evaluate_many` on the points: the one
+    route by which grids, orbits and samples are imaged. A column step
+    (`torus._StepEvaluator`: a built-in family in dimension 1 or 2, or a
+    word of them) is its own `image`, so no point or image stack is built,
+    each sin and cos of a grid block runs once per grid coordinate, and an
+    image coordinate that depends on one axis stays a column. A hand-built
+    evaluator gets the stacking adapter: `evaluate_many` on the broadcast
+    points, or a call of the lift on one point, through its shape check."""
+    if isinstance(lift.evaluator, _StepEvaluator):
+        return lift.evaluator.image
 
     def image(xs) -> tuple:
         shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
         pts = np.empty((*shape, len(xs)))
         for j, x in enumerate(xs):
             pts[..., j] = x
-        return tuple(lift.evaluate_many(pts.reshape(-1, len(xs))).T.reshape(len(xs), *shape))
+        out = lift.evaluate_many(pts.reshape(-1, len(xs))) if shape else lift(pts)
+        return tuple(out.T.reshape(len(xs), *shape))
 
     return image
 
@@ -919,21 +925,16 @@ def _orbit_columns(lift: LiftedMap, point: np.ndarray, count: int):
     """(xs, ys) of each block of at most GRID_BLOCK points of the orbit of
     the reduced `point` under lift, `count` points in all: the columns of
     the block's point stack and of their images, one row per axis. Each
-    point is imaged once, by one evaluator call on the point (`lift(x)`),
-    and the next point is that image reduced mod 1. An evaluator whose
-    output shape differs from its input's is refused, as `evaluate_many`
-    refuses it."""
-    cur, shape = point, point.shape
+    point is imaged once, by the lift's column image of its coordinates
+    (`_column_image`), and the next point is that image reduced mod 1."""
+    image, cur = _column_image(lift), point
     for start in range(0, count, GRID_BLOCK):
-        images = np.empty((min(GRID_BLOCK, count - start), *shape))
+        images = np.empty((min(GRID_BLOCK, count - start), len(point)))
         pts = np.empty_like(images)
         pts[0] = cur
         for i in range(len(images)):
-            image = lift(cur)
-            if image.shape != shape:
-                raise ValidationError(f"evaluator of {lift.label!r} maps a point of shape {shape} to shape {image.shape}")
-            images[i] = image
-            cur = reduce_point(image)
+            images[i] = image(cur)
+            cur = reduce_point(images[i])
         pts[1:] = reduce_point(images[:-1])  # as each was reduced in the walk
         yield pts.T, images.T
 
@@ -954,8 +955,8 @@ def _measure_rows(func: Callable, count: int, mu: InvariantMeasure, dimension: i
     per axis, as axis columns (`_grid_columns`), and the grid is never built
     whole. An orbit measure is walked under lift in blocks of its points
     (`_orbit_columns`), each imaged once. An empirical measure is one block:
-    the columns of its sample stack and of their images, from one
-    `evaluate_many`."""
+    the columns of its sample stack and their images. Every block is imaged
+    by `_column_image`."""
     if mu.kind == "lebesgue":
         blocks, size, weights = _grid_columns(lift, dimension, m, 0.5), m**dimension, None  # checks the grid
     else:
@@ -967,7 +968,7 @@ def _measure_rows(func: Callable, count: int, mu: InvariantMeasure, dimension: i
         if mu.kind == "dirac_orbit":
             blocks, size, weights = _orbit_columns(lift, mu.point, mu.period), mu.period, None
         elif mu.kind == "empirical":
-            blocks, size, weights = [(mu.samples.T, lift.evaluate_many(mu.samples).T)], len(mu.samples), mu.weights
+            blocks, size, weights = [(mu.samples.T, _column_image(lift)(mu.samples.T))], len(mu.samples), mu.weights
         else:
             raise ValidationError(f"unknown measure kind {mu.kind!r}")
     rows, i = np.empty((count, size)), 0
@@ -1334,7 +1335,7 @@ def _walked_mean(
     a: CohomologyClass,
     g: BundleAutomorphism,
     mu: InvariantMeasure,
-    quadrature_points: int = QUADRATURE_POINTS,
+    quadrature_points: int,
     check_invariance: bool = True,
 ) -> MeanReport:
     """The integral of rho against mu read from a walk of mu's points: the

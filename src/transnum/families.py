@@ -1,12 +1,14 @@
 """Built-in lifted map families: one formula each, in `_kernels`.
 
 Each constructor returns a LiftedMap whose kernel spec (code, params) runs
-the family's step in the orbit kernel, and whose numpy evaluator runs the
-same step (`_kernels.np_step`) over point stacks; rigid maps keep x + v and
-affine maps of dimension 3 or more, which the step cannot take, x @ M.T + v.
-The evaluators accept complex points, so derivatives come from the complex
-step rather than from hand-written Jacobians. Each map also carries Lipschitz
-constants for itself and its displacement field, and an inverse factory.
+the family's step in the orbit kernel, and whose evaluator is the column
+step (`torus._StepEvaluator`) that runs the same step (`_kernels.np_step`)
+on coordinates: of grid blocks, orbits, samples or point stacks. Rigid and
+affine maps of dimension 3 or more, which the step cannot take, keep the
+stack evaluators x + v and x @ M.T + v. The evaluators accept complex
+points, so derivatives come from the complex step rather than from
+hand-written Jacobians. Each map also carries Lipschitz constants for
+itself and its displacement field, and an inverse factory.
 Everything here is a lift to R^n of a torus homeomorphism; equivariance is
 by construction but `check_equivariance` will happily re-verify.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .torus import LiftedMap, _exact_det, _exact_inverse, _int64_matrix
+from .torus import LiftedMap, _StepEvaluator, _exact_det, _exact_inverse, _int64_matrix
 
 __all__ = [
     "TrigPolynomial",
@@ -132,39 +134,6 @@ class TrigPolynomial:
         return out
 
 
-class _StepEvaluator:
-    """Numpy evaluator of a kernel family: `_kernels.np_step` applied to the
-    coordinate columns of a (..., n) stack, real or complex.
-
-    A parameter is a float, or a (B,) column giving row i of a (B, n) stack
-    its own value (the skew degree stays one float)."""
-
-    __slots__ = ("code", "params")
-
-    def __init__(self, code: int, params):
-        self.code = code
-        self.params = tuple(t if isinstance(t, np.ndarray) else float(t) for t in params)
-
-    def __call__(self, x):
-        x = np.asarray(x)
-        out = x.astype(complex if x.dtype.kind == "c" else float)
-        # .T[j] is coordinate j of every point: a scalar for one point, which
-        # numpy steps faster than the 0-d array that x[..., j] would give
-        out_cols = out.T
-        for j, y in enumerate(self.image(x.T)):
-            out_cols[j] = y
-        return out
-
-    def image(self, cols) -> tuple:
-        """The image of the coordinates `cols` (one array per axis,
-        broadcasting against each other), one array per axis. An image
-        coordinate keeps the shape of what it depends on: the rigid image of
-        a grid block's axis columns is two columns again."""
-        torus = len(cols) > 1  # on the circle the step's second entry is 0.0
-        y0, y1 = _kernels.np_step(self.code, self.params, cols[0], cols[1] if torus else 0.0)
-        return (y0, y1) if torus else (y0,)
-
-
 @functools.lru_cache(maxsize=8)
 def _identity(n: int) -> np.ndarray:
     """The n x n int64 identity, shared read-only: `LiftedMap` stores its
@@ -177,8 +146,12 @@ def _identity(n: int) -> np.ndarray:
 def rigid_rotation(vector) -> LiftedMap:
     """x -> x + v. Displacement is constant, so its Lipschitz constant is 0."""
     v, entries = _vector(vector, "rigid vector")
+    if len(entries) > 2:  # the kernel step takes pairs only
+        evaluator = lambda x, _v=v: np.asarray(x) + _v
+    else:
+        evaluator = _StepEvaluator((_kernels.RIGID, entries))
     return LiftedMap(
-        evaluator=lambda x, _v=v: np.asarray(x) + _v,
+        evaluator=evaluator,
         matrix=_identity(len(entries)),
         label=f"rigid{tuple(round(t, 6) for t in entries)}",
         lipschitz_bound=1.0,
@@ -222,7 +195,7 @@ def torus_affine(matrix, vector) -> LiftedMap:
     if n > 2:  # the kernel step takes pairs only
         evaluator = lambda x, _m=mf, _v=v: np.asarray(x) @ _m.T + _v
     else:
-        evaluator = _StepEvaluator(_kernels.AFFINE, params.tolist())
+        evaluator = _StepEvaluator((_kernels.AFFINE, params.tolist()))
     return LiftedMap(
         evaluator=evaluator,
         matrix=m,
@@ -239,7 +212,7 @@ def arnold_circle(omega: float, k: float) -> LiftedMap:
     omega, k = _translation(float(omega), "arnold omega"), float(k)
     if not abs(k) < 1.0:
         raise ValidationError(f"|k| must be < 1 for an invertible circle map, got {k}")
-    forward = _StepEvaluator(_kernels.CIRCLE_SINE, (omega, k))
+    forward = _StepEvaluator((_kernels.CIRCLE_SINE, (omega, k)))
 
     def inverse(_o=omega, _k=k):
         def ev_inv(y):
@@ -285,7 +258,7 @@ def sinusoidal_shear(epsilon: float) -> LiftedMap:
     """(x, y) -> (x + eps sin(2 pi y), y); inverse is the shear with -eps."""
     eps = _translation(float(epsilon), "sinshear epsilon")
     return LiftedMap(
-        evaluator=_StepEvaluator(_kernels.SINE_SHEAR, (eps,)),
+        evaluator=_StepEvaluator((_kernels.SINE_SHEAR, (eps,))),
         matrix=_identity(2),
         label=f"sineshear({eps})",
         lipschitz_bound=1.0 + TWO_PI * abs(eps),
@@ -303,7 +276,7 @@ def skew_translation(omega: float, poly: TrigPolynomial) -> LiftedMap:
     params = [omega, float(poly.degree), *poly.kernel_params()]
     slope = poly.derivative_bound
     return LiftedMap(
-        evaluator=_StepEvaluator(_kernels.SKEW, params),
+        evaluator=_StepEvaluator((_kernels.SKEW, params)),
         matrix=_identity(2),
         label=f"skew({omega})",
         lipschitz_bound=1.0 + slope,

@@ -29,9 +29,9 @@ of them; the quadrature above stays the independent route. Each pair of
 one walk of mu's points under g (`dynamics._measure_rows`): four m^n
 floats, 128 KiB on T^2 at the default m = 64. Every row is computed from
 coordinates, one array per axis, with h(x) and g(h(x)) from
-`dynamics._column_image`, so on a grid a pair of one-letter words of
-built-in maps images axis columns and stacks no point. An orbit measure is
-the orbit of each mean's own map, so there F(h) and F(gh) walk their own.
+`dynamics._column_image`, so on a grid a pair of words of built-in maps
+images axis columns letter by letter and stacks no point. An orbit measure
+is the orbit of each mean's own map, so there F(h) and F(gh) walk their own.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .dynamics import (
     _checked_shift,
     _column_image,
     _cover_of,
+    _map_shift,
     _measure_rows,
     _rho_values,
     measure_invariance_residual,
@@ -76,6 +77,8 @@ __all__ = [
 # Draws of a seeded check (suite draws, splitting pairs) and the suites' tori.
 CHECK_COUNT = 100
 CHECK_DIMENSIONS = (1, 2)
+# Points per axis of a splitting check's Lebesgue grid.
+SPLIT_QUADRATURE_POINTS = 64
 QUADRATURE_SEGMENTS = 10_000
 WORD_LENGTH = 2
 
@@ -151,13 +154,11 @@ def gal_kedra_quadrature(
 
 
 def _pair_shifts(a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphism) -> tuple:
-    """Check that the lifts of g and h fix a and return the float fiber
-    shifts of g, h and gh. The lift of gh fixes a whenever both do, so it
-    is not checked again; its shift is the sum of theirs, checked like
-    every shift."""
-    require_preserves_class(a, g.lift)
-    require_preserves_class(a, h.lift)
-    sg, sh = _checked_shift(a, g.fiber_shift), _checked_shift(a, h.fiber_shift)
+    """The float fiber shifts of g, h and gh, after `dynamics._map_shift`'s
+    checks of g and of h: each lift fixes a and each shift lies in the fiber
+    group. The lift of gh fixes a whenever both do, so it is not checked
+    again; its shift is the sum of theirs, checked like every shift."""
+    sg, sh = _map_shift(a, g), _map_shift(a, h)
     return sg, sh, _checked_shift(a, _add_shifts(g.fiber_shift, h.fiber_shift))
 
 
@@ -269,7 +270,7 @@ def splitting_check(
     mu: InvariantMeasure,
     *,
     pairs: int = CHECK_COUNT,
-    quadrature_points: int = 64,
+    quadrature_points: int = SPLIT_QUADRATURE_POINTS,
     seed: int = 0,
 ) -> SplittingReport:
     """Sample pairs of words in the generators and test F(gh) = F(g) + F(h)
@@ -320,7 +321,7 @@ def _pair_means(
     One walk of mu's points x under g (`_measure_rows`) gives the four rows
     F(g), F(h), F(gh) and G of m^n (or N) floats, all read from coordinates:
     h images x once and g images h(x) once (`_column_image`, so on a grid a
-    one-letter kernel-family word images axis columns), and each row's mean
+    word of built-in maps images axis columns), and each row's mean
     is taken over that row alone as a 1-D array, as a single mean is. An
     orbit measure is walked under each mean's own map, so F(h) and F(gh)
     walk the orbits of h and gh, while F(g) and G share g's walk."""

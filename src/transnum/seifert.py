@@ -37,8 +37,6 @@ __all__ = [
     "construct_h1_class",
     "verify_homomorphism",
     "parse_pairs",
-    "parse_seifert_text",
-    "format_seifert_text",
     "random_zero_euler_data",
     "EULER_CONVENTION",
 ]
@@ -157,40 +155,6 @@ def parse_pairs(text: str, what: str = "pairs") -> tuple:
     if leftover or not pairs:
         raise ValidationError(f"{what} must be a list like (2,1) (2,-1); got {text!r}")
     return pairs
-
-
-def parse_seifert_text(text: str) -> SeifertData:
-    """Two keys, '#' comments:
-
-        genus = 0
-        pairs = (2, 1) (3, 1) (6, 1) (1, -1)
-    """
-    genus = None
-    pairs = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"bad line in Seifert data: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "genus":
-            try:
-                genus = int(value)
-            except ValueError as exc:
-                raise ValidationError(f"genus must be an integer, got {value!r}") from exc
-        elif key == "pairs":
-            pairs = parse_pairs(value)
-        else:
-            raise ValidationError(f"unknown key {key!r} in Seifert data")
-    if genus is None or pairs is None:
-        raise ValidationError("Seifert data needs both 'genus' and 'pairs'")
-    return SeifertData(genus=genus, pairs=pairs)
-
-
-def format_seifert_text(data: SeifertData) -> str:
-    pairs = " ".join(f"({a}, {b})" for a, b in data.pairs)
-    return f"genus = {data.genus}\npairs = {pairs}\n"
 
 
 def random_zero_euler_data(rng, max_extra: int = 3) -> SeifertData:

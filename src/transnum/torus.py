@@ -21,6 +21,11 @@ acts on the bundle attached to `a` precisely when M^T a = a
 identity on random cover points. Lifts compose and (when a factory is
 registered) invert; Lipschitz data rides along so the sup-norm module can
 certify grid bounds.
+
+The evaluator of a built-in family of T^1 or T^2, and of a word of them, is
+a column step (`_StepEvaluator`), which maps the coordinates of points, one
+array per axis, to those of their images, letter by letter. Any other
+evaluator is a hand-built callable on (..., n) stacks.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import ClassNotPreserved, DimensionMismatch, ValidationError
 
 __all__ = [
@@ -192,15 +198,55 @@ def canonicalize(a: CohomologyClass, p: BundlePoint) -> BundlePoint:
     return BundlePoint(cover, fiber)
 
 
+class _StepEvaluator:
+    """Column step of a built-in family of T^1 or T^2, or of a word of them:
+    `_kernels.np_step` of each letter (code, params) in turn, the first
+    letter first. `image` maps coordinates, real or complex; calling the
+    step maps a (..., n) stack through `image`.
+
+    A parameter is a float, or a (B,) column giving row i of a (B, n) stack
+    its own value (the skew degree stays one float)."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, *letters):
+        self.letters = tuple(
+            (code, tuple(t if isinstance(t, np.ndarray) else float(t) for t in params)) for code, params in letters
+        )
+
+    def __call__(self, x):
+        x = np.asarray(x)
+        out = x.astype(complex if x.dtype.kind == "c" else float)
+        # .T[j] is coordinate j of every point: a scalar for one point, which
+        # numpy steps faster than the 0-d array that x[..., j] would give
+        out_cols = out.T
+        for j, y in enumerate(self.image(x.T)):
+            out_cols[j] = y
+        return out
+
+    def image(self, cols) -> tuple:
+        """The image of the coordinates `cols` (one array per axis,
+        broadcasting against each other), one array per axis. An image
+        coordinate keeps the shape of what it depends on: the rigid image of
+        a grid block's axis columns is two columns again."""
+        torus = len(cols) > 1  # on the circle the step's second entry is 0.0
+        for code, params in self.letters:
+            y0, y1 = _kernels.np_step(code, params, cols[0], cols[1] if torus else 0.0)
+            cols = (y0, y1) if torus else (y0,)
+        return cols
+
+
 @dataclass(frozen=True)
 class LiftedMap:
     """Lift of a torus map: evaluator on cover coordinates plus its matrix.
 
     evaluator must broadcast over leading axes (points stacked as (..., n));
-    `evaluate_many` refuses one whose output shape differs from its input's.
-    Calling the map casts its input to float; the evaluator itself should
-    also accept complex points, because derivatives are taken by the complex
-    step Im g(x + i h v) / h (see `galkedra.gal_kedra_quadrature`).
+    calling the map and `evaluate_many` refuse one whose output shape
+    differs from its input's (`_image`). A column step (`_StepEvaluator`)
+    also images coordinates, which is how grids, orbits and samples are
+    imaged. Calling the map casts its input to float; the evaluator itself
+    should also accept complex points, because derivatives are taken by the
+    complex step Im g(x + i h v) / h (see `galkedra.gal_kedra_quadrature`).
     lipschitz_bound bounds Lip(g) and displacement_lipschitz bounds
     Lip(g - id), both Euclidean-in / sup-out; either may be None when
     unknown. kernel_spec = (code, params) routes orbit work through the
@@ -227,23 +273,29 @@ class LiftedMap:
         return int(self.matrix.shape[0])
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
+        return self._image(np.asarray(x, dtype=float))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Apply the lift to an (N, n) stack in one evaluator call."""
-        pts = np.asarray(points, dtype=float)
+        return self._image(np.asarray(points, dtype=float))
+
+    def _image(self, pts: np.ndarray) -> np.ndarray:
+        """The evaluator's image of the float points `pts`, after the one
+        shape check: an image whose shape is not the points' is refused."""
         out = np.asarray(self.evaluator(pts), dtype=float)
         if out.shape != pts.shape:
             raise ValidationError(
                 f"evaluator of {self.label!r} maps points of shape {pts.shape} to shape "
-                f"{out.shape}; it must broadcast over (N, n) stacks"
+                f"{out.shape}; it must broadcast over (..., n) stacks"
             )
         return out
 
     def compose(self, other: "LiftedMap") -> "LiftedMap":
         """self after other; matrices multiply, Lipschitz data propagates.
         The matrix product is formed in Python ints, so an entry outside
-        int64 is refused (`_int64_matrix`) rather than wrapped."""
+        int64 is refused (`_int64_matrix`) rather than wrapped. Two column
+        steps compose to the word of their letters; any other evaluator
+        composes as a callable on stacks."""
         if self.dimension != other.dimension:
             raise DimensionMismatch("cannot compose lifts of different dimensions")
         f, g = self, other
@@ -261,8 +313,12 @@ class LiftedMap:
         inv = None
         if f.inverse_factory is not None and g.inverse_factory is not None:
             inv = lambda _f=f, _g=g: _g.invert().compose(_f.invert())
+        if isinstance(f.evaluator, _StepEvaluator) and isinstance(g.evaluator, _StepEvaluator):
+            evaluator = _StepEvaluator(*g.evaluator.letters, *f.evaluator.letters)
+        else:
+            evaluator = lambda x, _f=f.evaluator, _g=g.evaluator: _f(_g(x))
         return LiftedMap(
-            evaluator=lambda x, _f=f.evaluator, _g=g.evaluator: _f(_g(x)),
+            evaluator=evaluator,
             matrix=[[sum(map(mul, row, col)) for col in zip(*g.matrix.tolist())] for row in f.matrix.tolist()],
             label=f"{f.label}*{g.label}",
             lipschitz_bound=lip,

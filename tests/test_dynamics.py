@@ -45,8 +45,15 @@ from transnum import (
     theta,
     torus_affine,
 )
-from transnum import dynamics
-from transnum.dynamics import POINT_CAP, _default_test_functions, _finite_mean, _measure_mean, _walked_mean
+from transnum import _kernels, dynamics
+from transnum.dynamics import (
+    POINT_CAP,
+    QUADRATURE_POINTS,
+    _default_test_functions,
+    _finite_mean,
+    _measure_mean,
+    _walked_mean,
+)
 from transnum.families import sample_class_entries, sample_fiber_shift, sample_map
 from transnum.torus import reduce_point
 
@@ -765,7 +772,7 @@ def test_block_walks_equal_the_per_point_routes_to_the_bit(block, monkeypatch):
         pert = CochainPerturbation.from_trig(TrigPolynomial(0.01 * i, (0.1,), (0.2,)), axis=a.dimension - 1)
         n = 300 + 7 * i
         assert perturbed_rho_power_average(a, g, x, pert, n) == per_point_perturbed_average(a, g, x, pert, n)
-        rep = _walked_mean(a, g, InvariantMeasure.dirac_orbit(x, 50 + i), check_invariance=False)
+        rep = _walked_mean(a, g, InvariantMeasure.dirac_orbit(x, 50 + i), QUADRATURE_POINTS, check_invariance=False)
         assert (rep.value, rep.error_bound) == stacked_orbit_mean(a, g, x, 50 + i)
 
 
@@ -809,11 +816,40 @@ def test_an_orbit_measure_images_each_point_once(monkeypatch):
     assert imaged == [1] * 300
 
 
-@pytest.mark.parametrize(
-    "image",
-    [lambda x: np.asarray(x)[..., :1] + 0.3, lambda x: float(np.asarray(x)[0]) + 0.3],
-    ids=["one-coordinate", "scalar"],
-)
+def test_an_orbit_measure_of_a_word_images_each_point_once_letter_by_letter(monkeypatch):
+    monkeypatch.setattr(dynamics, "GRID_BLOCK", 64)  # 300 points walk 5 blocks
+    imaged, stacks = [], []
+    np_step, evaluate_many = _kernels.np_step, LiftedMap.evaluate_many
+
+    def counted_step(code, params, x0, x1):
+        imaged.append((code, np.size(x0)))
+        return np_step(code, params, x0, x1)
+
+    def counted_stack(self, points):
+        stacks.append(len(points))
+        return evaluate_many(self, points)
+
+    monkeypatch.setattr(_kernels, "np_step", counted_step)
+    monkeypatch.setattr(LiftedMap, "evaluate_many", counted_stack)
+    skew = skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))
+    shear, rigid = sinusoidal_shear(0.1), rigid_rotation([0.2, 0.45])
+    word = skew.compose(shear).compose(rigid)
+    mu = InvariantMeasure.dirac_orbit([0.1, 0.35], 300)
+    rep = mean_translation_number(A01, auto(word, 2), mu)  # the mean and its probes read one walk
+    # each point once, by its three letters in turn, and no stack
+    letters = [(_kernels.RIGID, 1), (_kernels.SINE_SHEAR, 1), (_kernels.SKEW, 1)]
+    assert imaged == letters * 300 and stacks == []
+    # the same bits as the orbit walked point by point and its stack imaged
+    # again, each letter's evaluator after the other's on the whole stack
+    monkeypatch.undo()
+    stacked = LiftedMap(lambda x: skew.evaluator(shear.evaluator(rigid.evaluator(x))), np.eye(2, dtype=int))
+    assert (rep.value, rep.error_bound) == stacked_orbit_mean(A01, auto(stacked, 2), [0.1, 0.35], 300)
+
+
+WRONG_SHAPES = [lambda x: np.asarray(x)[..., :1] + 0.3, lambda x: float(np.asarray(x)[0]) + 0.3]
+
+
+@pytest.mark.parametrize("image", WRONG_SHAPES, ids=["one-coordinate", "scalar"])
 def test_an_evaluator_of_the_wrong_shape_is_refused_on_an_orbit(image):
     g = auto(LiftedMap(image, np.eye(2, dtype=int), label="short"))
     pert = CochainPerturbation.from_trig(TrigPolynomial(0.0, (0.1,), (0.05,)))
@@ -821,6 +857,33 @@ def test_an_evaluator_of_the_wrong_shape_is_refused_on_an_orbit(image):
         mean_translation_number(A10, g, InvariantMeasure.dirac_orbit([0.1, 0.35], 5))
     with pytest.raises(ValidationError, match="shape"):
         perturbed_rho_power_average(A10, g, [0.1, 0.35], pert, 5)
+
+
+@pytest.mark.parametrize("image", WRONG_SHAPES, ids=["one-coordinate", "scalar"])
+def test_an_evaluator_of_the_wrong_shape_is_refused_at_a_point_and_on_a_limit(image):
+    # the class (1, 1) pairs both coordinates, which a short image would drop
+    a = CohomologyClass([1, 1])
+    g = auto(LiftedMap(image, np.eye(2, dtype=int), label="short"))
+    pert = CochainPerturbation.from_trig(TrigPolynomial(0.0, (0.1,), (0.05,)))
+    with pytest.raises(ValidationError, match="shape"):
+        rho(a, g, [0.1, 0.35])
+    with pytest.raises(ValidationError, match="shape"):
+        perturbed_rho(a, g, [0.1, 0.35], pert)
+    with pytest.raises(ValidationError, match="shape"):
+        local_translation_number(a, g, [0.1, 0.35])
+
+
+def test_a_hand_built_orbit_checks_its_shape_once_at_the_start():
+    calls = []
+
+    def evaluator(x):
+        calls.append(np.shape(x))
+        return BUMPY.evaluator(x)
+
+    g = auto(LiftedMap(evaluator, np.eye(2, dtype=int)))
+    rep = local_translation_number(A10, g, [0.1, 0.35], max_iterations=64)
+    # one call per step, and one on the start: the check
+    assert calls == [(2,)] * (rep.iterations + 1)
 
 
 def test_a_beta_of_the_wrong_shape_is_refused_in_the_perturbed_average():

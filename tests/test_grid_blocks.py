@@ -37,7 +37,7 @@ from transnum.dynamics import (
     _walked_mean,
 )
 from transnum.galkedra import _gal_kedra_rows
-from transnum.torus import LiftedMap, reduce_point
+from transnum.torus import LiftedMap, _StepEvaluator, identity_lift, preserves_class, reduce_point
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 LEBESGUE = InvariantMeasure.lebesgue()
@@ -259,16 +259,70 @@ def test_invariance_residual_of_each_torus_family_matches_the_whole_grid_bit_for
     assert measure_invariance_residual(lift, LEBESGUE, quadrature_points=m) == reference_residual(lift, m)
 
 
+# Words of 2-4 letters: the built-in letters of T^1 and T^2 compose to one
+# column step (`torus._StepEvaluator`), which images grid columns letter by
+# letter; a word with an Arnold-inverse, identity or hand-built letter keeps
+# the stacking adapter of `_column_image`.
+COLUMN_LETTERS = {n: [g.lift for _, a, g in KERNEL_FAMILIES if a.dimension == n] for n in (1, 2)}
+ADAPTER_LETTERS = {
+    1: [
+        ("arnold-inverse", arnold_circle(0.3, 0.9).invert()),
+        ("identity", identity_lift(1)),
+        ("hand-built", LiftedMap(lambda x: x + 0.2 + 0.05 * np.sin(2 * np.pi * x), [[1]])),
+    ],
+    2: [
+        ("identity", identity_lift(2)),
+        ("hand-built", LiftedMap(lambda x: x + 0.1 * np.cos(2 * np.pi * x[..., ::-1]), [[1, 0], [0, 1]])),
+    ],
+}
+
+
+def word_cases(seed=5):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n in (1, 2):
+        column, adapter = COLUMN_LETTERS[n], ADAPTER_LETTERS[n]
+        for length in (2, 2, 3, 3, 4, 4):
+            letters = [column[i] for i in rng.integers(len(column), size=length)]
+            cases.append((f"T{n}-{length}-letters-{len(cases)}", letters))
+        for tag, extra in adapter:
+            letters = [column[i] for i in rng.integers(len(column), size=int(rng.integers(1, 4)))]
+            letters.insert(int(rng.integers(len(letters) + 1)), extra)
+            cases.append((f"T{n}-{len(letters)}-letters-{tag}", letters))
+    return cases
+
+
+# each built-in family alone, as a one-letter word, then the words
+IMAGE_CASES = [(name, [g.lift]) for name, _, g in KERNEL_FAMILIES] + word_cases()
+
+
+def word_of(letters):
+    """The word that applies letters[0] first."""
+    word = letters[0]
+    for letter in letters[1:]:
+        word = letter.compose(word)
+    return word
+
+
 @pytest.mark.parametrize("offset", [0.0, 0.5])
-@pytest.mark.parametrize("name, a, g", KERNEL_FAMILIES, ids=[c[0] for c in KERNEL_FAMILIES])
-def test_column_images_equal_evaluate_many_on_every_block(name, a, g, offset):
-    m = SIDES[a.dimension][-2]  # several blocks, the last one short
-    blocks = 0
-    for xs, ys in _grid_columns(g.lift, a.dimension, m, offset):
-        images = stacked(np.broadcast_arrays(*xs, *ys)[a.dimension :])  # ys broadcast to the block
-        assert len(ys) == a.dimension and images.tobytes() == g.lift.evaluate_many(stacked(xs)).tobytes()
-        blocks += 1
-    assert blocks > 1
+@pytest.mark.parametrize("name, letters", IMAGE_CASES, ids=[c[0] for c in IMAGE_CASES])
+def test_column_images_equal_evaluate_many_on_every_block(name, letters, offset, monkeypatch):
+    word, n = word_of(letters), letters[0].dimension
+    column = all(isinstance(letter.evaluator, _StepEvaluator) for letter in letters)
+    assert isinstance(word.evaluator, _StepEvaluator) == column
+    m = SIDES[n][-2]  # several blocks, the last one short
+    calls = counted_evaluate_many(monkeypatch)
+    blocks = [(xs, ys) for xs, ys in _grid_columns(word, n, m, offset)]
+    # a column step stacks no point; the adapter stacks each block once
+    assert calls == [] if column else sum(calls) == m**n
+    for xs, ys in blocks:
+        images = stacked(np.broadcast_arrays(*xs, *ys)[n:])  # ys broadcast to the block
+        assert len(ys) == n and images.tobytes() == word.evaluate_many(stacked(xs)).tobytes()
+        pts = stacked(xs)
+        for letter in letters:  # the letters' stacks, one after another
+            pts = letter.evaluate_many(pts)
+        assert images.tobytes() == pts.tobytes()
+    assert len(blocks) > 1
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (1, 20_000), (2, 3), (2, 300), (3, 40), (3, 200)])
@@ -325,9 +379,20 @@ def test_one_letter_split_pairs_make_no_evaluate_many_call(name, a, g, monkeypat
     assert calls == [] and rep.additivity_residual <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["composed", "affine T^3"])
-def test_other_lifts_image_every_block_with_evaluate_many(name, monkeypatch):
-    _, a, g, m = next(c for c in CASES if c[0] == name)
+@pytest.mark.parametrize("n", [1, 2])
+def test_split_pairs_of_built_in_words_make_no_evaluate_many_call(n, monkeypatch):
+    # every built-in family of T^n that preserves Lebesgue measure and fixes the
+    # class; split-check draws words of up to WORD_LENGTH letters of them
+    a = CohomologyClass([1] + [0] * (n - 1))
+    gens = [g for _, c, g in SPLIT_FAMILIES if c.dimension == n and preserves_class(a, g.lift)]
+    assert len(gens) == (2 if n == 1 else 5)
+    calls = counted_evaluate_many(monkeypatch)
+    rep = galkedra.splitting_check(a, gens, LEBESGUE, pairs=12, quadrature_points=64, seed=4)
+    assert calls == [] and rep.additivity_residual <= 1e-12
+
+
+def test_hand_built_lifts_image_every_block_with_evaluate_many(monkeypatch):
+    _, a, g, m = next(c for c in CASES if c[0] == "affine T^3")
     n = a.dimension
     calls = counted_evaluate_many(monkeypatch)
     _walked_mean(a, g, LEBESGUE, m, check_invariance=False)
@@ -350,8 +415,8 @@ def test_lebesgue_mean_and_its_residual_share_one_grid(name, a, g, monkeypatch):
         return grid_blocks(*args)
 
     monkeypatch.setattr(dynamics, "_grid_blocks", counted)
-    _walked_mean(a, g, LEBESGUE)
     m = dynamics.QUADRATURE_POINTS
+    _walked_mean(a, g, LEBESGUE, m)
     assert shapes == [(a.dimension, m, 0.5)]
     # a finer mean grid leaves the residual its own grid at the cap
     shapes.clear()

@@ -12,8 +12,6 @@ from transnum import (
     ValidationError,
     construct_h1_class,
     euler_number,
-    format_seifert_text,
-    parse_seifert_text,
     random_zero_euler_data,
     verify_homomorphism,
 )
@@ -129,27 +127,6 @@ def test_random_zero_euler_constructions_all_verify():
         report = verify_homomorphism(data, phi)
         assert all(r == 0 for r in report["exceptional"])
         assert report["long_relation"] == 0
-
-
-def test_text_round_trip():
-    data = SeifertData(1, ((2, 1), (3, -2), (1, 0)))
-    text = format_seifert_text(data)
-    assert parse_seifert_text(text) == data
-    commented = "# a note\ngenus = 1   # base genus\npairs = (2, 1) (3, -2) (1, 0)\n"
-    assert parse_seifert_text(commented) == data
-
-
-def test_text_parser_rejects_malformed_input():
-    with pytest.raises(ValidationError):
-        parse_seifert_text("genus = 0\n")  # no pairs
-    with pytest.raises(ValidationError):
-        parse_seifert_text("genus = 0\npairs = (2, 1) junk")
-    with pytest.raises(ValidationError):
-        parse_seifert_text("genus = x\npairs = (2, 1)")
-    with pytest.raises(ValidationError):
-        parse_seifert_text("genus = 0\npairs = (2, 1)\ncolor = blue")
-    with pytest.raises(ValidationError):
-        parse_seifert_text("genus 0")
 
 
 def test_data_validation():
