@@ -24,6 +24,10 @@ This script times
     once, by the map's column step: a 4096-point orbit mean of the golden skew map with its
     push-forward check, in milliseconds per call, and a 10^4-step perturbed
     average of the same map, in microseconds per step;
+  - the local translation number of the golden skew map from (0.2, 0.7),
+    in milliseconds per call: read from its coefficients by
+    `local_translation_number` (with its 16-step orbit), and by the orbit
+    route alone (`dynamics._orbit_limit`), run to its stopping rule;
   - the Gal-Kedra check of `split-check`: a 12-pair `splitting_check` on
     two T^2 generators against Lebesgue measure at m = 64 per axis in
     milliseconds per pair (its two invariance checks included), once with
@@ -469,6 +473,20 @@ def orbit_walk_costs(repeat):
     return best_mean * 1e3, best_avg / PERTURBED_STEPS * 1e6
 
 
+def ms_per_local_limit(route, repeat, calls=20):
+    """(best-of-`repeat` mean ms per call of `route(a, g, x)` over `calls`
+    calls, the last call's report), a local limit of the golden skew map
+    from (0.2, 0.7)."""
+    a, g, x = CohomologyClass([0, 1]), BundleAutomorphism(CASES[-1][1]), [0.2, 0.7]
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(calls):
+            rep = route(a, g, x)
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e3, rep
+
+
 def ms_per_split_pair(repeat, letters):
     """Best-of-`repeat` cost of a SPLIT_PAIRS-pair splitting_check against
     Lebesgue measure at SPLIT_M points per axis, per pair, whose pairs are
@@ -572,6 +590,14 @@ def main():
     rows = [("case", "cost", "unit")]
     rows.append((f"orbit mean, {ORBIT_POINTS} points, push-forward check", f"{mean_ms:.3f}", "ms/call"))
     rows.append((f"perturbed average, {PERTURBED_STEPS} steps", f"{avg_us:.2f}", "us/step"))
+    print_table(rows)
+
+    print()
+    print(f"local translation number (golden skew from (0.2, 0.7)), best of {args.repeat}")
+    rows = [("route", "verdict", "iterations", "ms/call")]
+    for label, route in (("closed form", dynamics.local_translation_number), ("orbit (_orbit_limit)", dynamics._orbit_limit)):
+        cost, rep = ms_per_local_limit(route, args.repeat)
+        rows.append((label, rep.verdict, str(rep.iterations), f"{cost:.3f}"))
     print_table(rows)
 
     print()

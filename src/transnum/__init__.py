@@ -51,6 +51,7 @@ from .families import (
 )
 from .dynamics import (
     VERDICT_CONVERGED,
+    VERDICT_EXACT_CLOSED_FORM,
     VERDICT_EXACT_LOCKED,
     VERDICT_EXACT_PERIODIC,
     VERDICT_NOT_CONVERGED,

@@ -62,8 +62,8 @@ from .galkedra import (
     splitting_check,
 )
 from .isotopy import (
+    endpoint_translation,
     homological_translation,
-    induced_bundle_map,
     mean_homological_translation,
 )
 from .reports import Report, make_report, render, value_entry
@@ -199,7 +199,7 @@ def _cmd_rot_homovec(cfg: RunConfig, res: Resolved) -> Report:
     # each limit falls back to its own default tolerance
     kwargs = _given(tolerance=res.tolerance, max_iterations=res.max_iterations)
     hom = homological_translation(a, iso, x, **kwargs)
-    loc = local_translation_number(a, induced_bundle_map(iso), x, **kwargs)
+    loc = endpoint_translation(a, iso, x, **kwargs)
     results = {
         "homological": _convergence_entry(hom),
         "endpoint_local": _convergence_entry(loc),

@@ -62,8 +62,6 @@ from .dynamics import (
     GRID_BLOCK,
     SIN_ULPS,
     UNIT_ROUNDOFF,
-    VERDICT_EXACT_LOCKED,
-    VERDICT_EXACT_PERIODIC,
     BundleAutomorphism,
     ConvergenceReport,
     _displacement_coefficients,
@@ -276,8 +274,9 @@ class UndistortionCertificate:
     tau_lower_bound > 0 with rigorous bounds is the certificate; the
     verdict never claims distortion, only the absence of a certificate.
     `rigorous` needs both sides: a certified seminorm for every generator
-    and an exact rot (exact-periodic or exact-locked), since the window gap
-    of any other verdict is a heuristic, not a bound."""
+    and an exact rot (one with a `rational`: exact-closed-form,
+    exact-periodic or exact-locked), since the window gap of any other
+    verdict is a heuristic, not a bound."""
 
     verdict: str
     rigorous: bool
@@ -332,7 +331,7 @@ def undistortion_certificate(
     constant = max(b for _, b, _r in bounds)
     rot = local_translation_number(a, g, x, **(rot_kwargs or {}))
     usable = rot.converged
-    exact_rot = rot.verdict in (VERDICT_EXACT_PERIODIC, VERDICT_EXACT_LOCKED)
+    exact_rot = rot.rational is not None
     if constant > 0.0 and usable:
         tau_lb = max(0.0, (abs(rot.value) - rot.error_bound) / constant)
     else:

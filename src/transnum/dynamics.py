@@ -8,14 +8,22 @@ cocycle at a base point x with chosen cover representative x~ is
 
 independent of the representative because the matrix part fixes a. Powers
 accumulate along the orbit, rho_x(g^n) = sum_{i<n} rho(g^i x), and the
-local translation number is the limit of rho_x(g^n)/n. The driver below
-estimates it by window doubling, but first watches the orbit for an exact
-return to x: a period-q return whose accumulated displacement is within
-1e-9 of an integer p (integer-fiber bundles only) is reported as the exact
-rational p/q instead of a floating estimate. The orbits of an Arnold circle
-map on an integer class get a second exact rule: a grid orbit, rounded
-outward, that proves F^q - p has a fixed point, so the rotation number of F
-is p/q (`exact-locked`). Every other verdict is a window estimate.
+local translation number is the limit of rho_x(g^n)/n. Three exact rules
+come before the window estimate:
+
+  - a skew map whose base rotation averages every term of its speed away
+    has the constant term of rho as its limit at every point, read from its
+    coefficients (`_closed_form_rot`, `exact-closed-form`); its orbit still
+    runs, but only SCAN_HORIZON steps, as the independent route;
+  - an orbit watched for an exact return to x: a period-q return whose
+    accumulated displacement is within 1e-9 of an integer p (integer-fiber
+    bundles only) is reported as the exact rational p/q
+    (`exact-periodic`);
+  - the orbits of an Arnold circle map on an integer class: a grid orbit,
+    rounded outward, that proves F^q - p has a fixed point, so the rotation
+    number of F is p/q (`exact-locked`).
+
+Every other verdict is a window estimate, by window doubling.
 
 The displacement of every built-in family is a trigonometric polynomial in
 one coordinate (`_displacement_coefficients`), so its Lebesgue mean is its
@@ -87,6 +95,7 @@ __all__ = [
     "CochainPerturbation",
     "perturbed_rho",
     "VERDICT_CONVERGED",
+    "VERDICT_EXACT_CLOSED_FORM",
     "VERDICT_EXACT_LOCKED",
     "VERDICT_EXACT_PERIODIC",
     "VERDICT_NOT_CONVERGED",
@@ -94,6 +103,7 @@ __all__ = [
 ]
 
 VERDICT_CONVERGED = "converged"
+VERDICT_EXACT_CLOSED_FORM = "exact-closed-form"
 VERDICT_EXACT_LOCKED = "exact-locked"
 VERDICT_EXACT_PERIODIC = "exact-periodic"
 VERDICT_NOT_CONVERGED = "not-converged"
@@ -436,8 +446,10 @@ class ConvergenceReport:
 
     value/error_bound are the window estimate, the weighted Birkhoff
     average of the last block of steps, and its gap to the previous block's
-    (0 for the exact verdicts, exact-periodic and exact-locked, where
-    `rational` holds the exact value); the gap is a heuristic, not a bound.
+    (0 for the exact verdicts, exact-periodic, exact-locked and
+    exact-closed-form, where `rational` holds the exact value); the gap is a
+    heuristic, not a bound. An exact-closed-form report keeps the window,
+    plain average and iterations of the short orbit run beside it.
     A limit stopped after its first block has no previous block, and its
     error_bound is None: no bound is claimed.
     `window` keeps the final two block estimates so a not-converged outcome
@@ -462,7 +474,9 @@ class ConvergenceReport:
 
     @property
     def converged(self) -> bool:
-        return self.verdict in (VERDICT_CONVERGED, VERDICT_EXACT_PERIODIC, VERDICT_EXACT_LOCKED)
+        return self.verdict in (
+            VERDICT_CONVERGED, VERDICT_EXACT_PERIODIC, VERDICT_EXACT_LOCKED, VERDICT_EXACT_CLOSED_FORM
+        )
 
 
 def _integer_cycle(s_q: float) -> Optional[int]:
@@ -714,6 +728,29 @@ def local_translation_number(
     return report
 
 
+def _closed_form_rot(a: CohomologyClass, lift: LiftedMap, shift) -> Optional[Fraction]:
+    """The limit of rho_x(g^n)/n of a skew map, the same at every point x,
+    read from its coefficients; None for every other map and for a skew map
+    whose limit depends on x.
+
+    For (x, y) -> (x + omega, y + c(x)), rho is a trigonometric polynomial
+    in x (`_displacement_coefficients`: constant term C, pairs (A_k, B_k)
+    for k = 1 .. d) summed along the base orbit x + n omega. A float omega
+    is p/q in lowest terms, q a power of 2, and the mean of e(k t) over the
+    q points t = x + n p/q is 0 unless q divides k (Weyl). So when every pair
+    with q | k is 0, as it is when q > d or when every pair is 0, the limit
+    at every point is C: an exact rational of the float data. Otherwise the
+    pairs with q | k leave an x-dependent term and the orbit answers."""
+    spec = lift.kernel_spec
+    if spec is None or spec[0] != _kernels.SKEW:
+        return None
+    _, constant, pairs = _displacement_coefficients(a, lift, shift)
+    q = Fraction(float(spec[1][0])).denominator
+    if any(pairs[k - 1] != (0.0, 0.0) for k in range(q, len(pairs) + 1, q)):
+        return None
+    return constant
+
+
 def local_translation_numbers(
     a: CohomologyClass,
     maps: list,
@@ -728,30 +765,59 @@ def local_translation_numbers(
     Defaults: tolerance EXACT_WINDOW_TOLERANCE for the affine-exact
     families, WINDOW_TOLERANCE otherwise; orbit returns detected within
     RETURN_TOLERANCE. The window check is a heuristic stopping rule, not a
-    certificate. Two verdicts are
-    exact, with `error_bound` 0 and the value in `rational`: exact-periodic
-    (the orbit returns to x) and, for Arnold maps on an integer class,
+    certificate. Three verdicts are exact, with `error_bound` 0 and the
+    value in `rational`: exact-closed-form (a skew map whose limit
+    `_closed_form_rot` reads from its coefficients), exact-periodic (the
+    orbit returns to x) and, for Arnold maps on an integer class,
     exact-locked (`_grid_locks` proves the rotation number).
 
     Every pair is checked first, in order, unless `starts` holds what
     `_orbit_start` gave for each pair: a caller that has checked the pairs
-    passes those on. The orbits of the maps that the kernel step would run
-    (built-in families in dimensions 1 and 2) and that share a family (and,
-    for skew maps, a degree) are then stepped together when there are at
-    least STACK_MIN_ROWS of them (`_group_orbit`), each orbit leaving the
-    stack at the checkpoint where its limit stops. The tongue test of Arnold
-    maps runs the stack's open orbits as one grid stack. The other orbits
-    run one by one, and every one of them on T^1 or T^2 runs the one loop
+    passes those on. A pair with a closed form still runs its orbit, the
+    independent route, but only to min(SCAN_HORIZON, max_iterations)
+    steps, whose window, plain average and iterations its report keeps.
+    Every other pair runs its orbit to its own stopping rule
+    (`_orbit_limits`)."""
+    if len(maps) != len(points):
+        raise ValidationError(f"{len(maps)} maps but {len(points)} points")
+    if starts is None:
+        starts = [_orbit_start(a, g, x) for g, x in zip(maps, points)]
+    closed = [_closed_form_rot(a, g.lift, g.fiber_shift) for g in maps]
+    reports = [None] * len(maps)
+    for served, cap in ((False, max_iterations), (True, min(SCAN_HORIZON, max_iterations))):
+        rows = [i for i, rational in enumerate(closed) if (rational is not None) == served]
+        limits = _orbit_limits(a, [maps[i] for i in rows], [starts[i] for i in rows], tolerance, cap)
+        for i, report in zip(rows, limits):
+            rational = closed[i]
+            reports[i] = report if rational is None else dataclasses.replace(
+                report,
+                value=float(rational),
+                error_bound=0.0,
+                verdict=VERDICT_EXACT_CLOSED_FORM,
+                rational=rational,
+            )
+    return reports
+
+
+def _orbit_limits(
+    a: CohomologyClass, maps: list, starts: list, tolerance: Optional[float], max_iterations: int
+) -> list:
+    """The orbit route of `local_translation_numbers`: each pair's limit by
+    `_translation_limits`, from its checked `_orbit_start`.
+
+    The orbits of the maps that the kernel step would run (built-in
+    families in dimensions 1 and 2) and that share a family (and, for skew
+    maps, a degree) are stepped together when there are at least
+    STACK_MIN_ROWS of them (`_group_orbit`), each orbit leaving the stack
+    at the checkpoint where its limit stops. The tongue test of Arnold maps
+    runs the stack's open orbits as one grid stack. The other orbits run
+    one by one, and every one of them on T^1 or T^2 runs the one loop
     `_kernels._orbit_chunk_impl`.
 
     Each report is the one the pair gets alone: bit for bit for rigid and
     affine maps, whose stacked step does the kernel's arithmetic; the sine
     families take numpy's sin and cos where the kernel takes math's, and
     the two need not agree to the last bit on every platform."""
-    if len(maps) != len(points):
-        raise ValidationError(f"{len(maps)} maps but {len(points)} points")
-    if starts is None:
-        starts = [_orbit_start(a, g, x) for g, x in zip(maps, points)]
     reports = [None] * len(maps)
     groups = {}
     for i, g in enumerate(maps):
@@ -764,6 +830,19 @@ def local_translation_numbers(
             for i, report in zip(group, _translation_limits(orbit, a, tol, max_iterations)):
                 reports[i] = report
     return reports
+
+
+def _orbit_limit(
+    a: CohomologyClass,
+    g: BundleAutomorphism,
+    x,
+    tolerance: Optional[float] = None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> ConvergenceReport:
+    """The orbit route's limit of the one pair (g, x), also where a closed
+    form would serve it: `_orbit_limits` from the pair's checked start."""
+    (report,) = _orbit_limits(a, [g], [_orbit_start(a, g, x)], tolerance, max_iterations)
+    return report
 
 
 def rho_power_average(a: CohomologyClass, g: BundleAutomorphism, x, n: int) -> float:
@@ -1420,11 +1499,12 @@ class CochainPerturbation:
 
 
 def perturbed_rho(a: CohomologyClass, g: BundleAutomorphism, x, pert: CochainPerturbation) -> float:
-    """rho computed against the shifted primitive: rho + beta(g x) - beta(x)."""
-    base = rho(a, g, x)
-    cover = _cover_of(x, a.dimension)
-    image = reduce_point(g.lift(cover))
-    return base + pert.value(image) - pert.value(reduce_point(cover))
+    """rho computed against the shifted primitive: rho + beta(g x) - beta(x),
+    from one image of x."""
+    c, cover = _orbit_start(a, g, x)
+    image = g.lift(cover)
+    base = float(_rho_values(cover, image, a.vector, c))
+    return base + pert.value(reduce_point(image)) - pert.value(reduce_point(cover))
 
 
 def perturbed_rho_power_average(

@@ -13,16 +13,18 @@ the winding of the arc against a. Concatenating the arcs at x, g(x),
 g^2(x), ... (g the terminal map) and averaging gives the homological
 translation number at x; it agrees with the local translation number of
 the induced bundle automorphism whose fiber shift is normalized to 0 (the
-lift that follows the isotopy upstairs starting from the identity). Its
-mean over a measure is that map's mean translation number, always read
-through the one measure walk `dynamics._measure_rows`, also where the
-time-1 map's mean could be read from its coefficients.
+lift that follows the isotopy upstairs starting from the identity), which
+`endpoint_translation` reads from that map's orbit, also where a closed
+form would serve it. Its mean over a measure is that map's mean
+translation number, always read through the one measure walk
+`dynamics._measure_rows`, also where the time-1 map's mean could be read
+from its coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .dynamics import (
     WINDOW_TOLERANCE,
     _PythonOrbit,
     _cover_of,
+    _orbit_limit,
     _translation_limits,
     _walked_mean,
 )
@@ -52,6 +55,7 @@ __all__ = [
     "delta_phi",
     "induced_bundle_map",
     "homological_translation",
+    "endpoint_translation",
     "mean_homological_translation",
 ]
 
@@ -132,13 +136,30 @@ def homological_translation(
     Runs the same window-doubling driver and, on T^1 and T^2, the same
     orbit loop as the local translation number, but steps the time-1 map
     with its numpy evaluator (`_kernels.lift_chunk`), while the endpoint
-    route steps it with the kernel's family step: the agreement between the
-    two is a check of one evaluation of the map against the other."""
+    route (`endpoint_translation`) steps it with the kernel's family step:
+    the agreement between the two is a check of one evaluation of the map
+    against the other. Neither reads a closed form, also where the time-1
+    map has one: both report the orbit's window."""
     require_preserves_class(a, iso.terminal)
     x = _cover_of(x, a.dimension)
     orbit = _PythonOrbit(x, evaluator=iso.terminal.evaluator, avec=a.entries)
     (report,) = _translation_limits(orbit, a, tolerance, max_iterations)
     return report
+
+
+def endpoint_translation(
+    a: CohomologyClass,
+    iso: Isotopy,
+    x,
+    *,
+    tolerance: Optional[float] = None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> ConvergenceReport:
+    """The local translation number of the induced bundle map at x, always
+    by its orbit (`dynamics._orbit_limit`), with the default tolerance of
+    `local_translation_number`: the endpoint route that
+    `homological_translation` is checked against."""
+    return _orbit_limit(a, induced_bundle_map(iso), x, tolerance, max_iterations)
 
 
 def mean_homological_translation(

@@ -163,13 +163,23 @@ def test_irrational_rotation_certificate_is_essentially_sharp():
 
 
 def test_a_window_estimate_of_rot_makes_no_rigorous_certificate():
-    # the skew orbit converges by its window gap, a heuristic: the seminorm
-    # side is rigorous, the rot side is not, and neither is the certificate
+    # omega = 1/2 keeps the cos 4 pi x term of c along the orbit, so no
+    # closed form serves it and the orbit converges by its window gap, a
+    # heuristic: the seminorm side is rigorous, the rot side is not, and
+    # neither is the certificate
     a = CohomologyClass([1, 1])
-    g = BundleAutomorphism(skew_translation(0.5254244115515501, TrigPolynomial(-0.2156875910881545, (0.1,), (0.05,))), 1)
+    g = BundleAutomorphism(skew_translation(0.5, TrigPolynomial(-0.2156875910881545, (0.1, 0.05), (0.05, 0.02))), 1)
     cert = undistortion_certificate(a, g, [("s", g)], [0.2, 0.7])
     assert cert.rot_verdict == "converged" and cert.verdict == "undistorted-certified"
     assert cert.generator_bounds[0][2] and not cert.rigorous
+
+
+def test_a_closed_form_rot_with_certified_generators_is_rigorous():
+    a = CohomologyClass([1, 1])
+    g = BundleAutomorphism(skew_translation(0.5254244115515501, TrigPolynomial(-0.2156875910881545, (0.1,), (0.05,))), 1)
+    cert = undistortion_certificate(a, g, [("s", g)], [0.2, 0.7])
+    assert cert.rot_verdict == "exact-closed-form" and cert.rot_error == 0.0
+    assert cert.verdict == "undistorted-certified" and cert.generator_bounds[0][2] and cert.rigorous
 
 
 def test_zero_rotation_number_yields_no_certificate():

@@ -311,7 +311,9 @@ PINNED_LOCAL = [
 
 @pytest.mark.parametrize("name, a, g, x, kwargs, pinned", PINNED_LOCAL, ids=[c[0] for c in PINNED_LOCAL])
 def test_local_translation_number_is_pinned_bit_for_bit(name, a, g, x, kwargs, pinned):
-    rep = local_translation_number(a, g, x, **kwargs)
+    # a skew map's limit is read from its coefficients; its orbit stays pinned
+    route = dynamics._orbit_limit if name.startswith("skew") else local_translation_number
+    rep = route(a, g, x, **kwargs)
     base = rep.periodic_base
     got = (
         rep.value.hex(),
@@ -774,6 +776,21 @@ def test_block_walks_equal_the_per_point_routes_to_the_bit(block, monkeypatch):
         assert perturbed_rho_power_average(a, g, x, pert, n) == per_point_perturbed_average(a, g, x, pert, n)
         rep = _walked_mean(a, g, InvariantMeasure.dirac_orbit(x, 50 + i), QUADRATURE_POINTS, check_invariance=False)
         assert (rep.value, rep.error_bound) == stacked_orbit_mean(a, g, x, 50 + i)
+
+
+def test_perturbed_rho_images_its_point_once_and_equals_the_two_call_route():
+    for i, (a, g, x) in enumerate(sampled_pairs(16, 1009)):
+        pert = CochainPerturbation.from_trig(TrigPolynomial(0.01 * i, (0.1,), (0.2,)), axis=a.dimension - 1)
+        calls = []
+
+        def evaluator(p, _f=g.lift.evaluator):
+            calls.append(np.shape(p))
+            return _f(p)
+
+        counted = auto(LiftedMap(evaluator, g.lift.matrix), g.fiber_shift)
+        two_calls = rho(a, g, x) + pert.value(reduce_point(g.lift(x))) - pert.value(reduce_point(x))
+        assert perturbed_rho(a, counted, x, pert) == two_calls
+        assert len(calls) == 1
 
 
 def test_perturbed_average_memory_does_not_grow_with_n(monkeypatch):
