@@ -11,7 +11,9 @@ This script times
     grid of points (1024^2 points of the circle for the Arnold family), in
     nanoseconds per point, after one untimed call;
   - the gk-eval quadrature, whose derivative is the complex step through
-    that evaluator, in microseconds per segment;
+    that evaluator, in microseconds per `gal_kedra_quadrature` call (mean
+    of QUADRATURE_CALLS calls) at its default node cap, with the node count
+    its Gauss–Legendre rule took;
   - the push-forward check of `rot-mean`, `measure_invariance_residual`
     against Lebesgue measure at m = 128 per axis on T^2 (skew map), in
     milliseconds per call;
@@ -134,7 +136,7 @@ from transnum.families import (  # noqa: E402
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 SIDE = 1024  # evaluator grids have SIDE^2 points, as a 1024 seminorm grid on T^2
-SEGMENTS = 10_000  # the gk-eval default
+QUADRATURE_CALLS = 100  # gal_kedra_quadrature calls per timed repetition
 RESIDUAL_M = 128  # the rot-mean default grid
 GRID_SIDES = {2: 1024, 1: 2048}  # points per axis of the grid-scan table, by dimension
 SUITE_DRAWS = 200  # draws per timed residual suite
@@ -407,18 +409,20 @@ def ns_per_point(lift, repeat):
     return best / len(pts) * 1e9
 
 
-def us_per_segment(lift, avec, repeat):
-    """Best-of-`repeat` cost of gal_kedra_quadrature(a, lift, h) per segment,
-    with h a rigid rotation of the same dimension."""
+def quadrature_call(lift, avec, repeat):
+    """(best-of-`repeat` mean cost in microseconds, node count) of
+    gal_kedra_quadrature(a, lift, h) at its default node cap, with h a
+    rigid rotation of the same dimension."""
     a = CohomologyClass([int(e) for e in avec[: lift.dimension]])
     h = rigid_rotation([0.23, 0.41][: lift.dimension])
     x = [0.1, 0.7][: lift.dimension]
     best = math.inf
     for _ in range(repeat):
         start = time.perf_counter()
-        gal_kedra_quadrature(a, lift, h, x, segments=SEGMENTS)
+        for _ in range(QUADRATURE_CALLS):
+            quad = gal_kedra_quadrature(a, lift, h, x)
         best = min(best, time.perf_counter() - start)
-    return best / SEGMENTS * 1e6
+    return best / QUADRATURE_CALLS * 1e6, quad.nodes
 
 
 def ms_per_residual(lift, repeat, calls=10):
@@ -557,16 +561,11 @@ def main():
         return
 
     print()
-    print(f"numpy evaluators on {SIDE}^2 points and the gk-eval quadrature ({SEGMENTS} segments), best of {args.repeat}")
-    rows = [("case", "evaluator ns/point", "quadrature us/segment")]
-    rows += [
-        (
-            label,
-            f"{ns_per_point(lift, args.repeat):.2f}",
-            f"{us_per_segment(lift, avec, args.repeat):.4f}",
-        )
-        for label, lift, avec in CASES
-    ]
+    print(f"numpy evaluators on {SIDE}^2 points and the gk-eval quadrature, best of {args.repeat}")
+    rows = [("case", "evaluator ns/point", "quadrature us/call", "nodes")]
+    for label, lift, avec in CASES:
+        us, nodes = quadrature_call(lift, avec, args.repeat)
+        rows.append((label, f"{ns_per_point(lift, args.repeat):.2f}", f"{us:.1f}", str(nodes)))
     print_table(rows)
 
     print()

@@ -54,7 +54,6 @@ from .errors import PreconditionError, TransnumError, ValidationError
 from .galkedra import (
     CHECK_COUNT,
     CHECK_DIMENSIONS,
-    QUADRATURE_SEGMENTS,
     coboundary_residual_suite,
     cocycle_residual_suite,
     gal_kedra,
@@ -127,8 +126,8 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _headline(value, *, error_bound=None, exact=False, verdict="ok") -> dict:
-    entry = value_entry(value, error_bound=error_bound, exact=exact)
+def _headline(value, *, error_bound=None, exact=False, residual=False, verdict="ok") -> dict:
+    entry = value_entry(value, error_bound=error_bound, exact=exact, residual=residual)
     entry["verdict"] = verdict
     return entry
 
@@ -221,13 +220,12 @@ def _cmd_gk_eval(cfg: RunConfig, res: Resolved) -> Report:
     g = build_lifted_map(cfg, "map")
     h = build_lifted_map(cfg, "map.h")
     x = build_point(cfg, a.dimension)
-    segments = QUADRATURE_SEGMENTS if res.grid is None else res.grid
     closed = gal_kedra(a, g, h, x)
-    quad = gal_kedra_quadrature(a, g, h, x, segments=segments)
+    quad = gal_kedra_quadrature(a, g, h, x, **_given(segments=res.grid))
     results = {
         "closed_form": value_entry(closed, exact=True),
         "quadrature": value_entry(
-            quad, error_bound=abs(closed - quad), segments=segments
+            quad, error_bound=quad.error_bound, nodes=quad.nodes, discrepancy=abs(closed - quad)
         ),
         "headline": _headline(closed, exact=True),
     }
@@ -259,10 +257,10 @@ def _cmd_gk_check(cfg: Optional[RunConfig], res: Resolved) -> Report:
     coc = cocycle_residual_suite(seed + 1, count, dims)
     worst = max(cob.max_residual, coc.max_residual)
     results = {
-        "coboundary": value_entry(cob.max_residual, error_bound=0.0, count=cob.count),
-        "cocycle": value_entry(coc.max_residual, error_bound=0.0, count=coc.count),
+        "coboundary": value_entry(cob.max_residual, residual=True, count=cob.count),
+        "cocycle": value_entry(coc.max_residual, residual=True, count=coc.count),
         "dimensions": list(dims),
-        "headline": _headline(worst, error_bound=0.0),
+        "headline": _headline(worst, residual=True),
     }
     inputs = cfg.echo() if cfg is not None else {}
     return make_report("gk-check", inputs, results, seed)
@@ -280,15 +278,15 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
         a, [g for _, g in named], mu, pairs=pairs, seed=seed, **_given(quadrature_points=res.grid)
     )
     results = {
-        "additivity_residual": value_entry(rep.additivity_residual, error_bound=0.0),
-        "mean_cocycle_residual": value_entry(rep.mean_cocycle_residual, error_bound=0.0),
+        "additivity_residual": value_entry(rep.additivity_residual, residual=True),
+        "mean_cocycle_residual": value_entry(rep.mean_cocycle_residual, residual=True),
         "pairs": rep.pairs,
         "measure": rep.measure_kind,
         "generator_invariance": [
             {"generator": name, "residual": r}
             for (name, _), r in zip(named, rep.generator_invariance)
         ],
-        "headline": _headline(rep.splitting_residual, error_bound=0.0),
+        "headline": _headline(rep.splitting_residual, residual=True),
     }
     return make_report("split-check", cfg.echo(), results, seed)
 
@@ -540,7 +538,7 @@ _PARSER.add_argument(
     dest="max_iterations",
     help="iteration cap (BFS radius for word-norm)",
 )
-_PARSER.add_argument("--grid", type=int, help="grid resolution / quadrature points / segments")
+_PARSER.add_argument("--grid", type=int, help="grid resolution / quadrature points / gk-eval's node cap")
 _PARSER.add_argument(
     "--format",
     choices=("table", "record", "csv"),

@@ -1141,32 +1141,53 @@ def _displacement_coefficients(a: CohomologyClass, lift: LiftedMap, shift) -> Op
 
     read from the kernel spec of a lift that has one (in any dimension),
     else None. constant is a Fraction of the float parameters, the class
-    entries and the shift, so it is exact; pairs lists the float (A_k,
-    B_k) for k = 1 .. d, so len(pairs) is the degree d of rho, which
-    `_rounding_scale` and `_lebesgue_bound` read there:
-      - rigid and affine maps: <a, v> + shift, no pairs (M^T a = a cancels
-        the (M - I) x of an affine map);
-      - arnold: a_0 omega + shift and (0, a_0 k / 2 pi), in x_0;
-      - sinshear: shift and (0, a_0 eps), in x_1;
-      - skew: a_0 omega + a_1 c_0 + shift and (a_1 a_k, a_1 b_k), in x_0."""
-    if lift.kernel_spec is None:
+    entries and the shift, so it is exact; axis and pairs are those of
+    `_displacement_pairs`:
+      - rigid and affine maps: <a, v> + shift (M^T a = a cancels the
+        (M - I) x of an affine map);
+      - arnold: a_0 omega + shift;
+      - sinshear: shift;
+      - skew: a_0 omega + a_1 c_0 + shift."""
+    found = _displacement_pairs(a, lift)
+    if found is None:
         return None
+    axis, pairs = found
     code, params = lift.kernel_spec
     params = [float(t) for t in params]
     exact = [Fraction(e) for e in a.entries]
-    a0, constant = float(a.entries[0]), Fraction(shift)
+    constant = Fraction(shift)
     if code in (_kernels.RIGID, _kernels.AFFINE):
         n = lift.dimension
         v = params[n * n :] if code == _kernels.AFFINE else params
-        return 0, constant + sum(e * Fraction(t) for e, t in zip(exact, v)), []
+        constant += sum(e * Fraction(t) for e, t in zip(exact, v))
+    elif code == _kernels.CIRCLE_SINE:
+        constant += exact[0] * Fraction(params[0])
+    elif code == _kernels.SKEW:
+        constant += exact[0] * Fraction(params[0]) + exact[1] * Fraction(params[2])
+    return axis, constant, pairs
+
+
+def _displacement_pairs(a: CohomologyClass, lift: LiftedMap) -> Optional[tuple]:
+    """(axis, pairs) of rho = <a, lift(x) - x> (`_displacement_coefficients`)
+    without its exact constant term, or None without a kernel spec. pairs
+    lists the float (A_k, B_k) for k = 1 .. d, so len(pairs) is the degree d
+    of rho, which `_rounding_scale` and `_lebesgue_bound` read there:
+      - rigid and affine maps: no pairs, in x_0;
+      - arnold: (0, a_0 k / 2 pi), in x_0;
+      - sinshear: (0, a_0 eps), in x_1;
+      - skew: (a_1 a_k, a_1 b_k), in x_0."""
+    if lift.kernel_spec is None:
+        return None
+    code, params = lift.kernel_spec
+    if code in (_kernels.RIGID, _kernels.AFFINE):
+        return 0, []
+    a0 = float(a.entries[0])
     if code == _kernels.CIRCLE_SINE:
-        omega, k = params
-        return 0, constant + exact[0] * Fraction(omega), [(0.0, a0 * k / _kernels.TWO_PI)]
+        return 0, [(0.0, a0 * float(params[1]) / _kernels.TWO_PI)]
     if code == _kernels.SINE_SHEAR:
-        return 1, constant, [(0.0, a0 * params[0])]
-    a1, c = float(a.entries[1]), params[2:]
-    pairs = [(a1 * c[2 * k - 1], a1 * c[2 * k]) for k in range(1, int(params[1]) + 1)]
-    return 0, constant + exact[0] * Fraction(params[0]) + exact[1] * Fraction(c[0]), pairs
+        return 1, [(0.0, a0 * float(params[0]))]
+    a1, c = float(a.entries[1]), [float(t) for t in params[2:]]
+    return 0, [(a1 * c[2 * k - 1], a1 * c[2 * k]) for k in range(1, int(params[1]) + 1)]
 
 
 # Kernel families whose Jacobian determinant is 1 in size at every point, so

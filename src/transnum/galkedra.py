@@ -15,9 +15,12 @@ F_g(h(x~)) - F_g(x~), which makes two exact identities transparent:
    vanishes identically.
 
 `gal_kedra_quadrature` re-derives the same number as an honest line
-integral along the straight segment (midpoint rule, with the derivative of
+integral along the straight segment (Gauss–Legendre, with the derivative of
 g along the segment taken by the complex step through g's own evaluator),
-which is the module's independent cross-check.
+which is the module's independent cross-check. For a built-in g it also
+carries a proven error bound: the truncation bound of the rule on a
+Bernstein ellipse, with the integrand's size there read from g's
+coefficients, plus a rounding term (`_gauss_plan`).
 
 The residual checks (`coboundary_residual`, `cocycle_residual`,
 `quasimorphism_defect`, `splitting_check`) image each point once under each
@@ -36,6 +39,8 @@ is the orbit of each mean's own map, so there F(h) and F(gh) walk their own.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,6 +49,7 @@ import numpy as np
 from .dynamics import (
     INVARIANCE_TOLERANCE,
     POINT_CAP,
+    UNIT_ROUNDOFF,
     BundleAutomorphism,
     InvariantMeasure,
     _add_shifts,
@@ -51,6 +57,8 @@ from .dynamics import (
     _checked_shift,
     _column_image,
     _cover_of,
+    _displacement_lipschitz,
+    _displacement_pairs,
     _map_shift,
     _measure_rows,
     _rho_values,
@@ -64,6 +72,7 @@ __all__ = [
     "gal_kedra",
     "gal_kedra_many",
     "gal_kedra_quadrature",
+    "LineIntegral",
     "coboundary_residual",
     "cocycle_residual",
     "quasimorphism_defect",
@@ -79,7 +88,20 @@ CHECK_COUNT = 100
 CHECK_DIMENSIONS = (1, 2)
 # Points per axis of a splitting check's Lebesgue grid.
 SPLIT_QUADRATURE_POINTS = 64
-QUADRATURE_SEGMENTS = 10_000
+# The Gauss–Legendre rule of `gal_kedra_quadrature`: the node counts it
+# tries in turn, the most it takes, and the Bernstein ellipse parameters rho
+# its truncation bound tries (`_gauss_truncation`).
+GAUSS_NODE_COUNTS = (8, 16, 32, 64)
+GAUSS_MAX_NODES = GAUSS_NODE_COUNTS[-1]
+GAUSS_RHOS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+# numpy's float nodes and weights, moved to [0, 1] (`_gauss_rule`), against
+# their exact values: each node is within GAUSS_NODE_ULPS u and the weights'
+# errors sum to at most GAUSS_WEIGHT_ULPS u, u = UNIT_ROUNDOFF. The test
+# suite checks both against 200-bit values for every n from 1 to
+# GAUSS_MAX_NODES; measured, the worst are 0.90 u (6 nodes) and 85 u
+# (48 nodes), and 14, 11, 18 and 79 u at 8, 16, 32 and 64 nodes.
+GAUSS_NODE_ULPS = 1.0
+GAUSS_WEIGHT_ULPS = 128.0
 WORD_LENGTH = 2
 
 
@@ -125,32 +147,153 @@ def _complex_step(g: LiftedMap, pts: np.ndarray, v: np.ndarray) -> np.ndarray:
     return image.imag / _COMPLEX_STEP
 
 
+class LineIntegral(float):
+    """The value of `gal_kedra_quadrature`, a float that also carries the
+    node count of its Gauss–Legendre rule (`nodes`) and a bound on its
+    distance from the line integral along the float segment
+    (`error_bound`, None without one)."""
+
+    __slots__ = ("nodes", "error_bound")
+
+    def __new__(cls, value: float, nodes: int, error_bound: Optional[float]):
+        out = super().__new__(cls, value)
+        out.nodes, out.error_bound = nodes, error_bound
+        return out
+
+
 def gal_kedra_quadrature(
     a: CohomologyClass,
     g: LiftedMap,
     h: LiftedMap,
     x,
-    segments: int = QUADRATURE_SEGMENTS,
-) -> float:
-    """Midpoint line integral of g*alpha - alpha from x~ to h(x~).
+    segments: int = GAUSS_MAX_NODES,
+) -> LineIntegral:
+    """Gauss–Legendre line integral of g*alpha - alpha from x~ to h(x~),
+    with a bound on its error.
 
-    The integrand at gamma(t) = x~ + t v (v = h(x~) - x~) is
+    The integrand at gamma(t) = x~ + t v (v = h(x~) - x~), t in [0, 1], is
     <a, Dg(gamma(t)) v> - <a, v>. The derivative is the complex step
     Dg(p) v = Im g(p + i h v) / h with h = 2^-200: no subtraction, so it is
     accurate to rounding, and exact for linear maps because h is a power of
     two. g's evaluator must therefore accept complex points; one that
-    returns real values would give a silent zero derivative and is refused."""
+    returns real values would give a silent zero derivative and is refused.
+
+    `segments` (1 to POINT_CAP) caps the node count. For a built-in g the
+    count and the error bound come from g's coefficients (`_gauss_plan`):
+    only the bound reads them, the values at the nodes do not, so the
+    integral stays a route independent of the closed form. Any other lift
+    (words, inverses, hand-built lifts) takes min(segments,
+    GAUSS_MAX_NODES) nodes and gets no bound."""
     if not 1 <= segments <= POINT_CAP:
         raise ValidationError(f"need from 1 to {POINT_CAP} segments, got {segments}")
     require_preserves_class(a, g)
     require_preserves_class(a, h)
     xt = _cover_of(x, a.dimension)
     v = h(xt) - xt
-    ts = (np.arange(segments) + 0.5) / segments
-    pts = xt[None, :] + ts[:, None] * v[None, :]
+    nodes, bound = _gauss_plan(a, g, xt, v, segments)
+    t, w = _gauss_rule(nodes)
     av = a.vector
-    integrand = _complex_step(g, pts, v) @ av - float(np.dot(av, v))
-    return float(np.mean(integrand))
+    integrand = _complex_step(g, xt[None, :] + t[:, None] * v[None, :], v) @ av - float(np.dot(av, v))
+    return LineIntegral(np.dot(w, integrand), nodes, bound)
+
+
+@functools.cache
+def _gauss_rule(n: int) -> tuple:
+    """numpy's n-point Gauss–Legendre nodes s and weights w on [-1, 1],
+    moved to [0, 1] as (s + 1) / 2 and w / 2, read-only since every call
+    shares them."""
+    s, w = np.polynomial.legendre.leggauss(n)
+    t, w = (s + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _gauss_truncation(n: int, sup) -> float:
+    """A bound on |int_0^1 f dt - sum_i w_i f(t_i)| for the exact n-point
+    Gauss–Legendre rule on [0, 1], for f analytic in every Bernstein
+    ellipse, where `sup(sigma)` bounds |f| on the strip |Im t| <= sigma.
+
+    On [-1, 1], with f analytic in E_rho and |f| <= M there, the rule of
+    m + 1 points errs by at most (64/15) M rho^(-2m) / (rho^2 - 1)
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM
+    2013, Thm 19.3), so n points give the exponent -2(n - 1). Moving
+    [-1, 1] to [0, 1] halves the integral, and E_rho to an ellipse inside
+    the strip |Im t| <= (rho - 1/rho) / 4. Any rho > 1 gives a bound; this
+    is the least over GAUSS_RHOS."""
+    return min(
+        (32.0 / 15.0) * sup((rho - 1.0 / rho) / 4.0) * rho ** (-2 * (n - 1)) / (rho * rho - 1.0)
+        for rho in GAUSS_RHOS
+    )
+
+
+# math.cosh overflows past this argument
+_COSH_LIMIT = 710.0
+
+
+def _gauss_plan(a: CohomologyClass, g: LiftedMap, xt: np.ndarray, v: np.ndarray, segments: int) -> tuple:
+    """(n, error bound) of the Gauss–Legendre integral of
+    f(t) = <a, Dg(x~ + t v) v> - <a, v> over [0, 1].
+
+    For a built-in g, rho_g = <a, g(y) - y> = C + sum_k A_k cos 2 pi k y_j
+    + B_k sin 2 pi k y_j in one axis j (`dynamics._displacement_pairs`),
+    and f(t) = d/dt rho_g(x~ + t v). With s = |v_j|, |A_k cos z + B_k sin z|
+    <= hypot(A_k, B_k) cosh(Im z), so on |Im t| <= sigma
+
+        |f| <= 2 pi s sum_k k hypot(A_k, B_k) cosh(2 pi k s sigma),
+
+    which `_gauss_truncation` turns into the truncation bound; rigid and
+    affine g have no pairs, and f = 0. n is the least of GAUSS_NODE_COUNTS
+    (each capped by `segments`) whose truncation bound is below the
+    rounding term, else the largest; the bound is the sum of the two.
+
+    The rounding term, first order in u = UNIT_ROUNDOFF, with F = 2 pi s
+    sum k hypot(A_k, B_k) >= |f| and L = 4 pi^2 s sum k^2 hypot(A_k, B_k)
+    >= |df/dy_j| on the real segment, P = |x~_j| + s >= |y_j| there, and
+    T = |a|_1 (3 |v|_sup + Lip |v|_2) >= |a|_1 (2 |v|_sup + |Dg v|_sup)
+    (Lip = `dynamics._displacement_lipschitz`, Euclidean-in, sup-out):
+      - the weighted sum: np.dot takes each product through at most n
+        roundings, in any order, and the weights sum to 1: n u F;
+      - the weights: within GAUSS_WEIGHT_ULPS u in all, GAUSS_WEIGHT_ULPS u F;
+      - the nodes: each within GAUSS_NODE_ULPS u of the exact node, which
+        moves y_j by at most GAUSS_NODE_ULPS u s <= GAUSS_NODE_ULPS u P,
+        and f by L times that;
+      - each value's own rounding: 16 u (1 + T) + 8 u L P, an allowance in
+        `dynamics._finite_mean`'s style, not derived here. The first part
+        covers the complex step and the pairings with a, whose terms are
+        at most T in size; the second the rounding of the point x~ + t v
+        (at most 2 u P in y_j) and of the angles 2 pi k y_j in g's
+        evaluator, each of which moves f by at most L times its share;
+      - u F more covers the second-order terms.
+    A lift without a coefficient table or a displacement Lipschitz
+    constant gets min(segments, GAUSS_MAX_NODES) nodes and no bound, as
+    does a truncation bound that overflows."""
+    counts = sorted({min(c, segments) for c in GAUSS_NODE_COUNTS})
+    coefficients = _displacement_pairs(a, g)
+    lip = _displacement_lipschitz(g)
+    if coefficients is None or lip is None:
+        return counts[-1], None
+    axis, pairs = coefficients
+    sizes = [(k, math.hypot(c, d)) for k, (c, d) in enumerate(pairs, 1)]
+    s = abs(float(v[axis]))
+    slope = 2.0 * math.pi * s
+
+    def sup(sigma):
+        if sizes and slope * len(sizes) * sigma > _COSH_LIMIT:
+            return math.inf
+        return slope * sum(k * size * math.cosh(slope * k * sigma) for k, size in sizes)
+
+    f_top = slope * sum(k * size for k, size in sizes)
+    f_lip = 2.0 * math.pi * slope * sum(k * k * size for k, size in sizes)
+    reach = abs(float(xt[axis])) + s
+    terms = a.one_norm * (3.0 * float(np.max(np.abs(v))) + lip * float(np.linalg.norm(v)))
+    fixed = 16.0 * (1.0 + terms) + (8.0 + GAUSS_NODE_ULPS) * f_lip * reach + (1.0 + GAUSS_WEIGHT_ULPS) * f_top
+    for n in counts:
+        rounding = UNIT_ROUNDOFF * (fixed + n * f_top)
+        truncation = _gauss_truncation(n, sup)
+        if truncation < rounding:
+            break
+    bound = truncation + rounding
+    return n, bound if math.isfinite(bound) else None
 
 
 def _pair_shifts(a: CohomologyClass, g: BundleAutomorphism, h: BundleAutomorphism) -> tuple:

@@ -63,14 +63,19 @@ def jsonable(value):
     raise ValidationError(f"cannot serialize {type(value).__name__} into a report")
 
 
-def value_entry(value, *, error_bound=None, exact: bool = False, **extra) -> dict:
-    """A single reported number: value + (error bound | exact marker).
+def value_entry(value, *, error_bound=None, exact: bool = False, residual: bool = False, **extra) -> dict:
+    """A single reported number: value + (error bound | exact marker |
+    residual marker).
 
-    error_bound=None with exact=False serializes as null — an explicit
-    "no bound is claimed" (one-sided grid estimates)."""
+    error_bound=None with neither marker serializes as null — an explicit
+    "no bound is claimed" (one-sided grid estimates). A residual is a
+    measured value of an expression that is zero in exact arithmetic, so it
+    has no error to bound: it carries `"residual": true` and no error_bound."""
     entry = {"value": jsonable(value)}
     if exact:
         entry["exact"] = True
+    elif residual:
+        entry["residual"] = True
     else:
         entry["error_bound"] = jsonable(error_bound)
     for k, v in extra.items():

@@ -656,8 +656,11 @@ def test_gk_check_is_byte_deterministic(tmp_path):
     assert cli.main(["gk-check", "--seed", "3", "--format", "record", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     rec = json.loads(a.read_text())
-    assert rec["results"]["coboundary"]["value"] <= 1e-12
-    assert rec["results"]["cocycle"]["value"] <= 1e-12
+    for name in ("coboundary", "cocycle", "headline"):
+        entry = rec["results"][name]
+        # a measured residual, not a bounded value
+        assert entry["residual"] is True and "error_bound" not in entry
+        assert entry["value"] <= 1e-12
     assert rec["provenance"]["seed"] == 3
 
 
@@ -728,8 +731,9 @@ def test_gk_eval_closed_form_and_quadrature(tmp_path):
     rec = run_record(tmp_path, ["gk-eval", "--config", write(tmp_path, "g.ini", GK_TEXT)])
     assert rec["results"]["closed_form"] == {"value": 0.1, "exact": True}
     quad = rec["results"]["quadrature"]
-    assert abs(quad["value"] - 0.1) <= 1e-6
-    assert quad["error_bound"] <= 1e-6
+    assert quad["nodes"] == 8
+    assert quad["discrepancy"] == abs(quad["value"] - 0.1)
+    assert quad["discrepancy"] <= quad["error_bound"] <= 1e-12
 
 
 def test_rot_homovec_routes_agree(tmp_path):
@@ -744,6 +748,8 @@ def test_split_check_on_commuting_skews(tmp_path):
     rec = run_record(tmp_path, ["split-check", "--config", write(tmp_path, "s.ini", SPLIT_TEXT)])
     res = rec["results"]
     assert res["headline"]["value"] <= 1e-6
+    for name in ("additivity_residual", "mean_cocycle_residual", "headline"):
+        assert res[name]["residual"] is True and "error_bound" not in res[name]
     assert res["pairs"] == 20
     assert all(row["residual"] <= 1e-9 for row in res["generator_invariance"])
 

@@ -1,10 +1,13 @@
 """The two-variable displacement cocycle: identities, quadrature, splitting."""
 
 import dataclasses
+import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transnum import dynamics, galkedra
 from transnum import (
@@ -114,6 +117,185 @@ def test_quadrature_validates_segments():
         gal_kedra_quadrature(A10, SHEAR, QUARTER_TURN, [0.0, 0.0], segments=0)
     with pytest.raises(ValidationError, match=str(dynamics.POINT_CAP)):
         gal_kedra_quadrature(A10, SHEAR, QUARTER_TURN, [0.0, 0.0], segments=10**12)
+
+
+# -- the Gauss–Legendre rule and its error bound ------------------------------
+
+
+def test_a_built_in_pair_reports_its_nodes_and_bound():
+    quad = gal_kedra_quadrature(A10, SHEAR, QUARTER_TURN, [0.3, 0.0])
+    assert isinstance(quad, galkedra.LineIntegral) and isinstance(quad, float)
+    assert quad.nodes == 8
+    assert 0.0 < quad.error_bound <= 1e-12
+    assert abs(quad - 0.1) <= quad.error_bound
+    # the cap takes the rule below its first count
+    capped = gal_kedra_quadrature(A10, SHEAR, QUARTER_TURN, [0.3, 0.0], segments=3)
+    assert capped.nodes == 3 and abs(capped - 0.1) <= capped.error_bound
+
+
+def test_a_lift_without_coefficients_takes_the_cap_and_no_bound():
+    word = SHEAR.compose(skew_translation(0.3, TrigPolynomial(0.2, (0.1,), (0.05,))))
+    for segments, nodes in ((10_000, galkedra.GAUSS_MAX_NODES), (20, 20)):
+        quad = gal_kedra_quadrature(A10, word, QUARTER_TURN, [0.45, 0.6], segments=segments)
+        assert quad.nodes == nodes and quad.error_bound is None
+    closed = gal_kedra(A10, word, QUARTER_TURN, [0.45, 0.6])
+    assert abs(quad - closed) <= 1e-12
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    prev, cur = mpmath.mpf(1), x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return cur, n * (x * cur - prev) / (x * x - 1)
+
+
+def test_the_float_nodes_and_weights_are_within_their_allowance():
+    # every node count the rule can take: GAUSS_NODE_COUNTS, or any cap below
+    u = dynamics.UNIT_ROUNDOFF
+    with mpmath.workprec(200):
+        for n in range(1, galkedra.GAUSS_MAX_NODES + 1):
+            t, w = galkedra._gauss_rule(n)
+            assert not t.flags.writeable and abs(sum(w) - 1.0) <= n * u
+            node_error = weight_error = mpmath.mpf(0)
+            for ti, wi in zip(t, w):
+                s = mpmath.mpf(2 * float(ti) - 1.0) if n > 1 else mpmath.mpf(0)
+                for _ in range(4):  # Newton from the float node: 2^-53, 2^-106, ...
+                    p, dp = _legendre(n, s)
+                    s -= p / dp
+                node_error = max(node_error, abs(mpmath.mpf(float(ti)) - (s + 1) / 2))
+                weight_error += abs(mpmath.mpf(float(wi)) - 1 / ((1 - s * s) * dp * dp))
+            assert node_error <= galkedra.GAUSS_NODE_ULPS * u, n
+            assert weight_error <= galkedra.GAUSS_WEIGHT_ULPS * u, n
+
+
+OMEGA = 2.099
+
+
+def test_the_truncation_bound_of_n_nodes_has_exponent_two_n_minus_two():
+    # Trefethen's I_m takes m + 1 nodes. At 8 nodes int_{-1}^{1} cos(OMEGA s) ds
+    # errs by 2.97e-13, on [0, 1] by half that: above the rho^(-2n) value
+    # and below the rho^(-2(n - 1)) value, both at rho = 16, the best of
+    # GAUSS_RHOS here. |cos(OMEGA (2 t - 1))| <= cosh(2 OMEGA sigma) on
+    # |Im t| <= sigma.
+    t, w = galkedra._gauss_rule(8)
+    with mpmath.workprec(200):
+        error = float(abs(mpmath.mpf(float(np.dot(w, np.cos(OMEGA * (2.0 * t - 1.0))))) - mpmath.sin(OMEGA) / OMEGA))
+    assert error == pytest.approx(2.97e-13 / 2, rel=0.01)
+    bound = galkedra._gauss_truncation(8, lambda sigma: math.cosh(2.0 * OMEGA * sigma))
+    at_16 = 0.5 * (64 / 15) * math.cosh(OMEGA * (16 - 1 / 16) / 2) * 16.0**-14 / (16.0**2 - 1)
+    assert bound == pytest.approx(at_16, rel=1e-12)
+    assert bound / 16**2 < error <= bound
+
+
+# (a, g, g's pairs (A_k, B_k) and their axis, h, x): v = h(x) - x moves
+# that axis by 1.2 and 0.9
+TRUNCATION_CASES = {
+    "sinshear": (A10, SHEAR, [(0.0, 0.1)], 1, AFFINE, [0.6, 0.35]),
+    "skew": (
+        CohomologyClass([1, 2]),
+        skew_translation(0.3, TrigPolynomial(0.2, (0.05, -0.02), (0.1, 0.03))),
+        [(0.1, 0.2), (-0.04, 0.06)],
+        0,
+        rigid_rotation([0.9, 0.2]),
+        [0.15, 0.4],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRUNCATION_CASES))
+def test_the_truncation_bound_reads_the_sup_of_the_integrand(name):
+    # at 4 nodes the truncation term dwarfs the rounding term, so the bound is
+    # the least over GAUSS_RHOS of (32/15) M rho^-6 / (rho^2 - 1), with
+    # M = 2 pi s sum_k k hypot(A_k, B_k) cosh(2 pi k s (rho - 1/rho) / 4)
+    a, g, pairs, axis, h, x = TRUNCATION_CASES[name]
+    s = abs(h(np.asarray(x))[axis] - x[axis])
+
+    def sup(rho):
+        sigma = (rho - 1 / rho) / 4
+        return 2 * math.pi * s * sum(k * math.hypot(*p) * math.cosh(2 * math.pi * k * s * sigma) for k, p in enumerate(pairs, 1))
+
+    want = min((32 / 15) * sup(rho) * rho**-6 / (rho * rho - 1) for rho in galkedra.GAUSS_RHOS)
+    quad = gal_kedra_quadrature(a, g, h, x, segments=4)
+    assert quad.nodes == 4
+    assert quad.error_bound == pytest.approx(want, rel=1e-6)
+    assert abs(quad - gal_kedra(a, g, h, x)) <= quad.error_bound
+
+
+unit = st.floats(0.0, 1.0)
+small = st.floats(-0.3, 0.3)
+TAU = 2 * mpmath.pi
+
+
+def _rigid(v):
+    return rigid_rotation(list(v)), lambda y: [mpmath.mpf(t) for t in v]
+
+
+def _arnold(omega, k):
+    return arnold_circle(omega, k), lambda y: [omega + k / TAU * mpmath.sin(TAU * y[0])]
+
+
+def _shear(eps):
+    return sinusoidal_shear(eps), lambda y: [eps * mpmath.sin(TAU * y[1]), 0]
+
+
+def _skew(omega, poly):
+    def disp(y):
+        terms = zip(poly.cos_coeffs, poly.sin_coeffs)
+        c = sum(a * mpmath.cos(TAU * k * y[0]) + b * mpmath.sin(TAU * k * y[0]) for k, (a, b) in enumerate(terms, 1))
+        return [omega, poly.constant + c]
+
+    return skew_translation(omega, poly), disp
+
+
+def _affine(c, v):
+    return torus_affine([[1, 0], [c, 1]], list(v)), lambda y: [v[0], c * y[0] + v[1]]
+
+
+polys = st.integers(1, 3).flatmap(
+    lambda d: st.builds(TrigPolynomial, small, st.tuples(*[small] * d), st.tuples(*[small] * d))
+)
+
+
+@st.composite
+def quadrature_pairs(draw):
+    """(a, (g, disp_g), h, x): built-in maps fixing a, with g's displacement
+    in 200-bit arithmetic. On T^2 the shears [[1, 0], [c, 1]] fix a = (a_0, 0),
+    and as h they move x by up to 3 along y, the axis of a sinshear g."""
+    if draw(st.booleans()):
+        a = CohomologyClass([draw(st.sampled_from([-2, -1, 1, 2]))])
+        maps = st.one_of(st.builds(_rigid, st.tuples(st.floats(-1.0, 1.0))), st.builds(_arnold, unit, st.floats(-0.9, 0.9)))
+        x = [draw(unit)]
+    else:
+        a0, a1 = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.sampled_from([-2, -1, 0, 0, 1, 2]))
+        a = CohomologyClass([a0, a1])
+        options = [st.builds(_rigid, st.tuples(unit, unit)), st.builds(_shear, small), st.builds(_skew, unit, polys)]
+        if a1 == 0:
+            options.append(st.builds(_affine, st.integers(-2, 2), st.tuples(unit, unit)))
+        maps = st.one_of(options)
+        x = [draw(unit), draw(unit)]
+    return a, draw(maps), draw(maps)[0], x
+
+
+@settings(max_examples=300)
+@given(pair=quadrature_pairs(), segments=st.one_of(st.integers(1, galkedra.GAUSS_MAX_NODES), st.just(10_000)))
+def test_the_line_integral_lies_within_its_error_bound(pair, segments):
+    # against the 200-bit integral along the float segment x~ + t v:
+    # rho_g(x~ + v) - rho_g(x~), with rho_g = <a, g(y) - y>
+    a, (g, disp), h, x = pair
+    quad = gal_kedra_quadrature(a, g, h, x, segments=segments)
+    assert quad.nodes <= segments and quad.error_bound is not None
+    xt = np.asarray(x, dtype=float)
+    v = h(xt) - xt
+    with mpmath.workprec(200):
+        start = [mpmath.mpf(float(t)) for t in xt]
+        end = [s + mpmath.mpf(float(t)) for s, t in zip(start, v)]
+
+        def rho_g(y):
+            return sum(e * d for e, d in zip(a.entries, disp(y)))
+
+        error = abs(mpmath.mpf(float(quad)) - (rho_g(end) - rho_g(start)))
+        assert error <= quad.error_bound
 
 
 def test_value_does_not_depend_on_the_chosen_lifts():
