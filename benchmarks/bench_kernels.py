@@ -20,8 +20,11 @@ This script times
   - map builds: each family constructor, `sample_map` in dimensions 1 and
     2 and `config.build_bundle_map` of a rigid sweep row, in microseconds
     per build (the affine map once with its matrix memoized and once with
-    the memo cleared before each build), next to the seeded residual
-    suites of `gk-check` that build them, in microseconds per draw;
+    the memo cleared before each build), and the draw alone
+    (`sample_map_spec`) in dimension 2; next to them the seeded residual
+    suites of `gk-check`, in microseconds per draw, which build no map:
+    they draw each map's (code, params) and image each group of draws of
+    one family in one step call on parameter columns;
   - the orbit walk of `dynamics._orbit_columns`, which images each point
     once, by the map's column step: a 4096-point orbit mean of the golden skew map with its
     push-forward check, in milliseconds per call, and a 10^4-step perturbed
@@ -33,8 +36,10 @@ This script times
   - the Gal-Kedra check of `split-check`: a 12-pair `splitting_check` on
     two T^2 generators against Lebesgue measure at m = 64 per axis in
     milliseconds per pair (its two invariance checks included), once with
-    pairs of one-letter words and once with pairs of two-letter words, which
-    image every grid block letter by letter;
+    pairs of one-letter words, the golden skew and the sine shear, whose
+    invariance is read from the Jacobian, and once with pairs of two-letter
+    words, which image every grid block letter by letter and, having no
+    kernel spec, keep the push-forward probes;
   - the grid scans of each family, at 1024^2 points of T^2 (2048 points of
     the circle for the Arnold family): a Lebesgue mean (one midpoint grid,
     no push-forward check) and a certified seminorm, each in milliseconds
@@ -129,6 +134,7 @@ from transnum.families import (  # noqa: E402
     arnold_circle,
     rigid_rotation,
     sample_map,
+    sample_map_spec,
     sinusoidal_shear,
     skew_translation,
     torus_affine,
@@ -163,6 +169,7 @@ def _build_cases():
         ("skew_translation, degree 1", lambda: skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))),
         ("sample_map, dimension 1", lambda: sample_map(rng, (1,))),
         ("sample_map, dimension 2", lambda: sample_map(rng, (1, 0))),
+        ("sample_map_spec (draw only), dimension 2", lambda: sample_map_spec(rng, (1, 0))),
         ("config.build_bundle_map, rigid sweep row", lambda: config.build_bundle_map(row)),
     ]
 
@@ -574,7 +581,7 @@ def main():
     print_table([("case", "ms/call"), (label, f"{ms_per_residual(lift, args.repeat):.3f}")])
 
     print()
-    print(f"map builds and the gk-check suites that draw them, best of {args.repeat}")
+    print(f"map builds, and the gk-check suites, which draw map specs and build no map, best of {args.repeat}")
     rows = [("case", "cost", "unit")]
     rows += [(label, f"{us_per_build(build, args.repeat):.2f}", "us/build") for label, build in _build_cases()]
     rows += [

@@ -83,6 +83,7 @@ from .galkedra import (
     gal_kedra,
     gal_kedra_many,
     gal_kedra_quadrature,
+    gal_kedra_rational,
     quasimorphism_defect,
     splitting_check,
 )

@@ -58,6 +58,7 @@ from .galkedra import (
     cocycle_residual_suite,
     gal_kedra,
     gal_kedra_quadrature,
+    gal_kedra_rational,
     splitting_check,
 )
 from .isotopy import (
@@ -221,13 +222,17 @@ def _cmd_gk_eval(cfg: RunConfig, res: Resolved) -> Report:
     h = build_lifted_map(cfg, "map.h")
     x = build_point(cfg, a.dimension)
     closed = gal_kedra(a, g, h, x)
+    rational = gal_kedra_rational(a, g)
+    exact = rational is not None
+    if exact:
+        closed = float(rational)
     quad = gal_kedra_quadrature(a, g, h, x, **_given(segments=res.grid))
     results = {
-        "closed_form": value_entry(closed, exact=True),
+        "closed_form": value_entry(closed, exact=exact, rational=rational),
         "quadrature": value_entry(
             quad, error_bound=quad.error_bound, nodes=quad.nodes, discrepancy=abs(closed - quad)
         ),
-        "headline": _headline(closed, exact=True),
+        "headline": _headline(closed, exact=exact),
     }
     return make_report("gk-eval", cfg.echo(), results, res.seed)
 
@@ -283,8 +288,8 @@ def _cmd_split_check(cfg: RunConfig, res: Resolved) -> Report:
         "pairs": rep.pairs,
         "measure": rep.measure_kind,
         "generator_invariance": [
-            {"generator": name, "residual": r}
-            for (name, _), r in zip(named, rep.generator_invariance)
+            {"generator": name, "residual": r, "source": source}
+            for (name, _), r, source in zip(named, rep.generator_invariance, rep.invariance_sources)
         ],
         "headline": _headline(rep.splitting_residual, residual=True),
     }

@@ -433,11 +433,20 @@ def _group_orbit(a: CohomologyClass, maps: list, starts: list) -> _PythonOrbit:
             return _PythonOrbit(cover, evaluator=g.lift.evaluator, avec=a.entries, shift=c)
         return _PythonOrbit(cover, kernel=g.lift.kernel_spec, avec=a.entries, shift=c)
     code, degree = family
-    columns = list(np.array([g.lift.kernel_spec[1] for g in maps], dtype=float).T.copy())
-    if degree is not None:
-        columns[1] = degree  # np_step loops over one skew degree
+    columns = _parameter_columns([g.lift.kernel_spec[1] for g in maps], degree)
     shifts = np.array([c for c, _ in starts])
     return _PythonOrbit(np.stack([cover for _, cover in starts]), kernel=(code, columns), avec=a.entries, shift=shifts)
+
+
+def _parameter_columns(params: list, degree: Optional[float]) -> list:
+    """The kernel parameters of a group of maps of one family as columns
+    for `_kernels.np_step`: column j holds parameter j of every map, in
+    order. A skew group's degree (`degree`, None for other families) stays
+    one float, since np_step loops over it."""
+    columns = list(np.array(params, dtype=float).T.copy())
+    if degree is not None:
+        columns[1] = degree
+    return columns
 
 
 @dataclass(frozen=True)
@@ -1171,7 +1180,7 @@ def _displacement_pairs(a: CohomologyClass, lift: LiftedMap) -> Optional[tuple]:
     """(axis, pairs) of rho = <a, lift(x) - x> (`_displacement_coefficients`)
     without its exact constant term, or None without a kernel spec. pairs
     lists the float (A_k, B_k) for k = 1 .. d, so len(pairs) is the degree d
-    of rho, which `_rounding_scale` and `_lebesgue_bound` read there:
+    of rho, which `_rounding_scale` and `_lebesgue_bound` read (`_degree`):
       - rigid and affine maps: no pairs, in x_0;
       - arnold: (0, a_0 k / 2 pi), in x_0;
       - sinshear: (0, a_0 eps), in x_1;
@@ -1198,6 +1207,14 @@ def _displacement_pairs(a: CohomologyClass, lift: LiftedMap) -> Optional[tuple]:
 _JACOBIAN_ONE = (_kernels.RIGID, _kernels.AFFINE, _kernels.SINE_SHEAR, _kernels.SKEW)
 
 
+def _jacobian_preserves(lift: LiftedMap, mu: InvariantMeasure) -> bool:
+    """Whether the Jacobian proves that lift preserves mu: Lebesgue measure
+    under a kernel family of `_JACOBIAN_ONE`, in any dimension. Every other
+    pair (Arnold maps, lifts without a kernel spec, orbit and empirical
+    measures) needs the push-forward probes."""
+    return mu.kind == "lebesgue" and lift.kernel_spec is not None and lift.kernel_spec[0] in _JACOBIAN_ONE
+
+
 def _rounding_scale(a: CohomologyClass, lift: LiftedMap, shift: float) -> Optional[tuple]:
     """(L, R, w) of the rounding of one computed value of rho (see
     `_lebesgue_bound`), or None without L = `_displacement_lipschitz`: R
@@ -1211,9 +1228,15 @@ def _rounding_scale(a: CohomologyClass, lift: LiftedMap, shift: float) -> Option
     center = np.full(n, 0.5)
     disp = float(np.max(np.abs(lift(center) - center))) + lip * math.sqrt(n) / 2.0
     scale = a.one_norm * (1.0 + disp + lip) + abs(shift)
-    coefficients = _displacement_coefficients(a, lift, shift)
-    degree = 0 if coefficients is None else len(coefficients[2])
-    return lip, scale, 4 + degree + (n + 1) * math.sqrt(n)
+    return lip, scale, 4 + (_degree(a, lift) or 0) + (n + 1) * math.sqrt(n)
+
+
+def _degree(a: CohomologyClass, lift: LiftedMap) -> Optional[int]:
+    """The degree of rho = <a, lift(x) - x> as a trigonometric polynomial,
+    the number of pairs `_displacement_pairs` lists, or None without a
+    kernel spec."""
+    found = _displacement_pairs(a, lift)
+    return None if found is None else len(found[1])
 
 
 def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -> Optional[float]:
@@ -1222,7 +1245,7 @@ def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -
     which marks the mean as an estimate. With L = `_displacement_lipschitz`:
 
       - exact degree: when rho is a trigonometric polynomial of degree d
-        (the d pairs of `_displacement_coefficients`) and m > d, the
+        (the d pairs of `_displacement_pairs`) and m > d, the
         midpoint rule is exact, since each character e^(2 pi i k.x) with
         some 0 < |k_j| < m sums to 0 over the grid (Trefethen and Weideman,
         SIAM Review 56, 2014). The bound is the rounding term alone;
@@ -1263,10 +1286,10 @@ def _lebesgue_bound(a: CohomologyClass, lift: LiftedMap, shift: float, m: int) -
         return None
     lip, scale, w = rounding
     n = lift.dimension
-    coefficients = _displacement_coefficients(a, lift, shift)
     ulps = w + n + 29 + math.ceil(math.log2(m**n))
     bound = ulps * UNIT_ROUNDOFF * scale
-    if coefficients is None or m <= len(coefficients[2]):
+    degree = _degree(a, lift)
+    if degree is None or m <= degree:
         bound += a.one_norm * lip * math.sqrt(n / 12.0) / m
     return bound
 
@@ -1416,7 +1439,7 @@ def mean_translation_number(
     _require_grid(a.dimension, quadrature_points)
     _, rational, _ = _displacement_coefficients(a, g.lift, g.fiber_shift)
     residual = source = None
-    if check_invariance and g.lift.kernel_spec[0] in _JACOBIAN_ONE:
+    if check_invariance and _jacobian_preserves(g.lift, mu):
         residual, source = 0.0, "jacobian"
     elif check_invariance:
         residual = measure_invariance_residual(g.lift, mu, min(quadrature_points, QUADRATURE_POINTS))

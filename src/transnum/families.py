@@ -34,6 +34,8 @@ __all__ = [
     "skew_translation",
     "sample_class_entries",
     "sample_map",
+    "sample_map_spec",
+    "map_from_spec",
     "sample_fiber_shift",
 ]
 
@@ -304,33 +306,53 @@ def sample_class_entries(rng, dimension: int):
             return tuple(ent)
 
 
-def sample_map(rng, entries) -> LiftedMap:
-    """Random built-in map whose matrix part fixes the given integer class."""
+def sample_map_spec(rng, entries) -> tuple:
+    """(code, params) of a random built-in map whose matrix part fixes the
+    given integer class: the kernel spec of the map `map_from_spec` builds
+    from it, params as a tuple of floats (an affine map's are its matrix,
+    row-major, then its vector)."""
     dimension = len(entries)
     # a family is drawn by its index: rng.integers(n) reads the stream as
     # rng.choice of an n-entry list does, at about a fifth of the cost
     if dimension == 1:
-        kind = ("rigid", "arnold")[rng.integers(2)]
-        if kind == "rigid":
-            return rigid_rotation([float(rng.uniform(0.0, 1.0))])
-        return arnold_circle(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.9, 0.9)))
+        if rng.integers(2) == 0:
+            return _kernels.RIGID, (float(rng.uniform(0.0, 1.0)),)
+        return _kernels.CIRCLE_SINE, (float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.9, 0.9)))
     if dimension == 2:
-        choices = ("rigid", "sinshear", "skew", "affine")[: 4 if entries[1] == 0 else 3]
-        kind = choices[rng.integers(len(choices))]
-        if kind == "rigid":
-            return rigid_rotation(rng.uniform(0.0, 1.0, size=2))
-        if kind == "sinshear":
-            return sinusoidal_shear(float(rng.uniform(-0.3, 0.3)))
-        if kind == "skew":
-            poly = TrigPolynomial(
-                float(rng.uniform(-0.5, 0.5)),
-                tuple(rng.uniform(-0.3, 0.3, size=2)),
-                tuple(rng.uniform(-0.3, 0.3, size=2)),
-            )
-            return skew_translation(float(rng.uniform(0.0, 1.0)), poly)
-        m = [[1, 0], [int(rng.integers(-2, 3)), 1]]
-        return torus_affine(m, rng.uniform(0.0, 1.0, size=2))
-    return rigid_rotation(rng.uniform(0.0, 1.0, size=dimension))
+        kind = rng.integers(4 if entries[1] == 0 else 3)  # rigid, sinshear, skew, affine
+        if kind == 0:
+            return _kernels.RIGID, tuple(rng.uniform(0.0, 1.0, size=2).tolist())
+        if kind == 1:
+            return _kernels.SINE_SHEAR, (float(rng.uniform(-0.3, 0.3)),)
+        if kind == 2:
+            constant = float(rng.uniform(-0.5, 0.5))
+            cos_coeffs = rng.uniform(-0.3, 0.3, size=2).tolist()
+            sin_coeffs = rng.uniform(-0.3, 0.3, size=2).tolist()
+            pairs = [t for ab in zip(cos_coeffs, sin_coeffs) for t in ab]
+            return _kernels.SKEW, (float(rng.uniform(0.0, 1.0)), 2.0, constant, *pairs)
+        shear = float(rng.integers(-2, 3))
+        return _kernels.AFFINE, (1.0, 0.0, shear, 1.0, *rng.uniform(0.0, 1.0, size=2).tolist())
+    return _kernels.RIGID, tuple(rng.uniform(0.0, 1.0, size=dimension).tolist())
+
+
+def map_from_spec(code: int, params) -> LiftedMap:
+    """The built-in map of the kernel spec (code, params), as
+    `sample_map_spec` gives it."""
+    if code == _kernels.RIGID:
+        return rigid_rotation(list(params))
+    if code == _kernels.AFFINE:
+        n = math.isqrt(len(params))  # n^2 + n params
+        return torus_affine(np.reshape(params[: n * n], (n, n)), list(params[n * n :]))
+    if code == _kernels.CIRCLE_SINE:
+        return arnold_circle(*params)
+    if code == _kernels.SINE_SHEAR:
+        return sinusoidal_shear(*params)
+    return skew_translation(params[0], TrigPolynomial(params[2], params[3::2], params[4::2]))
+
+
+def sample_map(rng, entries) -> LiftedMap:
+    """Random built-in map whose matrix part fixes the given integer class."""
+    return map_from_spec(*sample_map_spec(rng, entries))
 
 
 def sample_fiber_shift(rng) -> int:

@@ -35,6 +35,26 @@ coordinates, one array per axis, with h(x) and g(h(x)) from
 `dynamics._column_image`, so on a grid a pair of words of built-in maps
 images axis columns letter by letter and stacks no point. An orbit measure
 is the orbit of each mean's own map, so there F(h) and F(gh) walk their own.
+A generator's invariance of mu, the premise of `splitting_check`, is read
+from the Jacobian for a Lebesgue-preserving built-in family on Lebesgue
+measure, as `dynamics.mean_translation_number` reads it, and from the
+push-forward probes for every other generator and measure
+(`_generator_invariance`).
+
+The closed form is exact where the data makes it so: G is exactly 0 when
+F_g is constant (`gal_kedra_rational`: rigid and affine g).
+
+The seeded suites of `gk-check` (`coboundary_residual_suite`,
+`cocycle_residual_suite`) build no map. They read every draw from the
+stream first (`_suite_draws`: class, map specs `(code, params)`, fiber
+shifts and point) and make every check a built map would make: each
+matrix fixes its class, each shift and shift sum lies in the fiber group.
+Then they image each group of draws that share a torus, a kernel code and
+a skew degree in one `_kernels.np_step` call on parameter columns
+(`_spec_image`). The residuals are the one-draw arithmetic
+(`_coboundary_rows`, `_cocycle_rows`) run on columns, so each draw's
+residual is bit for bit the one `coboundary_residual` or `cocycle_residual`
+gives it.
 """
 
 from __future__ import annotations
@@ -42,10 +62,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .dynamics import (
     INVARIANCE_TOLERANCE,
     POINT_CAP,
@@ -57,20 +79,24 @@ from .dynamics import (
     _checked_shift,
     _column_image,
     _cover_of,
+    _degree,
     _displacement_lipschitz,
     _displacement_pairs,
+    _jacobian_preserves,
     _map_shift,
     _measure_rows,
+    _parameter_columns,
     _rho_values,
     measure_invariance_residual,
 )
-from .errors import PreconditionError, ValidationError
-from .families import sample_class_entries, sample_fiber_shift, sample_map
-from .torus import CohomologyClass, LiftedMap, require_preserves_class
+from .errors import ClassNotPreserved, PreconditionError, ValidationError
+from .families import _unimodular, sample_class_entries, sample_fiber_shift, sample_map_spec
+from .torus import CohomologyClass, LiftedMap, preserves_class, require_preserves_class
 
 __all__ = [
     "gal_kedra",
     "gal_kedra_many",
+    "gal_kedra_rational",
     "gal_kedra_quadrature",
     "LineIntegral",
     "coboundary_residual",
@@ -112,6 +138,18 @@ def gal_kedra(a: CohomologyClass, g: LiftedMap, h: LiftedMap, x) -> float:
     xt = _cover_of(x, a.dimension)
     hx = h(xt)
     return float(_gal_kedra_rows(a.vector, xt, hx, g(xt), g(hx)))
+
+
+def gal_kedra_rational(a: CohomologyClass, g: LiftedMap) -> Optional[Fraction]:
+    """G_x(g, h) as an exact rational of the float data, for every h and x,
+    where the data gives one, else None. When rho_g = <a, g(y) - y> is a
+    trigonometric polynomial of degree 0 (`dynamics._degree`: rigid and
+    affine maps in any dimension, whose M^T a = a cancels (M - I) y, and
+    skew maps of constant speed), F_g is constant and G = F_g(h(x~)) -
+    F_g(x~) is exactly 0; the closed form of any other g is a float with
+    rounding."""
+    require_preserves_class(a, g)
+    return Fraction(0) if _degree(a, g) == 0 else None
 
 
 def gal_kedra_many(a: CohomologyClass, g: LiftedMap, h: LiftedMap, points: np.ndarray) -> np.ndarray:
@@ -314,6 +352,37 @@ def _require_suite(count: int, dimensions) -> None:
     _require_count(count, "draw")
     if not dimensions:
         raise ValidationError("need at least one dimension")
+    if min(dimensions) < 1:  # no nonzero class lives on T^0
+        raise ValidationError(f"suite dimensions must be positive, got {tuple(dimensions)}")
+
+
+def _point_columns(xt: np.ndarray) -> tuple:
+    """The coordinates of the one point xt as one-element columns, one per
+    axis: the form in which a suite's draws are imaged and read."""
+    return tuple(xt[:, None])
+
+
+def _coboundary_rows(av, xs, hx, gx, ghx, sg, sh, sgh):
+    """|G(g, h) - (rho(gh) - rho(g) - rho(h))| from the coordinates of points
+    and of their images under h, g and gh, as `_gal_kedra_rows` takes them,
+    and the fiber shifts of g, h and gh. The class entries av, the
+    coordinates and the shifts are one-element columns for one draw
+    (`coboundary_residual`), or columns of a suite's draws on one torus,
+    each draw with its own class and maps."""
+    value = _gal_kedra_rows(av, xs, hx, gx, ghx)
+    target = _rho_values(xs, ghx, av, sgh) - _rho_values(xs, gx, av, sg) - _rho_values(xs, hx, av, sh)
+    return abs(value - target)
+
+
+def _cocycle_rows(av, xs, kx, hx, gx, hkx, ghx, ghkx):
+    """|G(h, k) - G(gh, k) + G(g, hk) - G(g, h)| from the coordinates of
+    points and of their six images, in the forms `_coboundary_rows` takes."""
+    return abs(
+        _gal_kedra_rows(av, xs, kx, hx, hkx)
+        - _gal_kedra_rows(av, xs, kx, ghx, ghkx)
+        + _gal_kedra_rows(av, xs, hkx, gx, ghkx)
+        - _gal_kedra_rows(av, xs, hx, gx, ghx)
+    )
 
 
 def coboundary_residual(
@@ -321,33 +390,26 @@ def coboundary_residual(
 ) -> float:
     """|G_x(g, h) - (rho_x(gh) - rho_x(g) - rho_x(h))|; exactly zero in
     exact arithmetic, so the residual is pure floating-point noise. Three
-    images are read: h(x), g(x) and gh(x) = g(h(x))."""
+    images are read: h(x), g(x) and gh(x) = g(h(x)), each by the lift's
+    column image (`dynamics._column_image`) of x's one-element columns."""
     sg, sh, sgh = _pair_shifts(a, g, h)
-    xt = _cover_of(x, a.dimension)
-    av = a.vector
-    hx, gx = h.lift(xt), g.lift(xt)
-    ghx = g.lift(hx)
-    value = _gal_kedra_rows(av, xt, hx, gx, ghx)
-    target = _rho_values(xt, ghx, av, sgh) - _rho_values(xt, gx, av, sg) - _rho_values(xt, hx, av, sh)
-    return float(abs(value - target))
+    xs = _point_columns(_cover_of(x, a.dimension))
+    g_image = _column_image(g.lift)
+    hx = _column_image(h.lift)(xs)
+    return float(_coboundary_rows(a.vector, xs, hx, g_image(xs), g_image(hx), sg, sh, sgh)[0])
 
 
 def cocycle_residual(a: CohomologyClass, g: LiftedMap, h: LiftedMap, k: LiftedMap, x) -> float:
     """|G(h,k) - G(gh,k) + G(g,hk) - G(g,h)| at x; identically zero. Six
-    images are read: k(x), h(x), g(x), h(k(x)), g(h(x)) and g(h(k(x)))."""
+    images are read, as `coboundary_residual` reads its three: k(x), h(x),
+    g(x), h(k(x)), g(h(x)) and g(h(k(x)))."""
     for f in (g, h, k):
         require_preserves_class(a, f)
-    xt = _cover_of(x, a.dimension)
-    av = a.vector
-    kx, hx, gx = k(xt), h(xt), g(xt)
-    hkx = h(kx)
-    ghx, ghkx = g(hx), g(hkx)
-    return float(abs(
-        _gal_kedra_rows(av, xt, kx, hx, hkx)
-        - _gal_kedra_rows(av, xt, kx, ghx, ghkx)
-        + _gal_kedra_rows(av, xt, hkx, gx, ghkx)
-        - _gal_kedra_rows(av, xt, hx, gx, ghx)
-    ))
+    xs = _point_columns(_cover_of(x, a.dimension))
+    g_image, h_image = _column_image(g), _column_image(h)
+    kx = _column_image(k)(xs)
+    hx, hkx = h_image(xs), h_image(kx)
+    return float(_cocycle_rows(a.vector, xs, kx, hx, g_image(xs), hkx, g_image(hx), g_image(hkx))[0])
 
 
 def _random_word(rng, elements: Sequence[BundleAutomorphism]) -> BundleAutomorphism:
@@ -394,13 +456,17 @@ class SplittingReport:
 
     additivity_residual is max |F(gh) - F(g) - F(h)| over the sampled pairs;
     mean_cocycle_residual checks the exact identity
-    int G_x(g,h) dmu = F(gh) - F(g) - F(h) as a computation cross-check."""
+    int G_x(g,h) dmu = F(gh) - F(g) - F(h) as a computation cross-check.
+    generator_invariance holds each generator's invariance residual, and
+    invariance_sources where it comes from (`_generator_invariance`):
+    "jacobian" or "probes"."""
 
     additivity_residual: float
     mean_cocycle_residual: float
     pairs: int
     generator_invariance: tuple
     measure_kind: str
+    invariance_sources: tuple
 
     @property
     def splitting_residual(self) -> float:
@@ -419,17 +485,15 @@ def splitting_check(
     """Sample pairs of words in the generators and test F(gh) = F(g) + F(h)
     for F the mean translation number against mu.
 
-    Every generator's base map must preserve mu (push-forward residual at
-    most INVARIANCE_TOLERANCE), otherwise the premise of additivity fails
-    and the check refuses to run. Each pair's four means are read from one
-    walk of mu's points (`_pair_means`)."""
+    Every generator's base map must preserve mu (`_generator_invariance`:
+    from the Jacobian, or a push-forward residual at most
+    INVARIANCE_TOLERANCE), otherwise the premise of additivity fails and the
+    check refuses to run. Each pair's four means are read from one walk of
+    mu's points (`_pair_means`)."""
     if not generators:
         raise ValidationError("need at least one generator")
     _require_count(pairs, "pair")
-    inv = tuple(
-        measure_invariance_residual(g.lift, mu, quadrature_points=quadrature_points)
-        for g in generators
-    )
+    inv, sources = zip(*(_generator_invariance(g.lift, mu, quadrature_points) for g in generators))
     for g, r in zip(generators, inv):
         if r > INVARIANCE_TOLERANCE:
             raise PreconditionError(
@@ -450,7 +514,21 @@ def splitting_check(
         pairs=pairs,
         generator_invariance=inv,
         measure_kind=mu.kind,
+        invariance_sources=sources,
     )
+
+
+def _generator_invariance(lift: LiftedMap, mu: InvariantMeasure, m: int) -> tuple:
+    """(residual, source) of a generator's invariance of mu. The Jacobian
+    proves it for a Lebesgue-preserving kernel family on Lebesgue measure
+    (`dynamics._jacobian_preserves`, as `mean_translation_number` reads
+    it): residual 0.0, source "jacobian". Every other generator (Arnold
+    maps, lifts without a kernel spec, orbit and empirical measures) takes
+    the push-forward probes' residual (`measure_invariance_residual`, at m
+    points per axis on Lebesgue measure): source "probes"."""
+    if _jacobian_preserves(lift, mu):
+        return 0.0, "jacobian"
+    return measure_invariance_residual(lift, mu, quadrature_points=m), "probes"
 
 
 def _pair_means(
@@ -504,32 +582,161 @@ class ResidualSuite:
 
 def coboundary_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -> ResidualSuite:
     """Random classes, maps, shifts, points; worst coboundary residual."""
-    _require_suite(count, dimensions)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(count):
-        dim = dimensions[i % len(dimensions)]
-        entries = sample_class_entries(rng, dim)
-        a = CohomologyClass(entries)
-        g = BundleAutomorphism(sample_map(rng, entries), sample_fiber_shift(rng))
-        h = BundleAutomorphism(sample_map(rng, entries), sample_fiber_shift(rng))
-        x = rng.uniform(0.0, 1.0, size=dim)
-        worst = max(worst, coboundary_residual(a, g, h, x))
-    return ResidualSuite(max_residual=worst, count=count, dimensions=tuple(dimensions))
+    return _suite(_coboundary_draws(seed, count, dimensions), dimensions)
 
 
 def cocycle_residual_suite(seed: int, count: int, dimensions=CHECK_DIMENSIONS) -> ResidualSuite:
     """Random triples of base lifts; worst cocycle residual."""
+    return _suite(_cocycle_draws(seed, count, dimensions), dimensions)
+
+
+def _suite(residuals: np.ndarray, dimensions) -> ResidualSuite:
+    return ResidualSuite(max_residual=float(residuals.max()), count=len(residuals), dimensions=tuple(dimensions))
+
+
+def _coboundary_draws(seed: int, count: int, dimensions) -> np.ndarray:
+    """The coboundary residual of each draw of the seeded suite, in draw
+    order: `coboundary_residual` of the class, the bundle maps and the
+    point that draw i gives, on T^n for n = dimensions[i % len]. Every
+    draw is read first (`_suite_draws`); then each torus's draws are imaged
+    as columns (`_suite_columns`): h images the points, and g the points
+    and their images under h, stacked."""
+    out = np.empty(count)
+    for n, draws in _suite_draws(seed, count, dimensions, maps=2, shifted=True).items():
+        index, av, xs, (g, h), (sg, sh, sgh) = _suite_columns(n, draws)
+        hx = h(xs)
+        gx, ghx = _unstacked(g(_stacked(xs, hx)), 2)
+        out[index] = _coboundary_rows(av, xs, hx, gx, ghx, sg, sh, sgh)
+    return out
+
+
+def _cocycle_draws(seed: int, count: int, dimensions) -> np.ndarray:
+    """The cocycle residual of each draw of the seeded suite, in draw order
+    (`cocycle_residual` of draw i's class, three lifts and point), read as
+    `_coboundary_draws` reads its own: k images the points, h the points
+    and their k-images, g the points and their h- and hk-images."""
+    out = np.empty(count)
+    for n, draws in _suite_draws(seed, count, dimensions, maps=3, shifted=False).items():
+        index, av, xs, (g, h, k), _ = _suite_columns(n, draws)
+        kx = k(xs)
+        hx, hkx = _unstacked(h(_stacked(xs, kx)), 2)
+        gx, ghx, ghkx = _unstacked(g(_stacked(xs, hx, hkx)), 3)
+        out[index] = _cocycle_rows(av, xs, kx, hx, gx, hkx, ghx, ghkx)
+    return out
+
+
+def _suite_draws(seed: int, count: int, dimensions, maps: int, shifted: bool) -> dict:
+    """Every draw of a seeded suite, read from the stream in the order the
+    per-draw suites read it: for draw i on T^n (n = dimensions[i % len]),
+    its class entries (`sample_class_entries`), `maps` map specs
+    (`sample_map_spec`), each followed by its fiber shift when `shifted`,
+    then its point. Returned as {n: [(i, entries, specs, shifts, point)]}."""
     _require_suite(count, dimensions)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = {}
     for i in range(count):
-        dim = dimensions[i % len(dimensions)]
-        entries = sample_class_entries(rng, dim)
-        a = CohomologyClass(entries)
-        g = sample_map(rng, entries)
-        h = sample_map(rng, entries)
-        k = sample_map(rng, entries)
-        x = rng.uniform(0.0, 1.0, size=dim)
-        worst = max(worst, cocycle_residual(a, g, h, k, x))
-    return ResidualSuite(max_residual=worst, count=count, dimensions=tuple(dimensions))
+        n = dimensions[i % len(dimensions)]
+        entries = sample_class_entries(rng, n)
+        specs, shifts = [], []
+        for _ in range(maps):
+            specs.append(sample_map_spec(rng, entries))
+            if shifted:
+                shifts.append(sample_fiber_shift(rng))
+        draws.setdefault(n, []).append((i, entries, specs, shifts, rng.uniform(0.0, 1.0, size=n)))
+    return draws
+
+
+def _suite_columns(n: int, draws: list) -> tuple:
+    """(index, av, xs, images, shifts) of a suite's draws on T^n, after the
+    checks that the per-draw route makes: each drawn matrix fixes its
+    draw's class (`_require_spec_fixes`), each fiber shift and the sum of a
+    draw's shifts lie in the fiber group (`dynamics._checked_shift`).
+
+    index holds the draws' positions in the suite, av the class entries as
+    columns (one per axis, entry i that of draw i), xs the points' columns,
+    images the column image of each map slot (`_spec_image`), and shifts
+    the checked shift columns of each slot and of their sum (empty when
+    the draws carry no shifts)."""
+    classes = {}
+    index, entries, points, shift_rows = [], [], [], []
+    for i, ent, specs, shifts, x in draws:
+        a = classes.get(ent)
+        if a is None:
+            a = classes[ent] = CohomologyClass(ent)
+        for code, params in specs:
+            _require_spec_fixes(a, code, params)
+        if shifts:
+            total = functools.reduce(_add_shifts, shifts)
+            shift_rows.append([_checked_shift(a, c) for c in (*shifts, total)])
+        index.append(i)
+        entries.append(ent)
+        points.append(x)
+    images = [_spec_image([specs[j] for _, _, specs, _, _ in draws], n) for j in range(len(draws[0][2]))]
+    return index, _columns(entries), _columns(points), images, _columns(shift_rows) if shift_rows else ()
+
+
+def _columns(rows: list) -> tuple:
+    """The columns of a list of equal-length rows of numbers, as floats."""
+    return tuple(np.array(rows, dtype=float).T.copy())
+
+
+def _require_spec_fixes(a: CohomologyClass, code: int, params) -> None:
+    """Refuse a drawn map whose matrix part moves the class, as
+    `require_preserves_class` refuses its built map. Only an affine map's
+    matrix (its first n^2 params, row-major) is not the identity; it is
+    read as exact ints, and one with |det| != 1 is refused as
+    `torus_affine` refuses it."""
+    if code != _kernels.AFFINE:
+        return
+    n = a.dimension
+    rows = tuple(tuple(int(t) for t in params[i * n : (i + 1) * n]) for i in range(n))
+    _unimodular(rows)
+    if not preserves_class(a, rows):
+        raise ClassNotPreserved(f"affine map with matrix {rows} moves the class {a.entries}")
+
+
+def _spec_image(specs: list, n: int):
+    """The column image of one map slot of a suite's draws on T^n, draw i
+    mapped by the map of specs[i] = (code, params). It maps the coordinates
+    of r stacked copies of the draws' points (one array of r B entries per
+    axis, copy j holding the B draws in order, `_stacked`) to those of
+    their images, with one `_kernels.np_step` call per group of draws that
+    share a code and skew degree, on the group's parameter columns: the
+    stacked step of `dynamics._group_orbit`. On T^3 and up every drawn map
+    is rigid, and its image is x + v on columns."""
+    groups = {}
+    for i, (code, params) in enumerate(specs):
+        groups.setdefault((code, params[1] if code == _kernels.SKEW else None), []).append(i)
+    plan = [
+        (code, np.array(rows), _parameter_columns([specs[i][1] for i in rows], degree))
+        for (code, degree), rows in groups.items()
+    ]
+    count = len(specs)
+
+    def image(xs) -> tuple:
+        copies = len(xs[0]) // count
+        ys = tuple(np.empty_like(x) for x in xs)
+        for code, rows, columns in plan:
+            at = (rows + count * np.arange(copies)[:, None]).ravel()
+            params = [np.concatenate((c,) * copies) if isinstance(c, np.ndarray) else c for c in columns]
+            pts = [x[at] for x in xs]
+            if n > 2:
+                out = [x + v for x, v in zip(pts, params)]
+            else:
+                out = _kernels.np_step(code, params, pts[0], pts[1] if n == 2 else 0.0)
+            for y, o in zip(ys, out):  # on the circle the step's second entry is 0.0
+                y[at] = o
+        return ys
+
+    return image
+
+
+def _stacked(*points) -> tuple:
+    """The coordinates of several sets of points (each one array per axis)
+    stacked into one array per axis, the first set first."""
+    return tuple(np.concatenate(axis) for axis in zip(*points))
+
+
+def _unstacked(cols: tuple, copies: int) -> list:
+    """The `copies` sets of coordinates that `_stacked` stacked into cols."""
+    return list(zip(*(np.split(c, copies) for c in cols)))

@@ -115,3 +115,17 @@ def test_the_coefficient_sup_lies_between_a_dense_maximum_and_its_certified_side
         assert rep.certified_upper <= dense / np.cos(np.pi * d / m) + 1e-12
     # the grid route's certified side is an upper bound too, with its cell term
     assert dense <= _grid_seminorm(a, g, min(m, 64), MODE_CERTIFIED).certified_upper + 1e-12
+
+
+def test_the_rounding_bounds_read_the_degree_from_the_pairs_alone(monkeypatch):
+    """`_rounding_scale` and `_lebesgue_bound` read the degree from
+    `_displacement_pairs` and build no exact constant term."""
+    from transnum import dynamics
+
+    a = CohomologyClass([1, 2])
+    lift = skew_translation(0.3, TrigPolynomial(0.2, (0.1, 0.05), (0.02, 0.0)))
+    want = [_lebesgue_bound(a, lift, 1.0, m) for m in (1, 2, 3, 64)]
+    monkeypatch.setattr(dynamics, "_displacement_coefficients", None)  # any call would fail
+    assert [_lebesgue_bound(a, lift, 1.0, m) for m in (1, 2, 3, 64)] == want
+    # degree 2: grids of 1 and 2 points add the Lipschitz term
+    assert want[1] > 1e3 * want[2]

@@ -729,7 +729,9 @@ def test_rot_mean_bound_contains_the_mean_on_grids_below_the_degree(tmp_path, gr
 
 def test_gk_eval_closed_form_and_quadrature(tmp_path):
     rec = run_record(tmp_path, ["gk-eval", "--config", write(tmp_path, "g.ini", GK_TEXT)])
-    assert rec["results"]["closed_form"] == {"value": 0.1, "exact": True}
+    # a sinshear g: the closed form is a float with rounding, not exact
+    assert rec["results"]["closed_form"] == {"value": 0.1, "error_bound": None}
+    assert rec["results"]["headline"]["error_bound"] is None and "exact" not in rec["results"]["headline"]
     quad = rec["results"]["quadrature"]
     assert quad["nodes"] == 8
     assert quad["discrepancy"] == abs(quad["value"] - 0.1)
@@ -751,7 +753,31 @@ def test_split_check_on_commuting_skews(tmp_path):
     for name in ("additivity_residual", "mean_cocycle_residual", "headline"):
         assert res[name]["residual"] is True and "error_bound" not in res[name]
     assert res["pairs"] == 20
-    assert all(row["residual"] <= 1e-9 for row in res["generator_invariance"])
+    # skew maps preserve Lebesgue measure: read from the Jacobian, no probes
+    assert res["generator_invariance"] == [
+        {"generator": "u", "residual": 0.0, "source": "jacobian"},
+        {"generator": "v", "residual": 0.0, "source": "jacobian"},
+    ]
+
+
+def test_split_check_probes_an_arnold_generator_and_refuses_it(tmp_path, capsys):
+    text = "[class]\nentries = 1\n[map.u]\nfamily = arnold\nomega = 0.3\nk = 0.9\n[generators]\nmaps = u\n[measure]\nkind = lebesgue\n"
+    assert cli.main(["split-check", "--config", write(tmp_path, "s.ini", text)]) == 4
+    assert "does not preserve the measure" in capsys.readouterr().err
+    invariant = text.replace("k = 0.9", "k = 0.0")
+    res = run_record(tmp_path, ["split-check", "--config", write(tmp_path, "t.ini", invariant)])["results"]
+    (row,) = res["generator_invariance"]
+    assert row["source"] == "probes" and row["residual"] <= 1e-12
+
+
+def test_gk_eval_is_exact_for_a_rigid_or_affine_first_map(tmp_path):
+    for g in ("family = rigid\nvector = 0.3 0.2", "family = affine\nmatrix = 1 0 ; 2 1\nvector = 0.1 0.4"):
+        text = GK_TEXT.replace("family = sinshear\nepsilon = 0.1", g)
+        res = run_record(tmp_path, ["gk-eval", "--config", write(tmp_path, "g.ini", text)])["results"]
+        # every rational of a record is written p/q
+        assert res["closed_form"] == {"value": 0.0, "exact": True, "rational": "0/1"}
+        assert res["headline"]["exact"] is True and res["headline"]["value"] == 0.0
+        assert res["quadrature"]["discrepancy"] == abs(res["quadrature"]["value"])
 
 
 def test_distortion_certificate_for_the_unit_translation(tmp_path):

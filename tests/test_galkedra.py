@@ -340,6 +340,77 @@ def test_seeded_residual_suites_stay_at_float_noise():
     assert coc.max_residual <= 1e-12
 
 
+def per_draw_suite(kind, seed, count, dimensions):
+    """The residual of each draw of a seeded suite by the per-draw route:
+    each draw's maps built with `sample_map` and imaged one point at a time
+    by `coboundary_residual` or `cocycle_residual`."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        dim = dimensions[i % len(dimensions)]
+        entries = sample_class_entries(rng, dim)
+        a = CohomologyClass(entries)
+        if kind == "coboundary":
+            g = BundleAutomorphism(sample_map(rng, entries), sample_fiber_shift(rng))
+            h = BundleAutomorphism(sample_map(rng, entries), sample_fiber_shift(rng))
+            out.append(coboundary_residual(a, g, h, rng.uniform(0.0, 1.0, size=dim)))
+        else:
+            g, h, k = (sample_map(rng, entries) for _ in range(3))
+            out.append(cocycle_residual(a, g, h, k, rng.uniform(0.0, 1.0, size=dim)))
+    return out
+
+
+SUITE_DIMENSIONS = [(1, 2), (2,), (1,), (3, 1), (1, 2, 3), (4,)]
+
+
+@pytest.mark.parametrize("kind", ["coboundary", "cocycle"])
+def test_column_suites_match_the_per_draw_route_bit_for_bit(monkeypatch, kind):
+    draws = galkedra._coboundary_draws if kind == "coboundary" else galkedra._cocycle_draws
+    suite = coboundary_residual_suite if kind == "coboundary" else cocycle_residual_suite
+    families, draw = Counter(), galkedra.sample_map_spec
+
+    def counted(rng, entries):
+        spec = draw(rng, entries)
+        families[len(entries), spec[0]] += 1
+        return spec
+
+    monkeypatch.setattr(galkedra, "sample_map_spec", counted)
+    for seed in range(60):
+        dims = SUITE_DIMENSIONS[seed % len(SUITE_DIMENSIONS)]
+        count = 7 + seed % 34
+        want = per_draw_suite(kind, seed, count, dims)
+        got = draws(seed, count, dims)
+        assert [float(r).hex() for r in got] == [r.hex() for r in want], (seed, dims)
+        assert suite(seed, count, dims) == galkedra.ResidualSuite(max(want), count, dims)
+    # every family in every dimension the draws give took part
+    assert set(families) == {(1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (2, 4), (3, 0), (4, 0)}
+
+
+@pytest.mark.parametrize("suite", [coboundary_residual_suite, cocycle_residual_suite])
+def test_a_drawn_matrix_that_moves_the_class_is_refused_on_the_column_route(monkeypatch, suite):
+    draw = galkedra.sample_map_spec
+
+    def breaking(rng, entries):
+        # on T^2, an affine map whose matrix [[1, 1], [0, 1]] sends (a, 0) to (a, a)
+        code, params = draw(rng, entries)
+        return (galkedra._kernels.AFFINE, (1.0, 1.0, 0.0, 1.0, *params[-2:])) if len(entries) == 2 else (code, params)
+
+    monkeypatch.setattr(galkedra, "sample_map_spec", breaking)
+    with pytest.raises(ClassNotPreserved):
+        suite(seed=3, count=10, dimensions=(1, 2))
+    suite(seed=3, count=10, dimensions=(1,))  # the circle draws are untouched
+
+
+@pytest.mark.parametrize(
+    "shift, error",
+    [(0.5, PreconditionError), (1e308, ValidationError)],  # 1e308 is an integer; the sum of two is inf
+)
+def test_drawn_fiber_shifts_and_their_sum_are_checked(monkeypatch, shift, error):
+    monkeypatch.setattr(galkedra, "sample_fiber_shift", lambda rng: shift)
+    with pytest.raises(error):
+        coboundary_residual_suite(seed=3, count=4)
+
+
 def test_defect_vanishes_on_commuting_rotations():
     els = [
         BundleAutomorphism(rigid_rotation([GOLDEN, 0.2]), 1),
@@ -417,6 +488,55 @@ def test_splitting_means_skip_the_unread_error_bound(monkeypatch):
     monkeypatch.setattr(dynamics, "_lebesgue_bound", None)  # any call would fail
     rep = splitting_check(A01, gens, mu, pairs=6, quadrature_points=16, seed=4)
     assert rep.additivity_residual == want
+
+
+def counted_probes(monkeypatch):
+    """The lifts that `splitting_check` runs the push-forward probes on."""
+    probed, probe = [], galkedra.measure_invariance_residual
+
+    def counted(lift, mu, **kwargs):
+        probed.append(lift)
+        return probe(lift, mu, **kwargs)
+
+    monkeypatch.setattr(galkedra, "measure_invariance_residual", counted)
+    return probed
+
+
+def test_splitting_reads_built_in_invariance_from_the_jacobian(monkeypatch):
+    probed = counted_probes(monkeypatch)
+    gens = [
+        BundleAutomorphism(skew_translation(GOLDEN, TrigPolynomial(0.3, (0.05,), (0.1,)))),
+        BundleAutomorphism(sinusoidal_shear(0.1), 1),
+        BundleAutomorphism(rigid_rotation([0.1, 0.7])),
+        BundleAutomorphism(AFFINE),
+    ]
+    rep = splitting_check(A10, gens, InvariantMeasure.lebesgue(), pairs=4, seed=1)
+    assert rep.generator_invariance == (0.0,) * 4
+    assert rep.invariance_sources == ("jacobian",) * 4
+    assert probed == []
+
+
+def test_splitting_probes_arnold_maps_and_hand_built_lifts(monkeypatch):
+    probed = counted_probes(monkeypatch)
+    # k = 0: Lebesgue-preserving, but no Jacobian is read for an Arnold map
+    gens = [BundleAutomorphism(arnold_circle(0.3, 0.0)), fiber_translation(1, 2)]
+    rep = splitting_check(A1, gens, InvariantMeasure.lebesgue(), pairs=4, seed=1)
+    assert rep.invariance_sources == ("probes", "probes")
+    assert rep.generator_invariance[0] <= 1e-12
+    assert probed == [g.lift for g in gens]
+    probed.clear()
+    with pytest.raises(PreconditionError, match="does not preserve the measure"):
+        splitting_check(A1, [BundleAutomorphism(arnold_circle(0.3, 0.9))], InvariantMeasure.lebesgue(), pairs=4)
+    assert len(probed) == 1
+
+
+@pytest.mark.parametrize("kind", ["empirical", "dirac_orbit"])
+def test_splitting_probes_every_generator_on_orbit_and_empirical_measures(monkeypatch, kind):
+    probed = counted_probes(monkeypatch)
+    a, gens, mu = SPLIT_MEASURES[kind]
+    rep = splitting_check(a, gens, mu, pairs=4, quadrature_points=16, seed=5)
+    assert rep.invariance_sources == ("probes",) * len(gens)
+    assert probed == [g.lift for g in gens]
 
 
 def test_splitting_refuses_words_that_move_the_class():
@@ -568,6 +688,13 @@ COUNT_REFUSALS = {
     "cocycle draws": lambda: cocycle_residual_suite(seed=1, count=0),
     "suite dimensions": lambda: coboundary_residual_suite(seed=1, count=4, dimensions=()),
 }
+
+
+@pytest.mark.parametrize("suite", [coboundary_residual_suite, cocycle_residual_suite])
+def test_a_suite_on_the_zero_torus_is_refused(suite):
+    # its class draw would wait forever for a nonzero entry
+    with pytest.raises(ValidationError, match="positive"):
+        suite(seed=1, count=4, dimensions=(1, 0))
 
 
 @pytest.mark.parametrize("name", list(COUNT_REFUSALS))
